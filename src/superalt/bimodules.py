@@ -23,7 +23,7 @@ from .laws import (
     HomPreAlgebra,
     HypothesisError,
     LawReport,
-    _group_identities,
+    _basis_points,
     _run_groups,
     check_morphism,
     check_product_law,
@@ -283,20 +283,12 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant):
     ]
 
 
-def _alt_scan_worker(m, _law, _variant, group_index, start, stop):
-    from .laws import _scan_range
-
-    arity, idfns = _group_identities(_abm_identities(m))[group_index]
-    spaces = [m.base.space, m.base.space, m.module]
-    return _scan_range(spaces, idfns, start, stop)
-
-
-def _pre_scan_worker(m, _law, variant, group_index, start, stop):
-    from .laws import _scan_range
-
-    arity, idfns = _group_identities(_pbm_identities(m, variant))[group_index]
-    spaces = [m.base.space, m.base.space, m.module]
-    return _scan_range(spaces, idfns, start, stop)
+def _bimodule_groups(identities, m, *args):
+    """One scan group over basis triples (x, y, v) holding every axiom of
+    identities(m, *args)."""
+    base = _basis_points(m.base.space)
+    axioms = [(name, fn) for name, _, fn in identities(m, *args)]
+    return [([base, base, _basis_points(m.module)], axioms)]
 
 
 def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
@@ -306,11 +298,9 @@ def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
     base_rep = check_product_law(m.base, "hom-alternative")
     if not base_rep.passed:
         raise HypothesisError("check_alt_bimodule", base_rep)
-    groups = _group_identities(_abm_identities(m))
-    spaces = [m.base.space, m.base.space, m.module]
+    args = (_abm_identities, m)
     return _run_groups(
-        "alt-bimodule", groups, lambda _ar: spaces, jobs,
-        worker_spec=(_alt_scan_worker, (m, None, None)),
+        "alt-bimodule", _bimodule_groups(*args), jobs, rebuild=(_bimodule_groups, args)
     )
 
 
@@ -325,12 +315,10 @@ def check_pre_bimodule(
     base_rep = check_pre_law(m.base, "hom-prealternative")
     if not base_rep.passed:
         raise HypothesisError("check_pre_bimodule", base_rep)
-    groups = _group_identities(_pbm_identities(m, variant))
-    spaces = [m.base.space, m.base.space, m.module]
+    args = (_pbm_identities, m, variant)
     extra = {"variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
     return _run_groups(
-        "pre-bimodule", groups, lambda _ar: spaces, jobs, extra,
-        worker_spec=(_pre_scan_worker, (m, None, variant)),
+        "pre-bimodule", _bimodule_groups(*args), jobs, extra, rebuild=(_bimodule_groups, args)
     )
 
 

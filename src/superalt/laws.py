@@ -10,6 +10,9 @@ homogeneous elements.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -105,14 +108,26 @@ def pre_associator(p: HomPreAlgebra, kind: int, x: Vector, y: Vector, z: Vector)
     kind 2: (x succ y) prec alpha(z) - alpha(x) succ (y prec z)
     kind 3: (x prec y) prec alpha(z) - alpha(x) prec (y o z)
     """
+    components = dict(zip((1, 2, 3), _pre_components(p)))
+    if kind not in components:
+        raise ValidationError([f"pre-associator kind must be 1, 2 or 3, got {kind}"])
+    return components[kind](x, y, z)
+
+
+def _pre_components(p: HomPreAlgebra):
+    """The three component associators of pre_associator, bound to p."""
     pr, su, ci, al = p.prec.apply, p.succ.apply, p.circ().apply, p.alpha.apply
-    if kind == 1:
+
+    def kind1(x, y, z):
         return su(ci(x, y), al(z)) - su(al(x), su(y, z))
-    if kind == 2:
+
+    def kind2(x, y, z):
         return pr(su(x, y), al(z)) - su(al(x), pr(y, z))
-    if kind == 3:
+
+    def kind3(x, y, z):
         return pr(pr(x, y), al(z)) - pr(al(x), ci(y, z))
-    raise ValidationError([f"pre-associator kind must be 1, 2 or 3, got {kind}"])
+
+    return kind1, kind2, kind3
 
 
 @dataclass
@@ -192,9 +207,7 @@ _JORDAN_ASSIGNMENTS = {
 
 def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str):
     mu, al = a.mu.apply, a.alpha.apply
-
-    def asso(x, y, z):
-        return mu(mu(x, y), al(z)) - mu(al(x), mu(y, z))
+    asso = functools.partial(hom_associator, a)
 
     def left_alt(pts):
         (x, px), (y, py), (z, _) = pts
@@ -244,53 +257,35 @@ def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str):
 
 
 def _pre_identities(p: HomPreAlgebra, law: str):
-    pr, su, ci, al = p.prec.apply, p.succ.apply, p.circ().apply, p.alpha.apply
-
-    def comp(kind, x, y, z):
-        if kind == 1:
-            return su(ci(x, y), al(z)) - su(al(x), su(y, z))
-        if kind == 2:
-            return pr(su(x, y), al(z)) - su(al(x), pr(y, z))
-        return pr(pr(x, y), al(z)) - pr(al(x), ci(y, z))
+    comps = _pre_components(p)
+    kind1, kind2, kind3 = comps
 
     def pa3(pts):
         (x, px), (y, py), (z, _) = pts
-        t = pr(su(x, y), al(z)) - su(al(x), pr(y, z))
-        return t + signed(pr(pr(y, x), al(z)) - pr(al(y), ci(x, z)), px * py)
+        return kind2(x, y, z) + signed(kind3(y, x, z), px * py)
 
     def pa4(pts):
         (x, _), (y, py), (z, pz) = pts
-        t = pr(su(x, y), al(z)) - su(al(x), pr(y, z))
-        return t + signed(su(ci(x, z), al(y)) - su(al(x), su(z, y)), py * pz)
+        return kind2(x, y, z) + signed(kind1(x, z, y), py * pz)
 
-    def pa5(pts):
-        (x, px), (y, py), (z, _) = pts
-        t = su(ci(x, y), al(z)) - su(al(x), su(y, z))
-        return t + signed(su(ci(y, x), al(z)) - su(al(y), su(x, z)), px * py)
-
-    def pa6(pts):
-        (x, _), (y, py), (z, pz) = pts
-        t = pr(pr(x, y), al(z)) - pr(al(x), ci(y, z))
-        return t + signed(pr(pr(x, z), al(y)) - pr(al(x), ci(z, y)), py * pz)
-
-    def make_left(kind):
+    def make_left(comp):
         def f(pts):
             (x, px), (y, py), (z, _) = pts
-            return comp(kind, x, y, z) + signed(comp(kind, y, x, z), px * py)
+            return comp(x, y, z) + signed(comp(y, x, z), px * py)
 
         return f
 
-    def make_right(kind):
+    def make_right(comp):
         def f(pts):
             (x, _), (y, py), (z, pz) = pts
-            return comp(kind, x, y, z) + signed(comp(kind, x, z, y), py * pz)
+            return comp(x, y, z) + signed(comp(x, z, y), py * pz)
 
         return f
 
-    def make_flex(kind):
+    def make_flex(comp):
         def f(pts):
             (x, px), (y, _), (z, pz) = pts
-            return comp(kind, x, y, z) + signed(comp(kind, z, y, x), px * pz)
+            return comp(x, y, z) + signed(comp(z, y, x), px * pz)
 
         return f
 
@@ -298,12 +293,12 @@ def _pre_identities(p: HomPreAlgebra, law: str):
         "hom-prealternative": [
             ("pa3", 3, pa3),
             ("pa4", 3, pa4),
-            ("pa5", 3, pa5),
-            ("pa6", 3, pa6),
+            ("pa5", 3, make_left(kind1)),
+            ("pa6", 3, make_right(kind3)),
         ],
-        "left-prealternative": [(f"left-{k}", 3, make_left(k)) for k in (1, 2, 3)],
-        "right-prealternative": [(f"right-{k}", 3, make_right(k)) for k in (1, 2, 3)],
-        "flexible-prealternative": [(f"flex-{k}", 3, make_flex(k)) for k in (1, 2, 3)],
+        "left-prealternative": [(f"left-{k}", 3, make_left(c)) for k, c in enumerate(comps, 1)],
+        "right-prealternative": [(f"right-{k}", 3, make_right(c)) for k, c in enumerate(comps, 1)],
+        "flexible-prealternative": [(f"flex-{k}", 3, make_flex(c)) for k, c in enumerate(comps, 1)],
     }
     if law not in table:
         raise ValidationError([f"unknown pre-algebra law {law!r}"])
@@ -323,9 +318,18 @@ def law_identities(instance, law: str, jordan_cycle: Optional[str] = None):
     raise ValidationError([f"not a checkable instance: {instance!r}"])
 
 
-# Scan engine.  Tuples enumerate lexicographically over per-slot spaces;
-# identities of equal arity are evaluated together per tuple in declared
-# order, and arity groups run in declared order.
+# Scan engine.  A scan group is (slots, identities): slots holds, for each
+# tuple position, the (vector, parity) points it ranges over, and identities
+# is [(name, fn), ...] with fn mapping a tuple of points to its residual.
+# Tuples enumerate lexicographically over the slots, the identities of a
+# group are evaluated together per tuple in declared order, and groups run
+# in declared order.
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_points(space: SuperSpace) -> tuple[Point, ...]:
+    """The basis vectors of a space with their parities, built once per space."""
+    return tuple((Vector.basis(space, i), space.parity(i)) for i in space.indices())
 
 
 def _group_identities(identities):
@@ -338,51 +342,74 @@ def _group_identities(identities):
     return groups
 
 
-def _scan_range(spaces, idfns, start, stop):
-    """Scan flat tuple indices [start, stop) over the product of spaces.
-    Returns (flat_index, tuple, identity_name, residual) of the first failure
-    or None."""
-    dims = [s.dim for s in spaces]
-    points = [[(Vector.basis(s, i), s.parity(i)) for i in range(s.dim)] for s in spaces]
-    k = len(dims)
-    for flat in range(start, stop):
-        rem = flat
-        idx = [0] * k
-        for slot in range(k - 1, -1, -1):
-            idx[slot] = rem % dims[slot]
-            rem //= dims[slot]
-        pts = tuple(points[slot][idx[slot]] for slot in range(k))
+def _law_groups(identities, instance, *args):
+    """Scan groups of the law identities(instance, *args): one per run of
+    equal-arity identities, each over the basis of the instance."""
+    points = _basis_points(instance.space)
+    runs = _group_identities(identities(instance, *args))
+    return [([points] * arity, idfns) for arity, idfns in runs]
+
+
+def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str):
+    """f(x src y) - f(x) dst f(y) on basis pairs of f's domain."""
+    F, s, d = f.apply, src.apply, dst.apply
+    points = _basis_points(f.domain)
+
+    def preserves(pts):
+        (x, _), (y, _) = pts
+        return F(s(x, y)) - d(F(x), F(y))
+
+    return [points, points], [(name, preserves)]
+
+
+def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str):
+    """f(src x) - dst(f x) on basis vectors of f's domain."""
+    F, s, d = f.apply, src.apply, dst.apply
+
+    def intertwines(pts):
+        ((x, _),) = pts
+        return F(s(x)) - d(F(x))
+
+    return [_basis_points(f.domain)], [(name, intertwines)]
+
+
+def _scan_range(slots, idfns, start, stop):
+    """Scan flat tuple indices [start, stop) over the product of the slots.
+    Returns (flat_index, identity_name, residual) of the first failure or
+    None."""
+    tuples = itertools.islice(itertools.product(*slots), start, stop)
+    for flat, pts in enumerate(tuples, start):
         for name, fn in idfns:
             r = fn(pts)
             if not r.is_zero():
-                return flat, tuple(idx), name, r
+                return flat, name, r
     return None
 
 
-def _run_groups(law, groups, spaces_for, jobs=1, extra=None, worker_spec=None):
-    """Run arity groups in order, returning a LawReport.
+def _run_groups(law, groups, jobs=1, extra=None, rebuild=None) -> LawReport:
+    """Run scan groups in order, returning a LawReport.
 
-    spaces_for(arity) gives the per-slot spaces of the tuples of that arity.
-    worker_spec, when given, is (module-level function, base args) such that
-    fn(*base, group_index, start, stop) redoes _scan_range in a worker
-    process; closures themselves do not pickle.
+    rebuild, when given, is a picklable (builder, args) pair with
+    builder(*args) equal to groups, from which a forked worker rebuilds the
+    groups; closures themselves do not pickle.  Without it every group is
+    scanned in this process.
     """
     checked_before = 0
-    for group_index, (arity, idfns) in enumerate(groups):
-        spaces = spaces_for(arity)
-        total = 1
-        for s in spaces:
-            total *= s.dim
-        hit = _scan_parallel(spaces, idfns, total, jobs, worker_spec, group_index)
+    for group_index, (slots, idfns) in enumerate(groups):
+        total = math.prod(len(slot) for slot in slots)
+        hit = _scan_parallel(slots, idfns, total, jobs, rebuild, group_index)
         if hit is not None:
-            flat, idx, name, residual = hit
-            parities = tuple(s.parity(i) for s, i in zip(spaces, idx))
+            flat, name, residual = hit
+            witness, rem = [], flat
+            for slot in reversed(slots):
+                rem, i = divmod(rem, len(slot))
+                witness.insert(0, i)
             return LawReport(
                 law=law,
                 passed=False,
                 checked=checked_before + flat + 1,
-                witness=idx,
-                witness_parities=parities,
+                witness=tuple(witness),
+                witness_parities=tuple(slot[i][1] for slot, i in zip(slots, witness)),
                 identity=name,
                 residual=residual.coords,
                 extra=dict(extra or {}),
@@ -391,39 +418,29 @@ def _run_groups(law, groups, spaces_for, jobs=1, extra=None, worker_spec=None):
     return LawReport(law=law, passed=True, checked=checked_before, extra=dict(extra or {}))
 
 
-def _scan_parallel(spaces, idfns, total, jobs, worker_spec=None, group_index=0):
-    if jobs is None:
-        import os
-
-        jobs = os.cpu_count() or 1
-    if jobs <= 1 or total < 4096 or worker_spec is None:
-        return _scan_range(spaces, idfns, 0, total)
+def _scan_parallel(slots, idfns, total, jobs, rebuild, group_index):
+    if jobs <= 1 or total < 4096 or rebuild is None:
+        return _scan_range(slots, idfns, 0, total)
     import multiprocessing as mp
 
     try:
         ctx = mp.get_context("fork")
     except ValueError:
-        return _scan_range(spaces, idfns, 0, total)
-    worker, base = worker_spec
+        return _scan_range(slots, idfns, 0, total)
     nchunks = min(jobs * 4, max(1, total // 1024))
     bounds = [(total * c // nchunks, total * (c + 1) // nchunks) for c in range(nchunks)]
     with ctx.Pool(jobs) as pool:
-        results = pool.starmap(
-            worker, [base + (group_index, a, b) for a, b in bounds]
-        )
+        results = pool.starmap(_scan_worker, [(rebuild, group_index, a, b) for a, b in bounds])
     for hit in results:
         if hit is not None:
             return hit
     return None
 
 
-def _law_scan_worker(instance, law, cycle, group_index, start, stop):
-    if isinstance(instance, HomAlgebra):
-        identities = _product_identities(instance, law, cycle)
-    else:
-        identities = _pre_identities(instance, law)
-    arity, idfns = _group_identities(identities)[group_index]
-    return _scan_range([instance.space] * arity, idfns, start, stop)
+def _scan_worker(rebuild, group_index, start, stop):
+    builder, args = rebuild
+    slots, idfns = builder(*args)[group_index]
+    return _scan_range(slots, idfns, start, stop)
 
 
 def check_product_law(
@@ -433,13 +450,9 @@ def check_product_law(
     cycle = jordan_cycle or DEFAULT_JORDAN_CYCLE
     if cycle not in JORDAN_CYCLES:
         raise ValidationError([f"unknown jordan cycle {cycle!r}"])
-    identities = _product_identities(a, law, cycle)
-    groups = _group_identities(identities)
+    args = (_product_identities, a, law, cycle)
     extra = {"jordan_cycle": cycle} if law == "hom-jordan" else None
-    return _run_groups(
-        law, groups, lambda ar: [a.space] * ar, jobs, extra,
-        worker_spec=(_law_scan_worker, (a, law, cycle)),
-    )
+    return _run_groups(law, _law_groups(*args), jobs, extra, rebuild=(_law_groups, args))
 
 
 def _odd_diagonal_info(p: HomPreAlgebra) -> dict:
@@ -448,35 +461,18 @@ def _odd_diagonal_info(p: HomPreAlgebra) -> dict:
     Quadratic in the repeated slot, so this is informational: for odd basis
     x the first reads (x o x) succ alpha(y) - alpha(x) succ (x succ y), for
     odd basis y the second reads (x prec y) prec alpha(y) - alpha(x) prec (y o y).
+    Every case is evaluated; the census counts all nonzero residuals.
     """
-    pr, su, ci, al = p.prec.apply, p.succ.apply, p.circ().apply, p.alpha.apply
+    kind1, _, kind3 = _pre_components(p)
     space = p.space
-    checked = 0
-    nonzero = 0
-    first = None
-    for i in space.indices_of_parity(1):
-        x = Vector.basis(space, i)
-        for j in space.indices():
-            y = Vector.basis(space, j)
-            r = su(ci(x, x), al(y)) - su(al(x), su(x, y))
-            checked += 1
-            if not r.is_zero():
-                nonzero += 1
-                if first is None:
-                    first = ["diag-succ", i, j]
-    for j in space.indices_of_parity(1):
-        y = Vector.basis(space, j)
-        for i in space.indices():
-            x = Vector.basis(space, i)
-            r = pr(pr(x, y), al(y)) - pr(al(x), ci(y, y))
-            checked += 1
-            if not r.is_zero():
-                nonzero += 1
-                if first is None:
-                    first = ["diag-prec", i, j]
-    info = {"checked": checked, "nonzero": nonzero}
-    if first is not None:
-        info["first"] = first
+    e = [x for x, _ in _basis_points(space)]
+    odd = space.indices_of_parity(1)
+    cases = [("diag-succ", i, j, kind1(e[i], e[i], e[j])) for i in odd for j in space.indices()]
+    cases += [("diag-prec", i, j, kind3(e[i], e[j], e[j])) for j in odd for i in space.indices()]
+    nonzero = [[name, i, j] for name, i, j, r in cases if not r.is_zero()]
+    info = {"checked": len(cases), "nonzero": len(nonzero)}
+    if nonzero:
+        info["first"] = nonzero[0]
     return info
 
 
@@ -486,13 +482,10 @@ def check_pre_law(p: HomPreAlgebra, law: str, jobs: int = 1) -> LawReport:
     For hom-prealternative the report's extra carries the odd-diagonal
     residual census (informational; the polarized axioms are the verdict).
     """
-    identities = _pre_identities(p, law)
-    groups = _group_identities(identities)
+    args = (_pre_identities, p, law)
+    groups = _law_groups(*args)
     extra = {"odd_diagonal": _odd_diagonal_info(p)} if law == "hom-prealternative" else None
-    return _run_groups(
-        law, groups, lambda ar: [p.space] * ar, jobs, extra,
-        worker_spec=(_law_scan_worker, (p, law, None)),
-    )
+    return _run_groups(law, groups, jobs, extra, rebuild=(_law_groups, args))
 
 
 def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:
@@ -506,42 +499,11 @@ def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:
         pairs = [("mu", src.mu, dst.mu)]
     else:
         pairs = [("prec", src.prec, dst.prec), ("succ", src.succ, dst.succ)]
-    law = "weak-morphism" if weak else "morphism"
-    space = src.space
-    fap = f.apply
-    checked = 0
-    for pname, sprod, dprod in pairs:
-        for i in space.indices():
-            for j in space.indices():
-                x, y = Vector.basis(space, i), Vector.basis(space, j)
-                r = fap(sprod.apply(x, y)) - dprod.apply(fap(x), fap(y))
-                checked += 1
-                if not r.is_zero():
-                    return LawReport(
-                        law=law,
-                        passed=False,
-                        checked=checked,
-                        witness=(i, j),
-                        witness_parities=(space.parity(i), space.parity(j)),
-                        identity=f"preserves-{pname}",
-                        residual=r.coords,
-                    )
+    # every preserves-prec pair comes before any preserves-succ pair
+    groups = [_preserves_group(f, s, d, f"preserves-{name}") for name, s, d in pairs]
     if not weak:
-        for i in space.indices():
-            x = Vector.basis(space, i)
-            r = fap(src.alpha.apply(x)) - dst.alpha.apply(fap(x))
-            checked += 1
-            if not r.is_zero():
-                return LawReport(
-                    law=law,
-                    passed=False,
-                    checked=checked,
-                    witness=(i,),
-                    witness_parities=(space.parity(i),),
-                    identity="intertwines-twist",
-                    residual=r.coords,
-                )
-    return LawReport(law=law, passed=True, checked=checked)
+        groups.append(_intertwining_group(f, src.alpha, dst.alpha, "intertwines-twist"))
+    return _run_groups("weak-morphism" if weak else "morphism", groups)
 
 
 def calibrate_jordan(instances: Sequence[HomAlgebra]) -> dict:

@@ -16,6 +16,7 @@ satisfies T(u) o T(v) = T(L(T u) v + R(T v) u) and T beta = alpha T.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -31,7 +32,17 @@ from .core import (
     solve_in_span,
 )
 from .fields import PrimeField
-from .laws import HomAlgebra, HomPreAlgebra, HypothesisError, LawReport, check_morphism
+from .laws import (
+    HomAlgebra,
+    HomPreAlgebra,
+    HypothesisError,
+    LawReport,
+    _basis_points,
+    _intertwining_group,
+    _preserves_group,
+    _run_groups,
+    check_morphism,
+)
 
 if TYPE_CHECKING:  # only for annotations; bimodules imports this module
     from .bimodules import AltBimodule
@@ -63,43 +74,6 @@ class OperatorSpec:
             raise ValidationError(["bimodule is given exactly for o-operators"])
 
 
-def _pair_scan(space: SuperSpace, law: str, residual, extra_single=None) -> LawReport:
-    """Scan basis pairs with `residual(x, y)`, then basis singletons with
-    `extra_single(x)` (used for twist-commuting)."""
-    checked = 0
-    for i in space.indices():
-        x = Vector.basis(space, i)
-        for j in space.indices():
-            y = Vector.basis(space, j)
-            r = residual(x, y)
-            checked += 1
-            if not r.is_zero():
-                return LawReport(
-                    law=law,
-                    passed=False,
-                    checked=checked,
-                    witness=(i, j),
-                    witness_parities=(space.parity(i), space.parity(j)),
-                    identity="equation",
-                    residual=r.coords,
-                )
-    if extra_single is not None:
-        for i in space.indices():
-            r = extra_single(Vector.basis(space, i))
-            checked += 1
-            if not r.is_zero():
-                return LawReport(
-                    law=law,
-                    passed=False,
-                    checked=checked,
-                    witness=(i,),
-                    witness_parities=(space.parity(i),),
-                    identity="twist-commuting",
-                    residual=r.coords,
-                )
-    return LawReport(law=law, passed=True, checked=checked)
-
-
 def check_operator(spec: OperatorSpec, a) -> LawReport:
     """Check the operator equations of spec.kind on instance a.
 
@@ -109,70 +83,63 @@ def check_operator(spec: OperatorSpec, a) -> LawReport:
     if spec.kind == "endomorphism":
         if m.domain != a.space or m.codomain != a.space:
             raise ValidationError(["operator must be an even self-map of the instance"])
-        rep = check_morphism(m, a, a, weak=False)
-        return LawReport(
-            law="endomorphism",
-            passed=rep.passed,
-            checked=rep.checked,
-            witness=rep.witness,
-            witness_parities=rep.witness_parities,
-            identity=rep.identity,
-            residual=rep.residual,
-        )
+        return dataclasses.replace(check_morphism(m, a, a, weak=False), law="endomorphism")
     if spec.kind == "o-operator":
         return check_o_operator(m, spec.bimodule)
     if not isinstance(a, HomAlgebra):
         raise ValidationError([f"{spec.kind} operators are checked on a single-product instance"])
     if m.domain != a.space or m.codomain != a.space:
         raise ValidationError(["operator must be an even self-map of the instance"])
-    mu, al, R = a.mu.apply, a.alpha.apply, m.apply
-
-    def commutes(x):
-        return R(al(x)) - al(R(x))
+    mu, R = a.mu.apply, m.apply
 
     if spec.kind == "rota-baxter":
         w = a.space.field.coerce(spec.weight)
 
-        def rb(x, y):
+        def equation(x, y):
             inner = mu(R(x), y) + mu(x, R(y)) + mu(x, y).scaled(w)
             return mu(R(x), R(y)) - R(inner)
 
-        return _pair_scan(a.space, "rota-baxter", rb, commutes)
-    if spec.kind == "averaging-left":
-        return _pair_scan(
-            a.space,
-            "averaging-left",
-            lambda x, y: mu(R(x), R(y)) - R(mu(R(x), y)),
-            commutes,
-        )
-    if spec.kind == "averaging-right":
-        return _pair_scan(
-            a.space,
-            "averaging-right",
-            lambda x, y: mu(R(x), R(y)) - R(mu(x, R(y))),
-            commutes,
-        )
-    if spec.kind == "averaging":
+    elif spec.kind == "averaging-left":
 
-        def avg(x, y):
+        def equation(x, y):
+            return mu(R(x), R(y)) - R(mu(R(x), y))
+
+    elif spec.kind == "averaging-right":
+
+        def equation(x, y):
+            return mu(R(x), R(y)) - R(mu(x, R(y)))
+
+    elif spec.kind == "averaging":
+
+        def equation(x, y):
             lhs = mu(R(x), R(y))
             r1 = lhs - R(mu(R(x), y))
             if not r1.is_zero():
                 return r1
             return lhs - R(mu(x, R(y)))
 
-        return _pair_scan(a.space, "averaging", avg, commutes)
-    if spec.kind == "centroid":
+    elif spec.kind == "centroid":
 
-        def cen(x, y):
+        def equation(x, y):
             bxy = R(mu(x, y))
             r1 = bxy - mu(R(x), y)
             if not r1.is_zero():
                 return r1
             return bxy - mu(x, R(y))
 
-        return _pair_scan(a.space, "centroid", cen, commutes)
-    raise ValidationError([f"unknown operator kind {spec.kind!r}"])
+    else:
+        raise ValidationError([f"unknown operator kind {spec.kind!r}"])
+
+    def on_pair(pts):
+        (x, _), (y, _) = pts
+        return equation(x, y)
+
+    points = _basis_points(a.space)
+    groups = [
+        ([points, points], [("equation", on_pair)]),
+        _intertwining_group(m, a.alpha, a.alpha, "twist-commuting"),
+    ]
+    return _run_groups(spec.kind, groups)
 
 
 def check_o_operator(t: EvenMap, m: "AltBimodule") -> LawReport:
@@ -181,41 +148,19 @@ def check_o_operator(t: EvenMap, m: "AltBimodule") -> LawReport:
     a = m.base
     if t.domain != m.module or t.codomain != a.space:
         raise ValidationError(["o-operator must map the module into the algebra"])
-    mu, al = a.mu.apply, a.alpha.apply
-    L, R, be, T = m.lsucc.apply, m.rprec.apply, m.beta.apply, t.apply
-    V = m.module
-    checked = 0
-    for i in V.indices():
-        u = Vector.basis(V, i)
-        for j in V.indices():
-            v = Vector.basis(V, j)
-            r = mu(T(u), T(v)) - T(L(T(u), v) + R(u, T(v)))
-            checked += 1
-            if not r.is_zero():
-                return LawReport(
-                    law="o-operator",
-                    passed=False,
-                    checked=checked,
-                    witness=(i, j),
-                    witness_parities=(V.parity(i), V.parity(j)),
-                    identity="equation",
-                    residual=r.coords,
-                )
-    for i in V.indices():
-        u = Vector.basis(V, i)
-        r = T(be(u)) - al(T(u))
-        checked += 1
-        if not r.is_zero():
-            return LawReport(
-                law="o-operator",
-                passed=False,
-                checked=checked,
-                witness=(i,),
-                witness_parities=(V.parity(i),),
-                identity="twist-intertwining",
-                residual=r.coords,
-            )
-    return LawReport(law="o-operator", passed=True, checked=checked)
+    mu = a.mu.apply
+    L, R, T = m.lsucc.apply, m.rprec.apply, t.apply
+
+    def equation(pts):
+        (u, _), (v, _) = pts
+        return mu(T(u), T(v)) - T(L(T(u), v) + R(u, T(v)))
+
+    points = _basis_points(m.module)
+    groups = [
+        ([points, points], [("equation", equation)]),
+        _intertwining_group(t, m.beta, a.alpha, "twist-intertwining"),
+    ]
+    return _run_groups("o-operator", groups)
 
 
 @dataclass
@@ -268,33 +213,22 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
 
     # kernel absorbance: the products descend along T exactly when the
     # kernel is absorbed in the slot the product reads directly
-    kernel = nullspace(t)
     T = t.apply
-    checked = 0
-    independence = LawReport(law="representation-independence", passed=True, checked=0)
-    for ki, k in enumerate(kernel):
-        for j in range(n):
-            v = Vector.basis(V, j)
-            r1 = T(pre.prec.apply(k, v))
-            r2 = T(pre.succ.apply(v, k))
-            checked += 2
-            if not r1.is_zero() or not r2.is_zero():
-                bad = r1 if not r1.is_zero() else r2
-                independence = LawReport(
-                    law="representation-independence",
-                    passed=False,
-                    checked=checked,
-                    witness=(ki, j),
-                    witness_parities=(k.parity(), V.parity(j)),
-                    identity="kernel-absorbance",
-                    residual=bad.coords,
-                )
-                break
-        if not independence.passed:
-            break
-    if independence.passed:
-        independence.checked = checked
-    else:
+    prec, succ = pre.prec.apply, pre.succ.apply
+
+    def absorbs(pts):
+        (k, _), (v, _) = pts
+        r = T(prec(k, v))
+        return r if not r.is_zero() else T(succ(v, k))
+
+    kernel = [(k, k.parity()) for k in nullspace(t)]
+    independence = _run_groups(
+        "representation-independence",
+        [([kernel, _basis_points(V)], [("kernel-absorbance", absorbs)])],
+    )
+    # each tuple evaluates two products, k prec v and v succ k; the report counts products
+    independence.checked *= 2
+    if not independence.passed:
         raise HypothesisError("o_induced", independence)
 
     # image basis: earliest independent T-images; V is even-first, so the
@@ -326,8 +260,8 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
         ui = Vector.basis(V, ci)
         for bj, cj in enumerate(cols):
             uj = Vector.basis(V, cj)
-            img_prec[ai][bj] = express(T(pre.prec.apply(ui, uj)))
-            img_succ[ai][bj] = express(T(pre.succ.apply(ui, uj)))
+            img_prec[ai][bj] = express(T(prec(ui, uj)))
+            img_succ[ai][bj] = express(T(succ(ui, uj)))
     alpha_rows = [[zero] * r for _ in range(r)]
     for bj, cj in enumerate(cols):
         col = express(a.alpha.apply(img_basis[bj]))
@@ -342,47 +276,13 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
 
     # T intertwines the circle product on V with the product of A, and beta
     # with alpha; verified, not assumed
-    circ = pre.circ().apply
-    be = m.beta.apply
-    mchecked = 0
-    morphism = LawReport(law="morphism", passed=True, checked=0)
-    for i in range(n):
-        u = Vector.basis(V, i)
-        for j in range(n):
-            v = Vector.basis(V, j)
-            r1 = T(circ(u, v)) - a.mu.apply(T(u), T(v))
-            mchecked += 1
-            if not r1.is_zero():
-                morphism = LawReport(
-                    law="morphism",
-                    passed=False,
-                    checked=mchecked,
-                    witness=(i, j),
-                    witness_parities=(V.parity(i), V.parity(j)),
-                    identity="preserves-circ",
-                    residual=r1.coords,
-                )
-                break
-        if not morphism.passed:
-            break
-    if morphism.passed:
-        for i in range(n):
-            u = Vector.basis(V, i)
-            r1 = T(be(u)) - a.alpha.apply(T(u))
-            mchecked += 1
-            if not r1.is_zero():
-                morphism = LawReport(
-                    law="morphism",
-                    passed=False,
-                    checked=mchecked,
-                    witness=(i,),
-                    witness_parities=(V.parity(i),),
-                    identity="intertwines-twist",
-                    residual=r1.coords,
-                )
-                break
-    if morphism.passed:
-        morphism.checked = mchecked
+    morphism = _run_groups(
+        "morphism",
+        [
+            _preserves_group(t, pre.circ(), a.mu, "preserves-circ"),
+            _intertwining_group(t, m.beta, a.alpha, "intertwines-twist"),
+        ],
+    )
     return OInduced(
         pre=pre,
         image=image,
