@@ -283,12 +283,10 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant):
     ]
 
 
-def _bimodule_groups(identities, m, *args):
-    """One scan group over basis triples (x, y, v) holding every axiom of
-    identities(m, *args)."""
+def _bimodule_groups(m, identities):
+    """One scan group over basis triples (x, y, v) holding every axiom."""
     base = _basis_points(m.base.space)
-    axioms = [(name, fn) for name, _, fn in identities(m, *args)]
-    return [([base, base, _basis_points(m.module)], axioms)]
+    return [([base, base, _basis_points(m.module)], [(name, fn) for name, _, fn in identities])]
 
 
 def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
@@ -298,10 +296,7 @@ def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
     base_rep = check_product_law(m.base, "hom-alternative")
     if not base_rep.passed:
         raise HypothesisError("check_alt_bimodule", base_rep)
-    args = (_abm_identities, m)
-    return _run_groups(
-        "alt-bimodule", _bimodule_groups(*args), jobs, rebuild=(_bimodule_groups, args)
-    )
+    return _run_groups("alt-bimodule", _bimodule_groups(m, _abm_identities(m)), jobs)
 
 
 def check_pre_bimodule(
@@ -315,11 +310,9 @@ def check_pre_bimodule(
     base_rep = check_pre_law(m.base, "hom-prealternative")
     if not base_rep.passed:
         raise HypothesisError("check_pre_bimodule", base_rep)
-    args = (_pbm_identities, m, variant)
+    groups = _bimodule_groups(m, _pbm_identities(m, variant))
     extra = {"variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
-    return _run_groups(
-        "pre-bimodule", _bimodule_groups(*args), jobs, extra, rebuild=(_bimodule_groups, args)
-    )
+    return _run_groups("pre-bimodule", groups, jobs, extra)
 
 
 def regular_bimodule(instance):

@@ -33,7 +33,7 @@ from .constructions import (
     yau_twist,
 )
 from .core import EvenMap, ValidationError
-from .fields import FieldError, PrimeField, RationalField
+from .fields import FieldError, RationalField
 from .io import (
     DocumentError,
     canonical_dumps,
@@ -135,11 +135,10 @@ def _cmd_construct(args):
             raise _Usage(f"{op} takes exactly one --in file")
         return _load_as(args.inputs[0], kinds, strict)
 
-    def need_map(space_of):
+    def need_map():
         if args.map is None:
             raise _Usage(f"{op} needs --map")
-        f = _load_as(args.map, EvenMap, strict)
-        return f
+        return _load_as(args.map, EvenMap, strict)
 
     if op == "alt":
         out = alt_of(one(HomPreAlgebra))
@@ -154,17 +153,13 @@ def _cmd_construct(args):
         b = _load_as(args.inputs[1], HomAlgebra, strict)
         out = tensor_alt(c, b)
     elif op == "centroid-twist":
-        a = one(HomAlgebra)
-        out = centroid_twist(a, need_map(a))
+        out = centroid_twist(one(HomAlgebra), need_map())
     elif op == "averaging":
-        a = one(HomAlgebra)
-        out = averaging_product(a, need_map(a))
+        out = averaging_product(one(HomAlgebra), need_map())
     elif op == "rb-split":
-        a = one(HomAlgebra)
-        out = rb_split(a, need_map(a))
+        out = rb_split(one(HomAlgebra), need_map())
     elif op == "yau-twist":
-        p = one(HomPreAlgebra)
-        out = yau_twist(p, need_map(p))
+        out = yau_twist(one(HomPreAlgebra), need_map())
     elif op == "derived":
         if args.n is None:
             raise _Usage("derived needs --n")
@@ -276,28 +271,22 @@ def _cmd_corpus(args):
     return EXIT_PASS
 
 
-def _cmd_calibrate_jordan(args):
-    out = calibrate_jordan(corpus.jordan_calibration_instances())
-    for cycle, verdicts in out["per_cycle"].items():
-        marks = ", ".join(f"{k}={'pass' if v else 'fail'}" for k, v in verdicts.items())
-        print(f"cycle {cycle}: {marks}")
-    print(f"survivors: {', '.join(out['survivors']) or 'none'}")
-    print(f"adopted: {out['default']}")
-    doc = {"kind": "report", "calibration": out}
-    print(canonical_dumps(doc), end="")
-    return EXIT_PASS if out["survivors"] == [out["default"]] else EXIT_FAIL
+def _calibration(label, calibrate, instances):
+    """A calibrate verb: one verdict line per reading (out["per_<label>"]),
+    the survivors, the adopted default and the report; exit 0 exactly when
+    the default is the unique survivor."""
 
+    def cmd(args):
+        out = calibrate(instances())
+        for reading, verdicts in out[f"per_{label}"].items():
+            marks = ", ".join(f"{k}={'pass' if v else 'fail'}" for k, v in verdicts.items())
+            print(f"{label} {reading}: {marks}")
+        print(f"survivors: {', '.join(out['survivors']) or 'none'}")
+        print(f"adopted: {out['default']}")
+        print(canonical_dumps({"kind": "report", "calibration": out}), end="")
+        return EXIT_PASS if out["survivors"] == [out["default"]] else EXIT_FAIL
 
-def _cmd_calibrate_prebimodule(args):
-    out = calibrate_pre_bimodule(corpus.standard_pre_instances())
-    for variant, verdicts in out["per_variant"].items():
-        marks = ", ".join(f"{k}={'pass' if v else 'fail'}" for k, v in verdicts.items())
-        print(f"variant {variant}: {marks}")
-    print(f"survivors: {', '.join(out['survivors']) or 'none'}")
-    print(f"adopted: {out['default']}")
-    doc = {"kind": "report", "calibration": out}
-    print(canonical_dumps(doc), end="")
-    return EXIT_PASS if out["survivors"] == [out["default"]] else EXIT_FAIL
+    return cmd
 
 
 def build_parser():
@@ -366,11 +355,13 @@ def build_parser():
 
     p = sub.add_parser("calibrate-jordan", parents=[common],
                        help="rerun the cyclic-reading calibration of the Jordan identity")
-    p.set_defaults(fn=_cmd_calibrate_jordan)
+    p.set_defaults(fn=_calibration("cycle", calibrate_jordan, corpus.jordan_calibration_instances))
 
     p = sub.add_parser("calibrate-prebimodule", parents=[common],
                        help="rerun the pre-bimodule axiom-reading calibration")
-    p.set_defaults(fn=_cmd_calibrate_prebimodule)
+    p.set_defaults(
+        fn=_calibration("variant", calibrate_pre_bimodule, corpus.standard_pre_instances)
+    )
 
     return parser
 

@@ -457,89 +457,60 @@ class EvenBilinear:
 # Exact linear algebra, generic over both scalar fields.
 
 
-def independent_columns(vectors: Sequence[Vector]) -> list[int]:
-    """Indices of a maximal earliest-first linearly independent subset."""
-    reduced: list[tuple[int, list]] = []  # (pivot position, reduced coords)
-    chosen = []
-    for idx, vec in enumerate(vectors):
-        coords = list(vec.coords)
-        for pivot, basis in reduced:
-            f = coords[pivot]
-            if f:
-                coords = [a - f * b for a, b in zip(coords, basis)]
-        piv = next((i for i, c in enumerate(coords) if c), None)
-        if piv is None:
+def _rref(rows, ncols) -> list[int]:
+    """Row-reduce rows in place over their first ncols columns; returns the
+    pivot columns in order, the r-th pivot standing in row r."""
+    pivots = []
+    for col in range(ncols):
+        at = len(pivots)
+        sel = next((i for i in range(at, len(rows)) if rows[i][col]), None)
+        if sel is None:
             continue
-        inv = coords[piv]
-        coords = [c / inv for c in coords]
-        reduced.append((piv, coords))
-        chosen.append(idx)
-    return chosen
+        rows[at], rows[sel] = rows[sel], rows[at]
+        inv = rows[at][col]
+        rows[at] = [v / inv for v in rows[at]]
+        for i in range(len(rows)):
+            if i != at and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[at])]
+        pivots.append(col)
+    return pivots
+
+
+def independent_columns(vectors: Sequence[Vector]) -> list[int]:
+    """Indices of a maximal earliest-first linearly independent subset: the
+    pivot columns of the matrix whose columns are the vectors."""
+    return _rref([list(row) for row in zip(*(v.coords for v in vectors))], len(vectors))
 
 
 def solve_in_span(basis: Sequence[Vector], target: Vector):
     """Coefficients x with sum x_a basis[a] = target, or None if unsolvable.
 
     The basis vectors must be linearly independent (unique solution)."""
-    if not basis:
-        return [] if target.is_zero() else None
-    n = target.space.dim
     r = len(basis)
-    field = target.space.field
-    # augmented rows of the n x (r+1) system
-    rows = [[basis[a].coords[i] for a in range(r)] + [target.coords[i]] for i in range(n)]
-    pivots = []
-    row_at = 0
-    for col in range(r):
-        sel = next((i for i in range(row_at, n) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[row_at], rows[sel] = rows[sel], rows[row_at]
-        inv = rows[row_at][col]
-        rows[row_at] = [v / inv for v in rows[row_at]]
-        for i in range(n):
-            if i != row_at and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[row_at])]
-        pivots.append(col)
-        row_at += 1
-    # inconsistency: a zero row with nonzero rhs
-    for i in range(row_at, n):
-        if rows[i][r]:
-            return None
-    sol = [field.zero] * r
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][r]
+    # augmented n x (r+1) system; a pivot in the last column is an inconsistency
+    rows = [[v.coords[i] for v in basis] + [t] for i, t in enumerate(target.coords)]
+    pivots = _rref(rows, r + 1)
+    if r in pivots:
+        return None
+    sol = [target.space.field.zero] * r
+    for row, col in zip(rows, pivots):
+        sol[col] = row[r]
     return sol
 
 
 def nullspace(m: EvenMap) -> list[Vector]:
     """Basis of the kernel, one vector per free column of the RREF."""
-    n_rows, n_cols = m.codomain.dim, m.domain.dim
-    field = m.domain.field
+    n, field = m.domain.dim, m.domain.field
     rows = [list(r) for r in m.entries]
-    pivots = {}
-    row_at = 0
-    for col in range(n_cols):
-        sel = next((i for i in range(row_at, n_rows) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[row_at], rows[sel] = rows[sel], rows[row_at]
-        inv = rows[row_at][col]
-        rows[row_at] = [v / inv for v in rows[row_at]]
-        for i in range(n_rows):
-            if i != row_at and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[row_at])]
-        pivots[col] = row_at
-        row_at += 1
+    pivots = _rref(rows, n)
     basis = []
-    for free in range(n_cols):
+    for free in range(n):
         if free in pivots:
             continue
-        coords = [field.zero] * n_cols
+        coords = [field.zero] * n
         coords[free] = field.one
-        for col, prow in pivots.items():
-            coords[col] = -rows[prow][free]
+        for row, col in zip(rows, pivots):
+            coords[col] = -row[free]
         basis.append(Vector(m.domain, coords))
     return basis

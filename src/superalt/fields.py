@@ -103,7 +103,8 @@ class FpElement:
         if isinstance(other, FpElement):
             return self.p == other.p and self.val == other.val
         if isinstance(other, int):
-            return self.val == other % self.p
+            # only the canonical representative, so equal values hash equal
+            return other == self.val
         return NotImplemented
 
     def __hash__(self):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
+import threading
 
 from .bimodules import AltBimodule, PreBimodule
 from .core import EvenBilinear, EvenMap, SuperSpace, ValidationError
-from .fields import FieldError, PrimeField, RationalField, field_from_json, field_to_json
+from .fields import FieldError, field_from_json, field_to_json
 from .laws import HomAlgebra, HomPreAlgebra, LawReport
 
 DOCUMENT_KINDS = ("algebra", "pre-algebra", "map", "bimodule", "report")
@@ -54,12 +54,6 @@ class _Ctx:
 
 def canonical_dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def scalar_to_json(field, v):
-    if isinstance(field, RationalField):
-        return str(v)
-    return v.val
 
 
 def _scalar_from_json(field, v, ctx, where):
@@ -108,7 +102,7 @@ def _check_keys(doc, required, optional, ctx):
 
 def entries_to_json(bil: EvenBilinear):
     field = bil.out.field
-    return [[i, j, k, scalar_to_json(field, v)] for i, j, k, v in bil.sparse_entries()]
+    return [[i, j, k, field.to_json(v)] for i, j, k, v in bil.sparse_entries()]
 
 
 def _entries_from_json(field, lst, left, right, out, ctx, where):
@@ -152,7 +146,7 @@ def _entries_from_json(field, lst, left, right, out, ctx, where):
 
 def matrix_to_json(m: EvenMap):
     field = m.codomain.field
-    return [[scalar_to_json(field, v) for v in row] for row in m.entries]
+    return [[field.to_json(v) for v in row] for row in m.entries]
 
 
 def _matrix_from_json(field, rows, domain, codomain, ctx, where):
@@ -307,7 +301,10 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
     v = SuperSpace(field, n0, n1)
     if not isinstance(doc["base"], str):
         raise DocumentError([f"base: expected a relative path, got {doc['base']!r}"])
-    base_doc, base, _ = load(os.path.join(base_dir, doc["base"]), strict=ctx.strict)
+    base_path = os.path.join(base_dir, doc["base"])
+    if os.path.realpath(base_path) in getattr(_loading, "paths", ()):
+        raise DocumentError([f"base: cyclic reference, {doc['base']!r} is already being loaded"])
+    base_doc, base, _ = load(base_path, strict=ctx.strict)
     beta = _matrix_from_json(field, doc["beta"], v, v, ctx, "beta")
     if variant == "alt":
         if not isinstance(base, HomAlgebra):
@@ -361,16 +358,25 @@ def parse_text(text: str, strict: bool = False, base_dir: str | None = None):
     return doc, obj, ctx.warnings
 
 
+# per thread, the real paths of the documents whose load is under way; a
+# bimodule base among them would close a cycle of base references
+_loading = threading.local()
+
+
 def load(path: str, strict: bool = False):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise DocumentError([f"{path}: {e.strerror or e}"])
+    outer = getattr(_loading, "paths", frozenset())
+    _loading.paths = outer | {os.path.realpath(path)}
     try:
         return parse_text(text, strict=strict, base_dir=os.path.dirname(path) or ".")
     except DocumentError as e:
         raise DocumentError([f"{path}: {m}" for m in e.errors])
+    finally:
+        _loading.paths = outer
 
 
 def save(doc: dict, path: str) -> None:

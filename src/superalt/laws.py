@@ -342,12 +342,11 @@ def _group_identities(identities):
     return groups
 
 
-def _law_groups(identities, instance, *args):
-    """Scan groups of the law identities(instance, *args): one per run of
-    equal-arity identities, each over the basis of the instance."""
-    points = _basis_points(instance.space)
-    runs = _group_identities(identities(instance, *args))
-    return [([points] * arity, idfns) for arity, idfns in runs]
+def _law_groups(space: SuperSpace, identities):
+    """Scan groups of a law's identities: one per run of equal-arity
+    identities, each over the basis of the space."""
+    points = _basis_points(space)
+    return [([points] * arity, idfns) for arity, idfns in _group_identities(identities)]
 
 
 def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str):
@@ -386,18 +385,12 @@ def _scan_range(slots, idfns, start, stop):
     return None
 
 
-def _run_groups(law, groups, jobs=1, extra=None, rebuild=None) -> LawReport:
-    """Run scan groups in order, returning a LawReport.
-
-    rebuild, when given, is a picklable (builder, args) pair with
-    builder(*args) equal to groups, from which a forked worker rebuilds the
-    groups; closures themselves do not pickle.  Without it every group is
-    scanned in this process.
-    """
+def _run_groups(law, groups, jobs=1, extra=None) -> LawReport:
+    """Run scan groups in order, returning a LawReport."""
     checked_before = 0
-    for group_index, (slots, idfns) in enumerate(groups):
+    for slots, idfns in groups:
         total = math.prod(len(slot) for slot in slots)
-        hit = _scan_parallel(slots, idfns, total, jobs, rebuild, group_index)
+        hit = _scan_parallel(slots, idfns, total, jobs)
         if hit is not None:
             flat, name, residual = hit
             witness, rem = [], flat
@@ -418,8 +411,13 @@ def _run_groups(law, groups, jobs=1, extra=None, rebuild=None) -> LawReport:
     return LawReport(law=law, passed=True, checked=checked_before, extra=dict(extra or {}))
 
 
-def _scan_parallel(slots, idfns, total, jobs, rebuild, group_index):
-    if jobs <= 1 or total < 4096 or rebuild is None:
+def _scan_parallel(slots, idfns, total, jobs):
+    """Scan one group, split into chunks over a fork pool when it is large.
+
+    The group reaches each worker through the fork itself, as the pool
+    initializer's arguments, so its closures are never pickled; a task
+    carries only its (start, stop) range."""
+    if jobs <= 1 or total < 4096:
         return _scan_range(slots, idfns, 0, total)
     import multiprocessing as mp
 
@@ -429,30 +427,30 @@ def _scan_parallel(slots, idfns, total, jobs, rebuild, group_index):
         return _scan_range(slots, idfns, 0, total)
     nchunks = min(jobs * 4, max(1, total // 1024))
     bounds = [(total * c // nchunks, total * (c + 1) // nchunks) for c in range(nchunks)]
-    with ctx.Pool(jobs) as pool:
-        results = pool.starmap(_scan_worker, [(rebuild, group_index, a, b) for a, b in bounds])
-    for hit in results:
-        if hit is not None:
-            return hit
-    return None
+    with ctx.Pool(jobs, initializer=_adopt_group, initargs=(slots, idfns)) as pool:
+        results = pool.starmap(_scan_chunk, bounds)
+    return next((hit for hit in results if hit is not None), None)
 
 
-def _scan_worker(rebuild, group_index, start, stop):
-    builder, args = rebuild
-    slots, idfns = builder(*args)[group_index]
-    return _scan_range(slots, idfns, start, stop)
+_group = None  # a pool worker's scan group; set only inside workers, by _adopt_group
+
+
+def _adopt_group(slots, idfns):
+    global _group
+    _group = slots, idfns
+
+
+def _scan_chunk(start, stop):
+    return _scan_range(*_group, start, stop)
 
 
 def check_product_law(
     a: HomAlgebra, law: str, jordan_cycle: Optional[str] = None, jobs: int = 1
 ) -> LawReport:
     """Exhaustively check one product law on basis tuples."""
-    cycle = jordan_cycle or DEFAULT_JORDAN_CYCLE
-    if cycle not in JORDAN_CYCLES:
-        raise ValidationError([f"unknown jordan cycle {cycle!r}"])
-    args = (_product_identities, a, law, cycle)
-    extra = {"jordan_cycle": cycle} if law == "hom-jordan" else None
-    return _run_groups(law, _law_groups(*args), jobs, extra, rebuild=(_law_groups, args))
+    groups = _law_groups(a.space, law_identities(a, law, jordan_cycle))
+    extra = {"jordan_cycle": jordan_cycle or DEFAULT_JORDAN_CYCLE} if law == "hom-jordan" else None
+    return _run_groups(law, groups, jobs, extra)
 
 
 def _odd_diagonal_info(p: HomPreAlgebra) -> dict:
@@ -482,10 +480,9 @@ def check_pre_law(p: HomPreAlgebra, law: str, jobs: int = 1) -> LawReport:
     For hom-prealternative the report's extra carries the odd-diagonal
     residual census (informational; the polarized axioms are the verdict).
     """
-    args = (_pre_identities, p, law)
-    groups = _law_groups(*args)
+    groups = _law_groups(p.space, law_identities(p, law))
     extra = {"odd_diagonal": _odd_diagonal_info(p)} if law == "hom-prealternative" else None
-    return _run_groups(law, groups, jobs, extra, rebuild=(_law_groups, args))
+    return _run_groups(law, groups, jobs, extra)
 
 
 def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:

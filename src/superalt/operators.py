@@ -188,27 +188,9 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
     V = m.module
     field = V.field
 
-    # induced products on V
-    zero = field.zero
-    n = V.dim
-    basis_images = [t.image_of_basis(j) for j in range(n)]
-    prec_cube = []
-    succ_cube = []
-    for i in range(n):
-        u = Vector.basis(V, i)
-        prec_plane = []
-        succ_plane = []
-        for j in range(n):
-            v = Vector.basis(V, j)
-            prec_plane.append(m.rprec.apply(u, basis_images[j]).coords)
-            succ_plane.append(m.lsucc.apply(basis_images[i], v).coords)
-        prec_cube.append(prec_plane)
-        succ_cube.append(succ_plane)
+    # induced products on V: u prec v = R(T v) u, u succ v = L(T u) v
     pre = HomPreAlgebra(
-        EvenBilinear(V, V, V, prec_cube),
-        EvenBilinear(V, V, V, succ_cube),
-        m.beta,
-        name="o-induced",
+        m.rprec.pre_compose_right(t), m.lsucc.pre_compose_left(t), m.beta, name="o-induced"
     )
 
     # kernel absorbance: the products descend along T exactly when the
@@ -233,6 +215,7 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
 
     # image basis: earliest independent T-images; V is even-first, so the
     # selected columns are automatically even-first too
+    basis_images = [t.image_of_basis(j) for j in V.indices()]
     cols = independent_columns(basis_images)
     img_basis = [basis_images[j] for j in cols]
     n0 = sum(1 for j in cols if V.parity(j) == 0)
@@ -257,12 +240,10 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
     img_prec = [[None] * r for _ in range(r)]
     img_succ = [[None] * r for _ in range(r)]
     for ai, ci in enumerate(cols):
-        ui = Vector.basis(V, ci)
         for bj, cj in enumerate(cols):
-            uj = Vector.basis(V, cj)
-            img_prec[ai][bj] = express(T(prec(ui, uj)))
-            img_succ[ai][bj] = express(T(succ(ui, uj)))
-    alpha_rows = [[zero] * r for _ in range(r)]
+            img_prec[ai][bj] = express(T(pre.prec.pair_of_basis(ci, cj)))
+            img_succ[ai][bj] = express(T(pre.succ.pair_of_basis(ci, cj)))
+    alpha_rows = [[field.zero] * r for _ in range(r)]
     for bj, cj in enumerate(cols):
         col = express(a.alpha.apply(img_basis[bj]))
         for ai in range(r):

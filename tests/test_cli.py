@@ -170,6 +170,18 @@ def test_verify_bimodule_both_systems(workdir, capsys, tmp_path):
     assert code == 0 and "pre-bimodule" in out
 
 
+@pytest.mark.parametrize("names", [["self.json"], ["a.json", "b.json"]])
+def test_verify_bimodule_cyclic_base_is_a_document_error(tmp_path, capsys, names):
+    for i, name in enumerate(names):
+        doc = {"kind": "bimodule", "base": names[(i + 1) % len(names)], "variant": "alt",
+               "scalars": "Q", "dims": [1, 0], "beta": [["1"]], "lsucc": [], "rprec": []}
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-bimodule", str(tmp_path / names[0]), "--law", "alt")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "cycl" in line
+
+
 def test_check_operator_exit_codes(workdir, capsys):
     code, out, _ = run(capsys, "check-operator", str(workdir / "p3.json"),
                        "--map", str(workdir / "R.json"), "--kind", "rota-baxter")

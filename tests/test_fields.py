@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from superalt import QQ, FieldError, FpElement, PrimeField
@@ -110,3 +110,29 @@ def test_fp_hash_matches_equal_ints():
     x = FpElement(2, 5)
     assert hash(x) == hash(2)
     assert len({x, FpElement(7, 5)}) == 1
+
+
+def test_fp_equals_only_the_canonical_int():
+    x = FpElement(5, 3)
+    assert x == 2 and x != 5
+    assert x in {2} and x not in {5}
+
+
+@example((3, 5, 5, True, False))
+@given(
+    st.sampled_from([3, 5, 7]).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(-3 * p, 3 * p),
+            st.integers(-3 * p, 3 * p),
+            st.booleans(),
+            st.booleans(),
+        )
+    )
+)
+def test_fp_equal_values_have_equal_hashes(case):
+    p, a, b, a_residue, b_residue = case
+    x = FpElement(a, p) if a_residue else a
+    y = FpElement(b, p) if b_residue else b
+    if x == y:
+        assert hash(x) == hash(y)

@@ -190,6 +190,29 @@ def test_parallel_scan_reports_the_same_witness(oct):
     assert serial.residual == parallel.residual
 
 
+def test_parallel_scan_without_fork_runs_serially(monkeypatch):
+    import multiprocessing
+
+    from superalt import PrimeField, perturb_product, zero
+
+    asked, get_context = [], multiprocessing.get_context
+
+    def no_fork(method=None):
+        asked.append(method)
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    a = zero(8, 8, PrimeField(3))  # 16^3 = 4096 triples, the smallest forked group
+    for inst in (a, perturb_product(a, (9, 4, 9), 1)):
+        serial = check_product_law(inst, "hom-alternative", jobs=1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert check_product_law(inst, "hom-alternative", jobs=2) == serial
+        monkeypatch.undo()
+    assert asked == ["fork", "fork"]
+    assert serial.witness is not None and serial.checked > 1024
+
+
 coeff = st.integers(min_value=-2, max_value=2).map(Fraction)
 
 
