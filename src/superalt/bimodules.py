@@ -21,9 +21,9 @@ from .core import EvenBilinear, EvenMap, ValidationError
 from .laws import (
     HomAlgebra,
     HomPreAlgebra,
-    HypothesisError,
     LawReport,
     _basis_points,
+    _require,
     _run_groups,
     check_morphism,
     check_product_law,
@@ -293,9 +293,7 @@ def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
     """All four axioms on basis triples (x, y, v).
 
     Refuses (rather than failing) when the base is not hom-alternative."""
-    base_rep = check_product_law(m.base, "hom-alternative")
-    if not base_rep.passed:
-        raise HypothesisError("check_alt_bimodule", base_rep)
+    _require("check_alt_bimodule", check_product_law(m.base, "hom-alternative"))
     return _run_groups("alt-bimodule", _bimodule_groups(m, _abm_identities(m)), jobs)
 
 
@@ -307,9 +305,7 @@ def check_pre_bimodule(
 
     Refuses when the base is not hom-prealternative."""
     variant = variant or CALIBRATED_PBM_VARIANT
-    base_rep = check_pre_law(m.base, "hom-prealternative")
-    if not base_rep.passed:
-        raise HypothesisError("check_pre_bimodule", base_rep)
+    _require("check_pre_bimodule", check_pre_law(m.base, "hom-prealternative"))
     groups = _bimodule_groups(m, _pbm_identities(m, variant))
     extra = {"variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
     return _run_groups("pre-bimodule", groups, jobs, extra)
@@ -389,9 +385,7 @@ def twist_bimodule(m):
     """Precompose every action with alpha^2 on the algebra argument; beta and
     the base stay.  Requires the base multiplicative."""
     if isinstance(m, AltBimodule):
-        mult = check_product_law(m.base, "multiplicative")
-        if not mult.passed:
-            raise HypothesisError("twist_bimodule", mult)
+        _require("twist_bimodule", check_product_law(m.base, "multiplicative"))
         a2 = m.base.alpha.power(2)
         return AltBimodule(
             m.base,
@@ -401,9 +395,7 @@ def twist_bimodule(m):
             name=f"twist({m.name})",
         )
     if isinstance(m, PreBimodule):
-        mult = check_morphism(m.base.alpha, m.base, m.base, weak=False)
-        if not mult.passed:
-            raise HypothesisError("twist_bimodule", mult)
+        _require("twist_bimodule", check_morphism(m.base.alpha, m.base, m.base, weak=False))
         a2 = m.base.alpha.power(2)
         return PreBimodule(
             m.base,
@@ -424,15 +416,10 @@ def rb_induced_bimodules(m: AltBimodule, r: EvenMap):
       - an alt-bimodule over the split-sum instance alt_of(rb_split(A, R)),
       - a pre-bimodule (lprec, rprec, lsucc, rsucc) = (0, vR, Rv, 0) over
         rb_split(A, R)."""
-    rep = check_alt_bimodule(m)
-    if not rep.passed:
-        raise HypothesisError("rb_induced_bimodules", rep)
+    _require("rb_induced_bimodules", check_alt_bimodule(m))
     a = m.base
-    rb_rep = check_operator(
-        OperatorSpec("rota-baxter", r, weight=a.space.field.zero), a
-    )
-    if not rb_rep.passed:
-        raise HypothesisError("rb_induced_bimodules", rb_rep)
+    rb = OperatorSpec("rota-baxter", r, weight=a.space.field.zero)
+    _require("rb_induced_bimodules", check_operator(rb, a))
     split = rb_split(a, r)
     tri_left = m.lsucc.pre_compose_left(r)  # x |> v = R(x) succ v
     tri_right = m.rprec.pre_compose_right(r)  # v <| x = v prec R(x)

@@ -11,18 +11,13 @@ from .core import EvenBilinear, EvenMap, SuperSpace, ValidationError
 from .laws import (
     HomAlgebra,
     HomPreAlgebra,
-    HypothesisError,
+    _require,
     check_morphism,
     check_product_law,
 )
 from .operators import OperatorSpec, check_operator
 
 DERIVED_N_CAP = 16
-
-
-def _require(op: str, report):
-    if not report.passed:
-        raise HypothesisError(op, report)
 
 
 def alt_of(p: HomPreAlgebra) -> HomAlgebra:
@@ -100,25 +95,15 @@ def tensor_alt(c: HomAlgebra, b: HomAlgebra) -> HomAlgebra:
     _require("tensor_alt", check_product_law(c, "hom-associative"))
     _require("tensor_alt", check_product_law(b, "hom-alternative"))
     sp = tensor_space(c.space, b.space)
-    pairs = tensor_pairs(c.space, b.space)
-    index = {q: a for a, q in enumerate(pairs)}
-    zero = sp.field.zero
-    cube = [[[zero] * sp.dim for _ in range(sp.dim)] for _ in range(sp.dim)]
-    for p1, (i, a) in enumerate(pairs):
-        pa = b.space.parity(a)
-        for p2, (j, bb) in enumerate(pairs):
-            sign = -1 if pa and c.space.parity(j) else 1
-            row = cube[p1][p2]
-            for k, cv in enumerate(c.mu.c[i][j]):
-                if not cv:
-                    continue
-                for l, bv in enumerate(b.mu.c[a][bb]):
-                    if not bv:
-                        continue
-                    v = cv * bv
-                    row[index[(k, l)]] = v if sign == 1 else -v
+    index = {q: a for a, q in enumerate(tensor_pairs(c.space, b.space))}
+    pb, pc = b.space.parity, c.space.parity
+    entries = [
+        (index[i, a], index[j, bb], index[k, l], -cv * bv if pb(a) and pc(j) else cv * bv)
+        for i, j, k, cv in c.mu.sparse_entries()
+        for a, bb, l, bv in b.mu.sparse_entries()
+    ]
     return HomAlgebra(
-        EvenBilinear(sp, sp, sp, cube),
+        EvenBilinear.from_entries(sp, sp, sp, entries),
         tensor_map(c.alpha, b.alpha),
         name=f"tensor({c.name},{b.name})",
     )

@@ -2,7 +2,9 @@
 
 Basis convention: indices 0..n0-1 are even, n0..n0+n1-1 are odd, so parity
 is a function of the index.  All tensors are dense tuples of exact scalars;
-evaluation skips zeros, which keeps desk-scale instances fast.
+evaluation skips zeros, which keeps desk-scale instances fast.  Products
+are built from their sparse entries through EvenBilinear.from_entries, so
+the dense cube layout is known to this module alone.
 """
 
 from __future__ import annotations
@@ -297,19 +299,14 @@ class EvenBilinear:
 
     @classmethod
     def zero(cls, left: SuperSpace, right: SuperSpace, out: SuperSpace) -> "EvenBilinear":
-        z = left.field.zero
-        return cls(
-            left,
-            right,
-            out,
-            [[[z] * out.dim for _ in range(right.dim)] for _ in range(left.dim)],
-        )
+        return cls.from_entries(left, right, out, ())
 
     @classmethod
     def from_entries(
         cls, left: SuperSpace, right: SuperSpace, out: SuperSpace, entries
     ) -> "EvenBilinear":
-        """Build from sparse entries [(i, j, k, value), ...]."""
+        """Build from sparse entries [(i, j, k, value), ...]; values given for
+        one cell add up.  Every producer of a tensor comes through here."""
         z = left.field.zero
         cube = [[[z] * out.dim for _ in range(right.dim)] for _ in range(left.dim)]
         for i, j, k, v in entries:
@@ -350,94 +347,65 @@ class EvenBilinear:
     def __add__(self, other: "EvenBilinear") -> "EvenBilinear":
         if (self.left, self.right, self.out) != (other.left, other.right, other.out):
             raise ValidationError(["bilinear sum shape mismatch"])
-        return EvenBilinear(
-            self.left,
-            self.right,
-            self.out,
-            [
-                [
-                    [a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(p1, p2)
-                ]
-                for p1, p2 in zip(self.c, other.c)
-            ],
+        return EvenBilinear.from_entries(
+            self.left, self.right, self.out, self.sparse_entries() + other.sparse_entries()
         )
 
     def scaled(self, s) -> "EvenBilinear":
         s = self.left.field.coerce(s)
-        return EvenBilinear(
-            self.left,
-            self.right,
-            self.out,
-            [[[s * v for v in row] for row in plane] for plane in self.c],
+        return EvenBilinear.from_entries(
+            self.left, self.right, self.out,
+            [(i, j, k, s * v) for i, j, k, v in self.sparse_entries()],
         )
 
     def post_compose(self, m: EvenMap) -> "EvenBilinear":
         """m applied to every output:  (x, y) -> m(x * y)."""
         if m.domain != self.out:
             raise ValidationError(["post-composition domain mismatch"])
-        z = m.codomain.field.zero
-        cube = [
-            [[z] * m.codomain.dim for _ in range(self.right.dim)]
-            for _ in range(self.left.dim)
-        ]
-        for i in range(self.left.dim):
-            for j in range(self.right.dim):
-                row = cube[i][j]
-                for l, v in self._rows[i][j]:
-                    for k, mv in m._cols[l]:
-                        row[k] = row[k] + mv * v
-        return EvenBilinear(self.left, self.right, m.codomain, cube)
+        return EvenBilinear.from_entries(
+            self.left, self.right, m.codomain,
+            [(i, j, k, mv * v) for i, j, l, v in self.sparse_entries() for k, mv in m._cols[l]],
+        )
 
     def pre_compose_left(self, m: EvenMap) -> "EvenBilinear":
         """(x, y) -> m(x) * y."""
         if m.codomain != self.left:
             raise ValidationError(["left pre-composition codomain mismatch"])
-        z = self.out.field.zero
-        cube = [
-            [[z] * self.out.dim for _ in range(self.right.dim)]
-            for _ in range(m.domain.dim)
-        ]
-        for i in range(m.domain.dim):
-            for l, mv in m._cols[i]:
-                for j in range(self.right.dim):
-                    row = cube[i][j]
-                    for k, v in self._rows[l][j]:
-                        row[k] = row[k] + mv * v
-        return EvenBilinear(m.domain, self.right, self.out, cube)
+        return EvenBilinear.from_entries(
+            m.domain, self.right, self.out,
+            [
+                (i, j, k, mv * v)
+                for i in range(m.domain.dim)
+                for l, mv in m._cols[i]
+                for j in range(self.right.dim)
+                for k, v in self._rows[l][j]
+            ],
+        )
 
     def pre_compose_right(self, m: EvenMap) -> "EvenBilinear":
         """(x, y) -> x * m(y)."""
         if m.codomain != self.right:
             raise ValidationError(["right pre-composition codomain mismatch"])
-        z = self.out.field.zero
-        cube = [
-            [[z] * self.out.dim for _ in range(m.domain.dim)]
-            for _ in range(self.left.dim)
-        ]
-        for i in range(self.left.dim):
-            for j in range(m.domain.dim):
-                row = cube[i][j]
-                for l, mv in m._cols[j]:
-                    for k, v in self._rows[i][l]:
-                        row[k] = row[k] + mv * v
-        return EvenBilinear(self.left, m.domain, self.out, cube)
+        return EvenBilinear.from_entries(
+            self.left, m.domain, self.out,
+            [
+                (i, j, k, mv * v)
+                for i in range(self.left.dim)
+                for j in range(m.domain.dim)
+                for l, mv in m._cols[j]
+                for k, v in self._rows[i][l]
+            ],
+        )
 
     def flip_signed(self) -> "EvenBilinear":
         """Signed opposite: c'[i][j][k] = (-1)^(parity(i) parity(j)) c[j][i][k]."""
         if self.left != self.right:
             raise ValidationError(["signed flip needs equal factor spaces"])
-        cube = []
-        for i in range(self.left.dim):
-            pi = self.left.parity(i)
-            plane = []
-            for j in range(self.right.dim):
-                row = self.c[j][i]
-                if pi and self.right.parity(j):
-                    row = tuple(-v for v in row)
-                plane.append(row)
-            cube.append(plane)
-        return EvenBilinear(self.left, self.right, self.out, cube)
+        par = self.left.parity
+        return EvenBilinear.from_entries(
+            self.left, self.right, self.out,
+            [(j, i, k, -v if par(i) and par(j) else v) for i, j, k, v in self.sparse_entries()],
+        )
 
     def __eq__(self, other):
         if not isinstance(other, EvenBilinear):

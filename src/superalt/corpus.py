@@ -16,14 +16,6 @@ from .laws import HomAlgebra, HomPreAlgebra, check_product_law
 from .constructions import plus_jordan, rb_split, tensor_alt, tensor_map, transpose
 
 
-def _cube(space, out=None):
-    out = out or space
-    return [
-        [[space.field.zero for _ in range(out.dim)] for _ in range(space.dim)]
-        for _ in range(space.dim)
-    ]
-
-
 def zero(n0: int, n1: int, field=QQ) -> HomAlgebra:
     space = SuperSpace(field, n0, n1)
     return HomAlgebra(
@@ -36,15 +28,8 @@ def zero(n0: int, n1: int, field=QQ) -> HomAlgebra:
 def grassmann1(field=QQ) -> HomAlgebra:
     """The rank-one Grassmann algebra: basis 1 (even), e (odd), e*e = 0."""
     space = SuperSpace(field, 1, 1)
-    c = _cube(space)
-    one = field.one
-    c[0][0][0] = one
-    c[0][1][1] = one
-    c[1][0][1] = one
-    return HomAlgebra(
-        EvenBilinear(space, space, space, c), EvenMap.identity(space),
-        name="grassmann1",
-    )
+    mu = EvenBilinear.from_entries(space, space, space, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)])
+    return HomAlgebra(mu, EvenMap.identity(space), name="grassmann1")
 
 
 def alpha2(field=QQ) -> EvenMap:
@@ -57,15 +42,8 @@ def grassmann1_twisted(field=QQ) -> HomAlgebra:
     """grassmann1 with both the product and the twist composed with
     diag(1, 2); a multiplicative instance whose twist is not the identity."""
     space = SuperSpace(field, 1, 1)
-    c = _cube(space)
-    two = field.scalar(2)
-    c[0][0][0] = field.one
-    c[0][1][1] = two
-    c[1][0][1] = two
-    return HomAlgebra(
-        EvenBilinear(space, space, space, c), alpha2(field),
-        name="grassmann1-twisted",
-    )
+    mu = EvenBilinear.from_entries(space, space, space, [(0, 0, 0, 1), (0, 1, 1, 2), (1, 0, 1, 2)])
+    return HomAlgebra(mu, alpha2(field), name="grassmann1-twisted")
 
 
 def truncpoly(k: int, field=QQ) -> HomAlgebra:
@@ -73,13 +51,9 @@ def truncpoly(k: int, field=QQ) -> HomAlgebra:
     if k < 1:
         raise ValidationError([f"truncpoly needs k >= 1, got {k}"])
     space = SuperSpace(field, k, 0)
-    c = _cube(space)
-    for i in range(k):
-        for j in range(k):
-            if i + j < k:
-                c[i][j][i + j] = field.one
+    entries = [(i, j, i + j, 1) for i in range(k) for j in range(k - i)]
     return HomAlgebra(
-        EvenBilinear(space, space, space, c), EvenMap.identity(space),
+        EvenBilinear.from_entries(space, space, space, entries), EvenMap.identity(space),
         name=f"truncpoly({k})",
     )
 
@@ -120,19 +94,14 @@ def octonions(field=QQ) -> HomAlgebra:
         raise ValidationError(["Fano line table does not cover all pairs"])
 
     space = SuperSpace(field, 8, 0)
-    c = _cube(space)
-    one, minus = field.one, field.scalar(-1)
-    for j in range(8):
-        c[0][j][j] = one
+    entries = [(0, j, j, 1) for j in range(8)]
     for i in range(1, 8):
-        c[i][0][i] = one
-        c[i][i][0] = minus
+        entries += [(i, 0, i, 1), (i, i, 0, -1)]
     for a, b, d in FANO_LINES:
         for x, y, z in ((a, b, d), (b, d, a), (d, a, b)):
-            c[x][y][z] = one
-            c[y][x][z] = minus
+            entries += [(x, y, z, 1), (y, x, z, -1)]
     alg = HomAlgebra(
-        EvenBilinear(space, space, space, c), EvenMap.identity(space),
+        EvenBilinear.from_entries(space, space, space, entries), EvenMap.identity(space),
         name="octonions",
     )
     if not check_product_law(alg, "hom-alternative").passed:
@@ -147,13 +116,11 @@ def matrix_algebra(n: int, field=QQ) -> HomAlgebra:
     if n < 1:
         raise ValidationError([f"matrix algebra needs n >= 1, got {n}"])
     space = SuperSpace(field, n * n, 0)
-    c = _cube(space)
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                c[a * n + b][b * n + d][a * n + d] = field.one
+    entries = [
+        (a * n + b, b * n + d, a * n + d, 1) for a in range(n) for b in range(n) for d in range(n)
+    ]
     return HomAlgebra(
-        EvenBilinear(space, space, space, c), EvenMap.identity(space),
+        EvenBilinear.from_entries(space, space, space, entries), EvenMap.identity(space),
         name=f"matrix({n})",
     )
 
@@ -179,8 +146,8 @@ def reduce_map(f: EvenMap, p: int) -> EvenMap:
 
 def _reduce_bilinear(b: EvenBilinear, p: int) -> EvenBilinear:
     mk = lambda s: SuperSpace(PrimeField(p), s.even, s.odd)
-    c = [[[_to_fp(v, p) for v in row] for row in plane] for plane in b.c]
-    return EvenBilinear(mk(b.left), mk(b.right), mk(b.out), c)
+    entries = [(i, j, k, _to_fp(v, p)) for i, j, k, v in b.sparse_entries()]
+    return EvenBilinear.from_entries(mk(b.left), mk(b.right), mk(b.out), entries)
 
 
 def reduce_instance(a, p: int):
@@ -208,9 +175,7 @@ def perturb_bilinear(b: EvenBilinear, cell, delta) -> EvenBilinear:
     """A copy of b with delta added to one structure constant.  The cell
     must be parity-allowed or the result fails validation."""
     i, j, k = cell
-    c = [[list(row) for row in plane] for plane in b.c]
-    c[i][j][k] = c[i][j][k] + b.out.field.coerce(delta)
-    return EvenBilinear(b.left, b.right, b.out, c)
+    return EvenBilinear.from_entries(b.left, b.right, b.out, b.sparse_entries() + [(i, j, k, delta)])
 
 
 def perturb_product(a: HomAlgebra, cell, delta) -> HomAlgebra:

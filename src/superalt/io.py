@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 
 from .bimodules import AltBimodule, PreBimodule
 from .core import EvenBilinear, EvenMap, SuperSpace, ValidationError
@@ -19,6 +18,8 @@ from .fields import FieldError, field_from_json, field_to_json
 from .laws import HomAlgebra, HomPreAlgebra, LawReport
 
 DOCUMENT_KINDS = ("algebra", "pre-algebra", "map", "bimodule", "report")
+BASE_KINDS = ("algebra", "pre-algebra")
+MAX_DIM = 64  # cap on n0 + n1 of every space a document declares
 
 
 class DocumentError(ValueError):
@@ -86,7 +87,9 @@ def _dims_from_doc(doc, ctx, key="dims"):
     )
     if not ok:
         ctx.err(key, f"expected [n0, n1] with nonnegative integers, got {d!r}")
-        ctx.raise_if_failed()
+    elif d[0] + d[1] > MAX_DIM:
+        ctx.err(key, f"n0 + n1 = {d[0] + d[1]} exceeds the cap of {MAX_DIM}")
+    ctx.raise_if_failed()
     return d[0], d[1]
 
 
@@ -109,10 +112,7 @@ def _entries_from_json(field, lst, left, right, out, ctx, where):
     if not isinstance(lst, list):
         ctx.err(where, f"expected a list of [i,j,k,value] entries, got {type(lst).__name__}")
         ctx.raise_if_failed()
-    cube = [
-        [[field.zero for _ in range(out.dim)] for _ in range(right.dim)]
-        for _ in range(left.dim)
-    ]
+    entries = []
     prev = None
     seen = set()
     for pos, entry in enumerate(lst):
@@ -136,10 +136,10 @@ def _entries_from_json(field, lst, left, right, out, ctx, where):
         if not val:
             ctx.bend(loc, "explicit zero entry")
             continue
-        cube[i][j][k] = val
+        entries.append((i, j, k, val))
     ctx.raise_if_failed()
     try:
-        return EvenBilinear(left, right, out, cube)
+        return EvenBilinear.from_entries(left, right, out, entries)
     except ValidationError as e:
         raise DocumentError([f"{where}: {m}" for m in e.errors])
 
@@ -299,12 +299,11 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
     field = _field_from_doc(doc, ctx)
     n0, n1 = _dims_from_doc(doc, ctx)
     v = SuperSpace(field, n0, n1)
-    if not isinstance(doc["base"], str):
+    if not isinstance(doc["base"], str) or os.path.isabs(doc["base"]):
         raise DocumentError([f"base: expected a relative path, got {doc['base']!r}"])
     base_path = os.path.join(base_dir, doc["base"])
-    if os.path.realpath(base_path) in getattr(_loading, "paths", ()):
-        raise DocumentError([f"base: cyclic reference, {doc['base']!r} is already being loaded"])
-    base_doc, base, _ = load(base_path, strict=ctx.strict)
+    _, base, warnings = _load(base_path, ctx.strict, BASE_KINDS)
+    ctx.warnings += [f"{base_path}: {w}" for w in warnings]
     beta = _matrix_from_json(field, doc["beta"], v, v, ctx, "beta")
     if variant == "alt":
         if not isinstance(base, HomAlgebra):
@@ -333,6 +332,10 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
 def parse_text(text: str, strict: bool = False, base_dir: str | None = None):
     """Parse and validate one document.  Returns (doc, object, warnings);
     for reports the object is the doc itself."""
+    return _parse(text, strict, base_dir, DOCUMENT_KINDS)
+
+
+def _parse(text, strict, base_dir, kinds):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -342,6 +345,13 @@ def parse_text(text: str, strict: bool = False, base_dir: str | None = None):
     kind = doc.get("kind")
     if kind not in DOCUMENT_KINDS:
         raise DocumentError([f"kind: expected one of {', '.join(DOCUMENT_KINDS)}, got {kind!r}"])
+    if kind not in kinds:
+        # a bimodule base is refused before its own base is read, so base
+        # resolution never nests
+        raise DocumentError(
+            [f"kind: a bimodule base must be an algebra or pre-algebra, got {kind!r}; "
+             "base references cannot chain or cycle"]
+        )
     ctx = _Ctx(strict)
     if kind == "algebra":
         obj = doc_to_algebra(doc, ctx)
@@ -358,25 +368,20 @@ def parse_text(text: str, strict: bool = False, base_dir: str | None = None):
     return doc, obj, ctx.warnings
 
 
-# per thread, the real paths of the documents whose load is under way; a
-# bimodule base among them would close a cycle of base references
-_loading = threading.local()
-
-
 def load(path: str, strict: bool = False):
+    return _load(path, strict, DOCUMENT_KINDS)
+
+
+def _load(path, strict, kinds):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise DocumentError([f"{path}: {e.strerror or e}"])
-    outer = getattr(_loading, "paths", frozenset())
-    _loading.paths = outer | {os.path.realpath(path)}
     try:
-        return parse_text(text, strict=strict, base_dir=os.path.dirname(path) or ".")
+        return _parse(text, strict, os.path.dirname(path) or ".", kinds)
     except DocumentError as e:
         raise DocumentError([f"{path}: {m}" for m in e.errors])
-    finally:
-        _loading.paths = outer
 
 
 def save(doc: dict, path: str) -> None:

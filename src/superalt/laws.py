@@ -91,6 +91,12 @@ class HypothesisError(ValueError):
         super().__init__(f"{operation}: hypothesis check failed ({report.law})")
 
 
+def _require(op: str, report: "LawReport"):
+    """Refuse op with the report unless its check passed."""
+    if not report.passed:
+        raise HypothesisError(op, report)
+
+
 def signed(v: Vector, exponent: int) -> Vector:
     return v if exponent % 2 == 0 else -v
 

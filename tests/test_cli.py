@@ -182,6 +182,55 @@ def test_verify_bimodule_cyclic_base_is_a_document_error(tmp_path, capsys, names
     assert line.startswith("error: ") and "cycl" in line
 
 
+def test_verify_bimodule_long_base_chain_is_a_document_error(workdir, capsys):
+    # 400 bimodule documents, each naming the next as its base, the last p3.json
+    names = [f"chain{i}.json" for i in range(400)] + ["p3.json"]
+    for name, base in zip(names, names[1:]):
+        doc = {"kind": "bimodule", "base": base, "variant": "alt",
+               "scalars": "Q", "dims": [1, 0], "beta": [["1"]], "lsucc": [], "rprec": []}
+        (workdir / name).write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-bimodule", str(workdir / names[0]), "--law", "alt")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "chain" in line
+
+
+def test_verify_bimodule_passes_on_base_warnings(workdir, capsys):
+    doc = json.loads((workdir / "p3.json").read_text())
+    doc["product"][0][3] = "1/1"  # same value, non-canonical spelling
+    (workdir / "bent.json").write_text(json.dumps(doc))
+    sio.save(sio.bimodule_to_doc(regular_bimodule(truncpoly(3)), "bent.json"),
+             str(workdir / "reg.json"))
+    code, out, err = run(capsys, "verify-bimodule", str(workdir / "reg.json"), "--law", "alt")
+    assert code == 0 and "alt-bimodule" in out
+    (line,) = err.splitlines()
+    assert line.startswith(f"warning: {workdir / 'bent.json'}: product[0]") and "1/1" in line
+
+
+def test_verify_bimodule_rejects_an_absolute_base_path(workdir, capsys):
+    mdoc = sio.bimodule_to_doc(regular_bimodule(truncpoly(3)), str(workdir / "p3.json"))
+    sio.save(mdoc, str(workdir / "reg.json"))
+    code, out, err = run(capsys, "verify-bimodule", str(workdir / "reg.json"), "--law", "alt")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "relative path" in line
+
+
+@pytest.mark.parametrize("dims", [[100000, 0], [0, 65], [40, 25]])
+@pytest.mark.parametrize("key", ["dims", "codomain_dims"])
+def test_oversized_dims_are_a_document_error(tmp_path, capsys, key, dims):
+    doc = {"kind": "map", "scalars": "Q", "dims": [1, 0], "matrix": [["1"]]}
+    doc[key] = dims
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"kind": "algebra", "scalars": "Q", "dims": [1, 0], "product": [], "twist": [["1"]]}))
+    code, out, err = run(capsys, "check-operator", str(tmp_path / "a.json"),
+                         "--map", str(tmp_path / "big.json"), "--kind", "centroid")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and f"{key}: n0 + n1 = {sum(dims)} exceeds the cap" in line
+
+
 def test_check_operator_exit_codes(workdir, capsys):
     code, out, _ = run(capsys, "check-operator", str(workdir / "p3.json"),
                        "--map", str(workdir / "R.json"), "--kind", "rota-baxter")

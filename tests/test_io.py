@@ -214,3 +214,13 @@ def test_grassmann_document_shape():
     doc = sio.algebra_to_doc(grassmann1())
     assert doc["dims"] == [1, 1]
     assert len(doc["product"]) == 3
+
+
+def test_dims_are_capped_before_allocation():
+    n = sio.MAX_DIM
+    doc = {"kind": "map", "scalars": "Q", "dims": [n, 0], "matrix": [["0"] * n] * n}
+    _, obj, _ = sio.parse_text(json.dumps(doc))
+    assert obj.domain.dim == n
+    doc = {"kind": "algebra", "scalars": "Q", "dims": [n, 1], "product": [], "twist": []}
+    with pytest.raises(DocumentError, match=f"dims: n0 \\+ n1 = {n + 1} exceeds the cap"):
+        sio.parse_text(json.dumps(doc))
