@@ -19,12 +19,13 @@ from itertools import product as iproduct
 
 from .core import EvenBilinear, EvenMap, ValidationError
 from .laws import (
+    REFERENCE,
     HomAlgebra,
     HomPreAlgebra,
     LawReport,
-    _basis_points,
     _require,
-    _run_groups,
+    _table_run,
+    _Tables,
     check_morphism,
     check_product_law,
     check_pre_law,
@@ -129,9 +130,9 @@ class PbmVariant:
 CALIBRATED_PBM_VARIANT = PbmVariant(pbm2_sign=1, pbm4_inner="prec")
 
 
-def _abm_identities(m: AltBimodule):
-    mu, al = m.base.mu.apply, m.base.alpha.apply
-    lv, vr, be = m.lsucc.apply, m.rprec.apply, m.beta.apply
+def _abm_identities(m: AltBimodule, bind=REFERENCE):
+    mu, al = bind(m.base.mu), bind(m.base.alpha)
+    lv, vr, be = bind(m.lsucc), bind(m.rprec), bind(m.beta)
 
     def abm1(pts):
         (x, px), (y, _), (v, pv) = pts
@@ -172,11 +173,11 @@ def _abm_identities(m: AltBimodule):
     return [("abm1", 3, abm1), ("abm2", 3, abm2), ("abm3", 3, abm3), ("abm4", 3, abm4)]
 
 
-def _pbm_identities(m: PreBimodule, variant: PbmVariant):
-    apr, asu, aci = m.base.prec.apply, m.base.succ.apply, m.base.circ().apply
-    al, be = m.base.alpha.apply, m.beta.apply
-    lp, ls = m.lprec.apply, m.lsucc.apply
-    rp, rs = m.rprec.apply, m.rsucc.apply
+def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
+    apr, asu, aci = bind(m.base.prec), bind(m.base.succ), bind(m.base.circ())
+    al, be = bind(m.base.alpha), bind(m.beta)
+    lp, ls = bind(m.lprec), bind(m.lsucc)
+    rp, rs = bind(m.rprec), bind(m.rsucc)
 
     def lc(x, v):
         return lp(x, v) + ls(x, v)
@@ -283,10 +284,16 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant):
     ]
 
 
-def _bimodule_groups(m, identities):
-    """One scan group over basis triples (x, y, v) holding every axiom."""
-    base = _basis_points(m.base.space)
-    return [([base, base, _basis_points(m.module)], [(name, fn) for name, _, fn in identities])]
+def _bimodule_run(law, m, identities, jobs, extra=None) -> LawReport:
+    """One scan group over basis triples (x, y, v) holding every axiom that
+    identities(bind) lists, scanned on the tables of m."""
+
+    def build(bind):
+        base = bind.points(m.base.space)
+        idfns = [(name, fn) for name, _, fn in identities(bind)]
+        return [([base, base, bind.points(m.module)], idfns)]
+
+    return _table_run(law, build, _Tables(m.module.field), jobs, extra)
 
 
 def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
@@ -294,7 +301,7 @@ def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
 
     Refuses (rather than failing) when the base is not hom-alternative."""
     _require("check_alt_bimodule", check_product_law(m.base, "hom-alternative"))
-    return _run_groups("alt-bimodule", _bimodule_groups(m, _abm_identities(m)), jobs)
+    return _bimodule_run("alt-bimodule", m, lambda bind: _abm_identities(m, bind), jobs)
 
 
 def check_pre_bimodule(
@@ -306,9 +313,10 @@ def check_pre_bimodule(
     Refuses when the base is not hom-prealternative."""
     variant = variant or CALIBRATED_PBM_VARIANT
     _require("check_pre_bimodule", check_pre_law(m.base, "hom-prealternative"))
-    groups = _bimodule_groups(m, _pbm_identities(m, variant))
     extra = {"variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
-    return _run_groups("pre-bimodule", groups, jobs, extra)
+    return _bimodule_run(
+        "pre-bimodule", m, lambda bind: _pbm_identities(m, variant, bind), jobs, extra
+    )
 
 
 def regular_bimodule(instance):

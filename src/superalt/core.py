@@ -9,7 +9,10 @@ the dense cube layout is known to this module alone.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .fields import Field, FieldError, QQ  # noqa: F401  (QQ re-exported for convenience)
@@ -186,6 +189,21 @@ class EvenMap:
                 acc[i] = acc[i] + m * xv
         return Vector(self.codomain, acc)
 
+    def _table_applier(self):
+        """apply on table vectors, read from the sparse columns."""
+        cols = [[(i, _plain(m)) for i, m in col] for col in self._cols]
+        n, make = self.codomain.dim, _table_vector_type(self.codomain.field).of
+
+        def apply(x):
+            acc = [0] * n
+            for j, xv in enumerate(x):
+                if xv:
+                    for i, m in cols[j]:
+                        acc[i] += m * xv
+            return make(acc)
+
+        return apply
+
     def image_of_basis(self, j: int) -> Vector:
         z = self.codomain.field.zero
         col = [z] * self.codomain.dim
@@ -306,11 +324,19 @@ class EvenBilinear:
         cls, left: SuperSpace, right: SuperSpace, out: SuperSpace, entries
     ) -> "EvenBilinear":
         """Build from sparse entries [(i, j, k, value), ...]; values given for
-        one cell add up.  Every producer of a tensor comes through here."""
+        one cell add up, and every index out of range is an error.  Every
+        producer of a tensor comes through here."""
         z = left.field.zero
-        cube = [[[z] * out.dim for _ in range(right.dim)] for _ in range(left.dim)]
+        nl, nr, no = left.dim, right.dim, out.dim
+        cube = [[[z] * no for _ in range(nr)] for _ in range(nl)]
+        bad = []
         for i, j, k, v in entries:
-            cube[i][j][k] = cube[i][j][k] + left.field.coerce(v)
+            if 0 <= i < nl and 0 <= j < nr and 0 <= k < no:
+                cube[i][j][k] = cube[i][j][k] + left.field.coerce(v)
+            else:
+                bad.append(f"entry ({i}, {j}, {k}) out of range for dims {nl}x{nr}x{no}")
+        if bad:
+            raise ValidationError(bad)
         return cls(left, right, out, cube)
 
     def sparse_entries(self):
@@ -336,6 +362,25 @@ class EvenBilinear:
                 for k, cv in row[j]:
                     acc[k] = acc[k] + s * cv
         return Vector(self.out, acc)
+
+    def _table_applier(self):
+        """apply on table vectors, read from the sparse rows."""
+        rows = [[[(k, _plain(c)) for k, c in cell] for cell in row] for row in self._rows]
+        n, make = self.out.dim, _table_vector_type(self.out.field).of
+
+        def apply(x, y):
+            acc = [0] * n
+            for i, xv in enumerate(x):
+                if xv:
+                    row = rows[i]
+                    for j, yv in enumerate(y):
+                        if yv:
+                            s = xv * yv
+                            for k, c in row[j]:
+                                acc[k] += s * c
+            return make(acc)
+
+        return apply
 
     def pair_of_basis(self, i: int, j: int) -> Vector:
         z = self.out.field.zero
@@ -420,6 +465,73 @@ class EvenBilinear:
 
     def __repr__(self):
         return f"EvenBilinear({self.left.dim}x{self.right.dim}->{self.out.dim})"
+
+
+# Table evaluation.  A table vector is the coordinate tuple of a vector in
+# plain scalars: residues as ints in [0, p), rationals as ints when integral
+# and as Fractions otherwise.  It supports what the identity closures use of
+# Vector: +, -, negation and is_zero.  Denominators are never cleared by
+# rescaling: alpha(xy) - alpha(x) alpha(y) is not homogeneous in the twist,
+# so a rescaled twist could pass where the true one fails.
+
+
+class _TableVector(tuple):
+    """A table vector over Q."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, coords) -> "_TableVector":
+        return cls(coords)
+
+    def __add__(self, other):
+        return _TableVector(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _TableVector(map(operator.sub, self, other))
+
+    def __neg__(self):
+        return _TableVector(map(operator.neg, self))
+
+    def is_zero(self) -> bool:
+        return not any(self)
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(self)
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_vector(p: int):
+    class ResidueVector(_TableVector):
+        """A table vector over F_p, every coordinate reduced to [0, p)."""
+
+        __slots__ = ()
+
+        @classmethod
+        def of(cls, coords):
+            return cls([a % p for a in coords])
+
+        def __add__(self, other):
+            return ResidueVector([(a + b) % p for a, b in zip(self, other)])
+
+        def __sub__(self, other):
+            return ResidueVector([(a - b) % p for a, b in zip(self, other)])
+
+        def __neg__(self):
+            return ResidueVector([-a % p for a in self])
+
+    return ResidueVector
+
+
+def _table_vector_type(field: Field) -> type:
+    return _residue_vector(field.p) if field.char else _TableVector
+
+
+def _plain(v):
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    return v.val
 
 
 # Exact linear algebra, generic over both scalar fields.

@@ -12,11 +12,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
+import operator
+import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .core import EvenBilinear, EvenMap, SuperSpace, ValidationError, Vector
+from .core import (
+    EvenBilinear,
+    EvenMap,
+    SuperSpace,
+    ValidationError,
+    Vector,
+    _table_vector_type,
+)
 
 Point = tuple[Vector, int]  # homogeneous element with its parity
 
@@ -97,14 +107,96 @@ def _require(op: str, report: "LawReport"):
         raise HypothesisError(op, report)
 
 
+# Binders.  Each identity closure is written once, over appliers that a
+# binder makes from the tensors and maps it reads.  The reference binder
+# evaluates on Vectors through EvenBilinear.apply and EvenMap.apply; the
+# table binder of a check evaluates on table vectors (see core._TableVector)
+# with appliers read from the sparse tables and memoised for that check.
+
+
+class _Reference:
+    build_s = 0.0
+
+    def __call__(self, t):
+        return t.apply
+
+    @staticmethod
+    def memoised(fn):
+        return fn
+
+    @staticmethod
+    def points(space: SuperSpace):
+        return _basis_points(space)
+
+    @staticmethod
+    def memo_entries() -> int:
+        return 0
+
+
+REFERENCE = _Reference()
+
+
+class _Tables:
+    def __init__(self, field):
+        self.vector = _table_vector_type(field)
+        self.bound = {}  # id(t) -> (t, applier); t is kept so its id stays its own
+        self.memos = []
+        self.build_s = 0.0
+
+    def __call__(self, t):
+        hit = self.bound.get(id(t))
+        if hit is None:
+            start = time.perf_counter()
+            hit = self.bound[id(t)] = t, self.memoised(t._table_applier())
+            self.build_s += time.perf_counter() - start
+        return hit[1]
+
+    def points(self, space: SuperSpace):
+        return tuple(
+            (self.vector.of([int(i == j) for j in space.indices()]), space.parity(i))
+            for i in space.indices()
+        )
+
+    def memoised(self, fn):
+        """fn memoised on its arguments for the life of the check."""
+        memo = {}
+        self.memos.append(memo)
+
+        def f(*args):
+            r = memo.get(args)
+            if r is None:
+                r = fn(*args)
+                if len(memo) < MEMO_LIMIT:
+                    memo[args] = r
+            return r
+
+        return f
+
+    def memo_entries(self) -> int:
+        return sum(map(len, self.memos))
+
+
+# Beyond this many entries a memo stops growing: its keys are intermediate
+# vectors, and on a dense instance nearly every one is new.
+MEMO_LIMIT = 1 << 13
+
+
 def signed(v: Vector, exponent: int) -> Vector:
     return v if exponent % 2 == 0 else -v
 
 
 def hom_associator(a: HomAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """as(x, y, z) = (x y) alpha(z) - alpha(x) (y z)."""
-    mu, al = a.mu.apply, a.alpha.apply
-    return mu(mu(x, y), al(z)) - mu(al(x), mu(y, z))
+    return _associator(a.mu.apply, a.alpha.apply)(x, y, z)
+
+
+def _associator(mu, al):
+    """hom_associator over the appliers of a product and a twist."""
+
+    def asso(x, y, z):
+        return mu(mu(x, y), al(z)) - mu(al(x), mu(y, z))
+
+    return asso
 
 
 def pre_associator(p: HomPreAlgebra, kind: int, x: Vector, y: Vector, z: Vector) -> Vector:
@@ -120,9 +212,9 @@ def pre_associator(p: HomPreAlgebra, kind: int, x: Vector, y: Vector, z: Vector)
     return components[kind](x, y, z)
 
 
-def _pre_components(p: HomPreAlgebra):
+def _pre_components(p: HomPreAlgebra, bind=REFERENCE):
     """The three component associators of pre_associator, bound to p."""
-    pr, su, ci, al = p.prec.apply, p.succ.apply, p.circ().apply, p.alpha.apply
+    pr, su, ci, al = bind(p.prec), bind(p.succ), bind(p.circ()), bind(p.alpha)
 
     def kind1(x, y, z):
         return su(ci(x, y), al(z)) - su(al(x), su(y, z))
@@ -133,7 +225,7 @@ def _pre_components(p: HomPreAlgebra):
     def kind3(x, y, z):
         return pr(pr(x, y), al(z)) - pr(al(x), ci(y, z))
 
-    return kind1, kind2, kind3
+    return bind.memoised(kind1), bind.memoised(kind2), bind.memoised(kind3)
 
 
 @dataclass
@@ -211,9 +303,9 @@ _JORDAN_ASSIGNMENTS = {
 }
 
 
-def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str):
-    mu, al = a.mu.apply, a.alpha.apply
-    asso = functools.partial(hom_associator, a)
+def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
+    mu, al = bind(a.mu), bind(a.alpha)
+    asso = bind.memoised(_associator(mu, al))
 
     def left_alt(pts):
         (x, px), (y, py), (z, _) = pts
@@ -239,13 +331,15 @@ def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str):
         (x, _), (y, _) = pts
         return al(mu(x, y)) - mu(al(x), al(y))
 
+    bindings = [operator.itemgetter(*b) for b in _JORDAN_ASSIGNMENTS[jordan_cycle]]
+
     def jordan(pts):
-        total = Vector.zero(a.space)
-        for binding in _JORDAN_ASSIGNMENTS[jordan_cycle]:
-            (x, px), (y, _), (z, pz), (t, pt) = (pts[i] for i in binding)
-            term = asso(mu(x, y), al(z), al(t))
-            total = total + signed(term, pt * (px + pz))
-        return total
+        terms = []
+        for binding in bindings:
+            (x, px), (y, _), (z, pz), (t, pt) = binding(pts)
+            terms.append(signed(asso(mu(x, y), al(z), al(t)), pt * (px + pz)))
+        first, second, third = terms
+        return first + second + third
 
     table = {
         "hom-associative": [("as", 3, associative)],
@@ -262,8 +356,8 @@ def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str):
     return table[law]
 
 
-def _pre_identities(p: HomPreAlgebra, law: str):
-    comps = _pre_components(p)
+def _pre_identities(p: HomPreAlgebra, law: str, bind):
+    comps = _pre_components(p, bind)
     kind1, kind2, kind3 = comps
 
     def pa3(pts):
@@ -313,14 +407,19 @@ def _pre_identities(p: HomPreAlgebra, law: str):
 
 def law_identities(instance, law: str, jordan_cycle: Optional[str] = None):
     """Public access to the identity list of a law, for evaluation on
-    arbitrary homogeneous (vector, parity) points."""
+    arbitrary homogeneous (vector, parity) points.  These closures are the
+    reference that every scan answers to."""
+    return _identities(instance, law, jordan_cycle, REFERENCE)
+
+
+def _identities(instance, law, jordan_cycle, bind):
     if isinstance(instance, HomAlgebra):
         cycle = jordan_cycle or DEFAULT_JORDAN_CYCLE
         if cycle not in JORDAN_CYCLES:
             raise ValidationError([f"unknown jordan cycle {cycle!r}"])
-        return _product_identities(instance, law, cycle)
+        return _product_identities(instance, law, cycle, bind)
     if isinstance(instance, HomPreAlgebra):
-        return _pre_identities(instance, law)
+        return _pre_identities(instance, law, bind)
     raise ValidationError([f"not a checkable instance: {instance!r}"])
 
 
@@ -348,10 +447,10 @@ def _group_identities(identities):
     return groups
 
 
-def _law_groups(space: SuperSpace, identities):
+def _law_groups(space: SuperSpace, identities, bind=REFERENCE):
     """Scan groups of a law's identities: one per run of equal-arity
     identities, each over the basis of the space."""
-    points = _basis_points(space)
+    points = bind.points(space)
     return [([points] * arity, idfns) for arity, idfns in _group_identities(identities)]
 
 
@@ -380,29 +479,55 @@ def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str):
 
 def _scan_range(slots, idfns, start, stop):
     """Scan flat tuple indices [start, stop) over the product of the slots.
-    Returns (flat_index, identity_name, residual) of the first failure or
-    None."""
+    Returns (flat_index, identity_position, residual coordinates) of the
+    first failure or None."""
     tuples = itertools.islice(itertools.product(*slots), start, stop)
     for flat, pts in enumerate(tuples, start):
-        for name, fn in idfns:
+        for at, (_, fn) in enumerate(idfns):
             r = fn(pts)
             if not r.is_zero():
-                return flat, name, r
+                return flat, at, r.coords
     return None
 
 
-def _run_groups(law, groups, jobs=1, extra=None) -> LawReport:
-    """Run scan groups in order, returning a LawReport."""
+_log = logging.getLogger("superalt")
+
+
+def _run_groups(law, groups, jobs=1, extra=None, tables=None) -> LawReport:
+    """Run scan groups in order, returning a LawReport.
+
+    tables, when given, is (binder, groups bound to it) for the same
+    identities: those groups do the scanning, and at a hit the reference
+    closure recomputes the reported residual at the witness, which must
+    agree with the scanned one."""
+    binder, scanned = tables or (REFERENCE, groups)
+    debug = _log.isEnabledFor(logging.DEBUG)
     checked_before = 0
-    for slots, idfns in groups:
+    for g, ((slots, idfns), (scan_slots, scan_idfns)) in enumerate(zip(groups, scanned), 1):
         total = math.prod(len(slot) for slot in slots)
-        hit = _scan_parallel(slots, idfns, total, jobs)
+        start = time.perf_counter() if debug else 0.0
+        hit = _scan_parallel(scan_slots, scan_idfns, total, jobs)
+        if debug:
+            _log.debug(
+                "%s group %d/%d: %d tuples scanned in %.6f s; tables built in %.6f s; "
+                "%d memo entries", law, g, len(groups), total if hit is None else hit[0] + 1,
+                time.perf_counter() - start, binder.build_s, binder.memo_entries(),
+            )
         if hit is not None:
-            flat, name, residual = hit
+            flat, at, scanned_residual = hit
             witness, rem = [], flat
             for slot in reversed(slots):
                 rem, i = divmod(rem, len(slot))
                 witness.insert(0, i)
+            name, fn = idfns[at]
+            residual = scanned_residual
+            if tables:
+                residual = fn(tuple(slot[i] for slot, i in zip(slots, witness))).coords
+                if residual != scanned_residual:
+                    raise RuntimeError(
+                        f"{law}: {name} at {tuple(witness)} scans to {scanned_residual}, "
+                        f"but the reference gives {residual}"
+                    )
             return LawReport(
                 law=law,
                 passed=False,
@@ -410,11 +535,17 @@ def _run_groups(law, groups, jobs=1, extra=None) -> LawReport:
                 witness=tuple(witness),
                 witness_parities=tuple(slot[i][1] for slot, i in zip(slots, witness)),
                 identity=name,
-                residual=residual.coords,
+                residual=residual,
                 extra=dict(extra or {}),
             )
         checked_before += total
     return LawReport(law=law, passed=True, checked=checked_before, extra=dict(extra or {}))
+
+
+def _table_run(law, build, tables, jobs=1, extra=None) -> LawReport:
+    """_run_groups on the groups that build(binder) lists, scanned on the
+    table binder tables and recomputed at a hit through REFERENCE."""
+    return _run_groups(law, build(REFERENCE), jobs, extra, (tables, build(tables)))
 
 
 def _scan_parallel(slots, idfns, total, jobs):
@@ -450,16 +581,22 @@ def _scan_chunk(start, stop):
     return _scan_range(*_group, start, stop)
 
 
+def _check_law(instance, law, jordan_cycle, jobs, extra, tables) -> LawReport:
+    def build(bind):
+        return _law_groups(instance.space, _identities(instance, law, jordan_cycle, bind), bind)
+
+    return _table_run(law, build, tables, jobs, extra)
+
+
 def check_product_law(
     a: HomAlgebra, law: str, jordan_cycle: Optional[str] = None, jobs: int = 1
 ) -> LawReport:
     """Exhaustively check one product law on basis tuples."""
-    groups = _law_groups(a.space, law_identities(a, law, jordan_cycle))
     extra = {"jordan_cycle": jordan_cycle or DEFAULT_JORDAN_CYCLE} if law == "hom-jordan" else None
-    return _run_groups(law, groups, jobs, extra)
+    return _check_law(a, law, jordan_cycle, jobs, extra, _Tables(a.space.field))
 
 
-def _odd_diagonal_info(p: HomPreAlgebra) -> dict:
+def _odd_diagonal_info(p: HomPreAlgebra, bind) -> dict:
     """Diagonal instantiation of the two axioms that repeat a variable.
 
     Quadratic in the repeated slot, so this is informational: for odd basis
@@ -467,9 +604,9 @@ def _odd_diagonal_info(p: HomPreAlgebra) -> dict:
     odd basis y the second reads (x prec y) prec alpha(y) - alpha(x) prec (y o y).
     Every case is evaluated; the census counts all nonzero residuals.
     """
-    kind1, _, kind3 = _pre_components(p)
+    kind1, _, kind3 = _pre_components(p, bind)
     space = p.space
-    e = [x for x, _ in _basis_points(space)]
+    e = [x for x, _ in bind.points(space)]
     odd = space.indices_of_parity(1)
     cases = [("diag-succ", i, j, kind1(e[i], e[i], e[j])) for i in odd for j in space.indices()]
     cases += [("diag-prec", i, j, kind3(e[i], e[j], e[j])) for j in odd for i in space.indices()]
@@ -486,9 +623,9 @@ def check_pre_law(p: HomPreAlgebra, law: str, jobs: int = 1) -> LawReport:
     For hom-prealternative the report's extra carries the odd-diagonal
     residual census (informational; the polarized axioms are the verdict).
     """
-    groups = _law_groups(p.space, law_identities(p, law))
-    extra = {"odd_diagonal": _odd_diagonal_info(p)} if law == "hom-prealternative" else None
-    return _run_groups(law, groups, jobs, extra)
+    tables = _Tables(p.space.field)
+    extra = {"odd_diagonal": _odd_diagonal_info(p, tables)} if law == "hom-prealternative" else None
+    return _check_law(p, law, None, jobs, extra, tables)
 
 
 def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:

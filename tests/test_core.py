@@ -108,6 +108,23 @@ def test_bilinear_parity_constraint():
         EvenBilinear(S21, S21, S21, c)
 
 
+def test_from_entries_rejects_every_index_out_of_range():
+    from superalt import perturb_bilinear, truncpoly
+
+    mu = truncpoly(3).mu
+    # a negative index must not wrap around to the last cell
+    with pytest.raises(ValidationError) as exc:
+        perturb_bilinear(mu, (-1, 0, -1), 1)
+    assert exc.value.errors == ["entry (-1, 0, -1) out of range for dims 3x3x3"]
+    # past the end is a ValidationError listing every bad entry, not an IndexError
+    with pytest.raises(ValidationError) as exc:
+        EvenBilinear.from_entries(S21, S21, S21, [(3, 0, 0, 1), (0, 0, 0, 1), (0, 1, 5, 2)])
+    assert exc.value.errors == [
+        "entry (3, 0, 0) out of range for dims 3x3x3",
+        "entry (0, 1, 5) out of range for dims 3x3x3",
+    ]
+
+
 def test_bilinear_sparse_entries_sorted_and_zero_free():
     c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[1][0][0] = Fraction(2)
