@@ -311,8 +311,12 @@ def check_pre_bimodule(
     calibrated) reading of the two ambiguous axioms.
 
     Refuses when the base is not hom-prealternative."""
-    variant = variant or CALIBRATED_PBM_VARIANT
     _require("check_pre_bimodule", check_pre_law(m.base, "hom-prealternative"))
+    return _pre_bimodule_axioms(m, variant or CALIBRATED_PBM_VARIANT, jobs)
+
+
+def _pre_bimodule_axioms(m: PreBimodule, variant: PbmVariant, jobs: int = 1) -> LawReport:
+    """check_pre_bimodule on a base already known to be hom-prealternative."""
     extra = {"variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
     return _bimodule_run(
         "pre-bimodule", m, lambda bind: _pbm_identities(m, variant, bind), jobs, extra
@@ -457,13 +461,17 @@ def calibrate_pre_bimodule(instances) -> dict:
     combos = [
         PbmVariant(s, inner) for s, inner in iproduct((1, -1), ("prec", "circ"))
     ]
+    # each base is checked once, in the order check_pre_bimodule would meet it
+    modules = []
+    for p in instances:
+        _require("check_pre_bimodule", check_pre_law(p, "hom-prealternative"))
+        modules.append((p.name or repr(p), regular_bimodule(p)))
     per_variant = {}
     for var in combos:
         key = f"pbm2{'+' if var.pbm2_sign == 1 else '-'}/pbm4-{var.pbm4_inner}"
         verdicts = {}
-        for p in instances:
-            rep = check_pre_bimodule(regular_bimodule(p), variant=var)
-            verdicts[p.name or repr(p)] = rep.passed
+        for name, m in modules:
+            verdicts[name] = _pre_bimodule_axioms(m, var).passed
         per_variant[key] = verdicts
     survivors = [k for k, v in per_variant.items() if all(v.values())]
     default = CALIBRATED_PBM_VARIANT

@@ -338,7 +338,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_check_operator)
 
     p = sub.add_parser("search", parents=[common],
-                       help="brute-force operator search over a prime field")
+                       help="exact operator search over a prime field, in radix order "
+                       "with pruning; --budget bounds the candidate counter")
     p.add_argument("algebra")
     p.add_argument("--kind", required=True, choices=OPERATOR_KINDS)
     p.add_argument("--weight", default=None)
@@ -370,6 +371,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise _Usage(f"--jobs must be at least 1, got {args.jobs}")
         return args.fn(args)
     except _Usage as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,6 +15,7 @@ import itertools
 import logging
 import math
 import operator
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
@@ -25,6 +26,7 @@ from .core import (
     SuperSpace,
     ValidationError,
     Vector,
+    _plain,
     _table_vector_type,
 )
 
@@ -111,7 +113,9 @@ def _require(op: str, report: "LawReport"):
 # binder makes from the tensors and maps it reads.  The reference binder
 # evaluates on Vectors through EvenBilinear.apply and EvenMap.apply; the
 # table binder of a check evaluates on table vectors (see core._TableVector)
-# with appliers read from the sparse tables and memoised for that check.
+# with appliers read from the sparse tables and memoised for that check; the
+# polynomial binder of an operator search (below) evaluates on vectors of
+# polynomials in the entries of the unknown map.
 
 
 class _Reference:
@@ -179,6 +183,141 @@ class _Tables:
 # Beyond this many entries a memo stops growing: its keys are intermediate
 # vectors, and on a dense instance nearly every one is new.
 MEMO_LIMIT = 1 << 13
+
+
+# The polynomial binder.  Its vectors hold, per coordinate, a sparse
+# polynomial over F_p: a dict {monomial: coefficient}, where a monomial is the
+# sorted tuple of its variables (repeated for powers) and every coefficient
+# lies in [1, p).  The variables are the free entries of one unknown even
+# map; every other tensor and twist stays a constant.  One evaluation of an
+# identity closure on basis points so gives each residual coordinate as a
+# polynomial in the entries of the map.
+
+
+class _FreeMap:
+    """An even map domain -> codomain whose entries at the free positions are
+    the unknowns x_0, x_1, ... in the order given; every other entry is 0."""
+
+    __slots__ = ("domain", "codomain", "free")
+
+    def __init__(self, domain: SuperSpace, codomain: SuperSpace, free):
+        self.domain = domain
+        self.codomain = codomain
+        self.free = tuple(free)
+
+
+def _poly_add_into(acc: dict, poly: dict, scale: int):
+    for m, c in poly.items():
+        acc[m] = acc.get(m, 0) + scale * c
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    """The product of two polynomials, coefficients not yet reduced."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(sorted(ma + mb)) if ma and mb else ma or mb
+            out[m] = out.get(m, 0) + ca * cb
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _polynomial_vector(p: int):
+    def reduced(acc):
+        return {m: c % p for m, c in acc.items() if c % p}
+
+    class PolynomialVector(tuple):
+        """A vector whose coordinates are polynomials over F_p."""
+
+        __slots__ = ()
+
+        @classmethod
+        def of(cls, accs):
+            """The vector of the given unreduced coefficient dicts."""
+            return cls(map(reduced, accs))
+
+        def _plus(self, other, scale):
+            out = []
+            for a, b in zip(self, other):
+                if b:
+                    acc = dict(a)
+                    _poly_add_into(acc, b, scale)
+                    a = reduced(acc)
+                out.append(a)
+            return PolynomialVector(out)
+
+        def __add__(self, other):
+            return self._plus(other, 1)
+
+        def __sub__(self, other):
+            return self._plus(other, -1)
+
+        def __neg__(self):
+            return self.scaled(-1)
+
+        def scaled(self, s):
+            s = getattr(s, "val", s)
+            return PolynomialVector(reduced({m: s * c for m, c in a.items()}) for a in self)
+
+    return PolynomialVector
+
+
+class _Polynomials:
+    def __init__(self, unknown: _FreeMap):
+        self.unknown = unknown
+        self.vector = _polynomial_vector(unknown.domain.field.p)
+
+    def __call__(self, t):
+        if t is self.unknown:
+            cols = [[] for _ in t.domain.indices()]
+            for var, (i, j) in enumerate(t.free):
+                cols[j].append((i, {(var,): 1}))
+            return self._linear(cols, t.codomain.dim)
+        if isinstance(t, EvenMap):
+            cols = [
+                [(i, {(): _plain(row[j])}) for i, row in enumerate(t.entries) if row[j]]
+                for j in t.domain.indices()
+            ]
+            return self._linear(cols, t.codomain.dim)
+        return self._bilinear(t)
+
+    def points(self, space: SuperSpace):
+        return tuple(
+            (self.vector({(): 1} if j == i else {} for j in space.indices()), space.parity(i))
+            for i in space.indices()
+        )
+
+    def _linear(self, cols, n):
+        make = self.vector.of
+
+        def apply(x):
+            acc = [{} for _ in range(n)]
+            for xj, col in zip(x, cols):
+                if xj:
+                    for i, e in col:
+                        _poly_add_into(acc[i], _poly_mul(e, xj), 1)
+            return make(acc)
+
+        return apply
+
+    def _bilinear(self, t: EvenBilinear):
+        rows = [[[] for _ in t.right.indices()] for _ in t.left.indices()]
+        for i, j, k, c in t.sparse_entries():
+            rows[i][j].append((k, _plain(c)))
+        n, make = t.out.dim, self.vector.of
+
+        def apply(x, y):
+            acc = [{} for _ in range(n)]
+            for xi, row in zip(x, rows):
+                if xi:
+                    for yj, cell in zip(y, row):
+                        if yj and cell:
+                            s = _poly_mul(xi, yj)
+                            for k, c in cell:
+                                _poly_add_into(acc[k], s, c)
+            return make(acc)
+
+        return apply
 
 
 def signed(v: Vector, exponent: int) -> Vector:
@@ -454,10 +593,10 @@ def _law_groups(space: SuperSpace, identities, bind=REFERENCE):
     return [([points] * arity, idfns) for arity, idfns in _group_identities(identities)]
 
 
-def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str):
+def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str, bind=REFERENCE):
     """f(x src y) - f(x) dst f(y) on basis pairs of f's domain."""
-    F, s, d = f.apply, src.apply, dst.apply
-    points = _basis_points(f.domain)
+    F, s, d = bind(f), bind(src), bind(dst)
+    points = bind.points(f.domain)
 
     def preserves(pts):
         (x, _), (y, _) = pts
@@ -466,15 +605,15 @@ def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str
     return [points, points], [(name, preserves)]
 
 
-def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str):
+def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str, bind=REFERENCE):
     """f(src x) - dst(f x) on basis vectors of f's domain."""
-    F, s, d = f.apply, src.apply, dst.apply
+    F, s, d = bind(f), bind(src), bind(dst)
 
     def intertwines(pts):
         ((x, _),) = pts
         return F(s(x)) - d(F(x))
 
-    return [_basis_points(f.domain)], [(name, intertwines)]
+    return [bind.points(f.domain)], [(name, intertwines)]
 
 
 def _scan_range(slots, idfns, start, stop):
@@ -553,8 +692,13 @@ def _scan_parallel(slots, idfns, total, jobs):
 
     The group reaches each worker through the fork itself, as the pool
     initializer's arguments, so its closures are never pickled; a task
-    carries only its (start, stop) range."""
+    carries only its (start, stop) range.  At most one worker per chunk and
+    per CPU is started, whatever jobs asks for."""
     if jobs <= 1 or total < 4096:
+        return _scan_range(slots, idfns, 0, total)
+    nchunks = min(jobs * 4, max(1, total // 1024))
+    workers = min(jobs, nchunks, os.cpu_count() or 1)
+    if workers <= 1:
         return _scan_range(slots, idfns, 0, total)
     import multiprocessing as mp
 
@@ -562,9 +706,8 @@ def _scan_parallel(slots, idfns, total, jobs):
         ctx = mp.get_context("fork")
     except ValueError:
         return _scan_range(slots, idfns, 0, total)
-    nchunks = min(jobs * 4, max(1, total // 1024))
     bounds = [(total * c // nchunks, total * (c + 1) // nchunks) for c in range(nchunks)]
-    with ctx.Pool(jobs, initializer=_adopt_group, initargs=(slots, idfns)) as pool:
+    with ctx.Pool(workers, initializer=_adopt_group, initargs=(slots, idfns)) as pool:
         results = pool.starmap(_scan_chunk, bounds)
     return next((hit for hit in results if hit is not None), None)
 
@@ -635,15 +778,20 @@ def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:
         raise ValidationError(["morphism endpoints must be the same kind of instance"])
     if f.domain != src.space or f.codomain != dst.space:
         raise ValidationError(["map endpoints do not match the instances"])
+    return _run_groups("weak-morphism" if weak else "morphism", _morphism_groups(f, src, dst, weak))
+
+
+def _morphism_groups(f, src, dst, weak: bool, bind=REFERENCE):
+    """The scan groups of check_morphism."""
     if isinstance(src, HomAlgebra):
         pairs = [("mu", src.mu, dst.mu)]
     else:
         pairs = [("prec", src.prec, dst.prec), ("succ", src.succ, dst.succ)]
     # every preserves-prec pair comes before any preserves-succ pair
-    groups = [_preserves_group(f, s, d, f"preserves-{name}") for name, s, d in pairs]
+    groups = [_preserves_group(f, s, d, f"preserves-{name}", bind) for name, s, d in pairs]
     if not weak:
-        groups.append(_intertwining_group(f, src.alpha, dst.alpha, "intertwines-twist"))
-    return _run_groups("weak-morphism" if weak else "morphism", groups)
+        groups.append(_intertwining_group(f, src.alpha, dst.alpha, "intertwines-twist", bind))
+    return groups
 
 
 def calibrate_jordan(instances: Sequence[HomAlgebra]) -> dict:

@@ -1,4 +1,4 @@
-"""Operator equation checks and brute-force operator search.
+"""Operator equation checks and exact pruned operator search.
 
 Operator kinds on an algebra (A, mu, alpha), all required to commute with
 the twist:
@@ -12,12 +12,21 @@ the twist:
 
 An o-operator T: V -> A over a bimodule (V, L, R, beta) of (A, o, alpha)
 satisfies T(u) o T(v) = T(L(T u) v + R(T v) u) and T beta = alpha T.
+
+search_operators walks the even maps over F_p in the radix order of
+enumerate_even_maps, depth-first over the entries, and skips every subtree
+on which an operator equation already fails.  The contract is that of
+checking each candidate in turn: found lists every passing map in counter
+order, a skipped subtree counts all of its candidates as checked, and a
+budget bounds the counter, so candidates_checked is min(budget, space size).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import logging
+import math
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -33,20 +42,25 @@ from .core import (
 )
 from .fields import PrimeField
 from .laws import (
+    REFERENCE,
     HomAlgebra,
     HomPreAlgebra,
     HypothesisError,
     LawReport,
     _basis_points,
+    _FreeMap,
     _intertwining_group,
+    _morphism_groups,
+    _Polynomials,
     _preserves_group,
     _require,
     _run_groups,
-    check_morphism,
 )
 
 if TYPE_CHECKING:  # only for annotations; bimodules imports this module
     from .bimodules import AltBimodule
+
+_log = logging.getLogger("superalt")
 
 OPERATOR_KINDS = (
     "rota-baxter",
@@ -115,52 +129,60 @@ def check_operator(spec: OperatorSpec, a) -> LawReport:
 
     a is a HomAlgebra for all kinds except that endomorphism also accepts a
     HomPreAlgebra (both products must then be preserved)."""
-    m = spec.map
-    if spec.kind == "endomorphism":
-        if m.domain != a.space or m.codomain != a.space:
-            raise ValidationError(["operator must be an even self-map of the instance"])
-        return dataclasses.replace(check_morphism(m, a, a, weak=False), law="endomorphism")
     if spec.kind == "o-operator":
-        return check_o_operator(m, spec.bimodule)
-    if not isinstance(a, HomAlgebra):
-        raise ValidationError([f"{spec.kind} operators are checked on a single-product instance"])
+        return check_o_operator(spec.map, spec.bimodule)
+    w = a.space.field.coerce(spec.weight) if spec.kind == "rota-baxter" else None
+    return _run_groups(spec.kind, _operator_groups(spec.kind, a, spec.map, w))
+
+
+def _operator_groups(kind: str, a, m, w, bind=REFERENCE):
+    """The scan groups of check_operator for a self-map kind, with m bound by bind."""
+    if kind != "endomorphism" and not isinstance(a, HomAlgebra):
+        raise ValidationError([f"{kind} operators are checked on a single-product instance"])
     if m.domain != a.space or m.codomain != a.space:
         raise ValidationError(["operator must be an even self-map of the instance"])
-    if spec.kind not in _EQUATIONS:
-        raise ValidationError([f"unknown operator kind {spec.kind!r}"])
-    mu, R = a.mu.apply, m.apply
-    w = a.space.field.coerce(spec.weight) if spec.kind == "rota-baxter" else None
+    if kind == "endomorphism":
+        return _morphism_groups(m, a, a, weak=False, bind=bind)
+    if kind not in _EQUATIONS:
+        raise ValidationError([f"unknown operator kind {kind!r}"])
+    mu, R = bind(a.mu), bind(m)
 
     def on_pair(equation):
         return lambda pts: equation(mu, R, w, pts[0][0], pts[1][0])
 
-    points = _basis_points(a.space)
-    groups = [
-        ([points, points], [("equation", on_pair(eq)) for eq in _EQUATIONS[spec.kind]]),
-        _intertwining_group(m, a.alpha, a.alpha, "twist-commuting"),
+    points = bind.points(a.space)
+    return [
+        ([points, points], [("equation", on_pair(eq)) for eq in _EQUATIONS[kind]]),
+        _intertwining_group(m, a.alpha, a.alpha, "twist-commuting", bind),
     ]
-    return _run_groups(spec.kind, groups)
+
+
+def _o_operator_equation(mu, L, R, T, u, v):
+    return mu(T(u), T(v)) - T(L(T(u), v) + R(u, T(v)))
 
 
 def check_o_operator(t: EvenMap, m: "AltBimodule") -> LawReport:
     """T(u) o T(v) = T(L(T u) v + R(T v) u) on basis pairs of V, plus
     T beta = alpha T."""
+    return _run_groups("o-operator", _o_operator_groups(t, m))
+
+
+def _o_operator_groups(t, m: "AltBimodule", bind=REFERENCE):
+    """The scan groups of check_o_operator, with t bound by bind."""
     a = m.base
     if t.domain != m.module or t.codomain != a.space:
         raise ValidationError(["o-operator must map the module into the algebra"])
-    mu = a.mu.apply
-    L, R, T = m.lsucc.apply, m.rprec.apply, t.apply
+    mu, L, R, T = bind(a.mu), bind(m.lsucc), bind(m.rprec), bind(t)
 
     def equation(pts):
         (u, _), (v, _) = pts
-        return mu(T(u), T(v)) - T(L(T(u), v) + R(u, T(v)))
+        return _o_operator_equation(mu, L, R, T, u, v)
 
-    points = _basis_points(m.module)
-    groups = [
+    points = bind.points(m.module)
+    return [
         ([points, points], [("equation", equation)]),
-        _intertwining_group(t, m.beta, a.alpha, "twist-intertwining"),
+        _intertwining_group(t, m.beta, a.alpha, "twist-intertwining", bind),
     ]
-    return _run_groups("o-operator", groups)
 
 
 @dataclass
@@ -346,46 +368,175 @@ def search_operators(
     signed_perms: bool = False,
     bimodule=None,
 ) -> SearchResult:
-    """Brute-force search for operators of the given kind over F_p.
+    """Exact search for operators of the given kind over F_p.
 
-    Enumerates candidates deterministically and keeps every map passing
-    check_operator.  Rational instances are refused: their operator spaces
-    are infinite."""
+    The candidates are the even maps in the radix order of
+    enumerate_even_maps; budget, when given, bounds that counter, so
+    candidates_checked is min(budget, space_size) and exhausted says whether
+    the budget covered the whole space.  The search is depth-first over the
+    digits, most significant first.  Every residual coordinate of the
+    operator equations on basis pairs is bound once as a polynomial in the
+    map entries, and tested as soon as its last entry is fixed; a subtree on
+    which one fails is skipped, and all of its candidates below the budget
+    count as checked.  So found holds exactly the maps passing check_operator
+    (check_o_operator for o-operators), in counter order, and each of them is
+    checked again there.  With signed_perms the candidates are the signed
+    permutation maps instead, each checked in turn.  Rational instances are
+    refused: their operator spaces are infinite."""
     field = a.space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["operator search requires an F_p instance"])
+    if budget is not None and budget < 0:
+        raise ValidationError([f"search budget must be at least 0, got {budget}"])
     if kind == "rota-baxter" and weight is None:
         weight = 0
     if kind == "o-operator" and bimodule is None:
         raise ValidationError(["o-operator search needs the bimodule"])
-    domain = bimodule.module if kind == "o-operator" else a.space
+    w = field.coerce(weight) if kind == "rota-baxter" else None
+
+    def reference(candidate):
+        if kind == "o-operator":
+            return check_o_operator(candidate, bimodule)
+        return check_operator(OperatorSpec(kind, candidate, weight=w), a)
+
     if signed_perms:
         if kind == "o-operator":
             raise ValidationError(["signed permutation search needs a self-map kind"])
-        gen = enumerate_signed_permutation_maps(a.space)
-        import math
-
         space_size = (
             math.factorial(a.space.even) * math.factorial(a.space.odd) * 2**a.space.dim
         )
+        found = []
+        checked = 0
+        for candidate in enumerate_signed_permutation_maps(a.space):
+            if budget is not None and checked >= budget:
+                return SearchResult(kind, found, checked, False, space_size)
+            checked += 1
+            if reference(candidate).passed:
+                found.append(candidate)
+        return SearchResult(kind, found, checked, True, space_size)
+
+    domain = bimodule.module if kind == "o-operator" else a.space
+    positions = _even_positions(a.space, domain)
+    p, n = field.p, len(positions)
+    space_size = p**n
+    limit = space_size if budget is None else min(budget, space_size)
+    # counters below limit leave every digit but the last `live` at 0
+    live = 0
+    while p**live < limit:
+        live += 1
+    start = time.perf_counter()
+    unknown = _FreeMap(domain, a.space, positions[n - live:])
+    binder = _Polynomials(unknown)
+    if kind == "o-operator":
+        groups = _o_operator_groups(unknown, bimodule, binder)
     else:
-        gen = enumerate_even_maps(domain, a.space, budget=None)
-        space_size = field.p ** len(_even_positions(a.space, domain))
+        groups = _operator_groups(kind, a, unknown, w, binder)
+    by_var = _file_polynomials(groups, live, p)
+    bound_s = time.perf_counter() - start
+
+    start = time.perf_counter()
+    stats = _SearchStats()
     found = []
-    checked = 0
-    for candidate in gen:
-        if budget is not None and checked >= budget:
-            return SearchResult(kind, found, checked, False, space_size)
-        checked += 1
-        if kind == "o-operator":
-            rep = check_o_operator(candidate, bimodule)
-        else:
-            spec = OperatorSpec(
-                kind,
-                candidate,
-                weight=weight if kind == "rota-baxter" else None,
+    zero = field.zero
+    for digits in _backtrack(by_var, live, p, limit, stats):
+        rows = [[zero] * domain.dim for _ in range(a.space.dim)]
+        for (i, j), d in zip(unknown.free, digits):
+            if d:
+                rows[i][j] = field.scalar(d)
+        candidate = EvenMap(domain, a.space, rows)
+        rep = reference(candidate)
+        if not rep.passed:
+            raise RuntimeError(
+                f"{kind}: map {candidate.entries} survives the pruned search, but the "
+                f"reference check fails with {rep.identity} at {rep.witness}"
             )
-            rep = check_operator(spec, a)
-        if rep.passed:
-            found.append(candidate)
-    return SearchResult(kind, found, checked, True, space_size)
+        found.append(candidate)
+    _log.debug(
+        "%s search: %d polynomials bound in %.6f s; %d nodes visited, %d subtrees pruned, "
+        "%d candidates disposed of by pruning, %d found in %.6f s",
+        kind, sum(map(len, by_var)), bound_s, stats.nodes, stats.pruned, stats.disposed,
+        len(found), time.perf_counter() - start,
+    )
+    checked = stats.disposed + len(found)
+    return SearchResult(kind, found, checked, limit == space_size, space_size)
+
+
+def _file_polynomials(groups, nvars: int, p: int) -> list:
+    """Every nonzero residual coordinate of the groups on their basis tuples,
+    made monic and stored once as a tuple of (coefficient, monomial) terms.
+
+    Entry k of the result lists the polynomials whose last variable is k;
+    the last entry, index -1, lists the nonzero constants."""
+    by_var = [set() for _ in range(nvars + 1)]
+    for slots, idfns in groups:
+        for pts in itertools.product(*slots):
+            for _, fn in idfns:
+                for poly in fn(pts):
+                    if poly:
+                        terms = sorted(poly.items())
+                        inv = pow(terms[0][1], p - 2, p)
+                        last = max((mono[-1] for mono, _ in terms if mono), default=-1)
+                        by_var[last].add(tuple((c * inv % p, mono) for mono, c in terms))
+    return [sorted(polys) for polys in by_var]
+
+
+@dataclass
+class _SearchStats:
+    nodes: int = 0  # nodes tested: the root (constants), then each digit assignment
+    pruned: int = 0  # subtrees skipped, leaves included
+    disposed: int = 0  # candidates below the limit inside those subtrees
+
+
+def _vanish(polys, digits, p) -> bool:
+    for terms in polys:
+        total = 0
+        for c, mono in terms:
+            for v in mono:
+                c *= digits[v]
+            total += c
+        if total % p:
+            return False
+    return True
+
+
+def _backtrack(by_var, nvars: int, p: int, limit: int, stats: _SearchStats):
+    """Yield, in counter order, the digit tuples below limit on which every
+    polynomial of by_var vanishes.
+
+    Digits are fixed most significant first; a node fixing digit k tests the
+    polynomials whose last variable is k, and on a failure its whole subtree
+    of candidates is skipped.  Iterative, so nvars is not bounded by the
+    recursion limit."""
+    if limit <= 0:
+        return
+    stats.nodes += 1
+    if not _vanish(by_var[-1], (), p):
+        stats.pruned += 1
+        stats.disposed += limit
+        return
+    if nvars == 0:
+        yield ()
+        return
+    weights = [p ** (nvars - 1 - k) for k in range(nvars)]
+    digits = [0] * nvars
+    k = base = 0  # base: the counter of the first candidate below the node
+    while True:
+        stats.nodes += 1
+        if not _vanish(by_var[k], digits, p):
+            stats.pruned += 1
+            stats.disposed += min(weights[k], limit - base)
+        elif k == nvars - 1:
+            yield tuple(digits)
+        else:
+            k += 1
+            continue
+        while digits[k] == p - 1:
+            base -= digits[k] * weights[k]
+            digits[k] = 0
+            k -= 1
+            if k < 0:
+                return
+        digits[k] += 1
+        base += weights[k]
+        if base >= limit:
+            return

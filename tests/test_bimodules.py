@@ -1,5 +1,6 @@
 """Bimodule axiom checks and the transport theorems between the two systems."""
 
+import logging
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,21 @@ def test_pre_bimodule_variant_calibration_is_unique():
     assert table["survivors"] == ["pbm2+/pbm4-prec"]
     assert table["default"] == "pbm2+/pbm4-prec"
     assert len(table["per_variant"]) == 4
+
+
+def test_calibration_checks_each_base_once(caplog):
+    instances = standard_pre_instances()
+    with caplog.at_level(logging.DEBUG, logger="superalt"):
+        table = calibrate_pre_bimodule(instances)
+    lines = [r.getMessage() for r in caplog.records if r.name == "superalt"]
+    assert len(instances) == 3
+    assert sum(line.startswith("hom-prealternative group") for line in lines) == 3
+    for key, verdicts in table["per_variant"].items():
+        sign, inner = key.split("/")
+        variant = PbmVariant(1 if sign == "pbm2+" else -1, inner.removeprefix("pbm4-"))
+        assert verdicts == {
+            p.name: check_pre_bimodule(regular_bimodule(p), variant).passed for p in instances
+        }
 
 
 def test_rejected_variants_fail_on_the_regular_bimodule(pre3):

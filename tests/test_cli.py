@@ -268,6 +268,25 @@ def test_search_reports_counts(capsys, tmp_path):
     assert len(doc["search"]["found"]) == 30
 
 
+def test_search_refuses_negative_budget(capsys, tmp_path):
+    a_path = tmp_path / "p35.json"
+    main(["corpus", "p3", "--prime", "5", "--out", str(a_path)])
+    capsys.readouterr()
+    code, out, err = run(capsys, "search", str(a_path), "--kind", "rota-baxter",
+                         "--budget", "-1")
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()
+    assert len(err.splitlines()) == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(workdir, capsys, jobs):
+    code, out, err = run(capsys, "check", str(workdir / "p3.json"), "--law",
+                         "hom-alternative", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
+
+
 def test_search_rejects_rational_scalars(workdir, capsys):
     code, _, err = run(capsys, "search", str(workdir / "p3.json"), "--kind", "endomorphism")
     assert code == 2 and "F_p" in err

@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import random
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -400,6 +401,9 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
         save(object_to_doc(a), str(path))
         for law in ("hom-alternative", "hom-jordan"):
             runs.append(["check", str(path), "--law", law, "--jobs", "1"])
+    p35 = tmp_path / "p35.json"
+    save(object_to_doc(reduce_instance(truncpoly(3), 5)), str(p35))
+    runs.append(["search", str(p35), "--kind", "rota-baxter", "--budget", "2000"])
     quiet = [run_cli(argv) for argv in runs]
     assert not caplog.records
     logger = logging.getLogger("superalt")
@@ -410,7 +414,19 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
     for code, text in quiet:
         json.loads(text.split("\n", 1)[1])
     lines = [r.getMessage() for r in caplog.records if r.name == "superalt"]
+    searches = [line for line in lines if " search: " in line]
+    scans = [line for line in lines if " search: " not in line]
     # oct: hom-alternative is one group, hom-jordan two (the second is
-    # never reached once super-commutativity fails); bent the same
-    assert len(lines) >= 4
-    assert all("tuples" in line and "memo" in line for line in lines)
+    # never reached once super-commutativity fails); bent the same; then
+    # the reference re-check of each found operator
+    assert len(scans) >= 4
+    assert all("tuples" in line and "memo" in line for line in scans)
+    # one line per search: its counts, and bind time against search time
+    found = len(json.loads(quiet[-1][1].split("\n", 1)[1])["search"]["found"])
+    assert len(searches) == 1
+    assert re.fullmatch(
+        r"rota-baxter search: \d+ polynomials bound in [\d.]+ s; \d+ nodes visited, "
+        r"\d+ subtrees pruned, \d+ candidates disposed of by pruning, "
+        rf"{found} found in [\d.]+ s",
+        searches[0],
+    )

@@ -215,3 +215,9 @@ def test_search_is_sound_and_complete_at_small_dims():
             if check_operator(spec, a).passed:
                 slow.append(f)
         assert res.found == slow, (a.name, kind)
+
+
+def test_search_refuses_negative_budget():
+    a = reduce_instance(truncpoly(3), 5)
+    with pytest.raises(ValidationError):
+        search_operators(a, "rota-baxter", budget=-5)

@@ -7,6 +7,12 @@ first fails just past the first of the four 1024-tuple chunks, so the chunk
 order decides the reported witness.
 """
 
+import multiprocessing
+import os
+
+import pytest
+
+import superalt.laws as laws
 from superalt import (
     AltBimodule,
     EvenBilinear,
@@ -66,3 +72,37 @@ def test_parallel_pre_bimodule_matches_serial():
     )
     rep = serial_and_parallel(check_pre_bimodule, bad)
     assert not rep.passed and rep.checked > 1024
+
+
+@pytest.mark.parametrize("cpus,jobs,started", [(3, 1000, [3]), (64, 1000, [4]), (1, 1000, []),
+                                               (8, 2, [2])])
+def test_pool_size_is_bounded_by_jobs_chunks_and_cpus(monkeypatch, cpus, jobs, started):
+    """A 4096-tuple group splits into 4 chunks; the pool is faked, so no
+    process starts, and the chunks run here in order."""
+    pools = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            pools.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    class Context:
+        pass
+
+    Context.Pool = Pool
+    monkeypatch.setattr(laws, "_group", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    bad = perturb_pre(zero_pre(), "prec", (8, 4, 8), 1)
+    rep = check_pre_law(bad, "hom-prealternative", jobs=jobs)
+    assert pools == started
+    assert rep == check_pre_law(bad, "hom-prealternative", jobs=1)

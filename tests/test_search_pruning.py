@@ -1,0 +1,221 @@
+"""Pruned operator search against brute force.
+
+search_operators binds every operator equation once as polynomials in the
+entries of the unknown map, and skips each subtree of the radix order on
+which one of them fails.  The oracle here is the search it replaced:
+enumerate_even_maps in the same order, and the reference check on every
+candidate.  found (in order), candidates_checked, exhausted and space_size
+must agree, exhaustively on small spaces and on budgeted prefixes of larger
+ones, every budget being a counter bound.
+"""
+
+import random
+
+import pytest
+
+from superalt import (
+    OPERATOR_KINDS,
+    AltBimodule,
+    EvenBilinear,
+    EvenMap,
+    HomAlgebra,
+    OperatorSpec,
+    PrimeField,
+    SuperSpace,
+    check_o_operator,
+    check_operator,
+    corpus,
+    enumerate_even_maps,
+    integration,
+    rb_split,
+    reduce_instance,
+    reduce_map,
+    regular_bimodule,
+    search_operators,
+    truncpoly,
+)
+from superalt.operators import _backtrack, _SearchStats
+
+# every kind once, rota-baxter at weights 0 and 1
+KINDS = [(k, None) for k in OPERATOR_KINDS if k != "rota-baxter"]
+KINDS += [("rota-baxter", 0), ("rota-baxter", 1)]
+
+
+def named(name, p=3):
+    return corpus.build_named(name, prime=p)[1]
+
+
+def passes(a, kind, weight, bimodule, f):
+    if kind == "o-operator":
+        return check_o_operator(f, bimodule).passed
+    w = a.space.field.coerce(weight) if kind == "rota-baxter" else None
+    return check_operator(OperatorSpec(kind, f, weight=w), a).passed
+
+
+def even_cells(codomain, domain):
+    return [
+        (i, j)
+        for i in codomain.indices()
+        for j in domain.indices()
+        if codomain.parity(i) == domain.parity(j)
+    ]
+
+
+def brute_force(a, kind, weight=None, budget=None, bimodule=None):
+    """(counter, map) of every passing candidate below budget, and the space size."""
+    domain = bimodule.module if kind == "o-operator" else a.space
+    hits = [
+        (c, f)
+        for c, f in enumerate(enumerate_even_maps(domain, a.space, budget=budget))
+        if passes(a, kind, weight, bimodule, f)
+    ]
+    return hits, a.space.field.p ** len(even_cells(a.space, domain))
+
+
+def assert_prefix_agrees(a, kind, weight, budget, hits, size, bimodule=None):
+    res = search_operators(a, kind, weight=weight, budget=budget, bimodule=bimodule)
+    limit = size if budget is None else min(budget, size)
+    assert res.found == [f for c, f in hits if c < limit], (a.name, kind, weight, budget)
+    assert res.candidates_checked == limit, (a.name, kind, weight, budget)
+    assert res.exhausted == (limit == size), (a.name, kind, weight, budget)
+    assert res.space_size == size, (a.name, kind, weight, budget)
+    return res
+
+
+def budgets_around(hits, p, top, rng, extra=4):
+    """Budgets that cut just before and just after the first and last found
+    maps, around powers of p, and at random counters up to top."""
+    cuts = {0, 1, 2, p - 1, p, p + 1, top}
+    for c, _ in hits[:4] + hits[-4:]:
+        cuts |= {c, c + 1}
+    q = p
+    while q < top:
+        cuts |= {q - 1, q, q + 1}
+        q *= p
+    cuts |= {rng.randrange(top + 1) for _ in range(extra)}
+    return sorted(b for b in cuts if 0 <= b <= top)
+
+
+def random_algebra(rng, p, dims, density=0.4):
+    field = PrimeField(p)
+    s = SuperSpace(field, *dims)
+    par = s.parity
+    entries = [
+        (i, j, k, rng.randrange(1, p))
+        for i in s.indices()
+        for j in s.indices()
+        for k in s.indices()
+        if par(k) == (par(i) + par(j)) % 2 and rng.random() < density
+    ]
+    alpha = [
+        [rng.randrange(p) if par(i) == par(j) and rng.random() < 0.5 else 0 for j in s.indices()]
+        for i in s.indices()
+    ]
+    return HomAlgebra(EvenBilinear.from_entries(s, s, s, entries), EvenMap(s, s, alpha),
+                      name=f"random{dims}@{p}")
+
+
+def random_bimodule(rng, a, dims, density=0.4):
+    """Actions and twist drawn at random: the o-operator equation does not
+    need the bimodule axioms, and V differs from A in shape."""
+    A, V = a.space, SuperSpace(a.space.field, *dims)
+    p = A.field.p
+
+    def action(left, right):
+        return EvenBilinear.from_entries(left, right, V, [
+            (i, j, k, rng.randrange(1, p))
+            for i in left.indices()
+            for j in right.indices()
+            for k in V.indices()
+            if V.parity(k) == (left.parity(i) + right.parity(j)) % 2 and rng.random() < density
+        ])
+
+    beta = [[rng.randrange(p) if V.parity(i) == V.parity(j) else 0 for j in V.indices()]
+            for i in V.indices()]
+    return AltBimodule(a, EvenMap(V, V, beta), action(A, V), action(V, A), name=f"random{dims}")
+
+
+SMALL = ["zero-2-1", "grassmann1", "grassmann1-twisted", "truncpoly-2"]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_exhaustive_search_matches_brute_force_on_small_corpus_instances(name):
+    a = named(name)
+    for kind, weight in KINDS:
+        bimodule = regular_bimodule(a) if kind == "o-operator" else None
+        hits, size = brute_force(a, kind, weight, bimodule=bimodule)
+        assert size <= 243
+        assert_prefix_agrees(a, kind, weight, None, hits, size, bimodule)
+
+
+def test_exhaustive_search_matches_brute_force_on_random_instances():
+    rng = random.Random(20171)
+    for dims, vdims in (((1, 1), (2, 0)), ((2, 1), (1, 1)), ((1, 2), (0, 2))):
+        a = random_algebra(rng, 3, dims)
+        for kind, weight in KINDS:
+            bimodule = random_bimodule(rng, a, vdims) if kind == "o-operator" else None
+            hits, size = brute_force(a, kind, weight, bimodule=bimodule)
+            assert size <= 729
+            assert_prefix_agrees(a, kind, weight, None, hits, size, bimodule)
+
+
+def test_endomorphism_search_of_a_pre_algebra_matches_brute_force():
+    pre = rb_split(reduce_instance(truncpoly(2), 3), reduce_map(integration(2), 3))
+    hits, size = brute_force(pre, "endomorphism")
+    # a budget beyond the space is still exhaustive; one short of it is not
+    for budget in (None, size + 5, size, size - 1):
+        assert_prefix_agrees(pre, "endomorphism", None, budget, hits, size)
+
+
+BUDGETED = [
+    ("truncpoly-3", 3, "rota-baxter", 0, 3000),
+    ("truncpoly-3", 3, "rota-baxter", 1, 3000),
+    ("truncpoly-3", 3, "o-operator", None, 3000),
+    ("truncpoly-3", 5, "rota-baxter", 0, 3000),
+    ("l1-p3", 3, "rota-baxter", 0, 3000),
+]
+
+
+@pytest.mark.parametrize("name,p,kind,weight,top", BUDGETED)
+def test_budgeted_prefixes_match_brute_force(name, p, kind, weight, top):
+    a = named(name, p)
+    bimodule = regular_bimodule(a) if kind == "o-operator" else None
+    hits, size = brute_force(a, kind, weight, budget=top, bimodule=bimodule)
+    assert hits, "the prefix holds found maps"
+    rng = random.Random(top + p)
+    for budget in budgets_around(hits, p, top, rng):
+        assert_prefix_agrees(a, kind, weight, budget, hits, size, bimodule)
+
+
+def test_budgeted_prefixes_of_the_remaining_kinds_match_brute_force():
+    a = named("truncpoly-3")
+    for kind, weight in KINDS:
+        if kind in ("rota-baxter", "o-operator"):
+            continue
+        hits, size = brute_force(a, kind, weight, budget=1000)
+        for budget in (0, 1, 500, 999, 1000):
+            assert_prefix_agrees(a, kind, weight, budget, hits, size)
+
+
+def test_a_nonzero_constant_disposes_of_the_whole_space():
+    # no operator equation has a constant term (the zero map passes them
+    # all), so the search is driven here on a hand-made system
+    stats = _SearchStats()
+    leaves = list(_backtrack([[], [], [((1, ()),)]], 2, 3, 7, stats))
+    assert leaves == [] and stats.disposed == 7 and stats.pruned == 1
+
+
+def test_backtrack_prunes_and_counts_in_counter_order():
+    # x0 x1 - 1 = 0 and x0 - 2 x1 = 0 over F_5, filed under x1; x0 = 0 fails
+    # both at every x1, so the whole x0 = 0 subtree is pruned leaf by leaf
+    polys = [[], [((1, (0, 1)), (4, ())), ((1, (0,)), (3, (1,)))], []]
+    stats = _SearchStats()
+    leaves = list(_backtrack(polys, 2, 5, 25, stats))
+    assert leaves == [(x0, x1) for x0 in range(5) for x1 in range(5)
+                      if (x0 * x1 - 1) % 5 == 0 and (x0 - 2 * x1) % 5 == 0]
+    assert stats.disposed + len(leaves) == 25
+    # a limit inside the x0 = 1 subtree clips the count at the limit
+    stats = _SearchStats()
+    assert list(_backtrack(polys, 2, 5, 7, stats)) == []
+    assert stats.disposed == 7
+
