@@ -24,7 +24,7 @@ from .laws import (
     HomPreAlgebra,
     LawReport,
     _require,
-    _table_run,
+    _run_groups,
     _Tables,
     check_morphism,
     check_product_law,
@@ -293,7 +293,7 @@ def _bimodule_run(law, m, identities, jobs, extra=None) -> LawReport:
         idfns = [(name, fn) for name, _, fn in identities(bind)]
         return [([base, base, bind.points(m.module)], idfns)]
 
-    return _table_run(law, build, _Tables(m.module.field), jobs, extra)
+    return _run_groups(law, build, _Tables(m.module.field), jobs, extra)
 
 
 def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import corpus
 from .bimodules import (
@@ -94,7 +93,7 @@ def _emit_report(rep, field):
 def _parse_scalar(field, text):
     try:
         if isinstance(field, RationalField):
-            return Fraction(text)
+            return field.from_json(text, strict=False)[0]
         return field.scalar(int(text))
     except (ValueError, ZeroDivisionError):
         raise _Usage(f"cannot read scalar {text!r} for {field}")

@@ -192,17 +192,7 @@ class EvenMap:
     def _table_applier(self):
         """apply on table vectors, read from the sparse columns."""
         cols = [[(i, _plain(m)) for i, m in col] for col in self._cols]
-        n, make = self.codomain.dim, _table_vector_type(self.codomain.field).of
-
-        def apply(x):
-            acc = [0] * n
-            for j, xv in enumerate(x):
-                if xv:
-                    for i, m in cols[j]:
-                        acc[i] += m * xv
-            return make(acc)
-
-        return apply
+        return _column_applier(cols, self.codomain)
 
     def image_of_basis(self, j: int) -> Vector:
         z = self.codomain.field.zero
@@ -470,7 +460,9 @@ class EvenBilinear:
 # Table evaluation.  A table vector is the coordinate tuple of a vector in
 # plain scalars: residues as ints in [0, p), rationals as ints when integral
 # and as Fractions otherwise.  It supports what the identity closures use of
-# Vector: +, -, negation and is_zero.  Denominators are never cleared by
+# Vector: +, -, negation, scaled and is_zero.  A residue coordinate may also
+# be any value closed under +, -, * and % p, as the polynomials of an
+# operator search (operators._Poly) are.  Denominators are never cleared by
 # rescaling: alpha(xy) - alpha(x) alpha(y) is not homogeneous in the twist,
 # so a rescaled twist could pass where the true one fails.
 
@@ -492,6 +484,11 @@ class _TableVector(tuple):
 
     def __neg__(self):
         return _TableVector(map(operator.neg, self))
+
+    def scaled(self, s):
+        """The vector times the field scalar s."""
+        s = _plain(s)
+        return self.of([s * a for a in self])
 
     def is_zero(self) -> bool:
         return not any(self)
@@ -526,6 +523,22 @@ def _residue_vector(p: int):
 
 def _table_vector_type(field: Field) -> type:
     return _residue_vector(field.p) if field.char else _TableVector
+
+
+def _column_applier(cols, codomain: SuperSpace):
+    """The applier of a linear map on table vectors into codomain, column j
+    listing (i, entry) for the nonzero entries of the image of basis j."""
+    n, make = codomain.dim, _table_vector_type(codomain.field).of
+
+    def apply(x):
+        acc = [0] * n
+        for j, xv in enumerate(x):
+            if xv:
+                for i, m in cols[j]:
+                    acc[i] += m * xv
+        return make(acc)
+
+    return apply
 
 
 def _plain(v):

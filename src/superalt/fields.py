@@ -7,6 +7,7 @@ own field.  Cross-field arithmetic raises TypeError, never coerces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -16,16 +17,27 @@ class FieldError(ValueError):
     pass
 
 
+# The exponent of a decimal literal, as fractions.Fraction reads it; a longer
+# one than four digits would have Fraction build a power of ten without bound.
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+# Miller-Rabin on these bases is exact for every n below the bound: the
+# bound is the least strong pseudoprime to all of them.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; n must lie below PRIME_BOUND."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -149,12 +161,16 @@ class RationalField:
     def from_json(self, v, strict: bool = True):
         """Decode a JSON scalar.  Returns (value, warning-or-None)."""
         if isinstance(v, str):
+            exponent = _EXPONENT.search(v)
+            if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
+                raise FieldError(f"rational literal {v[:40]!r}: exponent beyond four digits")
             try:
                 q = Fraction(v)
+                canonical = str(q)  # ValueError past the interpreter's digit limit
             except (ValueError, ZeroDivisionError) as e:
                 raise FieldError(f"bad rational literal {v!r}: {e}") from None
-            if str(q) != v:
-                msg = f"rational {v!r} not in canonical form (want {str(q)!r})"
+            if canonical != v:
+                msg = f"rational {v!r} not in canonical form (want {canonical!r})"
                 if strict:
                     raise FieldError(msg)
                 return q, msg
@@ -179,6 +195,8 @@ class PrimeField:
     def __post_init__(self):
         if self.p == 2:
             raise FieldError("characteristic 2 is not supported")
+        if self.p >= PRIME_BOUND:
+            raise FieldError(f"characteristic too large: at most {PRIME_BOUND - 1} is supported")
         if not _is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
 

@@ -340,6 +340,10 @@ def _parse(text, strict, base_dir, kinds):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError([f"line {e.lineno} col {e.colno}: {e.msg}"])
+    except RecursionError:
+        raise DocumentError(["JSON nested too deeply to read"]) from None
+    except ValueError as e:  # an integer literal beyond the interpreter's digit limit
+        raise DocumentError([f"unreadable JSON: {e}"]) from None
     if not isinstance(doc, dict):
         raise DocumentError(["top level: expected an object"])
     kind = doc.get("kind")
@@ -376,8 +380,8 @@ def _load(path, strict, kinds):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
-        raise DocumentError([f"{path}: {e.strerror or e}"])
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path, or not UTF-8
+        raise DocumentError([f"{path}: {getattr(e, 'strerror', None) or e}"])
     try:
         return _parse(text, strict, os.path.dirname(path) or ".", kinds)
     except DocumentError as e:

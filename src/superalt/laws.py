@@ -110,17 +110,15 @@ def _require(op: str, report: "LawReport"):
 
 
 # Binders.  Each identity closure is written once, over appliers that a
-# binder makes from the tensors and maps it reads.  The reference binder
-# evaluates on Vectors through EvenBilinear.apply and EvenMap.apply; the
-# table binder of a check evaluates on table vectors (see core._TableVector)
-# with appliers read from the sparse tables and memoised for that check; the
-# polynomial binder of an operator search (below) evaluates on vectors of
-# polynomials in the entries of the unknown map.
+# binder makes from the tensors and maps it reads.  Every check scans on a
+# table binder: table vectors (see core._TableVector) with appliers read from
+# the sparse tables and memoised for that check.  The reference binder evaluates on Vectors through EvenBilinear.apply and
+# EvenMap.apply; it recomputes the residual at every hit.  An operator search
+# binds on an F_p table binder too, unmemoised, whose coordinates are
+# polynomials in the entries of an unknown map (see operators._Polynomials).
 
 
 class _Reference:
-    build_s = 0.0
-
     def __call__(self, t):
         return t.apply
 
@@ -133,8 +131,8 @@ class _Reference:
         return _basis_points(space)
 
     @staticmethod
-    def memo_entries() -> int:
-        return 0
+    def lift(v: Vector) -> Vector:
+        return v
 
 
 REFERENCE = _Reference()
@@ -161,6 +159,10 @@ class _Tables:
             for i in space.indices()
         )
 
+    def lift(self, v: Vector):
+        """The table vector of v."""
+        return self.vector.of([_plain(c) for c in v.coords])
+
     def memoised(self, fn):
         """fn memoised on its arguments for the life of the check."""
         memo = {}
@@ -176,148 +178,10 @@ class _Tables:
 
         return f
 
-    def memo_entries(self) -> int:
-        return sum(map(len, self.memos))
-
 
 # Beyond this many entries a memo stops growing: its keys are intermediate
 # vectors, and on a dense instance nearly every one is new.
 MEMO_LIMIT = 1 << 13
-
-
-# The polynomial binder.  Its vectors hold, per coordinate, a sparse
-# polynomial over F_p: a dict {monomial: coefficient}, where a monomial is the
-# sorted tuple of its variables (repeated for powers) and every coefficient
-# lies in [1, p).  The variables are the free entries of one unknown even
-# map; every other tensor and twist stays a constant.  One evaluation of an
-# identity closure on basis points so gives each residual coordinate as a
-# polynomial in the entries of the map.
-
-
-class _FreeMap:
-    """An even map domain -> codomain whose entries at the free positions are
-    the unknowns x_0, x_1, ... in the order given; every other entry is 0."""
-
-    __slots__ = ("domain", "codomain", "free")
-
-    def __init__(self, domain: SuperSpace, codomain: SuperSpace, free):
-        self.domain = domain
-        self.codomain = codomain
-        self.free = tuple(free)
-
-
-def _poly_add_into(acc: dict, poly: dict, scale: int):
-    for m, c in poly.items():
-        acc[m] = acc.get(m, 0) + scale * c
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    """The product of two polynomials, coefficients not yet reduced."""
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(sorted(ma + mb)) if ma and mb else ma or mb
-            out[m] = out.get(m, 0) + ca * cb
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _polynomial_vector(p: int):
-    def reduced(acc):
-        return {m: c % p for m, c in acc.items() if c % p}
-
-    class PolynomialVector(tuple):
-        """A vector whose coordinates are polynomials over F_p."""
-
-        __slots__ = ()
-
-        @classmethod
-        def of(cls, accs):
-            """The vector of the given unreduced coefficient dicts."""
-            return cls(map(reduced, accs))
-
-        def _plus(self, other, scale):
-            out = []
-            for a, b in zip(self, other):
-                if b:
-                    acc = dict(a)
-                    _poly_add_into(acc, b, scale)
-                    a = reduced(acc)
-                out.append(a)
-            return PolynomialVector(out)
-
-        def __add__(self, other):
-            return self._plus(other, 1)
-
-        def __sub__(self, other):
-            return self._plus(other, -1)
-
-        def __neg__(self):
-            return self.scaled(-1)
-
-        def scaled(self, s):
-            s = getattr(s, "val", s)
-            return PolynomialVector(reduced({m: s * c for m, c in a.items()}) for a in self)
-
-    return PolynomialVector
-
-
-class _Polynomials:
-    def __init__(self, unknown: _FreeMap):
-        self.unknown = unknown
-        self.vector = _polynomial_vector(unknown.domain.field.p)
-
-    def __call__(self, t):
-        if t is self.unknown:
-            cols = [[] for _ in t.domain.indices()]
-            for var, (i, j) in enumerate(t.free):
-                cols[j].append((i, {(var,): 1}))
-            return self._linear(cols, t.codomain.dim)
-        if isinstance(t, EvenMap):
-            cols = [
-                [(i, {(): _plain(row[j])}) for i, row in enumerate(t.entries) if row[j]]
-                for j in t.domain.indices()
-            ]
-            return self._linear(cols, t.codomain.dim)
-        return self._bilinear(t)
-
-    def points(self, space: SuperSpace):
-        return tuple(
-            (self.vector({(): 1} if j == i else {} for j in space.indices()), space.parity(i))
-            for i in space.indices()
-        )
-
-    def _linear(self, cols, n):
-        make = self.vector.of
-
-        def apply(x):
-            acc = [{} for _ in range(n)]
-            for xj, col in zip(x, cols):
-                if xj:
-                    for i, e in col:
-                        _poly_add_into(acc[i], _poly_mul(e, xj), 1)
-            return make(acc)
-
-        return apply
-
-    def _bilinear(self, t: EvenBilinear):
-        rows = [[[] for _ in t.right.indices()] for _ in t.left.indices()]
-        for i, j, k, c in t.sparse_entries():
-            rows[i][j].append((k, _plain(c)))
-        n, make = t.out.dim, self.vector.of
-
-        def apply(x, y):
-            acc = [{} for _ in range(n)]
-            for xi, row in zip(x, rows):
-                if xi:
-                    for yj, cell in zip(y, row):
-                        if yj and cell:
-                            s = _poly_mul(xi, yj)
-                            for k, c in cell:
-                                _poly_add_into(acc[k], s, c)
-            return make(acc)
-
-        return apply
 
 
 def signed(v: Vector, exponent: int) -> Vector:
@@ -586,14 +450,14 @@ def _group_identities(identities):
     return groups
 
 
-def _law_groups(space: SuperSpace, identities, bind=REFERENCE):
+def _law_groups(space: SuperSpace, identities, bind):
     """Scan groups of a law's identities: one per run of equal-arity
     identities, each over the basis of the space."""
     points = bind.points(space)
     return [([points] * arity, idfns) for arity, idfns in _group_identities(identities)]
 
 
-def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str, bind=REFERENCE):
+def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str, bind):
     """f(x src y) - f(x) dst f(y) on basis pairs of f's domain."""
     F, s, d = bind(f), bind(src), bind(dst)
     points = bind.points(f.domain)
@@ -605,7 +469,7 @@ def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str
     return [points, points], [(name, preserves)]
 
 
-def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str, bind=REFERENCE):
+def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str, bind):
     """f(src x) - dst(f x) on basis vectors of f's domain."""
     F, s, d = bind(f), bind(src), bind(dst)
 
@@ -632,41 +496,39 @@ def _scan_range(slots, idfns, start, stop):
 _log = logging.getLogger("superalt")
 
 
-def _run_groups(law, groups, jobs=1, extra=None, tables=None) -> LawReport:
-    """Run scan groups in order, returning a LawReport.
+def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
+    """Scan, in order, the groups that build(tables) lists on the table
+    binder tables, returning a LawReport.
 
-    tables, when given, is (binder, groups bound to it) for the same
-    identities: those groups do the scanning, and at a hit the reference
-    closure recomputes the reported residual at the witness, which must
-    agree with the scanned one."""
-    binder, scanned = tables or (REFERENCE, groups)
+    At a hit the group build(REFERENCE) lists in the same place recomputes
+    the residual at the witness, which must agree with the scanned one."""
+    groups = build(tables)
     debug = _log.isEnabledFor(logging.DEBUG)
     checked_before = 0
-    for g, ((slots, idfns), (scan_slots, scan_idfns)) in enumerate(zip(groups, scanned), 1):
+    for g, (slots, idfns) in enumerate(groups, 1):
         total = math.prod(len(slot) for slot in slots)
         start = time.perf_counter() if debug else 0.0
-        hit = _scan_parallel(scan_slots, scan_idfns, total, jobs)
+        hit = _scan_parallel(slots, idfns, total, jobs)
         if debug:
             _log.debug(
                 "%s group %d/%d: %d tuples scanned in %.6f s; tables built in %.6f s; "
                 "%d memo entries", law, g, len(groups), total if hit is None else hit[0] + 1,
-                time.perf_counter() - start, binder.build_s, binder.memo_entries(),
+                time.perf_counter() - start, tables.build_s, sum(map(len, tables.memos)),
             )
         if hit is not None:
-            flat, at, scanned_residual = hit
+            flat, at, scanned = hit
             witness, rem = [], flat
             for slot in reversed(slots):
                 rem, i = divmod(rem, len(slot))
                 witness.insert(0, i)
-            name, fn = idfns[at]
-            residual = scanned_residual
-            if tables:
-                residual = fn(tuple(slot[i] for slot, i in zip(slots, witness))).coords
-                if residual != scanned_residual:
-                    raise RuntimeError(
-                        f"{law}: {name} at {tuple(witness)} scans to {scanned_residual}, "
-                        f"but the reference gives {residual}"
-                    )
+            ref_slots, ref_idfns = build(REFERENCE)[g - 1]
+            name, fn = ref_idfns[at]
+            residual = fn(tuple(slot[i] for slot, i in zip(ref_slots, witness))).coords
+            if residual != scanned:
+                raise RuntimeError(
+                    f"{law}: {name} at {tuple(witness)} scans to {scanned}, "
+                    f"but the reference gives {residual}"
+                )
             return LawReport(
                 law=law,
                 passed=False,
@@ -681,10 +543,9 @@ def _run_groups(law, groups, jobs=1, extra=None, tables=None) -> LawReport:
     return LawReport(law=law, passed=True, checked=checked_before, extra=dict(extra or {}))
 
 
-def _table_run(law, build, tables, jobs=1, extra=None) -> LawReport:
-    """_run_groups on the groups that build(binder) lists, scanned on the
-    table binder tables and recomputed at a hit through REFERENCE."""
-    return _run_groups(law, build(REFERENCE), jobs, extra, (tables, build(tables)))
+# The smallest scan group worth a fork pool: through the CLI on 2 cores, two
+# workers and one broke even on a hom-alternative check near 8000 triples.
+POOL_MIN_TUPLES = 8192
 
 
 def _scan_parallel(slots, idfns, total, jobs):
@@ -694,7 +555,7 @@ def _scan_parallel(slots, idfns, total, jobs):
     initializer's arguments, so its closures are never pickled; a task
     carries only its (start, stop) range.  At most one worker per chunk and
     per CPU is started, whatever jobs asks for."""
-    if jobs <= 1 or total < 4096:
+    if jobs <= 1 or total < POOL_MIN_TUPLES:
         return _scan_range(slots, idfns, 0, total)
     nchunks = min(jobs * 4, max(1, total // 1024))
     workers = min(jobs, nchunks, os.cpu_count() or 1)
@@ -708,8 +569,12 @@ def _scan_parallel(slots, idfns, total, jobs):
         return _scan_range(slots, idfns, 0, total)
     bounds = [(total * c // nchunks, total * (c + 1) // nchunks) for c in range(nchunks)]
     with ctx.Pool(workers, initializer=_adopt_group, initargs=(slots, idfns)) as pool:
-        results = pool.starmap(_scan_chunk, bounds)
-    return next((hit for hit in results if hit is not None), None)
+        # results come in chunk order, so the first hit is the group's first;
+        # leaving the block terminates the workers still on later chunks
+        for hit in pool.imap(_scan_chunk, bounds):
+            if hit is not None:
+                return hit
+    return None
 
 
 _group = None  # a pool worker's scan group; set only inside workers, by _adopt_group
@@ -720,15 +585,15 @@ def _adopt_group(slots, idfns):
     _group = slots, idfns
 
 
-def _scan_chunk(start, stop):
-    return _scan_range(*_group, start, stop)
+def _scan_chunk(bounds):
+    return _scan_range(*_group, *bounds)
 
 
 def _check_law(instance, law, jordan_cycle, jobs, extra, tables) -> LawReport:
     def build(bind):
         return _law_groups(instance.space, _identities(instance, law, jordan_cycle, bind), bind)
 
-    return _table_run(law, build, tables, jobs, extra)
+    return _run_groups(law, build, tables, jobs, extra)
 
 
 def check_product_law(
@@ -778,10 +643,14 @@ def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:
         raise ValidationError(["morphism endpoints must be the same kind of instance"])
     if f.domain != src.space or f.codomain != dst.space:
         raise ValidationError(["map endpoints do not match the instances"])
-    return _run_groups("weak-morphism" if weak else "morphism", _morphism_groups(f, src, dst, weak))
+    return _run_groups(
+        "weak-morphism" if weak else "morphism",
+        lambda bind: _morphism_groups(f, src, dst, weak, bind),
+        _Tables(f.domain.field),
+    )
 
 
-def _morphism_groups(f, src, dst, weak: bool, bind=REFERENCE):
+def _morphism_groups(f, src, dst, weak: bool, bind):
     """The scan groups of check_morphism."""
     if isinstance(src, HomAlgebra):
         pairs = [("mu", src.mu, dst.mu)]

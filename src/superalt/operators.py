@@ -36,25 +36,23 @@ from .core import (
     SuperSpace,
     ValidationError,
     Vector,
+    _column_applier,
     independent_columns,
     nullspace,
     solve_in_span,
 )
 from .fields import PrimeField
 from .laws import (
-    REFERENCE,
     HomAlgebra,
     HomPreAlgebra,
     HypothesisError,
     LawReport,
-    _basis_points,
-    _FreeMap,
     _intertwining_group,
     _morphism_groups,
-    _Polynomials,
     _preserves_group,
     _require,
     _run_groups,
+    _Tables,
 )
 
 if TYPE_CHECKING:  # only for annotations; bimodules imports this module
@@ -132,10 +130,14 @@ def check_operator(spec: OperatorSpec, a) -> LawReport:
     if spec.kind == "o-operator":
         return check_o_operator(spec.map, spec.bimodule)
     w = a.space.field.coerce(spec.weight) if spec.kind == "rota-baxter" else None
-    return _run_groups(spec.kind, _operator_groups(spec.kind, a, spec.map, w))
+    return _run_groups(
+        spec.kind,
+        lambda bind: _operator_groups(spec.kind, a, spec.map, w, bind),
+        _Tables(a.space.field),
+    )
 
 
-def _operator_groups(kind: str, a, m, w, bind=REFERENCE):
+def _operator_groups(kind: str, a, m, w, bind):
     """The scan groups of check_operator for a self-map kind, with m bound by bind."""
     if kind != "endomorphism" and not isinstance(a, HomAlgebra):
         raise ValidationError([f"{kind} operators are checked on a single-product instance"])
@@ -164,10 +166,12 @@ def _o_operator_equation(mu, L, R, T, u, v):
 def check_o_operator(t: EvenMap, m: "AltBimodule") -> LawReport:
     """T(u) o T(v) = T(L(T u) v + R(T v) u) on basis pairs of V, plus
     T beta = alpha T."""
-    return _run_groups("o-operator", _o_operator_groups(t, m))
+    return _run_groups(
+        "o-operator", lambda bind: _o_operator_groups(t, m, bind), _Tables(t.domain.field)
+    )
 
 
-def _o_operator_groups(t, m: "AltBimodule", bind=REFERENCE):
+def _o_operator_groups(t, m: "AltBimodule", bind):
     """The scan groups of check_o_operator, with t bound by bind."""
     a = m.base
     if t.domain != m.module or t.codomain != a.space:
@@ -215,22 +219,24 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
 
     # kernel absorbance: the products descend along T exactly when the
     # kernel is absorbed in the slot the product reads directly
-    T = t.apply
-    prec, succ = pre.prec.apply, pre.succ.apply
+    kernel = nullspace(t)
 
-    def absorbed_by_prec(pts):
-        (k, _), (v, _) = pts
-        return T(prec(k, v))
+    def absorbance(bind):
+        T, prec, succ = bind(t), bind(pre.prec), bind(pre.succ)
 
-    def absorbed_by_succ(pts):
-        (k, _), (v, _) = pts
-        return T(succ(v, k))
+        def absorbed_by_prec(pts):
+            (k, _), (v, _) = pts
+            return T(prec(k, v))
 
-    kernel = [(k, k.parity()) for k in nullspace(t)]
-    absorbance = [("kernel-absorbance", absorbed_by_prec), ("kernel-absorbance", absorbed_by_succ)]
-    independence = _run_groups(
-        "representation-independence", [([kernel, _basis_points(V)], absorbance)]
-    )
+        def absorbed_by_succ(pts):
+            (k, _), (v, _) = pts
+            return T(succ(v, k))
+
+        points = [(bind.lift(k), k.parity()) for k in kernel]
+        idfns = [("kernel-absorbance", absorbed_by_prec), ("kernel-absorbance", absorbed_by_succ)]
+        return [([points, bind.points(V)], idfns)]
+
+    independence = _run_groups("representation-independence", absorbance, _Tables(field))
     # each tuple evaluates two products, k prec v and v succ k; the report counts products
     independence.checked *= 2
     _require("o_induced", independence)
@@ -262,7 +268,7 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
     for ai, ci in enumerate(cols):
         for bj, cj in enumerate(cols):
             for entries, product in ((img_prec, pre.prec), (img_succ, pre.succ)):
-                sol = express(T(product.pair_of_basis(ci, cj)))
+                sol = express(t.apply(product.pair_of_basis(ci, cj)))
                 entries += [(ai, bj, k, v) for k, v in enumerate(sol)]
     r = len(cols)
     alpha_rows = [[field.zero] * r for _ in range(r)]
@@ -281,10 +287,11 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
     # with alpha; verified, not assumed
     morphism = _run_groups(
         "morphism",
-        [
-            _preserves_group(t, pre.circ(), a.mu, "preserves-circ"),
-            _intertwining_group(t, m.beta, a.alpha, "intertwines-twist"),
+        lambda bind: [
+            _preserves_group(t, pre.circ(), a.mu, "preserves-circ", bind),
+            _intertwining_group(t, m.beta, a.alpha, "intertwines-twist", bind),
         ],
+        _Tables(field),
     )
     return OInduced(
         pre=pre,
@@ -376,13 +383,15 @@ def search_operators(
     the budget covered the whole space.  The search is depth-first over the
     digits, most significant first.  Every residual coordinate of the
     operator equations on basis pairs is bound once as a polynomial in the
-    map entries, and tested as soon as its last entry is fixed; a subtree on
-    which one fails is skipped, and all of its candidates below the budget
-    count as checked.  So found holds exactly the maps passing check_operator
-    (check_o_operator for o-operators), in counter order, and each of them is
-    checked again there.  With signed_perms the candidates are the signed
-    permutation maps instead, each checked in turn.  Rational instances are
-    refused: their operator spaces are infinite."""
+    map entries, by the table appliers on polynomial coordinates, and tested
+    as soon as its last entry is fixed; a subtree on which one fails is
+    skipped, and all of its candidates below the budget count as checked.
+    So found holds exactly the maps passing check_operator (check_o_operator
+    for o-operators), in counter order, and each of them is checked again
+    there, on its own tables; a disagreement raises RuntimeError.  With
+    signed_perms the candidates are the signed permutation maps instead, each
+    checked in turn.  Rational instances are refused: their operator spaces
+    are infinite."""
     field = a.space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["operator search requires an F_p instance"])
@@ -394,7 +403,7 @@ def search_operators(
         raise ValidationError(["o-operator search needs the bimodule"])
     w = field.coerce(weight) if kind == "rota-baxter" else None
 
-    def reference(candidate):
+    def check(candidate):
         if kind == "o-operator":
             return check_o_operator(candidate, bimodule)
         return check_operator(OperatorSpec(kind, candidate, weight=w), a)
@@ -411,7 +420,7 @@ def search_operators(
             if budget is not None and checked >= budget:
                 return SearchResult(kind, found, checked, False, space_size)
             checked += 1
-            if reference(candidate).passed:
+            if check(candidate).passed:
                 found.append(candidate)
         return SearchResult(kind, found, checked, True, space_size)
 
@@ -426,7 +435,7 @@ def search_operators(
         live += 1
     start = time.perf_counter()
     unknown = _FreeMap(domain, a.space, positions[n - live:])
-    binder = _Polynomials(unknown)
+    binder = _Polynomials(field)
     if kind == "o-operator":
         groups = _o_operator_groups(unknown, bimodule, binder)
     else:
@@ -444,11 +453,11 @@ def search_operators(
             if d:
                 rows[i][j] = field.scalar(d)
         candidate = EvenMap(domain, a.space, rows)
-        rep = reference(candidate)
+        rep = check(candidate)
         if not rep.passed:
             raise RuntimeError(
-                f"{kind}: map {candidate.entries} survives the pruned search, but the "
-                f"reference check fails with {rep.identity} at {rep.witness}"
+                f"{kind}: map {candidate.entries} survives the pruned search, but its "
+                f"check fails with {rep.identity} at {rep.witness}"
             )
         found.append(candidate)
     _log.debug(
@@ -459,6 +468,84 @@ def search_operators(
     )
     checked = stats.disposed + len(found)
     return SearchResult(kind, found, checked, limit == space_size, space_size)
+
+
+# The polynomial binder of a search.  It is an F_p table binder whose
+# coordinates are ints (constants) or _Poly values: polynomials over F_p in
+# the free entries x_0, x_1, ... of one unknown even map.  Every product and
+# twist is applied by its own table applier; only the unknown map's columns
+# hold variables.  One evaluation of the operator equations on basis points so
+# gives each residual coordinate as a polynomial in the entries of the map.
+
+
+class _Poly(dict):
+    """A polynomial {monomial: coefficient}, a monomial being the sorted tuple
+    of its variables (repeated for powers).  Coefficients are reduced by % p
+    alone, which also drops the vanishing terms."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def terms(c):
+        """The (monomial, coefficient) terms of a _Poly or an int."""
+        return c.items() if isinstance(c, _Poly) else [((), c)] if c else []
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for m, c in _Poly.terms(other):
+            out[m] = out.get(m, 0) + c
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly({m: -c for m, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = _Poly()
+        for ma, ca in self.items():
+            for mb, cb in _Poly.terms(other):
+                m = tuple(sorted(ma + mb)) if ma and mb else ma or mb
+                out[m] = out.get(m, 0) + ca * cb
+        return out
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p):
+        return _Poly({m: c % p for m, c in self.items() if c % p})
+
+
+class _FreeMap:
+    """An even map domain -> codomain whose entries at the free positions are
+    the unknowns x_0, x_1, ... in the order given; every other entry is 0."""
+
+    __slots__ = ("domain", "codomain", "free")
+
+    def __init__(self, domain: SuperSpace, codomain: SuperSpace, free):
+        self.domain = domain
+        self.codomain = codomain
+        self.free = tuple(free)
+
+    def _table_applier(self):
+        cols = [[] for _ in self.domain.indices()]
+        for var, (i, j) in enumerate(self.free):
+            cols[j].append((i, _Poly({(var,): 1})))
+        return _column_applier(cols, self.codomain)
+
+
+class _Polynomials(_Tables):
+    """The table binder of a search.  Nothing is memoised: a _Poly, being a
+    dict, has no hash."""
+
+    @staticmethod
+    def memoised(fn):
+        return fn
 
 
 def _file_polynomials(groups, nvars: int, p: int) -> list:
@@ -473,7 +560,7 @@ def _file_polynomials(groups, nvars: int, p: int) -> list:
             for _, fn in idfns:
                 for poly in fn(pts):
                     if poly:
-                        terms = sorted(poly.items())
+                        terms = sorted(_Poly.terms(poly))
                         inv = pow(terms[0][1], p - 2, p)
                         last = max((mono[-1] for mono, _ in terms if mono), default=-1)
                         by_var[last].add(tuple((c * inv % p, mono) for mono, c in terms))

@@ -325,3 +325,32 @@ def test_help_lists_all_verbs(capsys):
                  "check-operator", "search", "corpus", "calibrate-jordan",
                  "calibrate-prebimodule"):
         assert verb in out
+
+
+def test_deeply_nested_document_is_a_document_error(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    code, out, err = run(capsys, "check", str(tmp_path / "deep.json"), "--law", "hom-alternative")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "nested" in line
+
+
+def test_a_large_prime_is_decided_at_once(tmp_path, capsys):
+    doc = {"kind": "algebra", "scalars": {"Fp": 2**61 - 1}, "dims": [1, 0], "product": [],
+           "twist": [[1]]}
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "check", str(tmp_path / "big.json"), "--law", "hom-associative")
+    assert code == 0 and "PASS" in out
+    code, out, err = run(capsys, "corpus", "p3", "--prime", str(2**89 - 1),
+                         "--out", str(tmp_path / "p.json"))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "too large" in line
+
+
+def test_a_weight_with_a_huge_exponent_is_a_usage_error(workdir, capsys):
+    code, out, err = run(capsys, "check-operator", str(workdir / "p3.json"), "--map",
+                         str(workdir / "R.json"), "--kind", "rota-baxter", "--weight", "1e999999999")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "1e999999999" in line

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,48 @@ def test_prime_field_rejects_composites(n):
 def test_prime_field_accepts_odd_primes():
     for p in (3, 5, 7, 11, 97):
         assert PrimeField(p).char == p
+
+
+# Carmichael numbers, and strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+PSEUDOPRIMES = [561, 1105, 1729, 2047, 3215031751, 3825123056546413051,
+                318665857834031151167461]
+# deterministic Miller-Rabin on the first 13 prime bases is exact below this
+MR_BOUND = 3317044064679887385961981
+
+
+def decided_within_a_second(n):
+    start = time.perf_counter()
+    try:
+        return PrimeField(n).char == n
+    except FieldError as e:
+        return str(e)
+    finally:
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES + [(2**61 - 1) * (2**19 - 1), (10**12 + 39) ** 2])
+def test_prime_field_rejects_large_composites_at_once(n):
+    assert decided_within_a_second(n) == f"{n} is not prime"
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 10**18 + 9, 2**64 - 59,
+                               3317044064679887385961813])
+def test_prime_field_accepts_large_primes_at_once(p):
+    assert decided_within_a_second(p) is True
+
+
+@pytest.mark.parametrize("n", [MR_BOUND, 2**89 - 1, 10**4000])
+def test_prime_field_refuses_what_it_cannot_decide_exactly(n):
+    assert "too large" in decided_within_a_second(n)
+
+
+@given(st.integers(min_value=3, max_value=20000))
+def test_primality_agrees_with_trial_division(n):
+    if all(n % d for d in range(2, int(n**0.5) + 1)):
+        assert PrimeField(n).char == n
+    else:
+        with pytest.raises(FieldError):
+            PrimeField(n)
 
 
 def test_fp_normalization():

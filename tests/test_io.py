@@ -224,3 +224,10 @@ def test_dims_are_capped_before_allocation():
     doc = {"kind": "algebra", "scalars": "Q", "dims": [n, 1], "product": [], "twist": []}
     with pytest.raises(DocumentError, match=f"dims: n0 \\+ n1 = {n + 1} exceeds the cap"):
         sio.parse_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("opening,closing", [("[", ""), ('{"a": ', ""), ("[", "]")],
+                         ids=["open-lists", "open-objects", "closed-lists"])
+def test_deeply_nested_json_is_a_document_error(opening, closing):
+    with pytest.raises(DocumentError, match="nested"):
+        sio.parse_text(opening * 100000 + closing * 100000)

@@ -26,6 +26,7 @@ from superalt import (
     pre_associator,
     signed,
     tensor_alt,
+    truncpoly,
 )
 from conftest import rand_homogeneous
 
@@ -171,17 +172,17 @@ def test_morphism_requires_matching_kinds(p3, pre3):
 
 
 def test_parallel_scan_agrees_with_serial(oct):
-    big = tensor_alt(grassmann1(), oct)
+    big = tensor_alt(truncpoly(3), oct)  # 24^3 triples: past laws.POOL_MIN_TUPLES
     serial = check_product_law(big, "hom-alternative", jobs=1)
     parallel = check_product_law(big, "hom-alternative", jobs=2)
     assert serial.passed and parallel.passed
-    assert serial.checked == parallel.checked == 4096
+    assert serial.checked == parallel.checked == 13824
 
 
 def test_parallel_scan_reports_the_same_witness(oct):
     from superalt import perturb_product
 
-    big = perturb_product(tensor_alt(grassmann1(), oct), (1, 2, 3), Fraction(1))
+    big = perturb_product(tensor_alt(truncpoly(3), oct), (1, 2, 3), Fraction(1))
     serial = check_product_law(big, "hom-alternative", jobs=1)
     parallel = check_product_law(big, "hom-alternative", jobs=2)
     assert not serial.passed and not parallel.passed
@@ -203,8 +204,8 @@ def test_parallel_scan_without_fork_runs_serially(monkeypatch):
             raise ValueError("cannot find context for 'fork'")
         return get_context(method)
 
-    a = zero(8, 8, PrimeField(3))  # 16^3 = 4096 triples, the smallest forked group
-    for inst in (a, perturb_product(a, (9, 4, 9), 1)):
+    a = zero(10, 11, PrimeField(3))  # 21^3 = 9261 triples: past laws.POOL_MIN_TUPLES
+    for inst in (a, perturb_product(a, (11, 4, 11), 1)):
         serial = check_product_law(inst, "hom-alternative", jobs=1)
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         assert check_product_law(inst, "hom-alternative", jobs=2) == serial

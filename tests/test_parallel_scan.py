@@ -1,10 +1,11 @@
 """Forked scans (jobs=2) against serial scans (jobs=1).
 
-The pool starts only for scan groups of at least 4096 tuples, so every
-instance here has a 16-dimensional space: 16^3 triples.  Zero products over
-F_3 keep each tuple as cheap as it gets at that size.  Each perturbation
-first fails just past the first of the four 1024-tuple chunks, so the chunk
-order decides the reported witness.
+The pool starts only for scan groups of at least laws.POOL_MIN_TUPLES = 8192
+tuples, so every instance here has a 21-dimensional space: 21^3 = 9261
+triples.  Zero products over F_3 keep each tuple as cheap as it gets at that
+size.  Two workers split a group into eight chunks of about 1158 tuples;
+each perturbation first fails at a triple (3, ., .) just past the first
+chunk, so the chunk order decides the reported witness.
 """
 
 import multiprocessing
@@ -33,10 +34,13 @@ from superalt import (
 F3 = PrimeField(3)
 
 
+TRIPLES, CHUNK = 21**3, 21**3 // 8
+
+
 def zero_pre():
-    s = SuperSpace(F3, 8, 8)
+    s = SuperSpace(F3, 10, 11)
     z = EvenBilinear.zero(s, s, s)
-    return HomPreAlgebra(z, z, EvenMap.identity(s), name="zero-pre(8,8)")
+    return HomPreAlgebra(z, z, EvenMap.identity(s), name="zero-pre(10,11)")
 
 
 def serial_and_parallel(check, *args):
@@ -48,38 +52,39 @@ def serial_and_parallel(check, *args):
 def test_parallel_pre_law_matches_serial():
     p = zero_pre()
     rep = serial_and_parallel(check_pre_law, p, "hom-prealternative")
-    assert rep.passed and rep.checked == 4096
-    bad = perturb_pre(p, "prec", (8, 4, 8), 1)
+    assert rep.passed and rep.checked == TRIPLES
+    bad = perturb_pre(p, "prec", (10, 3, 10), 1)
     rep = serial_and_parallel(check_pre_law, bad, "hom-prealternative")
-    assert not rep.passed and rep.checked > 1024
+    assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
 def test_parallel_alt_bimodule_matches_serial():
-    m = regular_bimodule(zero(8, 8, F3))
+    m = regular_bimodule(zero(10, 11, F3))
     rep = serial_and_parallel(check_alt_bimodule, m)
-    assert rep.passed and rep.checked == 4096
-    bad = AltBimodule(m.base, m.beta, perturb_bilinear(m.lsucc, (4, 9, 9), 1), m.rprec)
+    assert rep.passed and rep.checked == TRIPLES
+    bad = AltBimodule(m.base, m.beta, perturb_bilinear(m.lsucc, (3, 11, 11), 1), m.rprec)
     rep = serial_and_parallel(check_alt_bimodule, bad)
-    assert not rep.passed and rep.checked > 1024
+    assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
 def test_parallel_pre_bimodule_matches_serial():
     m = regular_bimodule(zero_pre())
     rep = serial_and_parallel(check_pre_bimodule, m)
-    assert rep.passed and rep.checked == 4096
+    assert rep.passed and rep.checked == TRIPLES
     bad = PreBimodule(
-        m.base, m.beta, perturb_bilinear(m.lprec, (4, 9, 9), 1), m.rprec, m.lsucc, m.rsucc
+        m.base, m.beta, perturb_bilinear(m.lprec, (3, 11, 11), 1), m.rprec, m.lsucc, m.rsucc
     )
     rep = serial_and_parallel(check_pre_bimodule, bad)
-    assert not rep.passed and rep.checked > 1024
+    assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
-@pytest.mark.parametrize("cpus,jobs,started", [(3, 1000, [3]), (64, 1000, [4]), (1, 1000, []),
+@pytest.mark.parametrize("cpus,jobs,started", [(3, 1000, [3]), (64, 1000, [9]), (1, 1000, []),
                                                (8, 2, [2])])
 def test_pool_size_is_bounded_by_jobs_chunks_and_cpus(monkeypatch, cpus, jobs, started):
-    """A 4096-tuple group splits into 4 chunks; the pool is faked, so no
-    process starts, and the chunks run here in order."""
-    pools = []
+    """A 9261-tuple group splits into at most 9 chunks; the pool is faked, so
+    no process starts, and the chunks run here in order.  No chunk past the
+    one holding the first failure is waited for."""
+    pools, ran = [], []
 
     class Pool:
         def __init__(self, processes, initializer, initargs):
@@ -92,8 +97,10 @@ def test_pool_size_is_bounded_by_jobs_chunks_and_cpus(monkeypatch, cpus, jobs, s
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, args):
-            return [fn(*a) for a in args]
+        def imap(self, fn, args):
+            for a in args:
+                ran.append(a)
+                yield fn(a)
 
     class Context:
         pass
@@ -102,7 +109,10 @@ def test_pool_size_is_bounded_by_jobs_chunks_and_cpus(monkeypatch, cpus, jobs, s
     monkeypatch.setattr(laws, "_group", None)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
-    bad = perturb_pre(zero_pre(), "prec", (8, 4, 8), 1)
+    bad = perturb_pre(zero_pre(), "prec", (10, 3, 10), 1)
     rep = check_pre_law(bad, "hom-prealternative", jobs=jobs)
     assert pools == started
     assert rep == check_pre_law(bad, "hom-prealternative", jobs=1)
+    if started:
+        assert ran[0][0] == 0 and all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
+        assert ran[-1][0] < rep.checked <= ran[-1][1]

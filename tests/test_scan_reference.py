@@ -3,13 +3,15 @@ nested-loop references.
 
 Each reference below walks basis tuples with explicit nested loops in scan
 order, counts every tuple it evaluates and stops at the first nonzero
-residual.  The package's checks must return the same LawReport, field for
-field, on random small instances over Q and F_p, failing ones included.
+residual.  The package's checks, which scan on compiled tables, must return
+the same LawReport, field for field, on random small instances over Q and
+F_p, failing ones included.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,3 +339,27 @@ def test_o_induced_over_the_rationals_matches_reference(p3, rb3):
     m = regular_bimodule(p3)
     for t in (rb3, EvenMap.zero(p3.space), EvenMap.identity(p3.space)):
         compare_o_induced(t, m)
+
+
+def test_a_table_that_disagrees_with_the_reference_raises(monkeypatch, p3, rb3):
+    """The checks scan on tables; at every hit the reference closure
+    recomputes the residual, so a table applier that doubles every map's
+    image is caught at the first failing tuple."""
+    ident = EvenMap.identity(p3.space)
+    m = regular_bimodule(p3)
+    checks = [
+        lambda: check_operator(OperatorSpec("rota-baxter", ident, weight=0), p3),
+        lambda: check_o_operator(ident, m),
+        lambda: check_morphism(rb3, p3, p3),
+    ]
+    assert not any(check().passed for check in checks)
+    table_applier = EvenMap._table_applier
+
+    def doubled(self):
+        apply = table_applier(self)
+        return lambda x: apply(x).scaled(QQ.coerce(2))
+
+    monkeypatch.setattr(EvenMap, "_table_applier", doubled)
+    for check in checks:
+        with pytest.raises(RuntimeError, match="but the reference gives"):
+            check()

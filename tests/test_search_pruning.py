@@ -3,12 +3,14 @@
 search_operators binds every operator equation once as polynomials in the
 entries of the unknown map, and skips each subtree of the radix order on
 which one of them fails.  The oracle here is the search it replaced:
-enumerate_even_maps in the same order, and the reference check on every
-candidate.  found (in order), candidates_checked, exhausted and space_size
-must agree, exhaustively on small spaces and on budgeted prefixes of larger
-ones, every budget being a counter bound.
+enumerate_even_maps in the same order, and on every candidate a nested loop
+over the operator equations bound to the reference Vector closures.  found
+(in order), candidates_checked, exhausted and space_size must agree,
+exhaustively on small spaces and on budgeted prefixes of larger ones, every
+budget being a counter bound.
 """
 
+import itertools
 import random
 
 import pytest
@@ -19,11 +21,8 @@ from superalt import (
     EvenBilinear,
     EvenMap,
     HomAlgebra,
-    OperatorSpec,
     PrimeField,
     SuperSpace,
-    check_o_operator,
-    check_operator,
     corpus,
     enumerate_even_maps,
     integration,
@@ -34,7 +33,8 @@ from superalt import (
     search_operators,
     truncpoly,
 )
-from superalt.operators import _backtrack, _SearchStats
+from superalt.laws import REFERENCE
+from superalt.operators import _backtrack, _o_operator_groups, _operator_groups, _SearchStats
 
 # every kind once, rota-baxter at weights 0 and 1
 KINDS = [(k, None) for k in OPERATOR_KINDS if k != "rota-baxter"]
@@ -46,10 +46,20 @@ def named(name, p=3):
 
 
 def passes(a, kind, weight, bimodule, f):
+    """The operator equations of f, evaluated on Vectors by the reference
+    closures in a plain nested loop: check_operator itself scans on tables
+    that share their appliers with the search."""
     if kind == "o-operator":
-        return check_o_operator(f, bimodule).passed
-    w = a.space.field.coerce(weight) if kind == "rota-baxter" else None
-    return check_operator(OperatorSpec(kind, f, weight=w), a).passed
+        groups = _o_operator_groups(f, bimodule, REFERENCE)
+    else:
+        w = a.space.field.coerce(weight) if kind == "rota-baxter" else None
+        groups = _operator_groups(kind, a, f, w, REFERENCE)
+    return all(
+        fn(pts).is_zero()
+        for slots, idfns in groups
+        for pts in itertools.product(*slots)
+        for _, fn in idfns
+    )
 
 
 def even_cells(codomain, domain):
