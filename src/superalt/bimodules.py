@@ -32,7 +32,6 @@ from .laws import (
     signed,
 )
 from .constructions import alt_of, rb_split
-from .operators import OperatorSpec, check_operator
 
 
 class AltBimodule:
@@ -301,6 +300,11 @@ def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
 
     Refuses (rather than failing) when the base is not hom-alternative."""
     _require("check_alt_bimodule", check_product_law(m.base, "hom-alternative"))
+    return _alt_bimodule_axioms(m, jobs)
+
+
+def _alt_bimodule_axioms(m: AltBimodule, jobs: int = 1) -> LawReport:
+    """check_alt_bimodule on a base already known to be hom-alternative."""
     return _bimodule_run("alt-bimodule", m, lambda bind: _abm_identities(m, bind), jobs)
 
 
@@ -427,12 +431,13 @@ def rb_induced_bimodules(m: AltBimodule, r: EvenMap):
 
       - an alt-bimodule over the split-sum instance alt_of(rb_split(A, R)),
       - a pre-bimodule (lprec, rprec, lsucc, rsucc) = (0, vR, Rv, 0) over
-        rb_split(A, R)."""
-    _require("rb_induced_bimodules", check_alt_bimodule(m))
+        rb_split(A, R).
+
+    rb_split checks that the base is hom-alternative and R is Rota-Baxter
+    (refusing as rb_split); then the alt axioms of m are checked."""
     a = m.base
-    rb = OperatorSpec("rota-baxter", r, weight=a.space.field.zero)
-    _require("rb_induced_bimodules", check_operator(rb, a))
     split = rb_split(a, r)
+    _require("rb_induced_bimodules", _alt_bimodule_axioms(m))
     tri_left = m.lsucc.pre_compose_left(r)  # x |> v = R(x) succ v
     tri_right = m.rprec.pre_compose_right(r)  # v <| x = v prec R(x)
     alt = AltBimodule(

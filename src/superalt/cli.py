@@ -90,6 +90,12 @@ def _emit_report(rep, field):
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
+def _write(doc, path):
+    save(doc, path)
+    print(f"wrote {path} ({doc['kind']} {doc.get('name', '')})".rstrip())
+    return EXIT_PASS
+
+
 def _parse_scalar(field, text):
     try:
         if isinstance(field, RationalField):
@@ -178,10 +184,7 @@ def _cmd_construct(args):
         metadata["n"] = args.n
     if args.scalar is not None:
         metadata["lambda"] = args.scalar
-    doc = object_to_doc(out, metadata=metadata)
-    save(doc, args.out)
-    print(f"wrote {args.out} ({doc['kind']} {doc.get('name', '')})".rstrip())
-    return EXIT_PASS
+    return _write(object_to_doc(out, metadata=metadata), args.out)
 
 
 def _cmd_verify_bimodule(args):
@@ -264,10 +267,7 @@ def _cmd_corpus(args):
         raise _Usage("corpus needs --out (or use the name 'list')")
     kind, obj = corpus.build_named(args.name, prime=args.prime)
     name = args.name if kind == "map" else None
-    doc = object_to_doc(obj, name=name)
-    save(doc, args.out)
-    print(f"wrote {args.out} ({doc['kind']} {doc.get('name', '')})".rstrip())
-    return EXIT_PASS
+    return _write(object_to_doc(obj, name=name), args.out)
 
 
 def _calibration(label, calibrate, instances):
@@ -288,6 +288,13 @@ def _calibration(label, calibrate, instances):
     return cmd
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line with one "error:" line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
@@ -295,7 +302,7 @@ def build_parser():
     common.add_argument("--strict-canonical", action="store_true",
                         help="reject non-canonical documents instead of normalizing")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superalt",
         description="verification and construction toolkit for graded "
         "hom-alternative and hom-prealternative structures",

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from .core import EvenBilinear, EvenMap, SuperSpace, ValidationError
 from .fields import QQ, FpElement, PrimeField, RationalField
+from .io import MAX_DIM
 from .laws import HomAlgebra, HomPreAlgebra, check_product_law
 from .constructions import plus_jordan, rb_split, tensor_alt, tensor_map, transpose
 
@@ -271,25 +272,34 @@ def builtin_names():
     ]
 
 
+# pattern name -> (kind, builder, number of sizes, dimension from the sizes)
+_PATTERNS = {
+    "zero": ("algebra", zero, 2, lambda n0, n1: n0 + n1),
+    "truncpoly": ("algebra", truncpoly, 1, lambda k: k),
+    "matrix": ("algebra", matrix_algebra, 1, lambda n: n * n),
+    "integration": ("map", integration, 1, lambda k: k),
+}
+
+
 def build_named(name: str, prime: int | None = None):
     """Resolve a corpus name to ("algebra" | "map", object).
 
     Patterns: zero-N0-N1, truncpoly-K, matrix-N, integration-K; fixed names
     grassmann1, grassmann1-twisted, p3, octonions, matrix-2, l1-p3, l1-oct,
-    alpha2.  With prime=p everything is built over F_p."""
+    alpha2.  With prime=p everything is built over F_p.  A pattern whose
+    space exceeds the document cap io.MAX_DIM is refused before it is built."""
     field = PrimeField(prime) if prime is not None else QQ
-    parts = name.split("-")
-    try:
-        if parts[0] == "zero" and len(parts) == 3:
-            return "algebra", zero(int(parts[1]), int(parts[2]), field)
-        if parts[0] == "truncpoly" and len(parts) == 2:
-            return "algebra", truncpoly(int(parts[1]), field)
-        if parts[0] == "matrix" and len(parts) == 2:
-            return "algebra", matrix_algebra(int(parts[1]), field)
-        if parts[0] == "integration" and len(parts) == 2:
-            return "map", integration(int(parts[1]), field)
-    except ValueError:
-        raise ValidationError([f"bad corpus name {name!r}"]) from None
+    head, *args = name.split("-")
+    if head in _PATTERNS and len(args) == _PATTERNS[head][2]:
+        kind, builder, _, dim_of = _PATTERNS[head]
+        try:
+            sizes = [int(x) for x in args]
+        except ValueError:
+            raise ValidationError([f"bad corpus name {name!r}"]) from None
+        dim = dim_of(*sizes)
+        if dim > MAX_DIM:
+            raise ValidationError([f"{name}: n0 + n1 = {dim} exceeds the cap of {MAX_DIM}"])
+        return kind, builder(*sizes, field)
     if name == "grassmann1":
         return "algebra", grassmann1(field)
     if name == "grassmann1-twisted":

@@ -145,9 +145,6 @@ class RationalField:
     def one(self) -> Fraction:
         return Fraction(1)
 
-    def contains(self, x) -> bool:
-        return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
@@ -218,11 +215,6 @@ class PrimeField:
     @property
     def one(self) -> FpElement:
         return FpElement(1, self.p)
-
-    def contains(self, x) -> bool:
-        if isinstance(x, FpElement):
-            return x.p == self.p
-        return isinstance(x, int) and not isinstance(x, bool)
 
     def coerce(self, x) -> FpElement:
         if isinstance(x, FpElement):

@@ -389,8 +389,12 @@ def _load(path, strict, kinds):
 
 
 def save(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(doc))
+    text = canonical_dumps(doc)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
+        raise DocumentError([f"{path}: {getattr(e, 'strerror', None) or e}"])
 
 
 def object_to_doc(obj, name=None, metadata=None, base_path=None):

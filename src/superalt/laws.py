@@ -26,7 +26,6 @@ from .core import (
     SuperSpace,
     ValidationError,
     Vector,
-    _plain,
     _table_vector_type,
 )
 
@@ -47,9 +46,6 @@ class HomAlgebra:
         self.mu = mu
         self.alpha = alpha
         self.name = name
-
-    def multiply(self, x: Vector, y: Vector) -> Vector:
-        return self.mu.apply(x, y)
 
     def __eq__(self, other):
         if not isinstance(other, HomAlgebra):
@@ -130,10 +126,6 @@ class _Reference:
     def points(space: SuperSpace):
         return _basis_points(space)
 
-    @staticmethod
-    def lift(v: Vector) -> Vector:
-        return v
-
 
 REFERENCE = _Reference()
 
@@ -158,10 +150,6 @@ class _Tables:
             (self.vector.of([int(i == j) for j in space.indices()]), space.parity(i))
             for i in space.indices()
         )
-
-    def lift(self, v: Vector):
-        """The table vector of v."""
-        return self.vector.of([_plain(c) for c in v.coords])
 
     def memoised(self, fn):
         """fn memoised on its arguments for the life of the check."""
@@ -306,17 +294,30 @@ _JORDAN_ASSIGNMENTS = {
 }
 
 
+def _left_polarization(comp):
+    """comp(x, y, z) + (-1)^(xy) comp(y, x, z): comp alternates in x, y."""
+
+    def f(pts):
+        (x, px), (y, py), (z, _) = pts
+        return comp(x, y, z) + signed(comp(y, x, z), px * py)
+
+    return f
+
+
+def _right_polarization(comp):
+    """comp(x, y, z) + (-1)^(yz) comp(x, z, y): comp alternates in y, z."""
+
+    def f(pts):
+        (x, _), (y, py), (z, pz) = pts
+        return comp(x, y, z) + signed(comp(x, z, y), py * pz)
+
+    return f
+
+
 def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
     mu, al = bind(a.mu), bind(a.alpha)
     asso = bind.memoised(_associator(mu, al))
-
-    def left_alt(pts):
-        (x, px), (y, py), (z, _) = pts
-        return asso(x, y, z) + signed(asso(y, x, z), px * py)
-
-    def right_alt(pts):
-        (x, _), (y, py), (z, pz) = pts
-        return asso(x, y, z) + signed(asso(x, z, y), py * pz)
+    left_alt, right_alt = _left_polarization(asso), _right_polarization(asso)
 
     def flexible(pts):
         (x, px), (y, py), (z, pz) = pts
@@ -371,20 +372,6 @@ def _pre_identities(p: HomPreAlgebra, law: str, bind):
         (x, _), (y, py), (z, pz) = pts
         return kind2(x, y, z) + signed(kind1(x, z, y), py * pz)
 
-    def make_left(comp):
-        def f(pts):
-            (x, px), (y, py), (z, _) = pts
-            return comp(x, y, z) + signed(comp(y, x, z), px * py)
-
-        return f
-
-    def make_right(comp):
-        def f(pts):
-            (x, _), (y, py), (z, pz) = pts
-            return comp(x, y, z) + signed(comp(x, z, y), py * pz)
-
-        return f
-
     def make_flex(comp):
         def f(pts):
             (x, px), (y, _), (z, pz) = pts
@@ -396,11 +383,15 @@ def _pre_identities(p: HomPreAlgebra, law: str, bind):
         "hom-prealternative": [
             ("pa3", 3, pa3),
             ("pa4", 3, pa4),
-            ("pa5", 3, make_left(kind1)),
-            ("pa6", 3, make_right(kind3)),
+            ("pa5", 3, _left_polarization(kind1)),
+            ("pa6", 3, _right_polarization(kind3)),
         ],
-        "left-prealternative": [(f"left-{k}", 3, make_left(c)) for k, c in enumerate(comps, 1)],
-        "right-prealternative": [(f"right-{k}", 3, make_right(c)) for k, c in enumerate(comps, 1)],
+        "left-prealternative": [
+            (f"left-{k}", 3, _left_polarization(c)) for k, c in enumerate(comps, 1)
+        ],
+        "right-prealternative": [
+            (f"right-{k}", 3, _right_polarization(c)) for k, c in enumerate(comps, 1)
+        ],
         "flexible-prealternative": [(f"flex-{k}", 3, make_flex(c)) for k, c in enumerate(comps, 1)],
     }
     if law not in table:

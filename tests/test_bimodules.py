@@ -184,8 +184,11 @@ def test_rb_induced_bimodules_satisfy_both_systems(p3, rb3):
 
 def test_rb_induced_refuses_non_rb_maps(p3):
     m = regular_bimodule(p3)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError) as ei:
         rb_induced_bimodules(m, EvenMap.identity(p3.space))
+    # rb_split checks the map, so it is the operation that refuses
+    assert ei.value.operation == "rb_split"
+    assert ei.value.report.law == "rota-baxter"
 
 
 def test_bent_action_is_caught(p3):

@@ -354,3 +354,137 @@ def test_a_weight_with_a_huge_exponent_is_a_usage_error(workdir, capsys):
     assert code == 2 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ") and "1e999999999" in line
+
+
+# -- error table ---------------------------------------------------------
+# Every verb ends each kind of bad input with exit 2, one stderr line that
+# starts "error:" and no traceback.  A case applies where the verb takes
+# the input: files for the verbs that read documents, --out for the verbs
+# that write one, a scalar option where there is one (else a bad scalar
+# inside the document).
+
+ERROR_TABLE = {
+    "check": {
+        "missing file": ["check", "missing.json", "--law", "hom-alternative"],
+        "malformed json": ["check", "malformed.json", "--law", "hom-alternative"],
+        "wrong kind": ["check", "R.json", "--law", "hom-alternative"],
+        "missing option": ["check", "p3.json"],
+        "bad scalar": ["check", "bad-scalar.json", "--law", "hom-alternative"],
+        "jobs 0": ["check", "p3.json", "--law", "hom-alternative", "--jobs", "0"],
+    },
+    "check-pre": {
+        "missing file": ["check-pre", "missing.json", "--law", "hom-prealternative"],
+        "malformed json": ["check-pre", "malformed.json", "--law", "hom-prealternative"],
+        "wrong kind": ["check-pre", "p3.json", "--law", "hom-prealternative"],
+        "missing option": ["check-pre", "pre.json"],
+        "bad scalar": ["check-pre", "bad-scalar.json", "--law", "hom-prealternative"],
+        "jobs 0": ["check-pre", "pre.json", "--law", "hom-prealternative", "--jobs", "0"],
+    },
+    "construct": {
+        "missing file": ["construct", "alt", "--in", "missing.json", "--out", "x.json"],
+        "malformed json": ["construct", "alt", "--in", "malformed.json", "--out", "x.json"],
+        "wrong kind": ["construct", "alt", "--in", "p3.json", "--out", "x.json"],
+        "missing option": ["construct", "alt", "--in", "pre.json"],
+        "bad scalar": ["construct", "scale", "--in", "pre.json", "--lambda", "x",
+                       "--out", "x.json"],
+        "jobs 0": ["construct", "alt", "--in", "pre.json", "--out", "x.json", "--jobs", "0"],
+        "out in a missing directory": ["construct", "alt", "--in", "pre.json",
+                                       "--out", "nodir/x.json"],
+        "out onto a directory": ["construct", "alt", "--in", "pre.json", "--out", "subdir"],
+    },
+    "verify-bimodule": {
+        "missing file": ["verify-bimodule", "missing.json", "--law", "alt"],
+        "malformed json": ["verify-bimodule", "malformed.json", "--law", "alt"],
+        "wrong kind": ["verify-bimodule", "p3.json", "--law", "alt"],
+        "missing option": ["verify-bimodule", "reg.json"],
+        "bad scalar": ["verify-bimodule", "bad-scalar.json", "--law", "alt"],
+        "jobs 0": ["verify-bimodule", "reg.json", "--law", "alt", "--jobs", "0"],
+    },
+    "check-operator": {
+        "missing file": ["check-operator", "missing.json", "--map", "R.json",
+                         "--kind", "rota-baxter"],
+        "malformed json": ["check-operator", "p3.json", "--map", "malformed.json",
+                           "--kind", "rota-baxter"],
+        "wrong kind": ["check-operator", "p3.json", "--map", "p3.json", "--kind", "rota-baxter"],
+        "missing option": ["check-operator", "p3.json", "--map", "R.json"],
+        "bad scalar": ["check-operator", "p3.json", "--map", "R.json", "--kind", "rota-baxter",
+                       "--weight", "x"],
+        "jobs 0": ["check-operator", "p3.json", "--map", "R.json", "--kind", "rota-baxter",
+                   "--jobs", "0"],
+    },
+    "search": {
+        "missing file": ["search", "missing.json", "--kind", "rota-baxter"],
+        "malformed json": ["search", "malformed.json", "--kind", "rota-baxter"],
+        "wrong kind": ["search", "R.json", "--kind", "rota-baxter"],
+        "missing option": ["search", "p35.json"],
+        "bad scalar": ["search", "p35.json", "--kind", "rota-baxter", "--weight", "x"],
+        "jobs 0": ["search", "p35.json", "--kind", "rota-baxter", "--jobs", "0"],
+    },
+    "corpus": {
+        "missing option": ["corpus", "p3"],
+        "bad scalar": ["corpus", "p3", "--prime", "4", "--out", "x.json"],
+        "jobs 0": ["corpus", "p3", "--out", "x.json", "--jobs", "0"],
+        "out in a missing directory": ["corpus", "truncpoly-3", "--out", "nodir/x.json"],
+        "out onto a directory": ["corpus", "truncpoly-3", "--out", "subdir"],
+    },
+    "calibrate-jordan": {"jobs 0": ["calibrate-jordan", "--jobs", "0"]},
+    "calibrate-prebimodule": {"jobs 0": ["calibrate-prebimodule", "--jobs", "0"]},
+}
+
+
+@pytest.fixture()
+def error_dir(tmp_path, monkeypatch, capsys):
+    """A working directory holding a valid document of each kind and the bad ones."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["corpus", "p3", "--out", "p3.json"],
+                 ["corpus", "p3", "--prime", "5", "--out", "p35.json"],
+                 ["corpus", "integration-3", "--out", "R.json"],
+                 ["construct", "rb-split", "--in", "p3.json", "--map", "R.json",
+                  "--out", "pre.json"]):
+        assert main(argv) == 0
+    sio.save(sio.bimodule_to_doc(regular_bimodule(truncpoly(3)), "p3.json"), "reg.json")
+    (tmp_path / "malformed.json").write_text('{"kind": "algebra", ')
+    doc = json.loads((tmp_path / "p3.json").read_text())
+    doc["product"][0][3] = "one"
+    (tmp_path / "bad-scalar.json").write_text(json.dumps(doc))
+    (tmp_path / "subdir").mkdir()
+    capsys.readouterr()
+    return tmp_path
+
+
+def test_the_error_table_covers_every_verb(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out, _ = capsys.readouterr()
+    verbs = out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert sorted(verbs) == sorted(ERROR_TABLE)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for cases in ERROR_TABLE.values() for argv in cases.values()],
+    ids=[f"{verb}-{case.replace(' ', '-')}" for verb, cases in ERROR_TABLE.items() for case in cases],
+)
+def test_every_bad_input_is_one_error_line(error_dir, capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse refuses before any verb runs
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zero-40-40"], "zero-40-40: n0 + n1 = 80 exceeds the cap of 64"),
+    (["matrix-9"], "matrix-9: n0 + n1 = 81 exceeds the cap of 64"),
+    (["truncpoly-0"], "truncpoly needs k >= 1, got 0"),
+    (["truncpoly-x"], "bad corpus name 'truncpoly-x'"),
+    (["integration-5", "--prime", "3"], "3 is not invertible in F3"),
+], ids=["zero-40-40", "matrix-9", "truncpoly-0", "truncpoly-x", "integration-5-mod-3"])
+def test_corpus_names_are_refused_with_their_own_message(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, "corpus", *argv, "--out", str(tmp_path / "x.json"))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "x.json").exists()

@@ -46,12 +46,15 @@ from superalt import (
     check_product_law,
     grassmann1,
     grassmann1_twisted,
+    integration,
     law_identities,
     matrix_algebra,
+    o_induced,
     octonions,
     perturb_bilinear,
     plus_jordan,
     pre_associator,
+    rb_induced_bimodules,
     reduce_instance,
     regular_bimodule,
     standard_pre_instances,
@@ -430,3 +433,22 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
         rf"{found} found in [\d.]+ s",
         searches[0],
     )
+
+
+def scan_lines(caplog, fn):
+    """The law names of the scan-group DEBUG lines logged while fn runs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="superalt"):
+        fn()
+    return [r.getMessage().split(" group ")[0] for r in caplog.records if r.name == "superalt"]
+
+
+def test_each_hypothesis_is_scanned_once(caplog):
+    m, r = regular_bimodule(truncpoly(3)), integration(3)
+    # o_induced reads its kernel and morphism reports off the o-operator check
+    assert scan_lines(caplog, lambda: o_induced(r, m)) == ["o-operator"] * 2
+    # rb_split checks hom-alternative and rota-baxter; the alt axioms follow
+    laws = scan_lines(caplog, lambda: rb_induced_bimodules(m, r))
+    assert laws.count("hom-alternative") == 1
+    assert laws.count("rota-baxter") == 2
+    assert laws.count("alt-bimodule") == 1
