@@ -200,19 +200,29 @@ def _cmd_verify_bimodule(args):
     return _emit_report(rep, m.module.field)
 
 
+def _operator_options(args, field):
+    """The weight (rota-baxter, default 0) and the bimodule (o-operator) of
+    an operator verb; either option given to another kind is refused."""
+    if args.weight is not None and args.kind != "rota-baxter":
+        raise _Usage(f"--weight is for rota-baxter, not {args.kind}")
+    if args.bimodule is not None and args.kind != "o-operator":
+        raise _Usage(f"--bimodule is for o-operator, not {args.kind}")
+    weight = bimod = None
+    if args.kind == "rota-baxter":
+        weight = _parse_scalar(field, args.weight if args.weight is not None else "0")
+    if args.kind == "o-operator":
+        if args.bimodule is None:
+            raise _Usage(f"{args.verb} --kind o-operator needs --bimodule")
+        bimod = _load_as(args.bimodule, AltBimodule, args.strict_canonical)
+    return weight, bimod
+
+
 def _cmd_check_operator(args):
     a = _load_as(args.algebra, (HomAlgebra, HomPreAlgebra), args.strict_canonical)
     if isinstance(a, HomPreAlgebra) and args.kind != "endomorphism":
         raise _Usage("only endomorphism checks run on pre-algebra documents")
     f = _load_as(args.map, EvenMap, args.strict_canonical)
-    weight = None
-    if args.kind == "rota-baxter":
-        weight = _parse_scalar(a.space.field, args.weight if args.weight is not None else "0")
-    bimod = None
-    if args.kind == "o-operator":
-        if args.bimodule is None:
-            raise _Usage("o-operator checks need --bimodule")
-        bimod = _load_as(args.bimodule, AltBimodule, args.strict_canonical)
+    weight, bimod = _operator_options(args, a.space.field)
     spec = OperatorSpec(args.kind, f, weight=weight, bimodule=bimod)
     rep = check_operator(spec, a)
     return _emit_report(rep, a.space.field)
@@ -220,15 +230,7 @@ def _cmd_check_operator(args):
 
 def _cmd_search(args):
     a = _load_as(args.algebra, HomAlgebra, args.strict_canonical)
-    field = a.space.field
-    weight = None
-    if args.kind == "rota-baxter":
-        weight = _parse_scalar(field, args.weight if args.weight is not None else "0")
-    bimod = None
-    if args.kind == "o-operator":
-        if args.bimodule is None:
-            raise _Usage("o-operator search needs --bimodule")
-        bimod = _load_as(args.bimodule, AltBimodule, args.strict_canonical)
+    weight, bimod = _operator_options(args, a.space.field)
     res = search_operators(
         a,
         args.kind,

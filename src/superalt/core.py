@@ -1,10 +1,10 @@
 """Graded substrate: Z2-graded spaces, even maps, even bilinear products.
 
 Basis convention: indices 0..n0-1 are even, n0..n0+n1-1 are odd, so parity
-is a function of the index.  All tensors are dense tuples of exact scalars;
-evaluation skips zeros, which keeps desk-scale instances fast.  Products
-are built from their sparse entries through EvenBilinear.from_entries, so
-the dense cube layout is known to this module alone.
+is a function of the index.  Vectors and maps are dense tuples of exact
+scalars.  A product keeps only its nonzero structure constants, as sparse
+rows; EvenBilinear.from_entries builds it from its sparse entries and
+validates those entries alone, never the whole cube cell by cell.
 """
 
 from __future__ import annotations
@@ -260,50 +260,43 @@ class EvenMap:
 
 
 class EvenBilinear:
-    """Even bilinear map left x right -> out, stored as c[i][j][k].
+    """Even bilinear map left x right -> out, kept as its nonzero structure constants.
 
-    c[i][j][k] is the coefficient of out-basis k in (left-basis i) * (right-basis j);
-    it must vanish unless parity(k) = parity(i) + parity(j) mod 2.
+    _rows[i][j] lists (k, c) in increasing k for every nonzero coefficient c of
+    out-basis k in (left-basis i) * (right-basis j); c must vanish unless
+    parity(k) = parity(i) + parity(j) mod 2.  Build with from_entries or zero;
+    the constructor takes its entries by keyword only, so a dense cube passed
+    in their place is a TypeError.
     """
 
-    __slots__ = ("left", "right", "out", "c", "_rows")
+    __slots__ = ("left", "right", "out", "_rows")
 
-    def __init__(self, left: SuperSpace, right: SuperSpace, out: SuperSpace, c):
-        errors = []
+    def __init__(self, left: SuperSpace, right: SuperSpace, out: SuperSpace, *, entries):
+        nl, nr, no = left.dim, right.dim, out.dim
+        z, coerce = left.field.zero, left.field.coerce
+        cells = {}
+        bad = []
+        for i, j, k, v in entries:
+            if 0 <= i < nl and 0 <= j < nr and 0 <= k < no:
+                cells[i, j, k] = cells.get((i, j, k), z) + coerce(v)
+            else:
+                bad.append(f"entry ({i}, {j}, {k}) out of range for dims {nl}x{nr}x{no}")
+        if bad:
+            raise ValidationError(bad)
         if not (left.field == right.field == out.field):
             raise ValidationError(["bilinear map factors use different scalar fields"])
-        field = left.field
-        cube = tuple(
-            tuple(tuple(field.coerce(v) for v in row) for row in plane) for plane in c
-        )
-        if (
-            len(cube) != left.dim
-            or any(len(p) != right.dim for p in cube)
-            or any(len(r) != out.dim for p in cube for r in p)
-        ):
-            raise ValidationError(
-                [f"tensor shape does not match dims {left.dim}x{right.dim}x{out.dim}"]
-            )
-        for i in range(left.dim):
-            pi = left.parity(i)
-            for j in range(right.dim):
-                pj = right.parity(j)
-                for k in range(out.dim):
-                    if cube[i][j][k] and out.parity(k) != (pi + pj) % 2:
-                        errors.append(f"parity-violating entry at ({i}, {j}, {k})")
-        if errors:
-            raise ValidationError(errors)
+        rows = [[[] for _ in range(nr)] for _ in range(nl)]
+        for (i, j, k), v in sorted(cells.items()):
+            if v and out.parity(k) != (left.parity(i) + right.parity(j)) % 2:
+                bad.append(f"parity-violating entry at ({i}, {j}, {k})")
+            elif v:
+                rows[i][j].append((k, v))
+        if bad:
+            raise ValidationError(bad)
         self.left = left
         self.right = right
         self.out = out
-        self.c = cube
-        self._rows = tuple(
-            tuple(
-                tuple((k, v) for k, v in enumerate(cube[i][j]) if v)
-                for j in range(right.dim)
-            )
-            for i in range(left.dim)
-        )
+        self._rows = tuple(tuple(map(tuple, row)) for row in rows)
 
     @classmethod
     def zero(cls, left: SuperSpace, right: SuperSpace, out: SuperSpace) -> "EvenBilinear":
@@ -313,21 +306,12 @@ class EvenBilinear:
     def from_entries(
         cls, left: SuperSpace, right: SuperSpace, out: SuperSpace, entries
     ) -> "EvenBilinear":
-        """Build from sparse entries [(i, j, k, value), ...]; values given for
-        one cell add up, and every index out of range is an error.  Every
+        """Build from sparse entries [(i, j, k, value), ...]: each value is
+        coerced once and values given for one cell add up; every index out of
+        range, and then every nonzero cell that breaks parity, is an error.
+        The work is proportional to the entries plus the nl x nr rows; every
         producer of a tensor comes through here."""
-        z = left.field.zero
-        nl, nr, no = left.dim, right.dim, out.dim
-        cube = [[[z] * no for _ in range(nr)] for _ in range(nl)]
-        bad = []
-        for i, j, k, v in entries:
-            if 0 <= i < nl and 0 <= j < nr and 0 <= k < no:
-                cube[i][j][k] = cube[i][j][k] + left.field.coerce(v)
-            else:
-                bad.append(f"entry ({i}, {j}, {k}) out of range for dims {nl}x{nr}x{no}")
-        if bad:
-            raise ValidationError(bad)
-        return cls(left, right, out, cube)
+        return cls(left, right, out, entries=entries)
 
     def sparse_entries(self):
         out = []
@@ -445,13 +429,12 @@ class EvenBilinear:
     def __eq__(self, other):
         if not isinstance(other, EvenBilinear):
             return NotImplemented
-        return (
-            (self.left, self.right, self.out) == (other.left, other.right, other.out)
-            and self.c == other.c
+        return (self.left, self.right, self.out, self._rows) == (
+            other.left, other.right, other.out, other._rows
         )
 
     def __hash__(self):
-        return hash((self.left, self.right, self.out, self.c))
+        return hash((self.left, self.right, self.out, self._rows))
 
     def __repr__(self):
         return f"EvenBilinear({self.left.dim}x{self.right.dim}->{self.out.dim})"

@@ -79,10 +79,18 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise ValidationError([f"unknown operator kind {self.kind!r}"])
-        if (self.weight is not None) != (self.kind == "rota-baxter"):
-            raise ValidationError(["weight is given exactly for rota-baxter operators"])
-        if (self.bimodule is not None) != (self.kind == "o-operator"):
-            raise ValidationError(["bimodule is given exactly for o-operators"])
+        _check_options(self.kind, self.weight, self.bimodule)
+
+
+def _check_options(kind: str, weight, bimodule, a=None):
+    """Refuse a weight or a bimodule that the kind does not take, and a
+    bimodule whose base is not the instance a (when a is given)."""
+    if (weight is not None) != (kind == "rota-baxter"):
+        raise ValidationError(["weight is given exactly for rota-baxter operators"])
+    if (bimodule is not None) != (kind == "o-operator"):
+        raise ValidationError(["bimodule is given exactly for o-operators"])
+    if bimodule is not None and a is not None and bimodule.base != a:
+        raise ValidationError(["the bimodule's base is not the instance"])
 
 
 # Operator equations as residuals (mu, R, weight, x, y) -> vector.  A kind
@@ -124,8 +132,10 @@ def check_operator(spec: OperatorSpec, a) -> LawReport:
     """Check the operator equations of spec.kind on instance a.
 
     a is a HomAlgebra for all kinds except that endomorphism also accepts a
-    HomPreAlgebra (both products must then be preserved)."""
+    HomPreAlgebra (both products must then be preserved); an o-operator's
+    bimodule must have a as its base."""
     if spec.kind == "o-operator":
+        _check_options(spec.kind, spec.weight, spec.bimodule, a)
         return check_o_operator(spec.map, spec.bimodule)
     w = a.space.field.coerce(spec.weight) if spec.kind == "rota-baxter" else None
     return _run_groups(
@@ -362,7 +372,9 @@ def search_operators(
     there, on its own tables; a disagreement raises RuntimeError.  With
     signed_perms the candidates are the signed permutation maps instead, each
     checked in turn.  Rational instances are refused: their operator spaces
-    are infinite."""
+    are infinite.  So are a weight for a kind other than rota-baxter, a
+    bimodule for a kind other than o-operator, and a bimodule whose base is
+    not a."""
     field = a.space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["operator search requires an F_p instance"])
@@ -370,8 +382,7 @@ def search_operators(
         raise ValidationError([f"search budget must be at least 0, got {budget}"])
     if kind == "rota-baxter" and weight is None:
         weight = 0
-    if kind == "o-operator" and bimodule is None:
-        raise ValidationError(["o-operator search needs the bimodule"])
+    _check_options(kind, weight, bimodule, a)
     w = field.coerce(weight) if kind == "rota-baxter" else None
 
     def check(candidate):

@@ -3,6 +3,7 @@
 import pytest
 
 from superalt import (
+    EvenBilinear,
     EvenMap,
     Vector,
     grassmann1,
@@ -27,6 +28,31 @@ def rand_homogeneous(space, rng, bound=3):
         v = Vector(space, coords)
         if not v.is_zero():
             return v, par
+
+
+def from_cube(left, right, out, cube):
+    """The tensor whose dense cube c[i][j][k] is `cube`, built from its nonzero cells."""
+    return EvenBilinear.from_entries(
+        left,
+        right,
+        out,
+        [
+            (i, j, k, v)
+            for i, plane in enumerate(cube)
+            for j, row in enumerate(plane)
+            for k, v in enumerate(row)
+            if v
+        ],
+    )
+
+
+def to_cube(bil):
+    """The dense cube c[i][j][k] of a tensor, zeros included."""
+    z = bil.out.field.zero
+    cube = [[[z] * bil.out.dim for _ in bil.right.indices()] for _ in bil.left.indices()]
+    for i, j, k, v in bil.sparse_entries():
+        cube[i][j][k] = v
+    return cube
 
 
 @pytest.fixture(scope="session")

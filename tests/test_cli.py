@@ -5,7 +5,7 @@ import json
 import pytest
 
 import superalt.io as sio
-from superalt import EvenMap, integration, regular_bimodule, truncpoly
+from superalt import EvenMap, integration, reduce_instance, regular_bimodule, truncpoly
 from superalt.cli import main
 
 
@@ -411,6 +411,12 @@ ERROR_TABLE = {
                        "--weight", "x"],
         "jobs 0": ["check-operator", "p3.json", "--map", "R.json", "--kind", "rota-baxter",
                    "--jobs", "0"],
+        "weight on another kind": ["check-operator", "p3.json", "--map", "R.json",
+                                   "--kind", "centroid", "--weight", "1"],
+        "bimodule on another kind": ["check-operator", "p3.json", "--map", "R.json",
+                                     "--kind", "rota-baxter", "--bimodule", "reg.json"],
+        "bimodule over another base": ["check-operator", "z3.json", "--map", "R.json",
+                                       "--kind", "o-operator", "--bimodule", "reg.json"],
     },
     "search": {
         "missing file": ["search", "missing.json", "--kind", "rota-baxter"],
@@ -419,6 +425,11 @@ ERROR_TABLE = {
         "missing option": ["search", "p35.json"],
         "bad scalar": ["search", "p35.json", "--kind", "rota-baxter", "--weight", "x"],
         "jobs 0": ["search", "p35.json", "--kind", "rota-baxter", "--jobs", "0"],
+        "weight on another kind": ["search", "p35.json", "--kind", "centroid", "--weight", "1"],
+        "bimodule on another kind": ["search", "p35.json", "--kind", "rota-baxter",
+                                     "--bimodule", "reg35.json"],
+        "bimodule over another base": ["search", "z35.json", "--kind", "o-operator",
+                                       "--bimodule", "reg35.json", "--budget", "2000"],
     },
     "corpus": {
         "missing option": ["corpus", "p3"],
@@ -439,10 +450,14 @@ def error_dir(tmp_path, monkeypatch, capsys):
     for argv in (["corpus", "p3", "--out", "p3.json"],
                  ["corpus", "p3", "--prime", "5", "--out", "p35.json"],
                  ["corpus", "integration-3", "--out", "R.json"],
+                 ["corpus", "zero-3-0", "--out", "z3.json"],
+                 ["corpus", "zero-3-0", "--prime", "5", "--out", "z35.json"],
                  ["construct", "rb-split", "--in", "p3.json", "--map", "R.json",
                   "--out", "pre.json"]):
         assert main(argv) == 0
     sio.save(sio.bimodule_to_doc(regular_bimodule(truncpoly(3)), "p3.json"), "reg.json")
+    p35 = reduce_instance(truncpoly(3), 5)
+    sio.save(sio.bimodule_to_doc(regular_bimodule(p35), "p35.json"), "reg35.json")
     (tmp_path / "malformed.json").write_text('{"kind": "algebra", ')
     doc = json.loads((tmp_path / "p3.json").read_text())
     doc["product"][0][3] = "one"

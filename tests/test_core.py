@@ -10,6 +10,7 @@ from superalt import (
     EvenBilinear,
     EvenMap,
     PrimeField,
+    RationalField,
     SuperSpace,
     ValidationError,
     Vector,
@@ -17,6 +18,7 @@ from superalt import (
     nullspace,
     solve_in_span,
 )
+from conftest import from_cube, to_cube
 
 S21 = SuperSpace(QQ, 2, 1)
 S30 = SuperSpace(QQ, 3, 0)
@@ -102,10 +104,10 @@ def test_even_map_commutes_with():
 
 
 def test_bilinear_parity_constraint():
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][0][2] = Fraction(1)  # even*even landing in the odd block
-    with pytest.raises(ValidationError):
-        EvenBilinear(S21, S21, S21, c)
+    # even*even landing in the odd block
+    with pytest.raises(ValidationError) as exc:
+        EvenBilinear.from_entries(S21, S21, S21, [(0, 0, 2, Fraction(1))])
+    assert exc.value.errors == ["parity-violating entry at (0, 0, 2)"]
 
 
 def test_from_entries_rejects_every_index_out_of_range():
@@ -125,11 +127,55 @@ def test_from_entries_rejects_every_index_out_of_range():
     ]
 
 
+def test_from_entries_coerces_each_given_entry_once(monkeypatch):
+    # 262 144 cells, three of them given: validation reads the entries only
+    s = SuperSpace(QQ, 32, 32)
+    coerce, calls = RationalField.coerce, []
+
+    def counting(field, v):
+        calls.append(v)
+        return coerce(field, v)
+
+    monkeypatch.setattr(RationalField, "coerce", counting)
+    b = EvenBilinear.from_entries(s, s, s, [(0, 0, 0, 1), (0, 33, 33, 2), (40, 41, 1, 3)])
+    assert len(calls) == 3
+    assert b.sparse_entries() == [
+        (0, 0, 0, Fraction(1)), (0, 33, 33, Fraction(2)), (40, 41, 1, Fraction(3)),
+    ]
+
+
+def test_bilinear_has_no_dense_cube_constructor():
+    cube = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    with pytest.raises(TypeError):
+        EvenBilinear(S21, S21, S21, cube)
+    assert not hasattr(EvenBilinear.zero(S21, S21, S21), "c")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_reordered_and_split_entries_give_equal_tensors(field):
+    s = SuperSpace(field, 2, 1)
+    whole = EvenBilinear.from_entries(s, s, s, [(0, 1, 1, 3), (2, 2, 0, -2)])
+    split = EvenBilinear.from_entries(
+        s, s, s, [(2, 2, 0, -1), (0, 1, 1, 1), (2, 2, 0, -1), (0, 1, 1, 2)]
+    )
+    assert split == whole and hash(split) == hash(whole)
+    assert split.sparse_entries() == whole.sparse_entries()
+    assert split != EvenBilinear.from_entries(s, s, s, [(0, 1, 1, 3)])
+
+
+def test_entries_that_sum_to_zero_give_the_zero_tensor():
+    b = EvenBilinear.from_entries(S21, S21, S21, [(0, 0, 0, 1), (2, 2, 1, 5), (0, 0, 0, -1),
+                                                  (2, 2, 1, -5)])
+    zero = EvenBilinear.zero(S21, S21, S21)
+    assert b == zero and hash(b) == hash(zero)
+    assert b.sparse_entries() == []
+
+
 def test_bilinear_sparse_entries_sorted_and_zero_free():
     c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[1][0][0] = Fraction(2)
     c[0][1][1] = Fraction(-1)
-    b = EvenBilinear(S21, S21, S21, c)
+    b = from_cube(S21, S21, S21, c)
     assert b.sparse_entries() == [(0, 1, 1, Fraction(-1)), (1, 0, 0, Fraction(2))]
 
 
@@ -139,7 +185,7 @@ def test_bilinear_apply_is_bilinear():
     c[0][0][0] = Fraction(1)
     c[0][1][1] = Fraction(3)
     c[2][2][0] = Fraction(-2)
-    b = EvenBilinear(S21, S21, S21, c)
+    b = from_cube(S21, S21, S21, c)
     for _ in range(20):
         x = Vector(S21, [Fraction(rng.randint(-3, 3)) for _ in range(3)])
         y = Vector(S21, [Fraction(rng.randint(-3, 3)) for _ in range(3)])
@@ -153,11 +199,11 @@ def test_bilinear_flip_signed_is_an_involution():
     c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[2][2][0] = Fraction(1)
     c[0][1][1] = Fraction(2)
-    b = EvenBilinear(S21, S21, S21, c)
+    b = from_cube(S21, S21, S21, c)
     assert b.flip_signed().flip_signed() == b
     # odd*odd entries change sign, even*even entries do not
-    assert b.flip_signed().c[2][2][0] == Fraction(-1)
-    assert b.flip_signed().c[1][0][1] == Fraction(2)
+    assert to_cube(b.flip_signed())[2][2][0] == Fraction(-1)
+    assert to_cube(b.flip_signed())[1][0][1] == Fraction(2)
 
 
 def test_compose_hooks_agree_with_pointwise_definitions():
@@ -165,7 +211,7 @@ def test_compose_hooks_agree_with_pointwise_definitions():
     c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     c[0][1][1] = Fraction(1)
     c[2][2][1] = Fraction(0)
-    b = EvenBilinear(S21, S21, S21, c)
+    b = from_cube(S21, S21, S21, c)
     x, y = Vector.basis(S21, 0), Vector.basis(S21, 1)
     assert b.post_compose(f).apply(x, y) == f.apply(b.apply(x, y))
     assert b.pre_compose_left(f).apply(x, y) == b.apply(f.apply(x), y)

@@ -15,6 +15,7 @@ from superalt import (
     truncpoly,
 )
 from superalt.io import DocumentError
+from conftest import to_cube
 
 
 def test_canonical_dumps_shape():
@@ -69,7 +70,7 @@ def test_lenient_parsing_normalizes_scalars(tmp_path):
     text = sio.canonical_dumps(doc)
     doc2, obj, warnings = sio.parse_text(text)
     assert any("2/4" in w for w in warnings)
-    assert obj.mu.c[0][0][0] == Fraction(1, 2)
+    assert to_cube(obj.mu)[0][0][0] == Fraction(1, 2)
     with pytest.raises(DocumentError):
         sio.parse_text(text, strict=True)
 

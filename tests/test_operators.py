@@ -221,3 +221,35 @@ def test_search_refuses_negative_budget():
     a = reduce_instance(truncpoly(3), 5)
     with pytest.raises(ValidationError):
         search_operators(a, "rota-baxter", budget=-5)
+
+
+def test_o_operators_refuse_a_bimodule_over_another_base():
+    a = reduce_instance(truncpoly(3), 5)
+    m = regular_bimodule(a)
+    other = zero(3, 0, PrimeField(5))
+    with pytest.raises(ValidationError) as exc:
+        search_operators(other, "o-operator", bimodule=m, budget=2000)
+    assert exc.value.errors == ["the bimodule's base is not the instance"]
+    t = reduce_map(integration(3), 5)
+    spec = OperatorSpec("o-operator", t, bimodule=m)
+    with pytest.raises(ValidationError) as exc:
+        check_operator(spec, other)
+    assert exc.value.errors == ["the bimodule's base is not the instance"]
+    # an equal base built apart is the same instance
+    assert check_operator(spec, reduce_instance(truncpoly(3), 5)).passed
+    res = search_operators(reduce_instance(truncpoly(3), 5), "o-operator", bimodule=m, budget=2000)
+    assert len(res.found) == 25
+
+
+@pytest.mark.parametrize("kind, weight, with_bimodule", [
+    ("centroid", 3, False),
+    ("endomorphism", 0, False),
+    ("o-operator", 0, True),
+    ("centroid", None, True),
+    ("rota-baxter", None, True),
+])
+def test_search_refuses_options_its_kind_does_not_take(kind, weight, with_bimodule):
+    a = reduce_instance(truncpoly(3), 5)
+    m = regular_bimodule(a) if with_bimodule else None
+    with pytest.raises(ValidationError):
+        search_operators(a, kind, weight=weight, budget=10, bimodule=m)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from superalt import (
     AltBimodule,
-    EvenBilinear,
     EvenMap,
     HomAlgebra,
     HomPreAlgebra,
@@ -36,6 +35,7 @@ from superalt import (
     o_induced,
     regular_bimodule,
 )
+from conftest import from_cube
 
 FIELDS = (QQ, PrimeField(3), PrimeField(5))
 SELF_MAP_KINDS = (
@@ -93,7 +93,7 @@ def rand_bilinear(rng, left, right, out, density=0.4):
         ]
         for i in left.indices()
     ]
-    return EvenBilinear(left, right, out, cube)
+    return from_cube(left, right, out, cube)
 
 
 def rand_algebra(rng, space):

@@ -33,6 +33,7 @@ from superalt import (
     zero,
 )
 from superalt.fields import field_to_json
+from conftest import from_cube, to_cube
 
 FIELDS = (QQ, PrimeField(3), PrimeField(5))
 DENSITIES = (0.0, 0.3, 0.7)
@@ -96,14 +97,10 @@ def zeros(left, right, out):
     return [[[left.field.zero] * out.dim for _ in right.indices()] for _ in left.indices()]
 
 
-def dense(bil):
-    return [[list(row) for row in plane] for plane in bil.c]
-
-
 def same(result, left, right, out, cube):
     """result is the tensor whose dense cube is `cube`."""
     assert (result.left, result.right, result.out) == (left, right, out)
-    assert result == EvenBilinear(left, right, out, cube)
+    assert result == from_cube(left, right, out, cube)
     assert result.sparse_entries() == [
         (i, j, k, cube[i][j][k])
         for i in left.indices()
@@ -122,7 +119,7 @@ def test_core_producers_match_dense_reference(seed, field):
     rng = random.Random(seed)
     a, b, c, d = (rand_space(rng, field) for _ in range(4))
     cube = rand_cube(rng, a, b, c)
-    bil = EvenBilinear(a, b, c, cube)
+    bil = from_cube(a, b, c, cube)
 
     same(EvenBilinear.zero(a, b, c), a, b, c, zeros(a, b, c))
 
@@ -158,10 +155,10 @@ def test_core_producers_match_dense_reference(seed, field):
         [[cube[i][j][k] + other[i][j][k] for k in c.indices()] for j in b.indices()]
         for i in a.indices()
     ]
-    same(bil + EvenBilinear(a, b, c, other), a, b, c, ref)
+    same(bil + from_cube(a, b, c, other), a, b, c, ref)
     # a tensor plus its negative cancels every entry
     neg = [[[-v for v in row] for row in plane] for plane in cube]
-    same(bil + EvenBilinear(a, b, c, neg), a, b, c, zeros(a, b, c))
+    same(bil + from_cube(a, b, c, neg), a, b, c, zeros(a, b, c))
 
     s = rand_scalar(rng, field)
     ref = [[[s * cube[i][j][k] for k in c.indices()] for j in b.indices()] for i in a.indices()]
@@ -179,7 +176,7 @@ def test_core_producers_match_dense_reference(seed, field):
         ]
         for i in a.indices()
     ]
-    same(EvenBilinear(a, a, c, sq).flip_signed(), a, a, c, ref)
+    same(from_cube(a, a, c, sq).flip_signed(), a, a, c, ref)
 
 
 # -- constructions and corpus ------------------------------------------
@@ -212,7 +209,7 @@ def test_tensor_alt_matches_dense_reference(seed, field, first, second):
     c = rescaled(first(field), rand_scalar(rng, field))
     b = rescaled(second(field), rand_scalar(rng, field))
     pairs = tensor_pairs(c.space, b.space)
-    cm, bm = dense(c.mu), dense(b.mu)
+    cm, bm = to_cube(c.mu), to_cube(b.mu)
     ref = []
     for i, a1 in pairs:
         plane = []
@@ -235,7 +232,7 @@ def test_perturb_bilinear_matches_dense_reference(seed, field):
     # an even basis vector, so that some cell is parity-allowed
     space = SuperSpace(field, rng.randint(1, 2), rng.randint(0, 1))
     cube = rand_cube(rng, space, space, space)
-    bil = EvenBilinear(space, space, space, cube)
+    bil = from_cube(space, space, space, cube)
     cells = [
         (i, j, k)
         for i in space.indices()
@@ -276,12 +273,12 @@ def test_reduce_instance_matches_dense_reference(seed, p):
     alpha = EvenMap(space, space, rand_rows(rng, space, space))
     refs = [[[[to_fp(v, p) for v in row] for row in plane] for plane in cube] for cube in cubes]
 
-    red = reduce_instance(HomAlgebra(EvenBilinear(space, space, space, cubes[0]), alpha), p)
+    red = reduce_instance(HomAlgebra(from_cube(space, space, space, cubes[0]), alpha), p)
     same(red.mu, fp, fp, fp, refs[0])
     red = reduce_instance(
         HomPreAlgebra(
-            EvenBilinear(space, space, space, cubes[0]),
-            EvenBilinear(space, space, space, cubes[1]),
+            from_cube(space, space, space, cubes[0]),
+            from_cube(space, space, space, cubes[1]),
             alpha,
         ),
         p,
