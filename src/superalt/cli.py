@@ -8,6 +8,7 @@ the witness), 2 usage or document validation error.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -303,6 +304,9 @@ def build_parser():
                         help="worker count for law scans (default: all cores)")
     common.add_argument("--strict-canonical", action="store_true",
                         help="reject non-canonical documents instead of normalizing")
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="write the superalt log (one line per scan group and "
+                        "per search) to stderr; stdout is unchanged")
 
     parser = _Parser(
         prog="superalt",
@@ -378,6 +382,22 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    logger = logging.getLogger("superalt")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _run(args) -> int:
     try:
         if args.jobs < 1:
             raise _Usage(f"--jobs must be at least 1, got {args.jobs}")

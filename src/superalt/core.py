@@ -443,11 +443,72 @@ class EvenBilinear:
 # Table evaluation.  A table vector is the coordinate tuple of a vector in
 # plain scalars: residues as ints in [0, p), rationals as ints when integral
 # and as Fractions otherwise.  It supports what the identity closures use of
-# Vector: +, -, negation, scaled and is_zero.  A residue coordinate may also
-# be any value closed under +, -, * and % p, as the polynomials of an
-# operator search (operators._Poly) are.  Denominators are never cleared by
-# rescaling: alpha(xy) - alpha(x) alpha(y) is not homogeneous in the twist,
-# so a rescaled twist could pass where the true one fails.
+# Vector: +, -, negation, scaled and is_zero.  A coordinate may also be a
+# _Poly, a polynomial with such scalars as coefficients: in the unknown
+# entries of a map for an operator search, in the coordinates of generic
+# points for a contracted scan (see laws._Polynomials).  Denominators are
+# never cleared by rescaling: alpha(xy) - alpha(x) alpha(y) is not
+# homogeneous in the twist, so a rescaled twist could pass where the true one
+# fails.
+
+
+class _Poly(dict):
+    """A polynomial {monomial: coefficient}, a monomial being the sorted tuple
+    of its variables (repeated for powers).  No coefficient is zero: a sum
+    that cancels drops its term, and % p drops the terms that vanish mod p.
+    += adds in place, for the appliers' accumulators: the first += on a
+    scalar 0 makes the accumulator its own copy."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def terms(c):
+        """The (monomial, coefficient) terms of a _Poly or a scalar."""
+        return c.items() if isinstance(c, _Poly) else [((), c)] if c else []
+
+    def __iadd__(self, other):
+        get = self.get
+        for m, c in _Poly.terms(other):
+            c += get(m, 0)
+            if c:
+                self[m] = c
+            else:
+                del self[m]
+        return self
+
+    def __add__(self, other):
+        return _Poly(self).__iadd__(other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly({m: -c for m, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):  # a scalar, which cannot cancel a term
+            return _Poly({m: c * other for m, c in self.items()}) if other else _Poly()
+        out = _Poly()
+        get = out.get
+        for ma, ca in self.items():
+            for mb, cb in other.items():
+                m = tuple(sorted(ma + mb)) if ma and mb else ma or mb
+                c = ca * cb + get(m, 0)
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return out
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p):
+        return _Poly({m: c % p for m, c in self.items() if c % p})
 
 
 class _TableVector(tuple):

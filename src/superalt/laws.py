@@ -1,11 +1,16 @@
 """Instance types and exhaustive law checking with counterexample reports.
 
 Every law is a finite list of multilinear identities.  Multilinearity makes
-basis-tuple verification complete, so a check enumerates homogeneous basis
-tuples in lexicographic order and reports the first nonzero residual as a
-witness.  Koszul signs are computed from the parities carried alongside each
-argument, giving a single code path for basis vectors and for general
-homogeneous elements.
+basis-tuple verification complete: a check decides every homogeneous basis
+tuple, and reports the first nonzero residual in lexicographic order as a
+witness.  It gets there one of two ways, chosen per group of identities by
+one cost rule (_evaluation) from the group's size and the fill of its
+tables: the tuple scan evaluates the tuples one by one, and the contraction
+evaluates the identities once per block of parities on generic points,
+whose residual polynomials list every tuple of the block.  Both report the
+same witness, count and residual.  Koszul signs are computed from the
+parities carried alongside each argument, giving a single code path for
+basis vectors, generic points and general homogeneous elements.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .core import (
     SuperSpace,
     ValidationError,
     Vector,
+    _Poly,
     _table_vector_type,
 )
 
@@ -106,12 +112,15 @@ def _require(op: str, report: "LawReport"):
 
 
 # Binders.  Each identity closure is written once, over appliers that a
-# binder makes from the tensors and maps it reads.  Every check scans on a
-# table binder: table vectors (see core._TableVector) with appliers read from
-# the sparse tables and memoised for that check.  The reference binder evaluates on Vectors through EvenBilinear.apply and
-# EvenMap.apply; it recomputes the residual at every hit.  An operator search
-# binds on an F_p table binder too, unmemoised, whose coordinates are
-# polynomials in the entries of an unknown map (see operators._Polynomials).
+# binder makes from the tensors and maps it reads.  Every check evaluates on
+# table vectors (see core._TableVector) with appliers read from the sparse
+# tables: a tuple scan on the table binder, memoised for that check; a
+# contraction on the polynomial binder, unmemoised, whose coordinates are
+# polynomials in the coordinates of generic points.  The reference binder
+# evaluates on Vectors through EvenBilinear.apply and EvenMap.apply; it
+# recomputes the residual at every hit.  An operator search binds on the
+# polynomial binder too, over F_p, its polynomials being in the entries of
+# an unknown map (see operators._FreeMap).
 
 
 class _Reference:
@@ -132,6 +141,7 @@ REFERENCE = _Reference()
 
 class _Tables:
     def __init__(self, field):
+        self.field = field
         self.vector = _table_vector_type(field)
         self.bound = {}  # id(t) -> (t, applier); t is kept so its id stays its own
         self.memos = []
@@ -162,6 +172,28 @@ class _Tables:
                 r = fn(*args)
                 if len(memo) < MEMO_LIMIT:
                     memo[args] = r
+            return r
+
+        return f
+
+
+class _Polynomials(_Tables):
+    """The table binder for coordinates that may be polynomials (core._Poly).
+
+    Nothing is memoised, since a _Poly, being a dict, has no hash; instead
+    terms counts the terms of every vector that an applier or a shared
+    subexpression returns.  An operator search binds an unknown map on it
+    (see operators._FreeMap); a contracted scan evaluates its group on
+    generic points through it (see _contract)."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.terms = 0
+
+    def memoised(self, fn):
+        def f(*args):
+            r = fn(*args)
+            self.terms += sum(len(c) if type(c) is _Poly else c != 0 for c in r)
             return r
 
         return f
@@ -420,9 +452,12 @@ def _identities(instance, law, jordan_cycle, bind):
 # Scan engine.  A scan group is (slots, identities): slots holds, for each
 # tuple position, the (vector, parity) points it ranges over, and identities
 # is [(name, fn), ...] with fn mapping a tuple of points to its residual.
-# Tuples enumerate lexicographically over the slots, the identities of a
-# group are evaluated together per tuple in declared order, and groups run
-# in declared order.
+# Tuples order lexicographically over the slots, the identities of a group
+# order in declared order within each tuple, and groups run in declared
+# order; a group's first failure is its least (tuple, identity).  _run_groups
+# is the one entry: per group, _evaluation picks the tuple scan (_scan_range,
+# over a fork pool when the group is large and jobs allow) or the
+# contraction (_contract), and at a hit the reference recomputes the residual.
 
 
 @functools.lru_cache(maxsize=64)
@@ -488,23 +523,35 @@ _log = logging.getLogger("superalt")
 
 
 def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
-    """Scan, in order, the groups that build(tables) lists on the table
-    binder tables, returning a LawReport.
+    """Evaluate, in order, the groups that build(tables) lists on the table
+    binder tables, returning a LawReport.  _evaluation picks, per group,
+    the tuple scan or the contraction; both find the same first failure.
 
     At a hit the group build(REFERENCE) lists in the same place recomputes
-    the residual at the witness, which must agree with the scanned one."""
+    the residual at the witness, which must agree with the evaluated one."""
     groups = build(tables)
+    polynomials = None  # the groups rebuilt on a _Polynomials binder, once one contracts
     debug = _log.isEnabledFor(logging.DEBUG)
     checked_before = 0
     for g, (slots, idfns) in enumerate(groups, 1):
         total = math.prod(len(slot) for slot in slots)
         start = time.perf_counter() if debug else 0.0
-        hit = _scan_parallel(slots, idfns, total, jobs)
+        path = _evaluation(total, len(slots), tables)
+        if path == "contract":
+            if polynomials is None:
+                binder = _Polynomials(tables.field)
+                polynomials = build(binder)
+            binder.terms = 0
+            hit, slices = _contract(slots, polynomials[g - 1][1], binder.vector.of)
+            work = f"{slices} slices, {binder.terms} polynomial terms"
+        else:
+            hit = _scan_parallel(slots, idfns, total, jobs)
+            work = f"{sum(map(len, tables.memos))} memo entries"
         if debug:
             _log.debug(
-                "%s group %d/%d: %d tuples scanned in %.6f s; tables built in %.6f s; "
-                "%d memo entries", law, g, len(groups), total if hit is None else hit[0] + 1,
-                time.perf_counter() - start, tables.build_s, sum(map(len, tables.memos)),
+                "%s group %d/%d: %s: %d tuples in %.6f s; tables built in %.6f s; %s",
+                law, g, len(groups), path, total if hit is None else hit[0] + 1,
+                time.perf_counter() - start, tables.build_s, work,
             )
         if hit is not None:
             flat, at, scanned = hit
@@ -517,7 +564,7 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
             residual = fn(tuple(slot[i] for slot, i in zip(ref_slots, witness))).coords
             if residual != scanned:
                 raise RuntimeError(
-                    f"{law}: {name} at {tuple(witness)} scans to {scanned}, "
+                    f"{law}: {name} at {tuple(witness)} evaluates to {scanned}, "
                     f"but the reference gives {residual}"
                 )
             return LawReport(
@@ -532,6 +579,106 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
             )
         checked_before += total
     return LawReport(law=law, passed=True, checked=checked_before, extra=dict(extra or {}))
+
+
+def _evaluation(tuples, arity, tables) -> str:
+    """How _run_groups evaluates a group: "contract" or "scan".
+
+    A contraction produces about fill^(arity - 1) polynomial terms per
+    tuple, fill being the most nonzero constants per argument of any table
+    bound in tables (per basis pair of a product, per basis vector of a
+    map), while a scan's cost per tuple grows far slower with fill.  So a
+    group is contracted when fill^(arity - 1) is at most
+    CONTRACT_MAX_GROWTH and it has at least CONTRACT_MIN_TUPLES tuples:
+    smaller groups are cheap either way, and a scan stops at an early
+    failure sooner than a contraction finishes its slice."""
+    if tuples < CONTRACT_MIN_TUPLES:
+        return "scan"
+    fill = max(map(_fill, (t for t, _ in tables.bound.values())), default=0)
+    return "contract" if fill ** (arity - 1) <= CONTRACT_MAX_GROWTH else "scan"
+
+
+def _fill(t) -> float:
+    """Nonzero constants per basis pair of a product, per basis vector of a map."""
+    if isinstance(t, EvenBilinear):
+        nonzero = sum(len(cell) for row in t._rows for cell in row)
+        return nonzero / max(1, t.left.dim * t.right.dim)
+    return sum(map(len, t._cols)) / max(1, t.domain.dim)
+
+
+# The rule's bounds, from passing checks timed both ways in one process (the
+# crossover rows are in ROADMAP.md, item 2): on 4-tuples contraction won on
+# every instance up to fill 1.2 and lost from fill 1.6 on plus(matrix-4); on
+# triples it won on every instance up to fill 1.9 and lost from fill 3.7.
+# The bound of 2 contracts 4-tuples up to fill 1.26 and triples up to 1.41.
+CONTRACT_MIN_TUPLES = 8192
+CONTRACT_MAX_GROWTH = 2
+
+# A contraction's slot-0 slice spans at most this many tuples, which bounds
+# the terms of one block's polynomials on the tables the rule contracts.
+CONTRACT_SLICE_TUPLES = 1 << 15
+
+
+def _parity_runs(slot):
+    """The index runs of equal parity in a slot, in order."""
+    return [list(run) for _, run in itertools.groupby(range(len(slot)), key=lambda i: slot[i][1])]
+
+
+def _generic_point(slot, run, offset, make):
+    """The point sum of x_(offset + i) slot[i] over i in run, with its parity;
+    make builds a table vector from its coordinates."""
+    coords = [0] * len(slot[run[0]][0])
+    for i in run:
+        for j, c in enumerate(slot[i][0]):
+            if c:
+                coords[j] = coords[j] + _Poly({(offset + i,): c})
+    return make(coords), slot[run[0]][1]
+
+
+def _contract(slots, idfns, make):
+    """Evaluate one group on generic points; returns (hit, slices evaluated),
+    hit being what _scan_range returns over the whole group.
+
+    Slot s is bound to generic points sum x_(offset_s + i) e_i, one per run
+    of equal parity, so one evaluation of a block of runs gives each
+    residual coordinate as a polynomial whose monomials are the block's
+    basis tuples.  The variables of slot s take the codes offset_s + i, so
+    a sorted monomial lists its tuple in slot order and monomials compare as
+    their tuples do.  Slot 0 goes in slices of consecutive indices of one
+    parity, at most CONTRACT_SLICE_TUPLES tuples each (one index at least),
+    in order; only the least (monomial, identity position) of the current
+    slice is kept, so one block's polynomials are held at a time and a
+    failure stops at its slice.  Blocks come in lexicographic order of their
+    least tuples, so once the slice's best is below a block's least tuple,
+    no later block can hold a smaller one."""
+    if not all(slots):
+        return None, 0
+    offsets = list(itertools.accumulate(map(len, slots), initial=0))
+    width = max(1, CONTRACT_SLICE_TUPLES // math.prod(map(len, slots[1:])))
+    firsts = [run[k:k + width] for run in _parity_runs(slots[0]) for k in range(0, len(run), width)]
+    blocks = [
+        [(run[0] + offset, _generic_point(slot, run, offset, make)) for run in _parity_runs(slot)]
+        for slot, offset in zip(slots[1:], offsets[1:])
+    ]
+    for n, first in enumerate(firsts, 1):
+        head = _generic_point(slots[0], first, 0, make)
+        best = None
+        for block in itertools.product(*blocks):
+            if best is not None and best[0] < (first[0],) + tuple(low for low, _ in block):
+                break
+            pts = (head,) + tuple(pt for _, pt in block)
+            for at, (_, fn) in enumerate(idfns):
+                r = fn(pts)
+                for c in r:
+                    if c and (best is None or (min(c), at) < best[:2]):
+                        best = min(c), at, r
+        if best is not None:
+            mono, at, r = best
+            flat = 0
+            for code, offset, slot in zip(mono, offsets, slots):
+                flat = flat * len(slot) + code - offset
+            return (flat, at, tuple(c.get(mono, 0) if c else 0 for c in r)), n
+    return None, len(firsts)
 
 
 # The smallest scan group worth a fork pool: through the CLI on 2 cores, two

@@ -37,6 +37,7 @@ from .core import (
     ValidationError,
     Vector,
     _column_applier,
+    _Poly,
     independent_columns,
     solve_in_span,
 )
@@ -48,6 +49,7 @@ from .laws import (
     LawReport,
     _intertwining_group,
     _morphism_groups,
+    _Polynomials,
     _require,
     _run_groups,
     _Tables,
@@ -452,55 +454,12 @@ def search_operators(
     return SearchResult(kind, found, checked, limit == space_size, space_size)
 
 
-# The polynomial binder of a search.  It is an F_p table binder whose
-# coordinates are ints (constants) or _Poly values: polynomials over F_p in
-# the free entries x_0, x_1, ... of one unknown even map.  Every product and
-# twist is applied by its own table applier; only the unknown map's columns
-# hold variables.  One evaluation of the operator equations on basis points so
+# A search binds on the polynomial binder (laws._Polynomials) over F_p: its
+# coordinates are ints (constants) or _Poly values, polynomials in the free
+# entries x_0, x_1, ... of one unknown even map.  Every product and twist is
+# applied by its own table applier; only the unknown map's columns hold
+# variables.  One evaluation of the operator equations on basis points so
 # gives each residual coordinate as a polynomial in the entries of the map.
-
-
-class _Poly(dict):
-    """A polynomial {monomial: coefficient}, a monomial being the sorted tuple
-    of its variables (repeated for powers).  Coefficients are reduced by % p
-    alone, which also drops the vanishing terms."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def terms(c):
-        """The (monomial, coefficient) terms of a _Poly or an int."""
-        return c.items() if isinstance(c, _Poly) else [((), c)] if c else []
-
-    def __add__(self, other):
-        out = _Poly(self)
-        for m, c in _Poly.terms(other):
-            out[m] = out.get(m, 0) + c
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly({m: -c for m, c in self.items()})
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        out = _Poly()
-        for ma, ca in self.items():
-            for mb, cb in _Poly.terms(other):
-                m = tuple(sorted(ma + mb)) if ma and mb else ma or mb
-                out[m] = out.get(m, 0) + ca * cb
-        return out
-
-    __rmul__ = __mul__
-
-    def __mod__(self, p):
-        return _Poly({m: c % p for m, c in self.items() if c % p})
 
 
 class _FreeMap:
@@ -519,15 +478,6 @@ class _FreeMap:
         for var, (i, j) in enumerate(self.free):
             cols[j].append((i, _Poly({(var,): 1})))
         return _column_applier(cols, self.codomain)
-
-
-class _Polynomials(_Tables):
-    """The table binder of a search.  Nothing is memoised: a _Poly, being a
-    dict, has no hash."""
-
-    @staticmethod
-    def memoised(fn):
-        return fn
 
 
 def _file_polynomials(groups, nvars: int, p: int) -> list:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from superalt import laws
 from superalt import (
     EvenBilinear,
     EvenMap,
@@ -84,3 +85,10 @@ def l1p3(p3):
 def pre6(l1p3, rb3):
     r = tensor_map(EvenMap.identity(grassmann1().space), rb3)
     return rb_split(l1p3, r)
+
+
+@pytest.fixture
+def scan_path(monkeypatch):
+    """Every scan group on the tuple scan.  The pool tests need it: their
+    large sparse groups would be contracted, and a contraction never forks."""
+    monkeypatch.setattr(laws, "_evaluation", lambda tuples, arity, tables: "scan")

@@ -1,13 +1,17 @@
 """Law and bimodule checks against nested-loop scans of the reference
 closures.
 
-The checks scan on compiled structure tables.  The references below walk
-basis tuples in scan order through the Vector closures of `law_identities`,
-`_abm_identities` and `_pbm_identities`, count every tuple they evaluate and
-stop at the first nonzero residual.  Every LawReport field must agree, on
-corpus instances that pass, on single-entry perturbations of them, and on
-random small instances over Q (integral and non-integral constants), F_3
-and F_5.
+The checks evaluate on compiled structure tables, each scan group either by
+the tuple scan or by contraction on generic points, as laws._evaluation
+rules.  The references below walk basis tuples in scan order through the
+Vector closures of `law_identities`, `_abm_identities` and
+`_pbm_identities`, count every tuple they evaluate and stop at the first
+nonzero residual.  Every check runs with each group forced onto each path
+(the contraction once with whole parity runs of slot 0 per slice and once
+with one index per slice), and every LawReport field must agree with the
+reference: on corpus instances that pass, on single-entry perturbations of
+them, on random small instances over Q (integral and non-integral
+constants), F_3 and F_5, and on dim-0 and odd-only spaces.
 """
 
 import io
@@ -16,8 +20,9 @@ import json
 import logging
 import random
 import re
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +67,7 @@ from superalt import (
     truncpoly,
     zero,
 )
+from superalt import laws as engine
 from superalt.bimodules import _abm_identities, _pbm_identities
 from superalt.cli import main
 from superalt.io import object_to_doc, save
@@ -219,37 +225,57 @@ def ref_pre_bimodule(m, variant):
 
 # -- comparisons -------------------------------------------------------
 
-
-def compare_product(a, laws=PRODUCT_LAWS, max_jordan_dim=4):
-    for law in laws:
-        if law != "hom-jordan":
-            assert check_product_law(a, law) == ref_product_law(a, law), law
-        elif a.space.dim <= max_jordan_dim:
-            for cycle in JORDAN_CYCLES:
-                got = check_product_law(a, law, jordan_cycle=cycle)
-                assert got == ref_product_law(a, law, cycle), (law, cycle)
+# (path, contraction slice bound): the tuple scan; the contraction with its
+# own slices, whole parity runs of slot 0 here; one slot-0 index per slice
+PATHS = (("scan", None), ("contract", engine.CONTRACT_SLICE_TUPLES), ("contract", 1))
 
 
-def compare_pre(p):
-    for law in PRE_LAWS:
-        assert check_pre_law(p, law) == ref_pre_law(p, law), law
+@contextmanager
+def forced(path, slice_tuples=None):
+    """Every group evaluated by path, whatever the rule says."""
+    with mock.patch.object(engine, "_evaluation", lambda tuples, arity, tables: path), \
+            mock.patch.object(engine, "CONTRACT_SLICE_TUPLES",
+                              slice_tuples or engine.CONTRACT_SLICE_TUPLES):
+        yield
 
 
-def outcome(check, *args):
+def outcome(check, *args, **kwargs):
     """A report, or the report a refusal carries."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except HypothesisError as exc:
         return exc.report
 
 
+def expect(ref, check, *args, **kwargs):
+    """check(*args, **kwargs) gives the report ref on every path."""
+    for path in PATHS:
+        with forced(*path):
+            assert outcome(check, *args, **kwargs) == ref, path
+
+
+def compare_product(a, laws=PRODUCT_LAWS, max_jordan_dim=4):
+    for law in laws:
+        if law != "hom-jordan":
+            expect(ref_product_law(a, law), check_product_law, a, law)
+        elif a.space.dim <= max_jordan_dim:
+            for cycle in JORDAN_CYCLES:
+                expect(ref_product_law(a, law, cycle), check_product_law, a, law,
+                       jordan_cycle=cycle)
+
+
+def compare_pre(p):
+    for law in PRE_LAWS:
+        expect(ref_pre_law(p, law), check_pre_law, p, law)
+
+
 def compare_alt_bimodule(m):
-    assert outcome(check_alt_bimodule, m) == ref_alt_bimodule(m)
+    expect(ref_alt_bimodule(m), check_alt_bimodule, m)
 
 
 def compare_pre_bimodule(m):
     for variant in VARIANTS:
-        assert outcome(check_pre_bimodule, m, variant) == ref_pre_bimodule(m, variant), variant
+        expect(ref_pre_bimodule(m, variant), check_pre_bimodule, m, variant)
 
 
 @settings(max_examples=30, deadline=None)
@@ -350,9 +376,121 @@ def test_six_dimensional_pre_bimodule_matches_reference():
     for kind in ("Q/2", F5):
         p = standard_pre_instances(field_of(kind))[1]
         m = regular_bimodule(p)
-        assert check_pre_bimodule(m) == ref_pre_bimodule(m, CALIBRATED_PBM_VARIANT)
+        expect(ref_pre_bimodule(m, CALIBRATED_PBM_VARIANT), check_pre_bimodule, m)
         bent = PreBimodule(p, m.beta, m.lprec, perturbed(rng, kind, m.rprec), m.lsucc, m.rsucc)
         compare_pre_bimodule(bent)
+
+
+def test_dim_zero_and_odd_only_spaces_match_reference():
+    """Groups with an empty slot, and slots with one parity run only."""
+    rng = random.Random(17)
+    for kind in FIELD_KINDS:
+        field = field_of(kind)
+        for dims in ((0, 0), (0, 1), (0, 3)):
+            space = SuperSpace(field, *dims)
+            a = HomAlgebra(EvenBilinear.zero(space, space, space), rand_map(rng, kind, space, space))
+            compare_product(a)
+            compare_pre(HomPreAlgebra(a.mu, a.mu, a.alpha))
+            compare_alt_bimodule(regular_bimodule(a))
+        base = grassmann1(field)
+        for dims in ((0, 0), (0, 2)):
+            v = SuperSpace(field, *dims)
+            compare_alt_bimodule(AltBimodule(
+                base, rand_map(rng, kind, v, v),
+                rand_bilinear(rng, kind, base.space, v, v, density=0.8),
+                rand_bilinear(rng, kind, v, base.space, v, density=0.8),
+            ))
+        p = standard_pre_instances(field)[0]
+        v = SuperSpace(field, 0, 2)
+        acts = [rand_bilinear(rng, kind, *spaces, density=0.8)
+                for spaces in ((p.space, v, v), (v, p.space, v)) * 2]
+        compare_pre_bimodule(PreBimodule(p, rand_map(rng, kind, v, v), *acts))
+
+
+def path_lines(caplog, fn):
+    """(law, path) of each scan-group DEBUG line logged while fn runs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="superalt"):
+        fn()
+    return [tuple(re.match(r"(\S+) group \d+/\d+: (\w+):", r.getMessage()).groups())
+            for r in caplog.records if r.name == "superalt"]
+
+
+def test_rule_contracts_the_jordan_group_and_scans_small_groups(caplog):
+    l1_oct = tensor_alt(grassmann1(), octonions())
+    jordan = plus_jordan(l1_oct)
+    rep = check_product_law(jordan, "hom-jordan")
+    assert rep.passed and rep.checked == 16**2 + 16**4
+    # super-commutativity on 256 pairs, then 65 536 sparse 4-tuples
+    assert path_lines(caplog, lambda: check_product_law(jordan, "hom-jordan")) == [
+        ("hom-jordan", "scan"), ("hom-jordan", "contract")]
+    with forced("scan"):
+        assert check_product_law(jordan, "hom-jordan") == rep
+    bent = HomAlgebra(perturb_bilinear(l1_oct.mu, (1, 2, 3), 1), l1_oct.alpha)
+    lines = path_lines(caplog, lambda: check_product_law(bent, "hom-alternative"))
+    assert lines == [("hom-alternative", "scan")]
+    rng = random.Random(19)
+    for kind in FIELD_KINDS:
+        space = rand_space(rng, kind)
+        a = HomAlgebra(rand_bilinear(rng, kind, space, space, space),
+                       rand_map(rng, kind, space, space))
+        p = HomPreAlgebra(rand_bilinear(rng, kind, space, space, space), a.mu, a.alpha)
+        lines = path_lines(caplog, lambda: (
+            [check_product_law(a, law) for law in PRODUCT_LAWS],
+            [check_pre_law(p, law) for law in PRE_LAWS],
+            outcome(check_alt_bimodule, regular_bimodule(a)),
+            outcome(check_pre_bimodule, regular_bimodule(p)),
+        ))
+        assert lines and {path for _, path in lines} == {"scan"}
+
+
+def test_contraction_stops_at_the_slice_of_the_first_failure(caplog):
+    l1_oct = tensor_alt(grassmann1(), octonions())
+    bent = HomAlgebra(perturb_bilinear(l1_oct.mu, (1, 2, 3), 1), l1_oct.alpha)
+    rep = check_product_law(bent, "hom-alternative")
+    assert not rep.passed and rep.witness[0] == 1 and bent.space.dims == (8, 8)
+    # slot 0 in slices of its even run and its odd run, then of one index each
+    for slice_tuples, slices in ((engine.CONTRACT_SLICE_TUPLES, 1), (1, rep.witness[0] + 1)):
+        caplog.clear()
+        with forced("contract", slice_tuples), caplog.at_level(logging.DEBUG, logger="superalt"):
+            assert check_product_law(bent, "hom-alternative") == rep
+        [line] = [r.getMessage() for r in caplog.records if r.name == "superalt"]
+        assert f": contract: {rep.checked} tuples in " in line
+        assert f"; {slices} slices, " in line
+
+
+def bound(*tables):
+    """A table binder with the given products and maps bound."""
+    binder = engine._Tables(F5)
+    for t in tables:
+        binder(t)
+    return binder
+
+
+def test_rule_reads_group_size_arity_and_table_fill():
+    s = SuperSpace(F5, 8, 8)
+    identity = EvenMap.identity(s)
+    sparse = bound(EvenBilinear.zero(s, s, s), identity)  # fill 1: the twist's
+    assert engine._evaluation(8192, 3, sparse) == "contract"
+    assert engine._evaluation(8191, 3, sparse) == "scan"
+    assert engine._evaluation(16**4, 4, sparse) == "contract"
+    # two constants on the pairs (i, j) with i < 5, one elsewhere: fill 336/256,
+    # so 1.72 terms per triple and 2.26 per 4-tuple against the bound of 2
+    def outs(i, j):
+        return [k for k in s.indices() if s.parity(k) == (s.parity(i) + s.parity(j)) % 2]
+
+    mixed = EvenBilinear.from_entries(s, s, s, [
+        (i, j, k, 1) for i in s.indices() for j in s.indices()
+        for k in outs(i, j)[:2 if i < 5 else 1]
+    ])
+    assert engine._fill(mixed) == 336 / 256
+    assert engine._evaluation(8192, 3, bound(mixed, identity)) == "contract"
+    assert engine._evaluation(16**4, 4, bound(mixed, identity)) == "scan"
+    # a twist with two entries in a column counts as well
+    doubled = EvenMap(s, s, [[F5.one if i in (j, j ^ 1) else F5.zero for j in s.indices()]
+                             for i in s.indices()])
+    assert engine._fill(doubled) == 2
+    assert engine._evaluation(16**4, 4, bound(EvenBilinear.zero(s, s, s), doubled)) == "scan"
 
 
 # -- exactness over Q --------------------------------------------------
@@ -390,10 +528,10 @@ def test_fp_reports_match_the_reduced_rational_reports():
 
 
 def run_cli(argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
@@ -404,26 +542,37 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
         save(object_to_doc(a), str(path))
         for law in ("hom-alternative", "hom-jordan"):
             runs.append(["check", str(path), "--law", law, "--jobs", "1"])
+    # a check whose 4-tuple group is contracted
+    jordan = tmp_path / "jordan.json"
+    save(object_to_doc(plus_jordan(tensor_alt(grassmann1(), octonions()))), str(jordan))
+    runs.append(["check", str(jordan), "--law", "hom-jordan", "--jobs", "1"])
     p35 = tmp_path / "p35.json"
     save(object_to_doc(reduce_instance(truncpoly(3), 5)), str(p35))
     runs.append(["search", str(p35), "--kind", "rota-baxter", "--budget", "2000"])
     quiet = [run_cli(argv) for argv in runs]
     assert not caplog.records
+    assert all(err == "" for _, _, err in quiet)
     logger = logging.getLogger("superalt")
     with caplog.at_level(logging.DEBUG, logger="superalt"):
         loud = [run_cli(argv) for argv in runs]
     assert loud == quiet
     assert logger.level == logging.NOTSET
-    for code, text in quiet:
+    for code, text, _ in quiet:
         json.loads(text.split("\n", 1)[1])
     lines = [r.getMessage() for r in caplog.records if r.name == "superalt"]
     searches = [line for line in lines if " search: " in line]
     scans = [line for line in lines if " search: " not in line]
     # oct: hom-alternative is one group, hom-jordan two (the second is
-    # never reached once super-commutativity fails); bent the same; then
-    # the reference re-check of each found operator
-    assert len(scans) >= 4
-    assert all("tuples" in line and "memo" in line for line in scans)
+    # never reached once super-commutativity fails); bent the same; the
+    # plus-algebra two; then the reference re-check of each found operator
+    assert len(scans) >= 6
+    for line in scans:
+        assert re.fullmatch(
+            r"\S+ group \d+/\d+: (scan|contract): \d+ tuples in [\d.]+ s; tables built in "
+            r"[\d.]+ s; (\d+ memo entries|\d+ slices, \d+ polynomial terms)", line)
+        assert (": scan: " in line) == line.endswith(" memo entries")
+    assert [line.split(" in ")[0] for line in scans if ": contract: " in line] == [
+        "hom-jordan group 2/2: contract: 65536 tuples"]
     # one line per search: its counts, and bind time against search time
     found = len(json.loads(quiet[-1][1].split("\n", 1)[1])["search"]["found"])
     assert len(searches) == 1
@@ -433,22 +582,22 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
         rf"{found} found in [\d.]+ s",
         searches[0],
     )
-
-
-def scan_lines(caplog, fn):
-    """The law names of the scan-group DEBUG lines logged while fn runs."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="superalt"):
-        fn()
-    return [r.getMessage().split(" group ")[0] for r in caplog.records if r.name == "superalt"]
+    # -v writes the same log lines to stderr and leaves stdout alone
+    verbose = [run_cli(argv + ["-v"]) for argv in runs]
+    assert [out[:2] for out in verbose] == [out[:2] for out in quiet]
+    assert logger.level == logging.NOTSET and not logger.handlers
+    logged = [line for _, _, err in verbose for line in err.splitlines()]
+    assert all(line.startswith("superalt: ") for line in logged)
+    strip = [re.sub(r"[\d.]+ s\b", "t s", line) for line in lines]
+    assert [re.sub(r"[\d.]+ s\b", "t s", line[len("superalt: "):]) for line in logged] == strip
 
 
 def test_each_hypothesis_is_scanned_once(caplog):
     m, r = regular_bimodule(truncpoly(3)), integration(3)
     # o_induced reads its kernel and morphism reports off the o-operator check
-    assert scan_lines(caplog, lambda: o_induced(r, m)) == ["o-operator"] * 2
+    assert [law for law, _ in path_lines(caplog, lambda: o_induced(r, m))] == ["o-operator"] * 2
     # rb_split checks hom-alternative and rota-baxter; the alt axioms follow
-    laws = scan_lines(caplog, lambda: rb_induced_bimodules(m, r))
+    laws = [law for law, _ in path_lines(caplog, lambda: rb_induced_bimodules(m, r))]
     assert laws.count("hom-alternative") == 1
     assert laws.count("rota-baxter") == 2
     assert laws.count("alt-bimodule") == 1

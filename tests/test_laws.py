@@ -171,7 +171,7 @@ def test_morphism_requires_matching_kinds(p3, pre3):
         check_morphism(p3.alpha, p3, pre3)
 
 
-def test_parallel_scan_agrees_with_serial(oct):
+def test_parallel_scan_agrees_with_serial(oct, scan_path):
     big = tensor_alt(truncpoly(3), oct)  # 24^3 triples: past laws.POOL_MIN_TUPLES
     serial = check_product_law(big, "hom-alternative", jobs=1)
     parallel = check_product_law(big, "hom-alternative", jobs=2)
@@ -179,7 +179,7 @@ def test_parallel_scan_agrees_with_serial(oct):
     assert serial.checked == parallel.checked == 13824
 
 
-def test_parallel_scan_reports_the_same_witness(oct):
+def test_parallel_scan_reports_the_same_witness(oct, scan_path):
     from superalt import perturb_product
 
     big = perturb_product(tensor_alt(truncpoly(3), oct), (1, 2, 3), Fraction(1))
@@ -191,7 +191,7 @@ def test_parallel_scan_reports_the_same_witness(oct):
     assert serial.residual == parallel.residual
 
 
-def test_parallel_scan_without_fork_runs_serially(monkeypatch):
+def test_parallel_scan_without_fork_runs_serially(monkeypatch, scan_path):
     import multiprocessing
 
     from superalt import PrimeField, perturb_product, zero
@@ -207,9 +207,9 @@ def test_parallel_scan_without_fork_runs_serially(monkeypatch):
     a = zero(10, 11, PrimeField(3))  # 21^3 = 9261 triples: past laws.POOL_MIN_TUPLES
     for inst in (a, perturb_product(a, (11, 4, 11), 1)):
         serial = check_product_law(inst, "hom-alternative", jobs=1)
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        assert check_product_law(inst, "hom-alternative", jobs=2) == serial
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "get_context", no_fork)
+            assert check_product_law(inst, "hom-alternative", jobs=2) == serial
     assert asked == ["fork", "fork"]
     assert serial.witness is not None and serial.checked > 1024
 

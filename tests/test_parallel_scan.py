@@ -6,6 +6,10 @@ triples.  Zero products over F_3 keep each tuple as cheap as it gets at that
 size.  Two workers split a group into eight chunks of about 1158 tuples;
 each perturbation first fails at a triple (3, ., .) just past the first
 chunk, so the chunk order decides the reported witness.
+
+Groups this large and this sparse are contracted, not scanned, so every
+test here patches the evaluation rule to the scan, and the forked runs
+check that the pool's workers really adopted their group.
 """
 
 import multiprocessing
@@ -43,13 +47,36 @@ def zero_pre():
     return HomPreAlgebra(z, z, EvenMap.identity(s), name="zero-pre(10,11)")
 
 
-def serial_and_parallel(check, *args):
-    serial = check(*args, jobs=1)
-    assert check(*args, jobs=2) == serial
-    return serial
+pytestmark = pytest.mark.usefixtures("scan_path")
 
 
-def test_parallel_pre_law_matches_serial():
+@pytest.fixture
+def serial_and_parallel(monkeypatch, tmp_path):
+    """Runs a check with jobs=1 and jobs=2, asserts equal reports and that
+    the jobs=2 run started pool workers, which record their pids in a file."""
+    adopted = tmp_path / "adopted"
+    adopt = laws._adopt_group
+
+    def spy(*group):
+        with open(adopted, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        adopt(*group)
+
+    monkeypatch.setattr(laws, "_adopt_group", spy)
+
+    def run(check, *args):
+        serial = check(*args, jobs=1)
+        assert not adopted.exists()
+        assert check(*args, jobs=2) == serial
+        pids = adopted.read_text().split()
+        assert pids and str(os.getpid()) not in pids
+        adopted.unlink()
+        return serial
+
+    return run
+
+
+def test_parallel_pre_law_matches_serial(serial_and_parallel):
     p = zero_pre()
     rep = serial_and_parallel(check_pre_law, p, "hom-prealternative")
     assert rep.passed and rep.checked == TRIPLES
@@ -58,7 +85,7 @@ def test_parallel_pre_law_matches_serial():
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
-def test_parallel_alt_bimodule_matches_serial():
+def test_parallel_alt_bimodule_matches_serial(serial_and_parallel):
     m = regular_bimodule(zero(10, 11, F3))
     rep = serial_and_parallel(check_alt_bimodule, m)
     assert rep.passed and rep.checked == TRIPLES
@@ -67,7 +94,7 @@ def test_parallel_alt_bimodule_matches_serial():
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
-def test_parallel_pre_bimodule_matches_serial():
+def test_parallel_pre_bimodule_matches_serial(serial_and_parallel):
     m = regular_bimodule(zero_pre())
     rep = serial_and_parallel(check_pre_bimodule, m)
     assert rep.passed and rep.checked == TRIPLES
