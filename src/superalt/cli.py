@@ -33,7 +33,7 @@ from .constructions import (
     yau_twist,
 )
 from .core import EvenMap, ValidationError
-from .fields import FieldError, RationalField
+from .fields import QQ, FieldError, FpElement, PrimeField, RationalField
 from .io import (
     DocumentError,
     canonical_dumps,
@@ -408,7 +408,9 @@ def _run(args) -> int:
     except HypothesisError as e:
         print(f"hypothesis failed for {e.operation}:", file=sys.stderr)
         print(_human_line(e.report))
-        print(canonical_dumps(report_to_doc(e.report, None)), end="")
+        v = e.report.residual[0]  # a failing report's scalars name its field
+        field = PrimeField(v.p) if isinstance(v, FpElement) else QQ
+        print(canonical_dumps(report_to_doc(e.report, field)), end="")
         return EXIT_FAIL
     except (DocumentError, ValidationError, FieldError) as e:
         msgs = getattr(e, "errors", None) or [str(e)]

@@ -67,22 +67,17 @@ def tensor_map(f: EvenMap, g: EvenMap) -> EvenMap:
     """f tensor g on the flattened tensor basis (same pairing as tensor_alt)."""
     dom = tensor_space(f.domain, g.domain)
     cod = tensor_space(f.codomain, g.codomain)
-    dom_pairs = tensor_pairs(f.domain, g.domain)
-    cod_pairs = tensor_pairs(f.codomain, g.codomain)
-    cod_index = {q: a for a, q in enumerate(cod_pairs)}
-    zero = dom.field.zero
-    rows = [[zero] * dom.dim for _ in range(cod.dim)]
-    for b, (i, j) in enumerate(dom_pairs):
-        for k in range(f.codomain.dim):
-            fv = f.entries[k][i]
-            if not fv:
-                continue
-            for l in range(g.codomain.dim):
-                gv = g.entries[l][j]
-                if not gv:
-                    continue
-                rows[cod_index[(k, l)]][b] = fv * gv
-    return EvenMap(dom, cod, rows)
+    dom_index = {q: b for b, q in enumerate(tensor_pairs(f.domain, g.domain))}
+    cod_index = {q: a for a, q in enumerate(tensor_pairs(f.codomain, g.codomain))}
+    return EvenMap.from_entries(
+        dom,
+        cod,
+        [
+            (cod_index[k, l], dom_index[i, j], fv * gv)
+            for k, i, fv in f.sparse_entries()
+            for l, j, gv in g.sparse_entries()
+        ],
+    )
 
 
 def tensor_alt(c: HomAlgebra, b: HomAlgebra) -> HomAlgebra:

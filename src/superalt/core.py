@@ -1,10 +1,11 @@
 """Graded substrate: Z2-graded spaces, even maps, even bilinear products.
 
 Basis convention: indices 0..n0-1 are even, n0..n0+n1-1 are odd, so parity
-is a function of the index.  Vectors and maps are dense tuples of exact
-scalars.  A product keeps only its nonzero structure constants, as sparse
-rows; EvenBilinear.from_entries builds it from its sparse entries and
-validates those entries alone, never the whole cube cell by cell.
+is a function of the index.  Vectors are dense tuples of exact scalars.  A
+map keeps only its nonzero entries, as sparse columns, and a product only its
+nonzero structure constants, as sparse rows; EvenMap.from_entries and
+EvenBilinear.from_entries build them from their sparse entries and validate
+those entries alone, never the whole matrix or cube cell by cell.
 """
 
 from __future__ import annotations
@@ -125,58 +126,77 @@ class Vector:
 
 
 class EvenMap:
-    """Parity-preserving linear map.  Column j is the image of basis vector j."""
+    """Parity-preserving linear map, kept as its nonzero entries.
 
-    __slots__ = ("domain", "codomain", "entries", "_cols")
+    _cols[j] lists (i, m) in increasing i for every nonzero entry m of the
+    image of basis j; m must vanish unless parity(i) = parity(j).  Build with
+    from_entries, identity, zero or diagonal; the constructor takes its
+    entries by keyword only, so dense rows passed in their place are a
+    TypeError.
+    """
 
-    def __init__(self, domain: SuperSpace, codomain: SuperSpace, entries):
-        errors = []
+    __slots__ = ("domain", "codomain", "_cols")
+
+    def __init__(self, domain: SuperSpace, codomain: SuperSpace, *, entries):
         if domain.field != codomain.field:
-            errors.append("domain and codomain use different scalar fields")
-            raise ValidationError(errors)
-        field = domain.field
-        rows = []
-        for row in entries:
-            rows.append(tuple(field.coerce(v) for v in row))
-        entries = tuple(rows)
-        if len(entries) != codomain.dim or any(len(r) != domain.dim for r in entries):
-            errors.append(
-                f"matrix shape {len(entries)}x{len(entries[0]) if entries else 0} "
-                f"does not match codomain x domain = {codomain.dim}x{domain.dim}"
-            )
-            raise ValidationError(errors)
-        for i in range(codomain.dim):
-            for j in range(domain.dim):
-                if entries[i][j] and codomain.parity(i) != domain.parity(j):
-                    errors.append(f"odd block entry at ({i}, {j}) must vanish")
-        if errors:
-            raise ValidationError(errors)
+            raise ValidationError(["domain and codomain use different scalar fields"])
+        nd, nc = domain.dim, codomain.dim
+        z, coerce = domain.field.zero, domain.field.coerce
+        cells = {}
+        bad = []
+        for i, j, v in entries:
+            if 0 <= i < nc and 0 <= j < nd:
+                cells[i, j] = cells.get((i, j), z) + coerce(v)
+            else:
+                bad.append(f"entry ({i}, {j}) out of range for codomain x domain = {nc}x{nd}")
+        if bad:
+            raise ValidationError(bad)
+        cols = [[] for _ in range(nd)]
+        for (i, j), v in sorted(cells.items()):
+            if v and codomain.parity(i) != domain.parity(j):
+                bad.append(f"odd block entry at ({i}, {j}) must vanish")
+            elif v:
+                cols[j].append((i, v))
+        if bad:
+            raise ValidationError(bad)
         self.domain = domain
         self.codomain = codomain
-        self.entries = entries
-        cols = []
-        for j in range(domain.dim):
-            cols.append(tuple((i, entries[i][j]) for i in range(codomain.dim) if entries[i][j]))
-        self._cols = tuple(cols)
+        self._cols = tuple(map(tuple, cols))
+
+    @classmethod
+    def from_entries(cls, domain: SuperSpace, codomain: SuperSpace, entries) -> "EvenMap":
+        """Build from sparse entries [(i, j, value), ...], i indexing the
+        codomain and j the domain: each value is coerced once and values given
+        for one cell add up; every index out of range, and then every nonzero
+        cell that breaks parity, is an error.  Every producer of a map comes
+        through here."""
+        return cls(domain, codomain, entries=entries)
 
     @classmethod
     def identity(cls, space: SuperSpace) -> "EvenMap":
-        z, one = space.field.zero, space.field.one
-        n = space.dim
-        return cls(space, space, [[one if i == j else z for j in range(n)] for i in range(n)])
+        one = space.field.one
+        return cls.from_entries(space, space, [(i, i, one) for i in space.indices()])
 
     @classmethod
     def zero(cls, domain: SuperSpace, codomain: SuperSpace | None = None) -> "EvenMap":
-        codomain = codomain or domain
-        z = domain.field.zero
-        return cls(domain, codomain, [[z] * domain.dim for _ in range(codomain.dim)])
+        return cls.from_entries(domain, codomain or domain, ())
 
     @classmethod
     def diagonal(cls, space: SuperSpace, diag) -> "EvenMap":
-        z = space.field.zero
-        n = space.dim
-        diag = list(diag)
-        return cls(space, space, [[diag[i] if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_entries(space, space, [(i, i, d) for i, d in enumerate(diag)])
+
+    def sparse_entries(self) -> list:
+        """The nonzero entries (i, j, value) in (i, j) order."""
+        return sorted((i, j, v) for j, col in enumerate(self._cols) for i, v in col)
+
+    @property
+    def entries(self) -> tuple:
+        """The dense rows, codomain x domain, zeros included."""
+        rows = [[self.codomain.field.zero] * self.domain.dim for _ in self.codomain.indices()]
+        for j, col in enumerate(self._cols):
+            for i, v in col:
+                rows[i][j] = v
+        return tuple(map(tuple, rows))
 
     def apply(self, x: Vector) -> Vector:
         if x.space != self.domain:
@@ -205,13 +225,11 @@ class EvenMap:
         """self after other."""
         if other.codomain != self.domain:
             raise ValidationError(["composition domain mismatch"])
-        z = self.codomain.field.zero
-        rows = [[z] * other.domain.dim for _ in range(self.codomain.dim)]
-        for j in range(other.domain.dim):
-            for k, ov in other._cols[j]:
-                for i, sv in self._cols[k]:
-                    rows[i][j] = rows[i][j] + sv * ov
-        return EvenMap(other.domain, self.codomain, rows)
+        return EvenMap.from_entries(
+            other.domain, self.codomain,
+            [(i, j, sv * ov) for j, col in enumerate(other._cols) for k, ov in col
+             for i, sv in self._cols[k]],
+        )
 
     def power(self, k: int) -> "EvenMap":
         if self.domain != self.codomain:
@@ -230,15 +248,15 @@ class EvenMap:
     def __add__(self, other: "EvenMap") -> "EvenMap":
         if self.domain != other.domain or self.codomain != other.codomain:
             raise ValidationError(["map sum shape mismatch"])
-        return EvenMap(
-            self.domain,
-            self.codomain,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
+        return EvenMap.from_entries(
+            self.domain, self.codomain, self.sparse_entries() + other.sparse_entries()
         )
 
     def scaled(self, s) -> "EvenMap":
         s = self.domain.field.coerce(s)
-        return EvenMap(self.domain, self.codomain, [[s * v for v in r] for r in self.entries])
+        return EvenMap.from_entries(
+            self.domain, self.codomain, [(i, j, s * v) for i, j, v in self.sparse_entries()]
+        )
 
     def commutes_with(self, other: "EvenMap") -> bool:
         return self.compose(other) == other.compose(self)
@@ -246,14 +264,12 @@ class EvenMap:
     def __eq__(self, other):
         if not isinstance(other, EvenMap):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.entries == other.entries
+        return (self.domain, self.codomain, self._cols) == (
+            other.domain, other.codomain, other._cols
         )
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.entries))
+        return hash((self.domain, self.codomain, self._cols))
 
     def __repr__(self):
         return f"EvenMap({self.codomain.dim}x{self.domain.dim})"

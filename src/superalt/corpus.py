@@ -65,13 +65,13 @@ def integration(k: int, field=QQ) -> EvenMap:
     if k < 1:
         raise ValidationError([f"integration needs k >= 1, got {k}"])
     space = SuperSpace(field, k, 0)
-    entries = [[field.zero for _ in range(k)] for _ in range(k)]
+    entries = []
     for i in range(k - 1):
         d = field.scalar(i + 1)
         if not d:
             raise ValidationError([f"{i + 1} is not invertible in {field}"])
-        entries[i + 1][i] = field.one / d
-    return EvenMap(space, space, entries)
+        entries.append((i + 1, i, field.one / d))
+    return EvenMap.from_entries(space, space, entries)
 
 
 # lines of the Fano plane in the cyclic convention: (i, i+1, i+3) mod 7
@@ -141,8 +141,7 @@ def _to_fp(q, p: int):
 def reduce_map(f: EvenMap, p: int) -> EvenMap:
     dom = SuperSpace(PrimeField(p), f.domain.even, f.domain.odd)
     cod = SuperSpace(PrimeField(p), f.codomain.even, f.codomain.odd)
-    rows = [[_to_fp(v, p) for v in row] for row in f.entries]
-    return EvenMap(dom, cod, rows)
+    return EvenMap.from_entries(dom, cod, [(i, j, _to_fp(v, p)) for i, j, v in f.sparse_entries()])
 
 
 def _reduce_bilinear(b: EvenBilinear, p: int) -> EvenBilinear:

@@ -156,13 +156,14 @@ def _matrix_from_json(field, rows, domain, codomain, ctx, where):
     if not ok:
         ctx.err(where, f"expected a {codomain.dim} x {domain.dim} matrix")
         ctx.raise_if_failed()
-    entries = [
-        [_scalar_from_json(field, v, ctx, f"{where}[{r}][{c}]") for c, v in enumerate(row)]
+    cells = [
+        (r, c, _scalar_from_json(field, v, ctx, f"{where}[{r}][{c}]"))
         for r, row in enumerate(rows)
+        for c, v in enumerate(row)
     ]
     ctx.raise_if_failed()
     try:
-        return EvenMap(domain, codomain, entries)
+        return EvenMap.from_entries(domain, codomain, [cell for cell in cells if cell[2]])
     except ValidationError as e:
         raise DocumentError([f"{where}: {m}" for m in e.errors])
 

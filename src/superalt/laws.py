@@ -268,7 +268,7 @@ class LawReport:
     residual: Optional[tuple] = None
     extra: dict = dc_field(default_factory=dict)
 
-    def to_json_dict(self, field=None) -> dict:
+    def to_json_dict(self, field) -> dict:
         d = {
             "law": self.law,
             "passed": self.passed,
@@ -278,12 +278,7 @@ class LawReport:
             d["witness"] = list(self.witness)
             d["witness_parities"] = list(self.witness_parities)
             d["identity"] = self.identity
-            if field is not None:
-                d["residual"] = [field.to_json(v) for v in self.residual]
-            else:
-                # scalars know their own serialization when no field is at hand
-                d["residual"] = [getattr(v, "val", None) if hasattr(v, "val") else str(v)
-                                 for v in self.residual]
+            d["residual"] = [field.to_json(v) for v in self.residual]
         if self.extra:
             d["extra"] = self.extra
         return d
@@ -603,7 +598,7 @@ def _fill(t) -> float:
     if isinstance(t, EvenBilinear):
         nonzero = sum(len(cell) for row in t._rows for cell in row)
         return nonzero / max(1, t.left.dim * t.right.dim)
-    return sum(map(len, t._cols)) / max(1, t.domain.dim)
+    return len(t.sparse_entries()) / max(1, t.domain.dim)
 
 
 # The rule's bounds, from passing checks timed both ways in one process (the

@@ -264,16 +264,17 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
             for entries, product in ((img_prec, pre.prec), (img_succ, pre.succ)):
                 sol = express(t.apply(product.pair_of_basis(ci, cj)))
                 entries += [(ai, bj, k, v) for k, v in enumerate(sol)]
+    img_alpha = [
+        (ai, bj, v)
+        for bj, vec in enumerate(img_basis)
+        for ai, v in enumerate(express(a.alpha.apply(vec)))
+        if v
+    ]
     r = len(cols)
-    alpha_rows = [[field.zero] * r for _ in range(r)]
-    for bj, cj in enumerate(cols):
-        col = express(a.alpha.apply(img_basis[bj]))
-        for ai in range(r):
-            alpha_rows[ai][bj] = col[ai]
     image = HomPreAlgebra(
         EvenBilinear.from_entries(img_space, img_space, img_space, img_prec),
         EvenBilinear.from_entries(img_space, img_space, img_space, img_succ),
-        EvenMap(img_space, img_space, alpha_rows),
+        EvenMap.from_entries(img_space, img_space, img_alpha),
         name="o-induced-image",
     )
     return OInduced(
@@ -319,17 +320,14 @@ def enumerate_even_maps(
     npos = len(positions)
     total = p**npos
     limit = total if budget is None else min(budget, total)
-    zero = field.zero
     for counter in range(limit):
-        rows = [[zero] * domain.dim for _ in range(codomain.dim)]
+        entries = []
         rem = counter
         for pos in range(npos - 1, -1, -1):
-            digit = rem % p
-            rem //= p
+            rem, digit = divmod(rem, p)
             if digit:
-                i, j = positions[pos]
-                rows[i][j] = field.scalar(digit)
-        yield EvenMap(domain, codomain, rows)
+                entries.append((*positions[pos], digit))
+        yield EvenMap.from_entries(domain, codomain, entries)
 
 
 def enumerate_signed_permutation_maps(space: SuperSpace):
@@ -338,16 +336,12 @@ def enumerate_signed_permutation_maps(space: SuperSpace):
     field = space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["signed permutation enumeration needs a finite scalar field"])
-    n0, n1, n = space.even, space.odd, space.dim
-    zero = field.zero
+    n0, n = space.even, space.dim
     for pe in itertools.permutations(range(n0)):
         for po in itertools.permutations(range(n0, n)):
-            perm = list(pe) + list(po)
+            perm = pe + po
             for signs in itertools.product((1, -1), repeat=n):
-                rows = [[zero] * n for _ in range(n)]
-                for j in range(n):
-                    rows[perm[j]][j] = field.scalar(signs[j])
-                yield EvenMap(space, space, rows)
+                yield EvenMap.from_entries(space, space, list(zip(perm, range(n), signs)))
 
 
 def search_operators(
@@ -430,13 +424,10 @@ def search_operators(
     start = time.perf_counter()
     stats = _SearchStats()
     found = []
-    zero = field.zero
     for digits in _backtrack(by_var, live, p, limit, stats):
-        rows = [[zero] * domain.dim for _ in range(a.space.dim)]
-        for (i, j), d in zip(unknown.free, digits):
-            if d:
-                rows[i][j] = field.scalar(d)
-        candidate = EvenMap(domain, a.space, rows)
+        candidate = EvenMap.from_entries(
+            domain, a.space, [(i, j, d) for (i, j), d in zip(unknown.free, digits) if d]
+        )
         rep = check(candidate)
         if not rep.passed:
             raise RuntimeError(

@@ -1,5 +1,7 @@
 """Shared fixtures and sampling helpers."""
 
+import os
+
 import pytest
 
 from superalt import laws
@@ -44,6 +46,13 @@ def from_cube(left, right, out, cube):
             for k, v in enumerate(row)
             if v
         ],
+    )
+
+
+def from_rows(domain, codomain, rows):
+    """The map whose dense rows m[i][j] (codomain x domain) are `rows`, built from its nonzero cells."""
+    return EvenMap.from_entries(
+        domain, codomain, [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
     )
 
 
@@ -92,3 +101,25 @@ def scan_path(monkeypatch):
     """Every scan group on the tuple scan.  The pool tests need it: their
     large sparse groups would be contracted, and a contraction never forks."""
     monkeypatch.setattr(laws, "_evaluation", lambda tuples, arity, tables: "scan")
+
+
+@pytest.fixture
+def forked(monkeypatch, tmp_path):
+    """Asserts that pool workers, not this process, adopted a scan group
+    since the last call (forked()), or that none did (forked(False)).  Each
+    adopting process records its pid in a file."""
+    adopted, adopt = tmp_path / "adopted", laws._adopt_group
+
+    def spy(*group):
+        with open(adopted, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        adopt(*group)
+
+    monkeypatch.setattr(laws, "_adopt_group", spy)
+
+    def check(expected=True):
+        pids = adopted.read_text().split() if adopted.exists() else []
+        adopted.unlink(missing_ok=True)
+        assert (bool(pids) and str(os.getpid()) not in pids) if expected else not pids
+
+    return check

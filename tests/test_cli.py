@@ -139,6 +139,18 @@ def test_construct_hypothesis_failure_exits_one(workdir, capsys):
     assert "FAIL rota-baxter" in human
     rep = json.loads(rest)
     assert rep["law"] == "rota-baxter" and rep["passed"] is False
+    assert rep["residual"] and all(isinstance(v, str) for v in rep["residual"])
+
+
+def test_construct_hypothesis_failure_over_fp_reports_residues(tmp_path, capsys):
+    p35 = reduce_instance(truncpoly(3), 5)
+    sio.save(sio.algebra_to_doc(p35), str(tmp_path / "p35.json"))
+    sio.save(sio.map_to_doc(EvenMap.identity(p35.space)), str(tmp_path / "id.json"))
+    code, out, err = run(capsys, "construct", "rb-split", "--in", str(tmp_path / "p35.json"),
+                         "--map", str(tmp_path / "id.json"), "--out", str(tmp_path / "bad.json"))
+    assert code == 1 and "hypothesis failed for rb_split" in err
+    rep = json.loads(out.split("\n", 1)[1])
+    assert rep["residual"] and all(type(v) is int for v in rep["residual"])
 
 
 def test_construct_scale_takes_a_scalar(workdir, capsys):
@@ -310,10 +322,13 @@ def test_strict_canonical_flag(workdir, capsys, tmp_path):
     assert code == 2
 
 
-def test_jobs_flag_parallel_run(workdir, capsys):
-    code, out, _ = run(capsys, "check", str(workdir / "oct.json"),
-                       "--law", "hom-alternative", "--jobs", "2")
-    assert code == 0 and "512 tuples" in out
+def test_jobs_flag_parallel_run(tmp_path, capsys, scan_path, forked):
+    """21^3 = 9261 triples reach laws.POOL_MIN_TUPLES, so --jobs 2 forks workers."""
+    doc = tmp_path / "zero.json"
+    assert main(["corpus", "zero-10-11", "--prime", "3", "--out", str(doc)]) == 0
+    code, out, _ = run(capsys, "check", str(doc), "--law", "hom-alternative", "--jobs", "2")
+    assert code == 0 and "9261 tuples" in out
+    forked()
 
 
 def test_help_lists_all_verbs(capsys):

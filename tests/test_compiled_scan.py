@@ -71,6 +71,7 @@ from superalt import laws as engine
 from superalt.bimodules import _abm_identities, _pbm_identities
 from superalt.cli import main
 from superalt.io import object_to_doc, save
+from conftest import from_rows
 
 F3, F5 = PrimeField(3), PrimeField(5)
 # "Q" draws integral constants, "Q/2" halves and thirds as well
@@ -104,7 +105,7 @@ def rand_map(rng, kind, dom, cod, density=0.6):
     if rng.random() < 0.3:  # a scalar twist keeps many laws passing
         return EvenMap.diagonal(dom, [rand_scalar(rng, kind)] * dom.dim)
     z = dom.field.zero
-    return EvenMap(dom, cod, [
+    return from_rows(dom, cod, [
         [rand_scalar(rng, kind) if cod.parity(i) == dom.parity(j) and rng.random() < density
          else z for j in dom.indices()]
         for i in cod.indices()
@@ -487,8 +488,8 @@ def test_rule_reads_group_size_arity_and_table_fill():
     assert engine._evaluation(8192, 3, bound(mixed, identity)) == "contract"
     assert engine._evaluation(16**4, 4, bound(mixed, identity)) == "scan"
     # a twist with two entries in a column counts as well
-    doubled = EvenMap(s, s, [[F5.one if i in (j, j ^ 1) else F5.zero for j in s.indices()]
-                             for i in s.indices()])
+    doubled = from_rows(s, s, [[F5.one if i in (j, j ^ 1) else F5.zero for j in s.indices()]
+                              for i in s.indices()])
     assert engine._fill(doubled) == 2
     assert engine._evaluation(16**4, 4, bound(EvenBilinear.zero(s, s, s), doubled)) == "scan"
 

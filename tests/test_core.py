@@ -18,7 +18,7 @@ from superalt import (
     nullspace,
     solve_in_span,
 )
-from conftest import from_cube, to_cube
+from conftest import from_cube, from_rows, to_cube
 
 S21 = SuperSpace(QQ, 2, 1)
 S30 = SuperSpace(QQ, 3, 0)
@@ -61,14 +61,14 @@ def test_even_map_rejects_parity_mixing_entries():
     # e2 is odd, e0 even: a nonzero (0, 2) entry is not an even map
     rows = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
     with pytest.raises(ValidationError) as ei:
-        EvenMap(S21, S21, [[Fraction(v) for v in r] for r in rows])
+        from_rows(S21, S21, [[Fraction(v) for v in r] for r in rows])
     assert any("odd block entry" in e for e in ei.value.errors)
 
 
 def test_even_map_collects_all_violations():
     rows = [[0, 0, 1], [0, 0, 1], [1, 0, 0]]
     with pytest.raises(ValidationError) as ei:
-        EvenMap(S21, S21, [[Fraction(v) for v in r] for r in rows])
+        from_rows(S21, S21, [[Fraction(v) for v in r] for r in rows])
     assert len(ei.value.errors) == 3
 
 
@@ -91,7 +91,7 @@ def test_even_map_commutes_with():
     f = EvenMap.diagonal(S30, (2, 2, 2))
     g = EvenMap.diagonal(S30, (7, 7, 7))
     assert f.commutes_with(g)
-    h = EvenMap(
+    h = from_rows(
         S30,
         S30,
         [[Fraction(0), Fraction(1), Fraction(0)],
@@ -101,6 +101,59 @@ def test_even_map_commutes_with():
     # h shifts e1 to e0; scaling only e0 does not commute with that
     assert h.commutes_with(EvenMap.identity(S30))
     assert not h.commutes_with(EvenMap.diagonal(S30, (2, 1, 1)))
+
+
+def test_identity_coerces_each_diagonal_entry_once(monkeypatch):
+    # 4 096 cells, 64 of them on the diagonal: only those are coerced
+    s = SuperSpace(QQ, 32, 32)
+    coerce, calls = RationalField.coerce, []
+
+    def counting(field, v):
+        calls.append(v)
+        return coerce(field, v)
+
+    monkeypatch.setattr(RationalField, "coerce", counting)
+    ident = EvenMap.identity(s)
+    assert len(calls) == 64
+    assert ident.sparse_entries() == [(i, i, Fraction(1)) for i in range(64)]
+
+
+def test_even_map_has_no_dense_rows_constructor():
+    rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(TypeError):
+        EvenMap(S21, S21, rows)
+    assert EvenMap.__slots__ == ("domain", "codomain", "_cols")
+    assert EvenMap.identity(S21).entries == tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_reordered_split_and_cancelling_entries_give_equal_maps(field):
+    s = SuperSpace(field, 2, 1)
+    whole = EvenMap.from_entries(s, s, [(0, 1, 3), (2, 2, -2)])
+    split = EvenMap.from_entries(s, s, [(2, 2, -1), (0, 1, 1), (1, 0, 4), (2, 2, -1), (0, 1, 2),
+                                        (1, 0, -4)])
+    assert split == whole and hash(split) == hash(whole)
+    assert split.sparse_entries() == whole.sparse_entries()
+    assert split != EvenMap.from_entries(s, s, [(0, 1, 3)])
+    cancelled = EvenMap.from_entries(s, s, [(1, 1, 2), (2, 2, 1), (2, 2, -1), (1, 1, -2)])
+    zero = EvenMap.zero(s)
+    assert cancelled == zero and hash(cancelled) == hash(zero)
+    assert cancelled.sparse_entries() == []
+
+
+def test_even_map_refuses_out_of_range_then_parity_in_cell_order():
+    with pytest.raises(ValidationError) as ei:
+        EvenMap.from_entries(S21, S21, [(3, 0, 1), (0, 2, 1), (0, -1, 1)])
+    assert ei.value.errors == [
+        "entry (3, 0) out of range for codomain x domain = 3x3",
+        "entry (0, -1) out of range for codomain x domain = 3x3",
+    ]
+    with pytest.raises(ValidationError) as ei:
+        EvenMap.from_entries(S21, S21, [(2, 1, 1), (0, 2, 1), (2, 0, 1), (0, 2, -1)])
+    assert ei.value.errors == [
+        "odd block entry at (2, 0) must vanish",
+        "odd block entry at (2, 1) must vanish",
+    ]
 
 
 def test_bilinear_parity_constraint():
@@ -255,7 +308,7 @@ def test_nullspace_of_a_rank_one_map():
         [Fraction(0), Fraction(0), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
-    f = EvenMap(S21, S21, rows)
+    f = from_rows(S21, S21, rows)
     kern = nullspace(f)
     assert len(kern) == 1
     (k,) = kern

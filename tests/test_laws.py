@@ -235,5 +235,3 @@ def test_report_serialization_round_trip_fields(oct):
     assert d["passed"] is False
     assert d["witness"] == [1, 2, 3]
     assert d["residual"][6] == "-2"
-    bare = rep.to_json_dict()
-    assert bare["residual"][6] == "-2"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from superalt import (
     QQ,
-    EvenMap,
     PrimeField,
     SuperSpace,
     Vector,
@@ -22,6 +21,7 @@ from superalt import (
     nullspace,
     solve_in_span,
 )
+from conftest import from_rows
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -79,7 +79,7 @@ def columns_as_vectors(field, m, n, rows):
 def test_nullspace_matches_sympy(name, matrix):
     field, K = FIELDS[name]
     m, n, rows = matrix
-    f = EvenMap(SuperSpace(field, n, 0), SuperSpace(field, m, 0), rows)
+    f = from_rows(SuperSpace(field, n, 0), SuperSpace(field, m, 0), rows)
     a = oracle(K, m, n, rows)
     _, pivots = a.rref()
     free = [j for j in range(n) if j not in pivots]

@@ -34,6 +34,7 @@ from superalt import (
     regular_bimodule,
     zero,
 )
+from superalt.bimodules import CALIBRATED_PBM_VARIANT, _alt_bimodule_axioms, _pre_bimodule_axioms
 
 F3 = PrimeField(3)
 
@@ -51,26 +52,20 @@ pytestmark = pytest.mark.usefixtures("scan_path")
 
 
 @pytest.fixture
-def serial_and_parallel(monkeypatch, tmp_path):
+def serial_and_parallel(forked):
     """Runs a check with jobs=1 and jobs=2, asserts equal reports and that
-    the jobs=2 run started pool workers, which record their pids in a file."""
-    adopted = tmp_path / "adopted"
-    adopt = laws._adopt_group
+    the jobs=2 run started pool workers."""
 
-    def spy(*group):
-        with open(adopted, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        adopt(*group)
-
-    monkeypatch.setattr(laws, "_adopt_group", spy)
-
-    def run(check, *args):
+    def run(check, *args, public=None):
+        """public, when given, is the checking wrapper of check, run once
+        with jobs=2 on the same arguments."""
         serial = check(*args, jobs=1)
-        assert not adopted.exists()
+        forked(False)
         assert check(*args, jobs=2) == serial
-        pids = adopted.read_text().split()
-        assert pids and str(os.getpid()) not in pids
-        adopted.unlink()
+        forked()
+        if public is not None:
+            assert public(*args, jobs=2) == serial
+            forked()
         return serial
 
     return run
@@ -85,23 +80,29 @@ def test_parallel_pre_law_matches_serial(serial_and_parallel):
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
+# The bimodule tests compare the axiom scans alone, and scan the shared base
+# once, in the one call through the public check that passes jobs on.
+
+
 def test_parallel_alt_bimodule_matches_serial(serial_and_parallel):
     m = regular_bimodule(zero(10, 11, F3))
-    rep = serial_and_parallel(check_alt_bimodule, m)
+    rep = serial_and_parallel(_alt_bimodule_axioms, m)
     assert rep.passed and rep.checked == TRIPLES
     bad = AltBimodule(m.base, m.beta, perturb_bilinear(m.lsucc, (3, 11, 11), 1), m.rprec)
-    rep = serial_and_parallel(check_alt_bimodule, bad)
+    rep = serial_and_parallel(_alt_bimodule_axioms, bad, public=check_alt_bimodule)
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
 def test_parallel_pre_bimodule_matches_serial(serial_and_parallel):
     m = regular_bimodule(zero_pre())
-    rep = serial_and_parallel(check_pre_bimodule, m)
+    rep = serial_and_parallel(_pre_bimodule_axioms, m, CALIBRATED_PBM_VARIANT)
     assert rep.passed and rep.checked == TRIPLES
     bad = PreBimodule(
         m.base, m.beta, perturb_bilinear(m.lprec, (3, 11, 11), 1), m.rprec, m.lsucc, m.rsucc
     )
-    rep = serial_and_parallel(check_pre_bimodule, bad)
+    rep = serial_and_parallel(
+        _pre_bimodule_axioms, bad, CALIBRATED_PBM_VARIANT, public=check_pre_bimodule
+    )
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 

@@ -35,7 +35,7 @@ from superalt import (
     o_induced,
     regular_bimodule,
 )
-from conftest import from_cube
+from conftest import from_cube, from_rows
 
 FIELDS = (QQ, PrimeField(3), PrimeField(5))
 SELF_MAP_KINDS = (
@@ -75,7 +75,7 @@ def rand_map(rng, dom, cod, density=0.6):
         ]
         for i in cod.indices()
     ]
-    return EvenMap(dom, cod, rows)
+    return from_rows(dom, cod, rows)
 
 
 def rand_bilinear(rng, left, right, out, density=0.4):

@@ -19,7 +19,6 @@ from superalt import (
     OPERATOR_KINDS,
     AltBimodule,
     EvenBilinear,
-    EvenMap,
     HomAlgebra,
     PrimeField,
     SuperSpace,
@@ -34,6 +33,7 @@ from superalt import (
     truncpoly,
 )
 from superalt.laws import REFERENCE
+from conftest import from_rows
 from superalt.operators import _backtrack, _o_operator_groups, _operator_groups, _SearchStats
 
 # every kind once, rota-baxter at weights 0 and 1
@@ -121,7 +121,7 @@ def random_algebra(rng, p, dims, density=0.4):
         [rng.randrange(p) if par(i) == par(j) and rng.random() < 0.5 else 0 for j in s.indices()]
         for i in s.indices()
     ]
-    return HomAlgebra(EvenBilinear.from_entries(s, s, s, entries), EvenMap(s, s, alpha),
+    return HomAlgebra(EvenBilinear.from_entries(s, s, s, entries), from_rows(s, s, alpha),
                       name=f"random{dims}@{p}")
 
 
@@ -142,7 +142,7 @@ def random_bimodule(rng, a, dims, density=0.4):
 
     beta = [[rng.randrange(p) if V.parity(i) == V.parity(j) else 0 for j in V.indices()]
             for i in V.indices()]
-    return AltBimodule(a, EvenMap(V, V, beta), action(A, V), action(V, A), name=f"random{dims}")
+    return AltBimodule(a, from_rows(V, V, beta), action(A, V), action(V, A), name=f"random{dims}")
 
 
 SMALL = ["zero-2-1", "grassmann1", "grassmann1-twisted", "truncpoly-2"]

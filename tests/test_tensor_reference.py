@@ -33,7 +33,7 @@ from superalt import (
     zero,
 )
 from superalt.fields import field_to_json
-from conftest import from_cube, to_cube
+from conftest import from_cube, from_rows, to_cube
 
 FIELDS = (QQ, PrimeField(3), PrimeField(5))
 DENSITIES = (0.0, 0.3, 0.7)
@@ -130,7 +130,7 @@ def test_core_producers_match_dense_reference(seed, field):
          for j in b.indices()]
         for i in a.indices()
     ]
-    same(bil.post_compose(EvenMap(c, d, m)), a, b, d, ref)
+    same(bil.post_compose(from_rows(c, d, m)), a, b, d, ref)
 
     # (x, y) -> m(x) y: c'[i][j][k] = sum_l m[l][i] c[l][j][k]
     m = rand_rows(rng, d, a)
@@ -139,7 +139,7 @@ def test_core_producers_match_dense_reference(seed, field):
          for j in b.indices()]
         for i in d.indices()
     ]
-    same(bil.pre_compose_left(EvenMap(d, a, m)), d, b, c, ref)
+    same(bil.pre_compose_left(from_rows(d, a, m)), d, b, c, ref)
 
     # (x, y) -> x m(y): c'[i][j][k] = sum_l m[l][j] c[i][l][k]
     m = rand_rows(rng, d, b)
@@ -148,7 +148,7 @@ def test_core_producers_match_dense_reference(seed, field):
          for j in d.indices()]
         for i in a.indices()
     ]
-    same(bil.pre_compose_right(EvenMap(d, b, m)), a, d, c, ref)
+    same(bil.pre_compose_right(from_rows(d, b, m)), a, d, c, ref)
 
     other = rand_cube(rng, a, b, c)
     ref = [
@@ -270,7 +270,7 @@ def test_reduce_instance_matches_dense_reference(seed, p):
     space = rand_space(rng, QQ)
     fp = SuperSpace(PrimeField(p), space.even, space.odd)
     cubes = [rand_cube(rng, space, space, space) for _ in range(2)]
-    alpha = EvenMap(space, space, rand_rows(rng, space, space))
+    alpha = from_rows(space, space, rand_rows(rng, space, space))
     refs = [[[[to_fp(v, p) for v in row] for row in plane] for plane in cube] for cube in cubes]
 
     red = reduce_instance(HomAlgebra(from_cube(space, space, space, cubes[0]), alpha), p)
