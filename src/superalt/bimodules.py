@@ -20,6 +20,7 @@ from itertools import product as iproduct
 from .core import EvenBilinear, EvenMap, ValidationError
 from .laws import (
     REFERENCE,
+    SWAP_XY,
     HomAlgebra,
     HomPreAlgebra,
     LawReport,
@@ -169,7 +170,12 @@ def _abm_identities(m: AltBimodule, bind=REFERENCE):
             - signed(vr(vr(v, y), al(x)), px * py)
         )
 
-    return [("abm1", 3, abm1), ("abm2", 3, abm2), ("abm3", 3, abm3), ("abm4", 3, abm4)]
+    return [
+        ("abm1", 3, abm1),
+        ("abm2", 3, abm2),
+        ("abm3", 3, abm3, SWAP_XY),
+        ("abm4", 3, abm4, SWAP_XY),
+    ]
 
 
 def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
@@ -270,7 +276,7 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
         )
 
     return [
-        ("pbm1", 3, pbm1),
+        ("pbm1", 3, pbm1, SWAP_XY),
         ("pbm2", 3, pbm2),
         ("pbm3", 3, pbm3),
         ("pbm4", 3, pbm4),
@@ -278,7 +284,7 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
         ("pbm6", 3, pbm6),
         ("pbm7", 3, pbm7),
         ("pbm8", 3, pbm8),
-        ("pbm9", 3, pbm9),
+        ("pbm9", 3, pbm9, SWAP_XY),
         ("pbm10", 3, pbm10),
     ]
 
@@ -289,7 +295,7 @@ def _bimodule_run(law, m, identities, jobs, extra=None) -> LawReport:
 
     def build(bind):
         base = bind.points(m.base.space)
-        idfns = [(name, fn) for name, _, fn in identities(bind)]
+        idfns = [(name, fn, *perm) for name, _, fn, *perm in identities(bind)]
         return [([base, base, bind.points(m.module)], idfns)]
 
     return _run_groups(law, build, _Tables(m.module.field), jobs, extra)

@@ -189,6 +189,10 @@ class EvenMap:
         """The nonzero entries (i, j, value) in (i, j) order."""
         return sorted((i, j, v) for j, col in enumerate(self._cols) for i, v in col)
 
+    def nonzero_count(self) -> int:
+        """The number of nonzero entries, without listing them."""
+        return sum(map(len, self._cols))
+
     @property
     def entries(self) -> tuple:
         """The dense rows, codomain x domain, zeros included."""
@@ -328,6 +332,10 @@ class EvenBilinear:
         The work is proportional to the entries plus the nl x nr rows; every
         producer of a tensor comes through here."""
         return cls(left, right, out, entries=entries)
+
+    def nonzero_count(self) -> int:
+        """The number of nonzero structure constants, without listing them."""
+        return sum(len(cell) for row in self._rows for cell in row)
 
     def sparse_entries(self):
         out = []

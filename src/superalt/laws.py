@@ -11,6 +11,13 @@ whose residual polynomials list every tuple of the block.  Both report the
 same witness, count and residual.  Koszul signs are computed from the
 parities carried alongside each argument, giving a single code path for
 basis vectors, generic points and general homogeneous elements.
+
+An identity may declare a permutation of its slots under which it is
+invariant up to sign (left-alt under x <-> y, jordan under the rotation of
+its cycled slots).  It then fails at a tuple iff it fails at every image of
+the tuple, so its least failure is at a tuple least in its orbit, and both
+ways evaluate it only at such tuples (or at a superset of them).  The one
+condition: the permuted slots range over the same points.
 """
 
 from __future__ import annotations
@@ -284,8 +291,11 @@ class LawReport:
         return d
 
 
-# Product-law identity tables.  Each identity is (name, arity, fn) where fn
-# consumes a tuple of (vector, parity) points and returns the residual vector.
+# Product-law identity tables.  Each identity is (name, arity, fn) or
+# (name, arity, fn, perm), where fn consumes a tuple of (vector, parity)
+# points and returns the residual vector, and perm, when given, is a
+# permutation of the slots that changes the residual by a sign at most:
+# fn(pts) = +-fn(tuple(pts[s] for s in perm)).
 
 PRODUCT_LAWS = (
     "hom-associative",
@@ -307,6 +317,9 @@ PRE_LAWS = (
 
 JORDAN_CYCLES = ("xyz", "xyt", "xzt")
 
+# The slot symmetries of the polarized identities.
+SWAP_XY, SWAP_YZ, SWAP_XZ = (1, 0, 2), (0, 2, 1), (2, 1, 0)
+
 # Calibrated against plus-algebras of the multiplicative hom-alternative
 # corpus: the unique cyclic reading under which all of them pass.
 DEFAULT_JORDAN_CYCLE = "xyt"
@@ -314,7 +327,9 @@ DEFAULT_JORDAN_CYCLE = "xyt"
 _JORDAN_ASSIGNMENTS = {
     # template term: sign (-1)^(t(x+z)), body as(x o y, alpha(z), alpha(t));
     # each entry lists the three bindings of (x, y, z, t) produced by cycling
-    # the named triple of variables while the fourth stays fixed.
+    # the named triple of variables while the fourth stays fixed.  The
+    # identity is the sum of the three, so the second binding, which rotates
+    # the triple, is its symmetry.
     "xyz": ((0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3)),
     "xyt": ((0, 1, 2, 3), (1, 3, 2, 0), (3, 0, 2, 1)),
     "xzt": ((0, 1, 2, 3), (2, 1, 3, 0), (3, 1, 0, 2)),
@@ -362,7 +377,8 @@ def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
         (x, _), (y, _) = pts
         return al(mu(x, y)) - mu(al(x), al(y))
 
-    bindings = [operator.itemgetter(*b) for b in _JORDAN_ASSIGNMENTS[jordan_cycle]]
+    assignments = _JORDAN_ASSIGNMENTS[jordan_cycle]
+    bindings = [operator.itemgetter(*b) for b in assignments]
 
     def jordan(pts):
         terms = []
@@ -374,13 +390,19 @@ def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
 
     table = {
         "hom-associative": [("as", 3, associative)],
-        "left-hom-alternative": [("left-alt", 3, left_alt)],
-        "right-hom-alternative": [("right-alt", 3, right_alt)],
-        "hom-alternative": [("left-alt", 3, left_alt), ("right-alt", 3, right_alt)],
-        "hom-flexible": [("flex", 3, flexible)],
-        "super-commutative": [("supercomm", 2, supercomm)],
+        "left-hom-alternative": [("left-alt", 3, left_alt, SWAP_XY)],
+        "right-hom-alternative": [("right-alt", 3, right_alt, SWAP_YZ)],
+        "hom-alternative": [
+            ("left-alt", 3, left_alt, SWAP_XY),
+            ("right-alt", 3, right_alt, SWAP_YZ),
+        ],
+        "hom-flexible": [("flex", 3, flexible, SWAP_XZ)],
+        "super-commutative": [("supercomm", 2, supercomm, (1, 0))],
         "multiplicative": [("mult", 2, multiplicative)],
-        "hom-jordan": [("supercomm", 2, supercomm), ("jordan", 4, jordan)],
+        "hom-jordan": [
+            ("supercomm", 2, supercomm, (1, 0)),
+            ("jordan", 4, jordan, assignments[1]),
+        ],
     }
     if law not in table:
         raise ValidationError([f"unknown product law {law!r}"])
@@ -410,16 +432,18 @@ def _pre_identities(p: HomPreAlgebra, law: str, bind):
         "hom-prealternative": [
             ("pa3", 3, pa3),
             ("pa4", 3, pa4),
-            ("pa5", 3, _left_polarization(kind1)),
-            ("pa6", 3, _right_polarization(kind3)),
+            ("pa5", 3, _left_polarization(kind1), SWAP_XY),
+            ("pa6", 3, _right_polarization(kind3), SWAP_YZ),
         ],
         "left-prealternative": [
-            (f"left-{k}", 3, _left_polarization(c)) for k, c in enumerate(comps, 1)
+            (f"left-{k}", 3, _left_polarization(c), SWAP_XY) for k, c in enumerate(comps, 1)
         ],
         "right-prealternative": [
-            (f"right-{k}", 3, _right_polarization(c)) for k, c in enumerate(comps, 1)
+            (f"right-{k}", 3, _right_polarization(c), SWAP_YZ) for k, c in enumerate(comps, 1)
         ],
-        "flexible-prealternative": [(f"flex-{k}", 3, make_flex(c)) for k, c in enumerate(comps, 1)],
+        "flexible-prealternative": [
+            (f"flex-{k}", 3, make_flex(c), SWAP_XZ) for k, c in enumerate(comps, 1)
+        ],
     }
     if law not in table:
         raise ValidationError([f"unknown pre-algebra law {law!r}"])
@@ -427,10 +451,11 @@ def _pre_identities(p: HomPreAlgebra, law: str, bind):
 
 
 def law_identities(instance, law: str, jordan_cycle: Optional[str] = None):
-    """Public access to the identity list of a law, for evaluation on
-    arbitrary homogeneous (vector, parity) points.  These closures are the
-    reference that every scan answers to."""
-    return _identities(instance, law, jordan_cycle, REFERENCE)
+    """Public access to the identity list of a law, as (name, arity, fn)
+    triples, for evaluation on arbitrary homogeneous (vector, parity) points.
+    These closures are the reference that every scan answers to."""
+    identities = _identities(instance, law, jordan_cycle, REFERENCE)
+    return [(name, arity, fn) for name, arity, fn, *_ in identities]
 
 
 def _identities(instance, law, jordan_cycle, bind):
@@ -453,6 +478,7 @@ def _identities(instance, law, jordan_cycle, bind):
 # is the one entry: per group, _evaluation picks the tuple scan (_scan_range,
 # over a fork pool when the group is large and jobs allow) or the
 # contraction (_contract), and at a hit the reference recomputes the residual.
+# An identity that declares a slot symmetry is (name, fn, perm).
 
 
 @functools.lru_cache(maxsize=64)
@@ -463,11 +489,11 @@ def _basis_points(space: SuperSpace) -> tuple[Point, ...]:
 
 def _group_identities(identities):
     groups = []
-    for name, arity, fn in identities:
+    for name, arity, fn, *perm in identities:
         if groups and groups[-1][0] == arity:
-            groups[-1][1].append((name, fn))
+            groups[-1][1].append((name, fn, *perm))
         else:
-            groups.append((arity, [(name, fn)]))
+            groups.append((arity, [(name, fn, *perm)]))
     return groups
 
 
@@ -501,17 +527,92 @@ def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str, bind)
     return [bind.points(f.domain)], [(name, intertwines)]
 
 
+def _images(slots, perm=None):
+    """The images of a tuple under the powers of perm but the identity (see
+    _powers), or None when there is no perm or it carries a slot onto other
+    points."""
+    if perm is None or any(slots[s] != slots[q] for s, q in enumerate(perm)):
+        return None
+    return _powers(perm)
+
+
+@functools.lru_cache(maxsize=64)
+def _powers(perm):
+    """The powers of perm but the identity.  Each is listed by the (k, s) of
+    the positions it moves, k ascending: its image of a tuple t reads t[s] at
+    position k, and agrees with t elsewhere."""
+    images, q = [], perm
+    while q != tuple(sorted(q)):
+        images.append(tuple((k, s) for k, s in enumerate(q) if k != s))
+        q = tuple(q[s] for s in perm)
+    return tuple(images)
+
+
+def _least_run(prefix, images, n):
+    """The range (b0, b1) of the last indices v in [0, n) for which the tuple
+    prefix + (v,) is least among its images.
+
+    Each image compares with the tuple at the positions it moves, in order:
+    two indices of the prefix decide it or tie, and the first position that
+    compares v with an index c of the prefix bounds v by c, the rest of the
+    comparison at v = c deciding whether c itself stays in."""
+    lo, hi, last = 0, n, len(prefix)
+    for moved in images:
+        for at, (k, s) in enumerate(moved):
+            a = prefix[k] if k < last else None
+            b = prefix[s] if s < last else None
+            if a == b:
+                continue
+            if a is not None and b is not None:
+                if a > b:
+                    return 0, 0
+                break
+            c = a if b is None else b
+            full = prefix + (c,)
+            after = moved[at + 1:]
+            rest = [full[k] for k, _ in after] <= [full[s] for _, s in after]
+            if b is None:  # c against v: v > c, or v = c if the rest allows
+                lo = max(lo, c + (not rest))
+            else:  # v against c: v < c, or v = c if the rest allows
+                hi = min(hi, c + rest)
+            break
+    return lo, hi
+
+
 def _scan_range(slots, idfns, start, stop):
     """Scan flat tuple indices [start, stop) over the product of the slots.
-    Returns (flat_index, identity_position, residual coordinates) of the
-    first failure or None."""
+    Returns (hit, evaluations): hit is (flat_index, identity_position,
+    residual coordinates) of the first failure or None, and evaluations
+    counts the identity evaluations made.
+
+    The last slot's index j runs innermost.  An identity with a symmetry is
+    evaluated only while j is in its range for the current prefix of the
+    other slots' indices, the range where the tuple is least in its orbit
+    (see _least_run), recomputed when the prefix changes: at any other tuple
+    a smaller image fails with it or not at all."""
+    n = len(slots[-1])
+    if not n:
+        return None, 0
+    checks = [[at, fn, _images(slots, *perm), 0, n] for at, (_, fn, *perm) in enumerate(idfns)]
+    symmetric = [check for check in checks if check[2]]
+    if symmetric:
+        prefixes = itertools.product(*(range(len(slot)) for slot in slots[:-1]))
+        prefixes = itertools.islice(prefixes, start // n, None)
+    evaluations = 0
     tuples = itertools.islice(itertools.product(*slots), start, stop)
     for flat, pts in enumerate(tuples, start):
-        for at, (_, fn) in enumerate(idfns):
-            r = fn(pts)
-            if not r.is_zero():
-                return flat, at, r.coords
-    return None
+        j = flat % n
+        if symmetric and (j == 0 or flat == start):
+            prefix = next(prefixes)
+            for check in symmetric:
+                check[3:] = _least_run(prefix, check[2], n)
+        for at, fn, _, b0, b1 in checks:
+            if b0 <= j < b1:
+                evaluations += 1
+                r = fn(pts)
+                if not r.is_zero():
+                    return (flat, at, r.coords), evaluations
+    return None, evaluations
 
 
 _log = logging.getLogger("superalt")
@@ -537,16 +638,17 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
                 binder = _Polynomials(tables.field)
                 polynomials = build(binder)
             binder.terms = 0
-            hit, slices = _contract(slots, polynomials[g - 1][1], binder.vector.of)
+            hit, slices, evaluations = _contract(slots, polynomials[g - 1][1], binder.vector.of)
             work = f"{slices} slices, {binder.terms} polynomial terms"
         else:
-            hit = _scan_parallel(slots, idfns, total, jobs)
+            hit, evaluations = _scan_parallel(slots, idfns, total, jobs)
             work = f"{sum(map(len, tables.memos))} memo entries"
         if debug:
             _log.debug(
-                "%s group %d/%d: %s: %d tuples in %.6f s; tables built in %.6f s; %s",
+                "%s group %d/%d: %s: %d tuples in %.6f s; %d evaluations; "
+                "tables built in %.6f s; %s",
                 law, g, len(groups), path, total if hit is None else hit[0] + 1,
-                time.perf_counter() - start, tables.build_s, work,
+                time.perf_counter() - start, evaluations, tables.build_s, work,
             )
         if hit is not None:
             flat, at, scanned = hit
@@ -555,7 +657,7 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
                 rem, i = divmod(rem, len(slot))
                 witness.insert(0, i)
             ref_slots, ref_idfns = build(REFERENCE)[g - 1]
-            name, fn = ref_idfns[at]
+            name, fn, *_ = ref_idfns[at]
             residual = fn(tuple(slot[i] for slot, i in zip(ref_slots, witness))).coords
             if residual != scanned:
                 raise RuntimeError(
@@ -595,10 +697,8 @@ def _evaluation(tuples, arity, tables) -> str:
 
 def _fill(t) -> float:
     """Nonzero constants per basis pair of a product, per basis vector of a map."""
-    if isinstance(t, EvenBilinear):
-        nonzero = sum(len(cell) for row in t._rows for cell in row)
-        return nonzero / max(1, t.left.dim * t.right.dim)
-    return len(t.sparse_entries()) / max(1, t.domain.dim)
+    inputs = t.left.dim * t.right.dim if isinstance(t, EvenBilinear) else t.domain.dim
+    return t.nonzero_count() / max(1, inputs)
 
 
 # The rule's bounds, from passing checks timed both ways in one process (the
@@ -630,9 +730,26 @@ def _generic_point(slot, run, offset, make):
     return make(coords), slot[run[0]][1]
 
 
+def _slot_blocks(slot, offset, make, start):
+    """(least variable, generic point) of each parity run of a slot, the runs
+    cut to the indices from start on."""
+    runs = ([i for i in run if i >= start] for run in _parity_runs(slot))
+    return [(run[0] + offset, _generic_point(slot, run, offset, make)) for run in runs if run]
+
+
+def _slot0_orbit(slots, idfns):
+    """The slots other than 0 that the symmetry of every identity of the
+    group carries slot 0 to (see _images): a tuple whose index in one of them
+    is below its slot-0 index is least in no identity's orbit."""
+    orbits = [{s for moved in _images(slots, *perm) or () for k, s in moved if k == 0}
+              for _, _, *perm in idfns]
+    return set.intersection(*orbits) - {0}
+
+
 def _contract(slots, idfns, make):
-    """Evaluate one group on generic points; returns (hit, slices evaluated),
-    hit being what _scan_range returns over the whole group.
+    """Evaluate one group on generic points; returns (hit, slices evaluated,
+    identity evaluations), hit being what _scan_range returns over the whole
+    group.
 
     Slot s is bound to generic points sum x_(offset_s + i) e_i, one per run
     of equal parity, so one evaluation of a block of runs gives each
@@ -645,35 +762,43 @@ def _contract(slots, idfns, make):
     slice is kept, so one block's polynomials are held at a time and a
     failure stops at its slice.  Blocks come in lexicographic order of their
     least tuples, so once the slice's best is below a block's least tuple,
-    no later block can hold a smaller one."""
+    no later block can hold a smaller one.
+
+    When every identity's symmetry moves slot 0 (see _slot0_orbit), the
+    slots in its orbit range over the indices from the slice's first slot-0
+    index on: the tuples cut off are least in no identity's orbit, so the
+    least failure is kept."""
     if not all(slots):
-        return None, 0
+        return None, 0, 0
     offsets = list(itertools.accumulate(map(len, slots), initial=0))
     width = max(1, CONTRACT_SLICE_TUPLES // math.prod(map(len, slots[1:])))
     firsts = [run[k:k + width] for run in _parity_runs(slots[0]) for k in range(0, len(run), width)]
-    blocks = [
-        [(run[0] + offset, _generic_point(slot, run, offset, make)) for run in _parity_runs(slot)]
-        for slot, offset in zip(slots[1:], offsets[1:])
-    ]
+    orbit = _slot0_orbit(slots, idfns)
+    evaluations = 0
     for n, first in enumerate(firsts, 1):
+        blocks = [
+            _slot_blocks(slots[s], offsets[s], make, first[0] if s in orbit else 0)
+            for s in range(1, len(slots))
+        ]
         head = _generic_point(slots[0], first, 0, make)
         best = None
         for block in itertools.product(*blocks):
             if best is not None and best[0] < (first[0],) + tuple(low for low, _ in block):
                 break
             pts = (head,) + tuple(pt for _, pt in block)
-            for at, (_, fn) in enumerate(idfns):
+            for at, (_, fn, *_) in enumerate(idfns):
                 r = fn(pts)
                 for c in r:
                     if c and (best is None or (min(c), at) < best[:2]):
                         best = min(c), at, r
+            evaluations += len(idfns)
         if best is not None:
             mono, at, r = best
             flat = 0
             for code, offset, slot in zip(mono, offsets, slots):
                 flat = flat * len(slot) + code - offset
-            return (flat, at, tuple(c.get(mono, 0) if c else 0 for c in r)), n
-    return None, len(firsts)
+            return (flat, at, tuple(c.get(mono, 0) if c else 0 for c in r)), n, evaluations
+    return None, len(firsts), evaluations
 
 
 # The smallest scan group worth a fork pool: through the CLI on 2 cores, two
@@ -687,7 +812,8 @@ def _scan_parallel(slots, idfns, total, jobs):
     The group reaches each worker through the fork itself, as the pool
     initializer's arguments, so its closures are never pickled; a task
     carries only its (start, stop) range.  At most one worker per chunk and
-    per CPU is started, whatever jobs asks for."""
+    per CPU is started, whatever jobs asks for.  Returns what _scan_range
+    returns over the whole group."""
     if jobs <= 1 or total < POOL_MIN_TUPLES:
         return _scan_range(slots, idfns, 0, total)
     nchunks = min(jobs * 4, max(1, total // 1024))
@@ -704,10 +830,12 @@ def _scan_parallel(slots, idfns, total, jobs):
     with ctx.Pool(workers, initializer=_adopt_group, initargs=(slots, idfns)) as pool:
         # results come in chunk order, so the first hit is the group's first;
         # leaving the block terminates the workers still on later chunks
-        for hit in pool.imap(_scan_chunk, bounds):
+        evaluations = 0
+        for hit, done in pool.imap(_scan_chunk, bounds):
+            evaluations += done
             if hit is not None:
-                return hit
-    return None
+                return hit, evaluations
+    return None, evaluations
 
 
 _group = None  # a pool worker's scan group; set only inside workers, by _adopt_group

@@ -291,7 +291,7 @@ def _recheck_product_witness(a, law, rep):
 
 
 def _recheck_bimodule_witness(m, identities, rep):
-    ids = {name: fn for name, _arity, fn in identities}
+    ids = {name: fn for name, _arity, fn, *_ in identities}
     fn = ids[rep.identity]
     spaces = [m.base.space, m.base.space, m.module]
     pts = tuple(

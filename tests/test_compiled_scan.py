@@ -206,7 +206,7 @@ def ref_pre_law(p, law):
 
 def bimodule_groups(m, identities):
     a = m.base.space
-    return [([a, a, m.module], [(name, fn) for name, _, fn in identities])]
+    return [([a, a, m.module], [(name, fn) for name, _, fn, *_ in identities])]
 
 
 def ref_alt_bimodule(m):
@@ -569,8 +569,8 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
     assert len(scans) >= 6
     for line in scans:
         assert re.fullmatch(
-            r"\S+ group \d+/\d+: (scan|contract): \d+ tuples in [\d.]+ s; tables built in "
-            r"[\d.]+ s; (\d+ memo entries|\d+ slices, \d+ polynomial terms)", line)
+            r"\S+ group \d+/\d+: (scan|contract): \d+ tuples in [\d.]+ s; \d+ evaluations; "
+            r"tables built in [\d.]+ s; (\d+ memo entries|\d+ slices, \d+ polynomial terms)", line)
         assert (": scan: " in line) == line.endswith(" memo entries")
     assert [line.split(" in ")[0] for line in scans if ": contract: " in line] == [
         "hom-jordan group 2/2: contract: 65536 tuples"]
