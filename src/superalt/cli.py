@@ -118,74 +118,48 @@ def _cmd_check_pre(args):
     return _emit_report(rep, p.space.field)
 
 
-CONSTRUCT_OPS = (
-    "alt",
-    "transpose",
-    "plus-jordan",
-    "tensor",
-    "centroid-twist",
-    "averaging",
-    "rb-split",
-    "yau-twist",
-    "derived",
-    "scale",
-)
+# op -> (construction, the instance kind of each --in file, its one option)
+_CONSTRUCTIONS = {
+    "alt": (alt_of, (HomPreAlgebra,), None),
+    "transpose": (transpose, (HomPreAlgebra,), None),
+    "plus-jordan": (plus_jordan, (HomAlgebra,), None),
+    "tensor": (tensor_alt, (HomAlgebra, HomAlgebra), None),
+    "centroid-twist": (centroid_twist, (HomAlgebra,), "map"),
+    "averaging": (averaging_product, (HomAlgebra,), "map"),
+    "rb-split": (rb_split, (HomAlgebra,), "map"),
+    "yau-twist": (yau_twist, (HomPreAlgebra,), "map"),
+    "derived": (derived_n, (HomPreAlgebra,), "n"),
+    "scale": (scale, (HomPreAlgebra,), "lambda"),
+}
+CONSTRUCT_OPS = tuple(_CONSTRUCTIONS)
+
+# option -> its argument to the construction, read from its value and the first input
+_OPTION_READERS = {
+    "map": lambda path, first, strict: _load_as(path, EvenMap, strict),
+    "n": lambda n, first, strict: n,
+    "lambda": lambda text, first, strict: _parse_scalar(first.space.field, text),
+}
 
 
 def _cmd_construct(args):
-    strict = args.strict_canonical
     op = args.op
-
-    def one(kinds):
-        if len(args.inputs) != 1:
-            raise _Usage(f"{op} takes exactly one --in file")
-        return _load_as(args.inputs[0], kinds, strict)
-
-    def need_map():
-        if args.map is None:
-            raise _Usage(f"{op} needs --map")
-        return _load_as(args.map, EvenMap, strict)
-
-    if op == "alt":
-        out = alt_of(one(HomPreAlgebra))
-    elif op == "transpose":
-        out = transpose(one(HomPreAlgebra))
-    elif op == "plus-jordan":
-        out = plus_jordan(one(HomAlgebra))
-    elif op == "tensor":
-        if len(args.inputs) != 2:
-            raise _Usage("tensor takes exactly two --in files")
-        c = _load_as(args.inputs[0], HomAlgebra, strict)
-        b = _load_as(args.inputs[1], HomAlgebra, strict)
-        out = tensor_alt(c, b)
-    elif op == "centroid-twist":
-        out = centroid_twist(one(HomAlgebra), need_map())
-    elif op == "averaging":
-        out = averaging_product(one(HomAlgebra), need_map())
-    elif op == "rb-split":
-        out = rb_split(one(HomAlgebra), need_map())
-    elif op == "yau-twist":
-        out = yau_twist(one(HomPreAlgebra), need_map())
-    elif op == "derived":
-        if args.n is None:
-            raise _Usage("derived needs --n")
-        out = derived_n(one(HomPreAlgebra), args.n)
-    elif op == "scale":
-        p = one(HomPreAlgebra)
-        if args.scalar is None:
-            raise _Usage("scale needs --lambda")
-        out = scale(p, _parse_scalar(p.space.field, args.scalar))
-    else:
-        raise _Usage(f"unknown construction {op!r}")
-
+    build, kinds, option = _CONSTRUCTIONS[op]
+    for name in _OPTION_READERS:
+        if name != option and getattr(args, name) is not None:
+            raise _Usage(f"{op} does not take --{name}")
+    if len(args.inputs) != len(kinds):
+        count = ("one --in file", "two --in files")[len(kinds) - 1]
+        raise _Usage(f"{op} takes exactly {count}")
+    strict = args.strict_canonical
+    inputs = [_load_as(path, kind, strict) for path, kind in zip(args.inputs, kinds)]
     metadata = {"operation": op, "inputs": list(args.inputs)}
-    if args.map is not None:
-        metadata["map"] = args.map
-    if args.n is not None:
-        metadata["n"] = args.n
-    if args.scalar is not None:
-        metadata["lambda"] = args.scalar
-    return _write(object_to_doc(out, metadata=metadata), args.out)
+    if option is not None:
+        value = getattr(args, option)
+        if value is None:
+            raise _Usage(f"{op} needs --{option}")
+        inputs.append(_OPTION_READERS[option](value, inputs[0], strict))
+        metadata[option] = value
+    return _write(object_to_doc(build(*inputs), metadata=metadata), args.out)
 
 
 def _cmd_verify_bimodule(args):
@@ -332,7 +306,7 @@ def build_parser():
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="FILE")
     p.add_argument("--map", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--lambda", dest="scalar", default=None)
+    p.add_argument("--lambda", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_construct)
 

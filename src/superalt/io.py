@@ -20,6 +20,17 @@ from .laws import HomAlgebra, HomPreAlgebra, LawReport
 DOCUMENT_KINDS = ("algebra", "pre-algebra", "map", "bimodule", "report")
 BASE_KINDS = ("algebra", "pre-algebra")
 MAX_DIM = 64  # cap on n0 + n1 of every space a document declares
+# variant -> (bimodule class, base class, actions in document key order, the
+# refusal of another base); an action named l... maps A x V -> V, r... V x A -> V
+_BIMODULES = {
+    "alt": (AltBimodule, HomAlgebra, ("lsucc", "rprec"), "an alt bimodule needs an algebra base"),
+    "pre": (
+        PreBimodule,
+        HomPreAlgebra,
+        ("lprec", "rprec", "lsucc", "rsucc"),
+        "a pre bimodule needs a pre-algebra base",
+    ),
+}
 
 
 class DocumentError(ValueError):
@@ -168,46 +179,11 @@ def _matrix_from_json(field, rows, domain, codomain, ctx, where):
         raise DocumentError([f"{where}: {m}" for m in e.errors])
 
 
-def algebra_to_doc(a: HomAlgebra, name: str | None = None, metadata: dict | None = None):
-    doc = {
-        "kind": "algebra",
-        "scalars": field_to_json(a.space.field),
-        "dims": [a.space.even, a.space.odd],
-        "product": entries_to_json(a.mu),
-        "twist": matrix_to_json(a.alpha),
-    }
-    if name or a.name:
-        doc["name"] = name or a.name
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
-
-
-def pre_to_doc(p: HomPreAlgebra, name: str | None = None, metadata: dict | None = None):
-    doc = {
-        "kind": "pre-algebra",
-        "scalars": field_to_json(p.space.field),
-        "dims": [p.space.even, p.space.odd],
-        "prec": entries_to_json(p.prec),
-        "succ": entries_to_json(p.succ),
-        "twist": matrix_to_json(p.alpha),
-    }
-    if name or p.name:
-        doc["name"] = name or p.name
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
-
-
-def map_to_doc(f: EvenMap, name: str | None = None, metadata: dict | None = None):
-    doc = {
-        "kind": "map",
-        "scalars": field_to_json(f.domain.field),
-        "dims": [f.domain.even, f.domain.odd],
-        "matrix": matrix_to_json(f),
-    }
-    if f.codomain != f.domain:
-        doc["codomain_dims"] = [f.codomain.even, f.codomain.odd]
+def _doc(kind, space, body, name, metadata):
+    """A document of this kind over space: its scalars and dims, the body's
+    keys, then the name and metadata when given."""
+    doc = {"kind": kind, "scalars": field_to_json(space.field), "dims": [space.even, space.odd]}
+    doc.update(body)
     if name:
         doc["name"] = name
     if metadata:
@@ -215,30 +191,34 @@ def map_to_doc(f: EvenMap, name: str | None = None, metadata: dict | None = None
     return doc
 
 
-def bimodule_to_doc(m, base_path: str, name: str | None = None, metadata: dict | None = None):
-    v = m.module
-    doc = {
-        "kind": "bimodule",
-        "base": base_path,
-        "scalars": field_to_json(v.field),
-        "dims": [v.even, v.odd],
-        "beta": matrix_to_json(m.beta),
+def algebra_to_doc(a: HomAlgebra, name: str | None = None, metadata: dict | None = None):
+    body = {"product": entries_to_json(a.mu), "twist": matrix_to_json(a.alpha)}
+    return _doc("algebra", a.space, body, name or a.name, metadata)
+
+
+def pre_to_doc(p: HomPreAlgebra, name: str | None = None, metadata: dict | None = None):
+    body = {
+        "prec": entries_to_json(p.prec),
+        "succ": entries_to_json(p.succ),
+        "twist": matrix_to_json(p.alpha),
     }
-    if isinstance(m, AltBimodule):
-        doc["variant"] = "alt"
-        doc["lsucc"] = entries_to_json(m.lsucc)
-        doc["rprec"] = entries_to_json(m.rprec)
-    elif isinstance(m, PreBimodule):
-        doc["variant"] = "pre"
-        for key in ("lprec", "rprec", "lsucc", "rsucc"):
-            doc[key] = entries_to_json(getattr(m, key))
-    else:
-        raise ValidationError([f"not a bimodule: {m!r}"])
-    if name or m.name:
-        doc["name"] = name or m.name
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
+    return _doc("pre-algebra", p.space, body, name or p.name, metadata)
+
+
+def map_to_doc(f: EvenMap, name: str | None = None, metadata: dict | None = None):
+    body = {"matrix": matrix_to_json(f)}
+    if f.codomain != f.domain:
+        body["codomain_dims"] = [f.codomain.even, f.codomain.odd]
+    return _doc("map", f.domain, body, name, metadata)
+
+
+def bimodule_to_doc(m, base_path: str, name: str | None = None, metadata: dict | None = None):
+    for variant, (cls, _, actions, _) in _BIMODULES.items():
+        if isinstance(m, cls):
+            body = {"variant": variant, "base": base_path, "beta": matrix_to_json(m.beta)}
+            body.update((key, entries_to_json(getattr(m, key))) for key in actions)
+            return _doc("bimodule", m.module, body, name or m.name, metadata)
+    raise ValidationError([f"not a bimodule: {m!r}"])
 
 
 def report_to_doc(rep: LawReport, field) -> dict:
@@ -247,23 +227,24 @@ def report_to_doc(rep: LawReport, field) -> dict:
     return doc
 
 
-def doc_to_algebra(doc, ctx) -> HomAlgebra:
-    _check_keys(doc, ("kind", "scalars", "dims", "product", "twist"), ("name", "metadata"), ctx)
+def _space_from_doc(doc, required, ctx, optional=("name", "metadata")):
+    """Check the keys of a document with scalars and dims besides the
+    required ones; returns its field and its space."""
+    _check_keys(doc, ("kind", "scalars", "dims") + required, optional, ctx)
     field = _field_from_doc(doc, ctx)
     n0, n1 = _dims_from_doc(doc, ctx)
-    space = SuperSpace(field, n0, n1)
+    return field, SuperSpace(field, n0, n1)
+
+
+def doc_to_algebra(doc, ctx) -> HomAlgebra:
+    field, space = _space_from_doc(doc, ("product", "twist"), ctx)
     mu = _entries_from_json(field, doc["product"], space, space, space, ctx, "product")
     alpha = _matrix_from_json(field, doc["twist"], space, space, ctx, "twist")
     return HomAlgebra(mu, alpha, name=doc.get("name", ""))
 
 
 def doc_to_pre(doc, ctx) -> HomPreAlgebra:
-    _check_keys(
-        doc, ("kind", "scalars", "dims", "prec", "succ", "twist"), ("name", "metadata"), ctx
-    )
-    field = _field_from_doc(doc, ctx)
-    n0, n1 = _dims_from_doc(doc, ctx)
-    space = SuperSpace(field, n0, n1)
+    field, space = _space_from_doc(doc, ("prec", "succ", "twist"), ctx)
     prec = _entries_from_json(field, doc["prec"], space, space, space, ctx, "prec")
     succ = _entries_from_json(field, doc["succ"], space, space, space, ctx, "succ")
     alpha = _matrix_from_json(field, doc["twist"], space, space, ctx, "twist")
@@ -271,63 +252,33 @@ def doc_to_pre(doc, ctx) -> HomPreAlgebra:
 
 
 def doc_to_map(doc, ctx) -> EvenMap:
-    _check_keys(
-        doc, ("kind", "scalars", "dims", "matrix"), ("codomain_dims", "name", "metadata"), ctx
-    )
-    field = _field_from_doc(doc, ctx)
-    n0, n1 = _dims_from_doc(doc, ctx)
-    domain = SuperSpace(field, n0, n1)
+    field, domain = _space_from_doc(doc, ("matrix",), ctx, ("codomain_dims", "name", "metadata"))
+    codomain = domain
     if "codomain_dims" in doc:
-        c0, c1 = _dims_from_doc(doc, ctx, key="codomain_dims")
-        codomain = SuperSpace(field, c0, c1)
-    else:
-        codomain = domain
+        codomain = SuperSpace(field, *_dims_from_doc(doc, ctx, key="codomain_dims"))
     return _matrix_from_json(field, doc["matrix"], domain, codomain, ctx, "matrix")
 
 
 def doc_to_bimodule(doc, ctx, base_dir: str):
-    required = ("kind", "scalars", "dims", "base", "variant", "beta")
     variant = doc.get("variant")
-    if variant == "alt":
-        required = required + ("lsucc", "rprec")
-        optional = ("name", "metadata")
-    elif variant == "pre":
-        required = required + ("lprec", "rprec", "lsucc", "rsucc")
-        optional = ("name", "metadata")
-    else:
+    if variant not in ("alt", "pre"):
         raise DocumentError([f"variant: expected alt or pre, got {variant!r}"])
-    _check_keys(doc, required, optional, ctx)
-    field = _field_from_doc(doc, ctx)
-    n0, n1 = _dims_from_doc(doc, ctx)
-    v = SuperSpace(field, n0, n1)
+    cls, base_cls, actions, needs = _BIMODULES[variant]
+    field, v = _space_from_doc(doc, ("base", "variant", "beta") + actions, ctx)
     if not isinstance(doc["base"], str) or os.path.isabs(doc["base"]):
         raise DocumentError([f"base: expected a relative path, got {doc['base']!r}"])
     base_path = os.path.join(base_dir, doc["base"])
     _, base, warnings = _load(base_path, ctx.strict, BASE_KINDS)
     ctx.warnings += [f"{base_path}: {w}" for w in warnings]
     beta = _matrix_from_json(field, doc["beta"], v, v, ctx, "beta")
-    if variant == "alt":
-        if not isinstance(base, HomAlgebra):
-            raise DocumentError(["base: an alt bimodule needs an algebra base"])
-        a = base.space
-        lsucc = _entries_from_json(field, doc["lsucc"], a, v, v, ctx, "lsucc")
-        rprec = _entries_from_json(field, doc["rprec"], v, a, v, ctx, "rprec")
-        try:
-            return AltBimodule(base, beta, lsucc, rprec, name=doc.get("name", ""))
-        except ValidationError as e:
-            raise DocumentError(e.errors)
-    if not isinstance(base, HomPreAlgebra):
-        raise DocumentError(["base: a pre bimodule needs a pre-algebra base"])
+    if not isinstance(base, base_cls):
+        raise DocumentError([f"base: {needs}"])
     a = base.space
-    acts = {}
-    for key in ("lprec", "lsucc"):
-        acts[key] = _entries_from_json(field, doc[key], a, v, v, ctx, key)
-    for key in ("rprec", "rsucc"):
-        acts[key] = _entries_from_json(field, doc[key], v, a, v, ctx, key)
-    try:
-        return PreBimodule(base, beta, name=doc.get("name", ""), **acts)
-    except ValidationError as e:
-        raise DocumentError(e.errors)
+    acts = {key: _entries_from_json(field, doc[key], a, v, v, ctx, key)
+            for key in actions if key[0] == "l"}
+    acts.update((key, _entries_from_json(field, doc[key], v, a, v, ctx, key))
+                for key in actions if key[0] == "r")
+    return cls(base, beta, name=doc.get("name", ""), **acts)
 
 
 def parse_text(text: str, strict: bool = False, base_dir: str | None = None):

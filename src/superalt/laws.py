@@ -550,33 +550,31 @@ def _powers(perm):
 
 def _least_run(prefix, images, n):
     """The range (b0, b1) of the last indices v in [0, n) for which the tuple
-    prefix + (v,) is least among its images.
+    prefix + (v,) is least among its images: (0, 0) when the prefix alone
+    decides against it, else (b0, n).
 
     Each image compares with the tuple at the positions it moves, in order:
     two indices of the prefix decide it or tie, and the first position that
-    compares v with an index c of the prefix bounds v by c, the rest of the
-    comparison at v = c deciding whether c itself stays in."""
-    lo, hi, last = 0, n, len(prefix)
+    compares an index c of the prefix with v bounds v below by c, the rest of
+    the comparison at v = c deciding whether c itself stays in.  No position
+    compares v with an index of the prefix first: an image that moves the
+    last position reads it at an earlier one, whose comparison comes first."""
+    lo, last = 0, len(prefix)
     for moved in images:
         for at, (k, s) in enumerate(moved):
-            a = prefix[k] if k < last else None
-            b = prefix[s] if s < last else None
-            if a == b:
-                continue
-            if a is not None and b is not None:
-                if a > b:
+            c = prefix[k]
+            if s < last:
+                if c < prefix[s]:
+                    break
+                if c > prefix[s]:
                     return 0, 0
-                break
-            c = a if b is None else b
+                continue
             full = prefix + (c,)
             after = moved[at + 1:]
             rest = [full[k] for k, _ in after] <= [full[s] for _, s in after]
-            if b is None:  # c against v: v > c, or v = c if the rest allows
-                lo = max(lo, c + (not rest))
-            else:  # v against c: v < c, or v = c if the rest allows
-                hi = min(hi, c + rest)
+            lo = max(lo, c + (not rest))  # c against v: v > c, or v = c if the rest allows
             break
-    return lo, hi
+    return lo, n
 
 
 def _scan_range(slots, idfns, start, stop):

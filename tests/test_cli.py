@@ -1,11 +1,31 @@
 """End-to-end command tests driven through main() in-process."""
 
 import json
+import os
+from fractions import Fraction
 
 import pytest
 
 import superalt.io as sio
-from superalt import EvenMap, integration, reduce_instance, regular_bimodule, truncpoly
+from superalt import (
+    EvenMap,
+    alt_of,
+    averaging_product,
+    centroid_twist,
+    derived_n,
+    grassmann1,
+    integration,
+    octonions,
+    plus_jordan,
+    rb_split,
+    reduce_instance,
+    regular_bimodule,
+    scale,
+    tensor_alt,
+    transpose,
+    truncpoly,
+    yau_twist,
+)
 from superalt.cli import main
 
 
@@ -116,15 +136,6 @@ def test_construct_records_provenance_metadata(workdir, capsys):
     assert doc["metadata"]["map"] == str(workdir / "R.json")
 
 
-def test_construct_usage_errors(workdir, capsys):
-    code, _, err = run(capsys, "construct", "rb-split", "--in", str(workdir / "p3.json"),
-                       "--out", str(workdir / "x.json"))
-    assert code == 2 and "map" in err
-    code, _, err = run(capsys, "construct", "tensor", "--in", str(workdir / "p3.json"),
-                       "--out", str(workdir / "x.json"))
-    assert code == 2
-
-
 def test_construct_hypothesis_failure_exits_one(workdir, capsys):
     id_path = workdir / "id.json"
     sio.save(sio.map_to_doc(EvenMap.identity(truncpoly(3).space)), str(id_path))
@@ -162,6 +173,83 @@ def test_construct_scale_takes_a_scalar(workdir, capsys):
                      "--lambda", "5/7", "--out", str(out_path))
     assert code == 0
     assert main(["check-pre", str(out_path), "--law", "hom-prealternative"]) == 0
+
+
+# -- every construct op ----------------------------------------------------
+# Each op runs on documents written from in-process instances, and its
+# output must be the same construction serialized in process, with the
+# provenance the command line gives.
+
+CONSTRUCT_CASES = {
+    # op: (--in files, option argv, the construction on the instances by file stem)
+    "alt": (["pre"], [], lambda o: alt_of(o["pre"])),
+    "transpose": (["pre"], [], lambda o: transpose(o["pre"])),
+    "plus-jordan": (["oct"], [], lambda o: plus_jordan(o["oct"])),
+    "tensor": (["g1", "p3"], [], lambda o: tensor_alt(o["g1"], o["p3"])),
+    "centroid-twist": (["p3"], ["--map", "two.json"], lambda o: centroid_twist(o["p3"], o["two"])),
+    "averaging": (["p3"], ["--map", "two.json"], lambda o: averaging_product(o["p3"], o["two"])),
+    "rb-split": (["p3"], ["--map", "R.json"], lambda o: rb_split(o["p3"], o["R"])),
+    "yau-twist": (["pre"], ["--map", "id.json"], lambda o: yau_twist(o["pre"], o["id"])),
+    "derived": (["pre"], ["--n", "2"], lambda o: derived_n(o["pre"], 2)),
+    "scale": (["pre"], ["--lambda", "5/7"], lambda o: scale(o["pre"], Fraction(5, 7))),
+}
+
+
+@pytest.fixture()
+def construct_dir(tmp_path, monkeypatch):
+    """A working directory holding one document per instance a construct op
+    reads; returns the instances by file stem."""
+    monkeypatch.chdir(tmp_path)
+    p3 = truncpoly(3)
+    objs = {
+        "p3": p3,
+        "oct": octonions(),
+        "g1": grassmann1(),
+        "R": integration(3),
+        "pre": rb_split(p3, integration(3)),
+        "two": EvenMap.diagonal(p3.space, [Fraction(2)] * 3),
+        "id": EvenMap.identity(p3.space),
+    }
+    for stem, obj in objs.items():
+        sio.save(sio.object_to_doc(obj), f"{stem}.json")
+    return objs
+
+
+@pytest.mark.parametrize("op", list(CONSTRUCT_CASES))
+def test_every_construct_op_writes_its_construction(construct_dir, capsys, op):
+    stems, option, build = CONSTRUCT_CASES[op]
+    inputs = [f"{stem}.json" for stem in stems]
+    code, out, err = run(capsys, "construct", op, "--in", *inputs, *option, "--out", "out.json")
+    metadata = {"operation": op, "inputs": inputs}
+    if option:
+        key, value = option[0][2:], option[1]
+        metadata[key] = int(value) if key == "n" else value
+    doc = sio.object_to_doc(build(construct_dir), metadata=metadata)
+    assert (code, err) == (0, "")
+    assert out == f"wrote out.json ({doc['kind']} {doc['name']})\n"
+    with open("out.json") as fh:
+        assert fh.read() == sio.canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["derived", "--in", "pre.json"], "derived needs --n"),
+    (["scale", "--in", "pre.json"], "scale needs --lambda"),
+    (["rb-split", "--in", "p3.json"], "rb-split needs --map"),
+    (["alt", "--in", "pre.json", "pre.json"], "alt takes exactly one --in file"),
+    (["tensor", "--in", "p3.json"], "tensor takes exactly two --in files"),
+    (["alt", "--in", "pre.json", "--map", "R.json", "--n", "5", "--lambda", "2"],
+     "alt does not take --map"),
+    (["rb-split", "--in", "p3.json", "--map", "R.json", "--n", "5"], "rb-split does not take --n"),
+    (["derived", "--in", "pre.json", "--n", "1", "--lambda", "2"],
+     "derived does not take --lambda"),
+], ids=["derived-n", "scale-lambda", "rb-split-map", "alt-two-inputs", "tensor-one-input",
+        "alt-stray-map", "rb-split-stray-n", "derived-stray-lambda"])
+def test_a_construct_op_refuses_a_stray_or_missing_option_or_input(construct_dir, capsys, argv,
+                                                                   message):
+    code, out, err = run(capsys, "construct", *argv, "--out", "out.json")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+    assert not os.path.exists("out.json")
 
 
 def test_verify_bimodule_both_systems(workdir, capsys, tmp_path):
@@ -406,6 +494,12 @@ ERROR_TABLE = {
         "out in a missing directory": ["construct", "alt", "--in", "pre.json",
                                        "--out", "nodir/x.json"],
         "out onto a directory": ["construct", "alt", "--in", "pre.json", "--out", "subdir"],
+        "map on an op without one": ["construct", "alt", "--in", "pre.json", "--map", "R.json",
+                                     "--out", "x.json"],
+        "n on an op without one": ["construct", "rb-split", "--in", "p3.json", "--map", "R.json",
+                                   "--n", "2", "--out", "x.json"],
+        "lambda on an op without one": ["construct", "derived", "--in", "pre.json", "--n", "1",
+                                        "--lambda", "2", "--out", "x.json"],
     },
     "verify-bimodule": {
         "missing file": ["verify-bimodule", "missing.json", "--law", "alt"],
@@ -414,6 +508,8 @@ ERROR_TABLE = {
         "missing option": ["verify-bimodule", "reg.json"],
         "bad scalar": ["verify-bimodule", "bad-scalar.json", "--law", "alt"],
         "jobs 0": ["verify-bimodule", "reg.json", "--law", "alt", "--jobs", "0"],
+        "alt law on a pre bimodule": ["verify-bimodule", "regpre.json", "--law", "alt"],
+        "pre law on an alt bimodule": ["verify-bimodule", "reg.json", "--law", "pre"],
     },
     "check-operator": {
         "missing file": ["check-operator", "missing.json", "--map", "R.json",
@@ -432,6 +528,8 @@ ERROR_TABLE = {
                                      "--kind", "rota-baxter", "--bimodule", "reg.json"],
         "bimodule over another base": ["check-operator", "z3.json", "--map", "R.json",
                                        "--kind", "o-operator", "--bimodule", "reg.json"],
+        "non-endomorphism on a pre-algebra": ["check-operator", "pre.json", "--map", "R.json",
+                                              "--kind", "rota-baxter"],
     },
     "search": {
         "missing file": ["search", "missing.json", "--kind", "rota-baxter"],
@@ -471,6 +569,8 @@ def error_dir(tmp_path, monkeypatch, capsys):
                   "--out", "pre.json"]):
         assert main(argv) == 0
     sio.save(sio.bimodule_to_doc(regular_bimodule(truncpoly(3)), "p3.json"), "reg.json")
+    pre3 = rb_split(truncpoly(3), integration(3))
+    sio.save(sio.bimodule_to_doc(regular_bimodule(pre3), "pre.json"), "regpre.json")
     p35 = reduce_instance(truncpoly(3), 5)
     sio.save(sio.bimodule_to_doc(regular_bimodule(p35), "p35.json"), "reg35.json")
     (tmp_path / "malformed.json").write_text('{"kind": "algebra", ')

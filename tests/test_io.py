@@ -6,7 +6,9 @@ import pytest
 
 import superalt.io as sio
 from superalt import (
+    QQ,
     EvenMap,
+    SuperSpace,
     grassmann1_twisted,
     integration,
     octonions,
@@ -56,6 +58,48 @@ def test_map_round_trip(rb3):
     doc2, obj, _ = sio.parse_text(sio.canonical_dumps(doc))
     assert obj == rb3
     assert doc2["name"] == "integration"
+
+
+def test_a_map_between_different_spaces_round_trips_strictly():
+    domain, codomain = SuperSpace(QQ, 2, 1), SuperSpace(QQ, 1, 2)
+    f = EvenMap.from_entries(domain, codomain, [(0, 1, 3), (1, 2, -1), (2, 2, Fraction(1, 2))])
+    text = sio.canonical_dumps(sio.map_to_doc(f))
+    doc, obj, warnings = sio.parse_text(text, strict=True)
+    assert warnings == [] and sio.canonical_dumps(doc) == text
+    assert doc["dims"] == [2, 1] and doc["codomain_dims"] == [1, 2]
+    assert obj == f and obj.codomain == codomain
+
+
+def _refusal(doc, base_dir=None):
+    with pytest.raises(DocumentError) as ei:
+        sio.parse_text(json.dumps(doc), base_dir=base_dir)
+    return ei.value.errors
+
+
+def test_an_entry_that_is_not_four_items_is_refused():
+    doc = sio.algebra_to_doc(truncpoly(3))
+    doc["product"][1] = [0, 1, 1]
+    assert _refusal(doc) == ["product[1]: expected [i, j, k, value], got [0, 1, 1]"]
+
+
+def test_a_matrix_of_the_wrong_shape_is_refused():
+    doc = sio.algebra_to_doc(truncpoly(3))
+    doc["twist"] = doc["twist"][:2]
+    assert _refusal(doc) == ["twist: expected a 3 x 3 matrix"]
+
+
+def test_a_nonzero_odd_block_entry_of_a_map_is_refused():
+    doc = {"kind": "map", "scalars": "Q", "dims": [1, 1], "matrix": [["1", "1"], ["0", "1"]]}
+    assert _refusal(doc) == ["matrix: odd block entry at (0, 1) must vanish"]
+
+
+def test_a_bimodule_over_a_base_of_the_other_kind_is_refused(tmp_path, p3, pre3):
+    sio.save(sio.algebra_to_doc(p3), str(tmp_path / "alg.json"))
+    sio.save(sio.pre_to_doc(pre3), str(tmp_path / "pre.json"))
+    alt = sio.bimodule_to_doc(regular_bimodule(p3), "pre.json")
+    assert _refusal(alt, str(tmp_path)) == ["base: an alt bimodule needs an algebra base"]
+    pre = sio.bimodule_to_doc(regular_bimodule(pre3), "alg.json")
+    assert _refusal(pre, str(tmp_path)) == ["base: a pre bimodule needs a pre-algebra base"]
 
 
 def test_sparse_entries_omit_zeros_and_sort(oct):

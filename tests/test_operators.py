@@ -217,6 +217,17 @@ def test_search_is_sound_and_complete_at_small_dims():
         assert res.found == slow, (a.name, kind)
 
 
+def test_signed_permutation_search_stops_at_its_budget():
+    a = reduce_instance(truncpoly(3), 5)
+    budget = 20  # of 3! * 2^3 = 48 signed permutation maps
+    res = search_operators(a, "endomorphism", budget=budget, signed_perms=True)
+    assert res.space_size == 48
+    assert res.candidates_checked == budget and res.exhausted is False
+    first = list(enumerate_signed_permutation_maps(a.space))[:budget]
+    expected = [f for f in first if check_operator(OperatorSpec("endomorphism", f), a).passed]
+    assert expected and res.found == expected
+
+
 def test_search_refuses_negative_budget():
     a = reduce_instance(truncpoly(3), 5)
     with pytest.raises(ValidationError):
