@@ -372,7 +372,7 @@ class EvenBilinear:
                 if xv:
                     row = rows[i]
                     for j, yv in enumerate(y):
-                        if yv:
+                        if yv and row[j]:
                             s = xv * yv
                             for k, c in row[j]:
                                 acc[k] += s * c
@@ -477,10 +477,13 @@ class EvenBilinear:
 
 
 class _Poly(dict):
-    """A polynomial {monomial: coefficient}, a monomial being the sorted tuple
-    of its variables (repeated for powers).  No coefficient is zero: a sum
-    that cancels drops its term, and % p drops the terms that vanish mod p.
-    += adds in place, for the appliers' accumulators: the first += on a
+    """A polynomial {monomial: coefficient}, a monomial being an int that
+    packs an exponent vector, so that the product of two monomials is their
+    sum and the constant monomial is 0.  The code that makes the variables
+    chooses the packing and decodes it: laws._generic_point gives each
+    variable one bit, operators._FreeMap one byte.  No coefficient is zero: a
+    sum that cancels drops its term, and % p drops the terms that vanish mod
+    p.  += adds in place, for the appliers' accumulators: the first += on a
     scalar 0 makes the accumulator its own copy."""
 
     __slots__ = ()
@@ -488,7 +491,7 @@ class _Poly(dict):
     @staticmethod
     def terms(c):
         """The (monomial, coefficient) terms of a _Poly or a scalar."""
-        return c.items() if isinstance(c, _Poly) else [((), c)] if c else []
+        return c.items() if isinstance(c, _Poly) else [(0, c)] if c else []
 
     def __iadd__(self, other):
         get = self.get
@@ -521,7 +524,7 @@ class _Poly(dict):
         get = out.get
         for ma, ca in self.items():
             for mb, cb in other.items():
-                m = tuple(sorted(ma + mb)) if ma and mb else ma or mb
+                m = ma + mb
                 c = ca * cb + get(m, 0)
                 if c:
                     out[m] = c

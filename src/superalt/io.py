@@ -274,6 +274,9 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
     if not isinstance(base, base_cls):
         raise DocumentError([f"base: {needs}"])
     a = base.space
+    if a.field != field:
+        mine, theirs = (json.dumps(field_to_json(f)) for f in (field, a.field))
+        raise DocumentError([f"scalars: {mine} differ from the base's {theirs}"])
     acts = {key: _entries_from_json(field, doc[key], a, v, v, ctx, key)
             for key in actions if key[0] == "l"}
     acts.update((key, _entries_from_json(field, doc[key], v, a, v, ctx, key))

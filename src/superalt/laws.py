@@ -699,12 +699,22 @@ def _fill(t) -> float:
     return t.nonzero_count() / max(1, inputs)
 
 
-# The rule's bounds, from passing checks timed both ways in one process (the
-# crossover rows are in ROADMAP.md, item 2): on 4-tuples contraction won on
-# every instance up to fill 1.2 and lost from fill 1.6 on plus(matrix-4); on
-# triples it won on every instance up to fill 1.9 and lost from fill 3.7.
-# The bound of 2 contracts 4-tuples up to fill 1.26 and triples up to 1.41.
-CONTRACT_MIN_TUPLES = 8192
+# The rule's bounds, from checks timed both ways in one process (best of 5,
+# scan ms / contraction ms; X~k is X in the basis (I + E) e_i, E holding k
+# random same-parity entries above the diagonal, as in ROADMAP.md, item 3).
+# At growth 1, the scan wins at 512 triples (octonions hom-alternative
+# 2.7 / 4.0) and the contraction from 625 tuples on (plus(truncpoly-5)
+# hom-jordan 3.2 / 1.9, truncpoly-10 8.2 / 5.2, l1-truncpoly-6 16.6 / 10.5,
+# l1-oct 33.0 / 27.6, plus(octonions) hom-jordan 10.5 / 2.4); the bound
+# leaves 625-1 023 tuples to the scan for tables just above growth 1
+# (truncpoly-10~2, growth 1.02: 8.8 / 9.5).  A failure within the first few
+# hundred tuples costs the contraction 2-4 times the scan (l1-oct
+# hom-associative, failing at 292: 2.0 / 3.9).  The growth up to which the
+# contraction wins rises with size: about 1.1 at 1 000-4 096 tuples
+# (truncpoly-12~3, growth 1.39: 16.5 / 19.8; l1-oct~4, growth 1.49:
+# 32.8 / 36.9), beyond 3.7 at 32 768 triples (l1-l1-oct@5~16: 1 112 / 675);
+# the growth bound of 2 lies between.
+CONTRACT_MIN_TUPLES = 1024
 CONTRACT_MAX_GROWTH = 2
 
 # A contraction's slot-0 slice spans at most this many tuples, which bounds
@@ -717,22 +727,25 @@ def _parity_runs(slot):
     return [list(run) for _, run in itertools.groupby(range(len(slot)), key=lambda i: slot[i][1])]
 
 
-def _generic_point(slot, run, offset, make):
+def _generic_point(slot, run, offset, nvars, make):
     """The point sum of x_(offset + i) slot[i] over i in run, with its parity;
-    make builds a table vector from its coordinates."""
+    make builds a table vector from its coordinates.  Of nvars variables in
+    all, x_code is the monomial 1 << (nvars - 1 - code), one bit each."""
     coords = [0] * len(slot[run[0]][0])
     for i in run:
+        var = 1 << (nvars - 1 - offset - i)
         for j, c in enumerate(slot[i][0]):
             if c:
-                coords[j] = coords[j] + _Poly({(offset + i,): c})
+                coords[j] = coords[j] + _Poly({var: c})
     return make(coords), slot[run[0]][1]
 
 
-def _slot_blocks(slot, offset, make, start):
+def _slot_blocks(slot, offset, nvars, make, start):
     """(least variable, generic point) of each parity run of a slot, the runs
     cut to the indices from start on."""
     runs = ([i for i in run if i >= start] for run in _parity_runs(slot))
-    return [(run[0] + offset, _generic_point(slot, run, offset, make)) for run in runs if run]
+    return [(1 << (nvars - 1 - offset - run[0]), _generic_point(slot, run, offset, nvars, make))
+            for run in runs if run]
 
 
 def _slot0_orbit(slots, idfns):
@@ -752,15 +765,17 @@ def _contract(slots, idfns, make):
     Slot s is bound to generic points sum x_(offset_s + i) e_i, one per run
     of equal parity, so one evaluation of a block of runs gives each
     residual coordinate as a polynomial whose monomials are the block's
-    basis tuples.  The variables of slot s take the codes offset_s + i, so
-    a sorted monomial lists its tuple in slot order and monomials compare as
-    their tuples do.  Slot 0 goes in slices of consecutive indices of one
+    basis tuples.  The variables of slot s take the codes offset_s + i and
+    variable x_code the bit nvars - 1 - code (see _generic_point): the
+    identities being multilinear, a monomial holds one variable per slot,
+    the bits of its tuple, and a tuple earlier in lexicographic order is a
+    greater int.  Slot 0 goes in slices of consecutive indices of one
     parity, at most CONTRACT_SLICE_TUPLES tuples each (one index at least),
-    in order; only the least (monomial, identity position) of the current
-    slice is kept, so one block's polynomials are held at a time and a
-    failure stops at its slice.  Blocks come in lexicographic order of their
-    least tuples, so once the slice's best is below a block's least tuple,
-    no later block can hold a smaller one.
+    in order; only the greatest monomial of the current slice, at the first
+    identity that has it, is kept, so one block's polynomials are held at a
+    time and a failure stops at its slice.  Blocks come in lexicographic
+    order of their least tuples, so once the slice's best is above a block's
+    least tuple, no later block can hold an earlier one.
 
     When every identity's symmetry moves slot 0 (see _slot0_orbit), the
     slots in its orbit range over the indices from the slice's first slot-0
@@ -769,31 +784,34 @@ def _contract(slots, idfns, make):
     if not all(slots):
         return None, 0, 0
     offsets = list(itertools.accumulate(map(len, slots), initial=0))
+    nvars = offsets[-1]
     width = max(1, CONTRACT_SLICE_TUPLES // math.prod(map(len, slots[1:])))
     firsts = [run[k:k + width] for run in _parity_runs(slots[0]) for k in range(0, len(run), width)]
     orbit = _slot0_orbit(slots, idfns)
     evaluations = 0
     for n, first in enumerate(firsts, 1):
         blocks = [
-            _slot_blocks(slots[s], offsets[s], make, first[0] if s in orbit else 0)
+            _slot_blocks(slots[s], offsets[s], nvars, make, first[0] if s in orbit else 0)
             for s in range(1, len(slots))
         ]
-        head = _generic_point(slots[0], first, 0, make)
+        head = _generic_point(slots[0], first, 0, nvars, make)
+        lead = 1 << (nvars - 1 - first[0])
         best = None
         for block in itertools.product(*blocks):
-            if best is not None and best[0] < (first[0],) + tuple(low for low, _ in block):
+            if best is not None and best[0] > lead + sum(low for low, _ in block):
                 break
             pts = (head,) + tuple(pt for _, pt in block)
             for at, (_, fn, *_) in enumerate(idfns):
                 r = fn(pts)
                 for c in r:
-                    if c and (best is None or (min(c), at) < best[:2]):
-                        best = min(c), at, r
+                    if c and (best is None or max(c) > best[0]):
+                        best = max(c), at, r
             evaluations += len(idfns)
         if best is not None:
             mono, at, r = best
             flat = 0
-            for code, offset, slot in zip(mono, offsets, slots):
+            codes = (code for code in range(nvars) if mono >> (nvars - 1 - code) & 1)
+            for code, offset, slot in zip(codes, offsets, slots):
                 flat = flat * len(slot) + code - offset
             return (flat, at, tuple(c.get(mono, 0) if c else 0 for c in r)), n, evaluations
     return None, len(firsts), evaluations

@@ -451,6 +451,9 @@ def search_operators(
 # applied by its own table applier; only the unknown map's columns hold
 # variables.  One evaluation of the operator equations on basis points so
 # gives each residual coordinate as a polynomial in the entries of the map.
+# A monomial packs the exponent of x_v in byte v: every operator equation
+# has degree at most 2 in the map, so no exponent carries into the next.
+EXPONENT_BITS = 8
 
 
 class _FreeMap:
@@ -467,7 +470,7 @@ class _FreeMap:
     def _table_applier(self):
         cols = [[] for _ in self.domain.indices()]
         for var, (i, j) in enumerate(self.free):
-            cols[j].append((i, _Poly({(var,): 1})))
+            cols[j].append((i, _Poly({1 << EXPONENT_BITS * var: 1})))
         return _column_applier(cols, self.codomain)
 
 
@@ -483,11 +486,22 @@ def _file_polynomials(groups, nvars: int, p: int) -> list:
             for _, fn in idfns:
                 for poly in fn(pts):
                     if poly:
-                        terms = sorted(_Poly.terms(poly))
+                        terms = sorted((_variables(m), c) for m, c in _Poly.terms(poly))
                         inv = pow(terms[0][1], p - 2, p)
                         last = max((mono[-1] for mono, _ in terms if mono), default=-1)
                         by_var[last].add(tuple((c * inv % p, mono) for mono, c in terms))
     return [sorted(polys) for polys in by_var]
+
+
+def _variables(mono: int) -> tuple:
+    """The sorted variables of a packed monomial, each repeated by its exponent."""
+    out = []
+    var, mask = 0, (1 << EXPONENT_BITS) - 1
+    while mono:
+        out += [var] * (mono & mask)
+        mono >>= EXPONENT_BITS
+        var += 1
+    return tuple(out)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Shared fixtures and sampling helpers."""
 
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -17,6 +19,16 @@ from superalt import (
     tensor_map,
     truncpoly,
 )
+
+
+@contextmanager
+def forced(path, slice_tuples=None):
+    """Every group evaluated by path ("scan" or "contract"), whatever the
+    rule says; a contraction in slices of at most slice_tuples tuples."""
+    with mock.patch.object(laws, "_evaluation", lambda tuples, arity, tables: path), \
+            mock.patch.object(laws, "CONTRACT_SLICE_TUPLES",
+                              slice_tuples or laws.CONTRACT_SLICE_TUPLES):
+        yield
 
 
 def rand_homogeneous(space, rng, bound=3):

@@ -510,6 +510,7 @@ ERROR_TABLE = {
         "jobs 0": ["verify-bimodule", "reg.json", "--law", "alt", "--jobs", "0"],
         "alt law on a pre bimodule": ["verify-bimodule", "regpre.json", "--law", "alt"],
         "pre law on an alt bimodule": ["verify-bimodule", "reg.json", "--law", "pre"],
+        "base of other scalars": ["verify-bimodule", "regQ35.json", "--law", "alt"],
     },
     "check-operator": {
         "missing file": ["check-operator", "missing.json", "--map", "R.json",
@@ -573,6 +574,7 @@ def error_dir(tmp_path, monkeypatch, capsys):
     sio.save(sio.bimodule_to_doc(regular_bimodule(pre3), "pre.json"), "regpre.json")
     p35 = reduce_instance(truncpoly(3), 5)
     sio.save(sio.bimodule_to_doc(regular_bimodule(p35), "p35.json"), "reg35.json")
+    sio.save(sio.bimodule_to_doc(regular_bimodule(truncpoly(3)), "p35.json"), "regQ35.json")
     (tmp_path / "malformed.json").write_text('{"kind": "algebra", ')
     doc = json.loads((tmp_path / "p3.json").read_text())
     doc["product"][0][3] = "one"

@@ -20,9 +20,8 @@ import json
 import logging
 import random
 import re
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,7 +70,7 @@ from superalt import laws as engine
 from superalt.bimodules import _abm_identities, _pbm_identities
 from superalt.cli import main
 from superalt.io import object_to_doc, save
-from conftest import from_rows
+from conftest import forced, from_rows
 
 F3, F5 = PrimeField(3), PrimeField(5)
 # "Q" draws integral constants, "Q/2" halves and thirds as well
@@ -229,15 +228,6 @@ def ref_pre_bimodule(m, variant):
 # (path, contraction slice bound): the tuple scan; the contraction with its
 # own slices, whole parity runs of slot 0 here; one slot-0 index per slice
 PATHS = (("scan", None), ("contract", engine.CONTRACT_SLICE_TUPLES), ("contract", 1))
-
-
-@contextmanager
-def forced(path, slice_tuples=None):
-    """Every group evaluated by path, whatever the rule says."""
-    with mock.patch.object(engine, "_evaluation", lambda tuples, arity, tables: path), \
-            mock.patch.object(engine, "CONTRACT_SLICE_TUPLES",
-                              slice_tuples or engine.CONTRACT_SLICE_TUPLES):
-        yield
 
 
 def outcome(check, *args, **kwargs):
@@ -427,7 +417,10 @@ def test_rule_contracts_the_jordan_group_and_scans_small_groups(caplog):
         ("hom-jordan", "scan"), ("hom-jordan", "contract")]
     with forced("scan"):
         assert check_product_law(jordan, "hom-jordan") == rep
-    bent = HomAlgebra(perturb_bilinear(l1_oct.mu, (1, 2, 3), 1), l1_oct.alpha)
+    # an early failure in a group below the bound
+    oct_ = octonions()
+    bent = HomAlgebra(perturb_bilinear(oct_.mu, (1, 2, 3), 1), oct_.alpha)
+    assert not check_product_law(bent, "hom-alternative").passed
     lines = path_lines(caplog, lambda: check_product_law(bent, "hom-alternative"))
     assert lines == [("hom-alternative", "scan")]
     rng = random.Random(19)
@@ -472,8 +465,8 @@ def test_rule_reads_group_size_arity_and_table_fill():
     s = SuperSpace(F5, 8, 8)
     identity = EvenMap.identity(s)
     sparse = bound(EvenBilinear.zero(s, s, s), identity)  # fill 1: the twist's
-    assert engine._evaluation(8192, 3, sparse) == "contract"
-    assert engine._evaluation(8191, 3, sparse) == "scan"
+    assert engine._evaluation(1024, 3, sparse) == "contract"
+    assert engine._evaluation(1023, 3, sparse) == "scan"
     assert engine._evaluation(16**4, 4, sparse) == "contract"
     # two constants on the pairs (i, j) with i < 5, one elsewhere: fill 336/256,
     # so 1.72 terms per triple and 2.26 per 4-tuple against the bound of 2

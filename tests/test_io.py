@@ -102,6 +102,15 @@ def test_a_bimodule_over_a_base_of_the_other_kind_is_refused(tmp_path, p3, pre3)
     assert _refusal(pre, str(tmp_path)) == ["base: a pre bimodule needs a pre-algebra base"]
 
 
+def test_a_bimodule_over_a_base_of_other_scalars_is_refused(tmp_path, oct):
+    sio.save(sio.algebra_to_doc(reduce_instance(oct, 5)), str(tmp_path / "oct5.json"))
+    sio.save(sio.bimodule_to_doc(regular_bimodule(oct), "oct5.json"), str(tmp_path / "reg.json"))
+    with pytest.raises(DocumentError) as ei:
+        sio.load(str(tmp_path / "reg.json"))
+    assert ei.value.errors == [
+        f"{tmp_path / 'reg.json'}: scalars: \"Q\" differ from the base's {{\"Fp\": 5}}"]
+
+
 def test_sparse_entries_omit_zeros_and_sort(oct):
     entries = sio.algebra_to_doc(oct)["product"]
     assert all(len(e) == 4 and e[3] != "0" for e in entries)

@@ -1,0 +1,194 @@
+"""What the polynomial evaluation pays for, and the packing of its monomials.
+
+A bilinear table applier multiplies two coordinates only for a cell with
+structure constants.  A _Poly monomial is an int packing an exponent
+vector, and the product of two monomials is their sum, so each packing must
+leave room for every exponent that can arise: one bit per variable on the
+generic points of a contraction, whose identities are multilinear, and one
+byte per variable in an operator search, whose equations have degree at
+most 2 in the unknown map.
+"""
+
+import itertools
+import random
+from collections import Counter
+from unittest import mock
+
+import pytest
+
+from superalt import (
+    OPERATOR_KINDS,
+    PRE_LAWS,
+    PRODUCT_LAWS,
+    AltBimodule,
+    EvenBilinear,
+    HomAlgebra,
+    HomPreAlgebra,
+    PreBimodule,
+    SuperSpace,
+    check_alt_bimodule,
+    check_pre_bimodule,
+    check_pre_law,
+    check_product_law,
+    grassmann1,
+    grassmann1_twisted,
+    matrix_algebra,
+    octonions,
+    perturb_bilinear,
+    plus_jordan,
+    reduce_instance,
+    regular_bimodule,
+    search_operators,
+    standard_pre_instances,
+    tensor_alt,
+    truncpoly,
+)
+from superalt import laws as engine
+from superalt import operators
+from superalt.core import _Poly
+from superalt.fields import QQ
+from conftest import forced
+
+
+class Counted(int):
+    """An int coordinate that counts the products it is the left factor of."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        Counted.calls += 1
+        return int(self) * other
+
+
+def counted_products(b: EvenBilinear, x, y) -> int:
+    Counted.calls = 0
+    b._table_applier()([Counted(v) if v else 0 for v in x], y)
+    return Counted.calls
+
+
+def test_a_bilinear_applier_multiplies_only_at_cells_with_constants():
+    rng = random.Random(3)
+    for b in (tensor_alt(grassmann1(), octonions()).mu, truncpoly(5).mu, matrix_algebra(2).mu):
+        cells = {(i, j) for i, j, _, _ in b.sparse_entries()}
+        assert len(cells) < b.left.dim * b.right.dim  # some cells are empty
+        for _ in range(20):
+            x = [rng.choice([0, 0, 1, -2, 3]) for _ in b.left.indices()]
+            y = [rng.choice([0, 0, 1, -2, 3]) for _ in b.right.indices()]
+            expected = sum(1 for i, j in cells if x[i] and y[j])
+            assert counted_products(b, x, y) == expected
+    s = SuperSpace(QQ, 3, 2)
+    ones = [1] * s.dim
+    assert counted_products(EvenBilinear.zero(s, s, s), ones, ones) == 0
+
+
+def watched_contractions(residuals):
+    """Patch _contract so that every residual it evaluates is kept, with the
+    slots of its group, in residuals."""
+    contract = engine._contract
+
+    def watched(slots, idfns, make):
+        def watch(fn):
+            def f(pts):
+                r = fn(pts)
+                residuals.append((slots, r))
+                return r
+
+            return f
+
+        return contract(slots, [(name, watch(fn), *rest) for name, fn, *rest in idfns], make)
+
+    return mock.patch.object(engine, "_contract", watched)
+
+
+def slot_masks(slots):
+    """The bits of each slot's variables (see laws._generic_point)."""
+    offsets = list(itertools.accumulate(map(len, slots), initial=0))
+    nvars = offsets[-1]
+    return [sum(1 << (nvars - 1 - offset - i) for i in range(len(slot)))
+            for offset, slot in zip(offsets, slots)]
+
+
+def assert_one_variable_per_slot(residuals):
+    monomials = 0
+    for slots, r in residuals:
+        masks = slot_masks(slots)
+        for c in r:
+            assert type(c) is _Poly or c == 0
+            for mono in c or ():
+                assert mono.bit_count() == len(slots)
+                assert all((mono & mask).bit_count() == 1 for mask in masks)
+                monomials += 1
+    assert monomials
+
+
+def bent(b: EvenBilinear) -> EvenBilinear:
+    return perturb_bilinear(b, (0, 0, 0), 1)
+
+
+def test_contracted_residuals_hold_one_variable_per_slot():
+    """Every family on passing instances and on single-entry perturbations,
+    whose failing identities leave nonzero residual polynomials."""
+    l1 = grassmann1()
+    algebras = [l1, grassmann1_twisted(), truncpoly(3), tensor_alt(l1, truncpoly(2)),
+                octonions(), matrix_algebra(2)]
+    algebras += [HomAlgebra(bent(a.mu), a.alpha) for a in algebras]
+    jordans = [plus_jordan(octonions()), plus_jordan(tensor_alt(l1, truncpoly(2)))]
+    jordans += [HomAlgebra(bent(a.mu), a.alpha) for a in jordans]
+    pres = standard_pre_instances()
+    pres += [HomPreAlgebra(bent(p.prec), p.succ, p.alpha) for p in pres]
+    alts = [regular_bimodule(a) for a in (octonions(), truncpoly(3), tensor_alt(l1, truncpoly(2)))]
+    alts += [AltBimodule(m.base, m.beta, bent(m.lsucc), m.rprec) for m in alts]
+    pbms = [regular_bimodule(p) for p in standard_pre_instances()]
+    pbms += [PreBimodule(m.base, m.beta, m.lprec, m.rprec, m.lsucc, bent(m.rsucc)) for m in pbms]
+    families = {
+        "product laws": lambda: [check_product_law(a, law) for a in algebras for law in PRODUCT_LAWS]
+        + [check_product_law(a, "hom-jordan") for a in jordans],
+        "pre laws": lambda: [check_pre_law(p, law) for p in pres for law in PRE_LAWS],
+        "alt bimodules": lambda: [check_alt_bimodule(m) for m in alts],
+        "pre bimodules": lambda: [check_pre_bimodule(m) for m in pbms],
+    }
+    for family, run in families.items():
+        residuals = []
+        with forced("contract"), watched_contractions(residuals):
+            reports = run()
+        assert not all(rep.passed for rep in reports), family
+        assert_one_variable_per_slot(residuals)
+
+
+class Filed(Exception):
+    """Raised in place of the search, once its polynomials are filed."""
+
+
+def filed_polynomials(a, kind, **options):
+    """The polynomials a search over every entry of the map files."""
+    file_polynomials = operators._file_polynomials
+    filed = []
+
+    def intercept(groups, nvars, p):
+        filed.append(file_polynomials(groups, nvars, p))
+        raise Filed
+
+    with mock.patch.object(operators, "_file_polynomials", intercept), pytest.raises(Filed):
+        search_operators(a, kind, **options)
+    return [terms for polys in filed[0] for terms in polys]
+
+
+def test_searched_monomials_have_exponents_of_at_most_two():
+    p35 = reduce_instance(truncpoly(3), 5)
+    l1p33 = reduce_instance(tensor_alt(grassmann1(), truncpoly(3)), 3)
+    searches = [(a, kind, {"weight": 0} if kind == "rota-baxter" else {})
+                for a in (p35, l1p33) for kind in OPERATOR_KINDS if kind != "o-operator"]
+    searches += [(a, "rota-baxter", {"weight": 1}) for a in (p35, l1p33)]
+    searches.append((p35, "o-operator", {"bimodule": regular_bimodule(p35)}))
+    degrees = Counter()
+    for a, kind, options in searches:
+        polys = filed_polynomials(a, kind, **options)
+        assert polys, kind
+        with mock.patch.object(operators, "EXPONENT_BITS", 2 * operators.EXPONENT_BITS):
+            assert filed_polynomials(a, kind, **options) == polys, kind  # nothing carried
+        for terms in polys:
+            for _, mono in terms:
+                assert mono == tuple(sorted(mono))
+                assert max(Counter(mono).values(), default=0) <= 2, (kind, mono)
+                degrees[len(mono)] += 1
+    assert max(degrees) == 2  # squares or products of two entries do occur
