@@ -535,7 +535,12 @@ class _Poly(dict):
     __rmul__ = __mul__
 
     def __mod__(self, p):
-        return _Poly({m: c % p for m, c in self.items() if c % p})
+        out = _Poly()
+        for m, c in self.items():
+            c %= p
+            if c:
+                out[m] = c
+        return out
 
 
 class _TableVector(tuple):

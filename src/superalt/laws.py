@@ -121,13 +121,14 @@ def _require(op: str, report: "LawReport"):
 # Binders.  Each identity closure is written once, over appliers that a
 # binder makes from the tensors and maps it reads.  Every check evaluates on
 # table vectors (see core._TableVector) with appliers read from the sparse
-# tables: a tuple scan on the table binder, memoised for that check; a
-# contraction on the polynomial binder, unmemoised, whose coordinates are
-# polynomials in the coordinates of generic points.  The reference binder
-# evaluates on Vectors through EvenBilinear.apply and EvenMap.apply; it
-# recomputes the residual at every hit.  An operator search binds on the
-# polynomial binder too, over F_p, its polynomials being in the entries of
-# an unknown map (see operators._FreeMap).
+# tables: a tuple scan on the table binder, memoised on argument values for
+# that check; a contraction on the polynomial binder, memoised on argument
+# identity within one slot-0 slice, whose coordinates are polynomials in the
+# coordinates of generic points.  The reference binder evaluates on Vectors
+# through EvenBilinear.apply and EvenMap.apply; it recomputes the residual
+# at every hit.  An operator search binds on the polynomial binder too, over
+# F_p, its polynomials being in the entries of an unknown map (see
+# operators._FreeMap).
 
 
 class _Reference:
@@ -187,23 +188,46 @@ class _Tables:
 class _Polynomials(_Tables):
     """The table binder for coordinates that may be polynomials (core._Poly).
 
-    Nothing is memoised, since a _Poly, being a dict, has no hash; instead
-    terms counts the terms of every vector that an applier or a shared
-    subexpression returns.  An operator search binds an unknown map on it
-    (see operators._FreeMap); a contracted scan evaluates its group on
-    generic points through it (see _contract)."""
+    A _Poly, being a dict, has no hash, so each applier and shared
+    subexpression is memoised on the identity of its arguments: an entry
+    holds the argument objects with the result, so no id in a key can be
+    reused while the entry lives.  The closures pass the points of a tuple
+    and earlier memoised results as arguments, so a repeated subexpression
+    over them is computed once; an argument built on the spot, such as a
+    sum, is a new object and misses.  terms counts the terms of every
+    vector computed, shared the calls answered from a memo.  An operator
+    search binds an unknown map on it (see operators._FreeMap), for one
+    pass over the basis tuples; a contracted scan evaluates its group on
+    generic points through it, and empties the memos at each slice (see
+    _contract)."""
 
     def __init__(self, field):
         super().__init__(field)
         self.terms = 0
+        self.shared = 0
 
     def memoised(self, fn):
+        memo = {}
+        self.memos.append(memo)
+
         def f(*args):
+            key = tuple(map(id, args))
+            hit = memo.get(key)
+            if hit is not None:
+                self.shared += 1
+                return hit[1]
             r = fn(*args)
             self.terms += sum(len(c) if type(c) is _Poly else c != 0 for c in r)
+            if len(memo) < MEMO_LIMIT:
+                memo[key] = args, r
             return r
 
         return f
+
+    def clear(self):
+        """Empty every memo, releasing the arguments and results it holds."""
+        for memo in self.memos:
+            memo.clear()
 
 
 # Beyond this many entries a memo stops growing: its keys are intermediate
@@ -635,9 +659,9 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
             if polynomials is None:
                 binder = _Polynomials(tables.field)
                 polynomials = build(binder)
-            binder.terms = 0
-            hit, slices, evaluations = _contract(slots, polynomials[g - 1][1], binder.vector.of)
-            work = f"{slices} slices, {binder.terms} polynomial terms"
+            binder.terms = binder.shared = 0
+            hit, slices, evaluations = _contract(slots, polynomials[g - 1][1], binder)
+            work = f"{slices} slices, {binder.terms} polynomial terms, {binder.shared} shared"
         else:
             hit, evaluations = _scan_parallel(slots, idfns, total, jobs)
             work = f"{sum(map(len, tables.memos))} memo entries"
@@ -700,20 +724,22 @@ def _fill(t) -> float:
 
 
 # The rule's bounds, from checks timed both ways in one process (best of 5,
-# scan ms / contraction ms; X~k is X in the basis (I + E) e_i, E holding k
-# random same-parity entries above the diagonal, as in ROADMAP.md, item 3).
-# At growth 1, the scan wins at 512 triples (octonions hom-alternative
-# 2.7 / 4.0) and the contraction from 625 tuples on (plus(truncpoly-5)
-# hom-jordan 3.2 / 1.9, truncpoly-10 8.2 / 5.2, l1-truncpoly-6 16.6 / 10.5,
-# l1-oct 33.0 / 27.6, plus(octonions) hom-jordan 10.5 / 2.4); the bound
-# leaves 625-1 023 tuples to the scan for tables just above growth 1
-# (truncpoly-10~2, growth 1.02: 8.8 / 9.5).  A failure within the first few
-# hundred tuples costs the contraction 2-4 times the scan (l1-oct
-# hom-associative, failing at 292: 2.0 / 3.9).  The growth up to which the
-# contraction wins rises with size: about 1.1 at 1 000-4 096 tuples
-# (truncpoly-12~3, growth 1.39: 16.5 / 19.8; l1-oct~4, growth 1.49:
-# 32.8 / 36.9), beyond 3.7 at 32 768 triples (l1-l1-oct@5~16: 1 112 / 675);
-# the growth bound of 2 lies between.
+# two rounds, scan ms / contraction ms; X~k is X in the basis (I + E) e_i,
+# E holding k random same-parity entries above the diagonal, as in
+# ROADMAP.md, item 3).  At growth 1, the scan wins at 512 triples
+# (octonions hom-alternative 2.8-5.0 / 3.3-5.9) and the contraction from
+# 625 tuples on (plus(truncpoly-5) hom-jordan 3.0-3.4 / 1.9-2.0,
+# truncpoly-10 7.9-9.2 / 3.7-4.1, l1-truncpoly-6 16.0-17.7 / 6.3-6.9, l1-oct
+# 42.8-46.8 / 22.3-24.2, plus(octonions) hom-jordan 16.5-18.0 / 4.1-4.3);
+# the bound keeps 512-triple checks, such as perturbed octonions that fail
+# early, on the scan.  A failure within the first few hundred tuples costs the contraction twice
+# the scan (l1-oct hom-associative, failing at 292: 3.3 / 6.5-6.6).  The
+# growth up to which the contraction wins rises with size: about 1.5 at
+# 1 000-4 096 tuples (truncpoly-12~3, growth 1.38: 16.9-18.4 / 16.1-16.4;
+# l1-oct~4, 1.58: 49.0-54.6 / 40.7-44.9; l1-truncpoly-6~6, 1.72:
+# 12.9-17.0 / 14.5-17.8; l1-oct~8, 3.26: 39.5-42.0 / 44.9-51.4), beyond 3.7
+# at 32 768 triples (l1-l1-oct@5~16, 3.78: 1 067-1 147 / 447-587); the
+# growth bound of 2 lies between.
 CONTRACT_MIN_TUPLES = 1024
 CONTRACT_MAX_GROWTH = 2
 
@@ -757,7 +783,7 @@ def _slot0_orbit(slots, idfns):
     return set.intersection(*orbits) - {0}
 
 
-def _contract(slots, idfns, make):
+def _contract(slots, idfns, binder):
     """Evaluate one group on generic points; returns (hit, slices evaluated,
     identity evaluations), hit being what _scan_range returns over the whole
     group.
@@ -780,9 +806,15 @@ def _contract(slots, idfns, make):
     When every identity's symmetry moves slot 0 (see _slot0_orbit), the
     slots in its orbit range over the indices from the slice's first slot-0
     index on: the tuples cut off are least in no identity's orbit, so the
-    least failure is kept."""
+    least failure is kept.
+
+    idfns are bound on binder, a _Polynomials, whose memos are emptied at
+    each slice: within it, every block gets the same point objects, so the
+    blocks share their subexpressions, and memory stays bounded by one
+    slice."""
     if not all(slots):
         return None, 0, 0
+    make = binder.vector.of
     offsets = list(itertools.accumulate(map(len, slots), initial=0))
     nvars = offsets[-1]
     width = max(1, CONTRACT_SLICE_TUPLES // math.prod(map(len, slots[1:])))
@@ -790,6 +822,7 @@ def _contract(slots, idfns, make):
     orbit = _slot0_orbit(slots, idfns)
     evaluations = 0
     for n, first in enumerate(firsts, 1):
+        binder.clear()
         blocks = [
             _slot_blocks(slots[s], offsets[s], nvars, make, first[0] if s in orbit else 0)
             for s in range(1, len(slots))

@@ -563,7 +563,8 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
     for line in scans:
         assert re.fullmatch(
             r"\S+ group \d+/\d+: (scan|contract): \d+ tuples in [\d.]+ s; \d+ evaluations; "
-            r"tables built in [\d.]+ s; (\d+ memo entries|\d+ slices, \d+ polynomial terms)", line)
+            r"tables built in [\d.]+ s; "
+            r"(\d+ memo entries|\d+ slices, \d+ polynomial terms, \d+ shared)", line)
         assert (": scan: " in line) == line.endswith(" memo entries")
     assert [line.split(" in ")[0] for line in scans if ": contract: " in line] == [
         "hom-jordan group 2/2: contract: 65536 tuples"]

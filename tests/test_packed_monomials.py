@@ -7,6 +7,10 @@ leave room for every exponent that can arise: one bit per variable on the
 generic points of a contraction, whose identities are multilinear, and one
 byte per variable in an operator search, whose equations have degree at
 most 2 in the unknown map.
+
+The polynomial binder memoises on the identity of its arguments, so a term
+that several identities share is computed once.  Its memos last one slot-0
+slice of a contraction, and one filing pass of a search.
 """
 
 import itertools
@@ -86,7 +90,7 @@ def watched_contractions(residuals):
     slots of its group, in residuals."""
     contract = engine._contract
 
-    def watched(slots, idfns, make):
+    def watched(slots, idfns, binder):
         def watch(fn):
             def f(pts):
                 r = fn(pts)
@@ -95,7 +99,7 @@ def watched_contractions(residuals):
 
             return f
 
-        return contract(slots, [(name, watch(fn), *rest) for name, fn, *rest in idfns], make)
+        return contract(slots, [(name, watch(fn), *rest) for name, fn, *rest in idfns], binder)
 
     return mock.patch.object(engine, "_contract", watched)
 
@@ -192,3 +196,118 @@ def test_searched_monomials_have_exponents_of_at_most_two():
                 assert max(Counter(mono).values(), default=0) <= 2, (kind, mono)
                 degrees[len(mono)] += 1
     assert max(degrees) == 2  # squares or products of two entries do occur
+
+
+def l1_oct_5():
+    return reduce_instance(tensor_alt(grassmann1(), octonions()), 5)
+
+
+def test_a_contraction_evaluates_each_term_once_per_slice():
+    """left-alt and right-alt both evaluate as(x, y, z): a block evaluates
+    as() at three argument tuples, not four, and no applier or associator
+    meets the same argument objects twice in one slice."""
+    evaluated, held, slices, contractions = Counter(), [], [0], []
+    memoised, generic_point, contract = (
+        engine._Polynomials.memoised, engine._generic_point, engine._contract)
+
+    def counting(binder, fn):
+        def counted(*args):
+            held.append(args)  # no id is reused while the check runs
+            evaluated[fn.__name__, id(fn), tuple(map(id, args)), slices[0]] += 1
+            return fn(*args)
+
+        return memoised(binder, counted)
+
+    def slot_point(slot, run, offset, nvars, make):
+        slices[0] += offset == 0  # slot 0's point is made once per slice
+        return generic_point(slot, run, offset, nvars, make)
+
+    def counted_contract(slots, idfns, binder):
+        out = contract(slots, idfns, binder)
+        contractions.append((len(idfns), out))
+        return out
+
+    a = l1_oct_5()
+    with forced("contract"), \
+            mock.patch.object(engine._Polynomials, "memoised", counting), \
+            mock.patch.object(engine, "_generic_point", slot_point), \
+            mock.patch.object(engine, "_contract", counted_contract):
+        assert check_product_law(a, "hom-alternative").passed
+    assert slices[0] == 2
+    assert max(evaluated.values()) == 1
+    ((identities, (_, _, evaluations)),) = contractions
+    blocks = evaluations // identities
+    assert blocks == 8
+    assert sum(n for (name, *_), n in evaluated.items() if name == "asso") == 3 * blocks
+
+
+class Kept(engine._Polynomials):
+    """A polynomial binder that lists itself in made."""
+
+    made = []
+
+    def __init__(self, field):
+        super().__init__(field)
+        Kept.made.append(self)
+
+
+def kept_binders():
+    Kept.made = []
+    return mock.patch.object(engine, "_Polynomials", Kept), \
+        mock.patch.object(operators, "_Polynomials", Kept)
+
+
+def test_every_memo_entry_holds_its_argument_objects():
+    """A key is the ids of its arguments, and its entry holds them, so none
+    of those ids can name another object while the entry lives."""
+    contraction, search = kept_binders()
+    a, p35 = l1_oct_5(), reduce_instance(truncpoly(3), 5)
+    with contraction, search:
+        assert check_product_law(a, "hom-alternative").passed  # contracted
+        assert search_operators(p35, "rota-baxter", weight=0, budget=2000).found
+    assert len(Kept.made) == 2
+    for binder in Kept.made:
+        entries = [entry for memo in binder.memos for entry in memo.items()]
+        assert entries
+        for key, (args, r) in entries:
+            assert key == tuple(map(id, args))
+        assert binder.shared
+
+
+def test_the_memos_are_empty_when_each_slice_starts():
+    """The first evaluation of each slot-0 slice finds every memo empty, so
+    memory stays bounded by one slice: product laws, hom-jordan with its two
+    groups, a pre law and a pre-bimodule, in slices of 256 tuples and
+    unsliced."""
+    starts = []
+    contract = engine._contract
+
+    def watched(slots, idfns, binder):
+        heads = []
+
+        def watch(fn):
+            def f(pts):
+                if not heads or pts[0] is not heads[-1]:  # a new slice's slot-0 point
+                    heads.append(pts[0])
+                    starts.append(sum(map(len, binder.memos)))
+                return fn(pts)
+
+            return f
+
+        return contract(slots, [(name, watch(fn), *rest) for name, fn, *rest in idfns], binder)
+
+    a, jordan = l1_oct_5(), plus_jordan(tensor_alt(grassmann1(), truncpoly(2)))
+    pre = standard_pre_instances()[0]
+    m = regular_bimodule(pre)
+    checks = [
+        lambda: check_product_law(a, "hom-alternative"),
+        lambda: check_product_law(jordan, "hom-jordan"),
+        lambda: check_pre_law(pre, "hom-prealternative"),
+        lambda: check_pre_bimodule(m),
+    ]
+    for slice_tuples in (256, None):
+        starts.clear()
+        with forced("contract", slice_tuples), mock.patch.object(engine, "_contract", watched):
+            assert all(check().passed for check in checks)
+        assert len(starts) > 2 * len(checks)
+        assert not any(starts)
