@@ -325,7 +325,8 @@ def build_parser():
 
     p = sub.add_parser("search", parents=[common],
                        help="exact operator search over a prime field, in radix order "
-                       "with pruning; --budget bounds the candidate counter")
+                       "with pruning or over the signed permutation maps (--signed-perms); "
+                       "--budget bounds the candidate counter")
     p.add_argument("algebra")
     p.add_argument("--kind", required=True, choices=OPERATOR_KINDS)
     p.add_argument("--weight", default=None)

@@ -279,6 +279,17 @@ _PATTERNS = {
     "integration": ("map", integration, 1, lambda k: k),
 }
 
+# fixed name -> (kind, builder over a field)
+_FIXED = {
+    "grassmann1": ("algebra", grassmann1),
+    "grassmann1-twisted": ("algebra", grassmann1_twisted),
+    "p3": ("algebra", lambda field: truncpoly(3, field)),
+    "octonions": ("algebra", octonions),
+    "l1-p3": ("algebra", lambda field: tensor_alt(grassmann1(field), truncpoly(3, field))),
+    "l1-oct": ("algebra", lambda field: tensor_alt(grassmann1(field), octonions(field))),
+    "alpha2": ("map", alpha2),
+}
+
 
 def build_named(name: str, prime: int | None = None):
     """Resolve a corpus name to ("algebra" | "map", object).
@@ -299,18 +310,7 @@ def build_named(name: str, prime: int | None = None):
         if dim > MAX_DIM:
             raise ValidationError([f"{name}: n0 + n1 = {dim} exceeds the cap of {MAX_DIM}"])
         return kind, builder(*sizes, field)
-    if name == "grassmann1":
-        return "algebra", grassmann1(field)
-    if name == "grassmann1-twisted":
-        return "algebra", grassmann1_twisted(field)
-    if name == "p3":
-        return "algebra", truncpoly(3, field)
-    if name == "octonions":
-        return "algebra", octonions(field)
-    if name == "l1-p3":
-        return "algebra", tensor_alt(grassmann1(field), truncpoly(3, field))
-    if name == "l1-oct":
-        return "algebra", tensor_alt(grassmann1(field), octonions(field))
-    if name == "alpha2":
-        return "map", alpha2(field)
-    raise ValidationError([f"unknown corpus name {name!r}"])
+    if name not in _FIXED:
+        raise ValidationError([f"unknown corpus name {name!r}"])
+    kind, builder = _FIXED[name]
+    return kind, builder(field)

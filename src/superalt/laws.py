@@ -170,7 +170,7 @@ class _Tables:
         )
 
     def memoised(self, fn):
-        """fn memoised on its arguments for the life of the check."""
+        """fn memoised on its arguments for the life of the check (see MEMO_LIMIT)."""
         memo = {}
         self.memos.append(memo)
 
@@ -178,8 +178,9 @@ class _Tables:
             r = memo.get(args)
             if r is None:
                 r = fn(*args)
-                if len(memo) < MEMO_LIMIT:
-                    memo[args] = r
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                memo[args] = r
             return r
 
         return f
@@ -218,8 +219,9 @@ class _Polynomials(_Tables):
                 return hit[1]
             r = fn(*args)
             self.terms += sum(len(c) if type(c) is _Poly else c != 0 for c in r)
-            if len(memo) < MEMO_LIMIT:
-                memo[key] = args, r
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[key] = args, r
             return r
 
         return f
@@ -230,8 +232,10 @@ class _Polynomials(_Tables):
             memo.clear()
 
 
-# Beyond this many entries a memo stops growing: its keys are intermediate
-# vectors, and on a dense instance nearly every one is new.
+# A memo that holds this many entries is emptied before it stores the next:
+# its keys are intermediate vectors, and on a dense instance nearly every one
+# is new, so a memo that stopped growing would keep only the early tuples'
+# keys, which the late tuples rarely meet.
 MEMO_LIMIT = 1 << 13
 
 
@@ -446,9 +450,10 @@ def _pre_identities(p: HomPreAlgebra, law: str, bind):
         return kind2(x, y, z) + signed(kind1(x, z, y), py * pz)
 
     def make_flex(comp):
+        # the Koszul sign of the reversal, as in the product law's flexible
         def f(pts):
-            (x, px), (y, _), (z, pz) = pts
-            return comp(x, y, z) + signed(comp(z, y, x), px * pz)
+            (x, px), (y, py), (z, pz) = pts
+            return comp(x, y, z) + signed(comp(z, y, x), px * py + px * pz + py * pz)
 
         return f
 

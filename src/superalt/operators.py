@@ -15,10 +15,11 @@ satisfies T(u) o T(v) = T(L(T u) v + R(T v) u) and T beta = alpha T.
 
 search_operators walks the even maps over F_p in the radix order of
 enumerate_even_maps, depth-first over the entries, and skips every subtree
-on which an operator equation already fails.  The contract is that of
-checking each candidate in turn: found lists every passing map in counter
-order, a skipped subtree counts all of its candidates as checked, and a
-budget bounds the counter, so candidates_checked is min(budget, space size).
+on which an operator equation already fails; or it tests each signed
+permutation map on the same equations.  The contract is that of checking
+each candidate in turn: found lists every passing map in counter order, a
+skipped subtree counts all of its candidates as checked, and a budget
+bounds the counter, so candidates_checked is min(budget, space size).
 """
 
 from __future__ import annotations
@@ -355,22 +356,19 @@ def search_operators(
     """Exact search for operators of the given kind over F_p.
 
     The candidates are the even maps in the radix order of
-    enumerate_even_maps; budget, when given, bounds that counter, so
-    candidates_checked is min(budget, space_size) and exhausted says whether
-    the budget covered the whole space.  The search is depth-first over the
-    digits, most significant first.  Every residual coordinate of the
-    operator equations on basis pairs is bound once as a polynomial in the
-    map entries, by the table appliers on polynomial coordinates, and tested
-    as soon as its last entry is fixed; a subtree on which one fails is
-    skipped, and all of its candidates below the budget count as checked.
-    So found holds exactly the maps passing check_operator (check_o_operator
-    for o-operators), in counter order, and each of them is checked again
-    there, on its own tables; a disagreement raises RuntimeError.  With
-    signed_perms the candidates are the signed permutation maps instead, each
-    checked in turn.  Rational instances are refused: their operator spaces
-    are infinite.  So are a weight for a kind other than rota-baxter, a
-    bimodule for a kind other than o-operator, and a bimodule whose base is
-    not a."""
+    enumerate_even_maps or, with signed_perms, the signed permutation maps
+    in the order of enumerate_signed_permutation_maps; budget, when given,
+    bounds the counter, so candidates_checked is min(budget, space_size) and
+    exhausted says whether the budget covered the whole space.  Each residual
+    coordinate of the operator equations on basis pairs is bound once as a
+    polynomial in the map entries.  The radix search fixes the digits depth
+    first, most significant first, tests each polynomial once its last entry
+    is fixed, and skips a subtree on which one fails, its candidates below
+    the budget counting as checked; a signed permutation is tested on all of
+    them.  So found holds exactly the maps passing check_operator, in
+    counter order, each checked there again; a disagreement raises
+    RuntimeError.  Refused: rational instances (infinite spaces), the options
+    _check_options refuses, and signed_perms for o-operators."""
     field = a.space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["operator search requires an F_p instance"])
@@ -379,36 +377,18 @@ def search_operators(
     if kind == "rota-baxter" and weight is None:
         weight = 0
     _check_options(kind, weight, bimodule, a)
+    if signed_perms and kind == "o-operator":
+        raise ValidationError(["signed permutation search needs a self-map kind"])
     w = field.coerce(weight) if kind == "rota-baxter" else None
-
-    def check(candidate):
-        if kind == "o-operator":
-            return check_o_operator(candidate, bimodule)
-        return check_operator(OperatorSpec(kind, candidate, weight=w), a)
-
-    if signed_perms:
-        if kind == "o-operator":
-            raise ValidationError(["signed permutation search needs a self-map kind"])
-        space_size = (
-            math.factorial(a.space.even) * math.factorial(a.space.odd) * 2**a.space.dim
-        )
-        found = []
-        checked = 0
-        for candidate in enumerate_signed_permutation_maps(a.space):
-            if budget is not None and checked >= budget:
-                return SearchResult(kind, found, checked, False, space_size)
-            checked += 1
-            if check(candidate).passed:
-                found.append(candidate)
-        return SearchResult(kind, found, checked, True, space_size)
-
     domain = bimodule.module if kind == "o-operator" else a.space
     positions = _even_positions(a.space, domain)
-    p, n = field.p, len(positions)
+    p, n, s = field.p, len(positions), a.space
     space_size = p**n
+    if signed_perms:
+        space_size = math.factorial(s.even) * math.factorial(s.odd) * 2**s.dim
     limit = space_size if budget is None else min(budget, space_size)
-    # counters below limit leave every digit but the last `live` at 0
-    live = 0
+    # radix counters below limit leave all but the last `live` digits at 0
+    live = n if signed_perms else 0
     while p**live < limit:
         live += 1
     start = time.perf_counter()
@@ -423,12 +403,16 @@ def search_operators(
 
     start = time.perf_counter()
     stats = _SearchStats()
+    if signed_perms:
+        survivors = _signed_permutations(s, positions, by_var, p, limit, stats)
+    else:
+        survivors = _backtrack(by_var, live, p, limit, stats)
     found = []
-    for digits in _backtrack(by_var, live, p, limit, stats):
+    for digits in survivors:
         candidate = EvenMap.from_entries(
             domain, a.space, [(i, j, d) for (i, j), d in zip(unknown.free, digits) if d]
         )
-        rep = check(candidate)
+        rep = check_operator(OperatorSpec(kind, candidate, weight=w, bimodule=bimodule), a)
         if not rep.passed:
             raise RuntimeError(
                 f"{kind}: map {candidate.entries} survives the pruned search, but its "
@@ -441,8 +425,7 @@ def search_operators(
         kind, sum(map(len, by_var)), bound_s, stats.nodes, stats.pruned, stats.disposed,
         len(found), time.perf_counter() - start,
     )
-    checked = stats.disposed + len(found)
-    return SearchResult(kind, found, checked, limit == space_size, space_size)
+    return SearchResult(kind, found, stats.disposed + len(found), limit == space_size, space_size)
 
 
 # A search binds on the polynomial binder (laws._Polynomials) over F_p: its
@@ -506,8 +489,8 @@ def _variables(mono: int) -> tuple:
 
 @dataclass
 class _SearchStats:
-    nodes: int = 0  # nodes tested: the root (constants), then each digit assignment
-    pruned: int = 0  # subtrees skipped, leaves included
+    nodes: int = 0  # the root (constants), then each digit assignment, or each signed map
+    pruned: int = 0  # subtrees skipped, leaves and rejected signed maps included
     disposed: int = 0  # candidates below the limit inside those subtrees
 
 
@@ -564,3 +547,20 @@ def _backtrack(by_var, nvars: int, p: int, limit: int, stats: _SearchStats):
         base += weights[k]
         if base >= limit:
             return
+
+
+def _signed_permutations(space, positions, by_var, p: int, limit: int, stats: _SearchStats):
+    """Yield the digit tuples over positions of the first limit maps of
+    enumerate_signed_permutation_maps on which every by_var polynomial vanishes."""
+    index = {pos: k for k, pos in enumerate(positions)}
+    polys = [terms for filed in by_var for terms in filed]
+    for candidate in itertools.islice(enumerate_signed_permutation_maps(space), limit):
+        digits = [0] * len(positions)
+        for i, j, v in candidate.sparse_entries():
+            digits[index[i, j]] = v.val
+        stats.nodes += 1
+        if _vanish(polys, digits, p):
+            yield tuple(digits)
+        else:
+            stats.pruned += 1
+            stats.disposed += 1

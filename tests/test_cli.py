@@ -8,10 +8,14 @@ import pytest
 
 import superalt.io as sio
 from superalt import (
+    QQ,
     EvenMap,
+    HomAlgebra,
+    PrimeField,
     alt_of,
     averaging_product,
     centroid_twist,
+    corpus,
     derived_n,
     grassmann1,
     integration,
@@ -21,6 +25,7 @@ from superalt import (
     reduce_instance,
     regular_bimodule,
     scale,
+    search_operators,
     tensor_alt,
     transpose,
     truncpoly,
@@ -51,6 +56,17 @@ def test_corpus_list(capsys):
     assert code == 0
     for name in ("octonions", "p3", "grassmann1", "matrix-2", "l1-oct"):
         assert name in out
+
+
+def test_every_listed_corpus_name_builds_over_q_and_f5():
+    for name in corpus.builtin_names():
+        for prime, field in ((None, QQ), (5, PrimeField(5))):
+            kind, obj = corpus.build_named(name, prime=prime)
+            if kind == "algebra":
+                assert isinstance(obj, HomAlgebra) and obj.space.field == field, (name, prime)
+            else:
+                assert kind == "map", name
+                assert isinstance(obj, EvenMap) and obj.domain.field == field, (name, prime)
 
 
 def test_corpus_unknown_name(capsys, tmp_path):
@@ -368,6 +384,37 @@ def test_search_reports_counts(capsys, tmp_path):
     assert len(doc["search"]["found"]) == 30
 
 
+def test_signed_permutation_search_reports_the_library_result(capsys, tmp_path):
+    a_path = tmp_path / "l1p33.json"
+    main(["corpus", "l1-p3", "--prime", "3", "--out", str(a_path)])
+    capsys.readouterr()
+    a = corpus.build_named("l1-p3", prime=3)[1]
+    for budget in (None, 20):
+        argv = ["search", str(a_path), "--kind", "endomorphism", "--signed-perms"]
+        argv += [] if budget is None else ["--budget", str(budget)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        res = search_operators(a, "endomorphism", budget=budget, signed_perms=True)
+        human, rest = out.split("\n", 1)
+        tail = "space exhausted" if res.exhausted else "budget reached"
+        assert human == (f"search endomorphism: {len(res.found)} found, {res.candidates_checked} "
+                         f"of {res.space_size} candidates checked ({tail})")
+        assert json.loads(rest)["search"] == {
+            "operator": "endomorphism",
+            "found": [sio.matrix_to_json(f) for f in res.found],
+            "candidates_checked": res.candidates_checked,
+            "exhausted": res.exhausted,
+            "space_size": res.space_size,
+        }
+    # -v logs one search line, after the group lines of each found map's
+    # check, and stdout stays as it is
+    code, verbose, err = run(capsys, *argv, "-v")
+    assert code == 0 and verbose == out
+    (line,) = [line for line in err.splitlines() if " search: " in line]
+    assert line.startswith("superalt: endomorphism search: ") and line.endswith(" s")
+    assert f"{len(res.found)} found in " in line
+
+
 def test_search_refuses_negative_budget(capsys, tmp_path):
     a_path = tmp_path / "p35.json"
     main(["corpus", "p3", "--prime", "5", "--out", str(a_path)])
@@ -544,6 +591,8 @@ ERROR_TABLE = {
                                      "--bimodule", "reg35.json"],
         "bimodule over another base": ["search", "z35.json", "--kind", "o-operator",
                                        "--bimodule", "reg35.json", "--budget", "2000"],
+        "signed perms for an o-operator": ["search", "p35.json", "--kind", "o-operator",
+                                           "--bimodule", "reg35.json", "--signed-perms"],
     },
     "corpus": {
         "missing option": ["corpus", "p3"],

@@ -453,6 +453,63 @@ def test_contraction_stops_at_the_slice_of_the_first_failure(caplog):
         assert f"; {slices} slices, " in line
 
 
+def test_a_full_memo_is_emptied_before_it_stores_the_next(monkeypatch):
+    """At MEMO_LIMIT entries a memo of either binder is emptied, not frozen:
+    on either path the reports stay as they are, no memo holds more than the
+    limit, and the last key each memo stored after a contraction last cleared
+    it is in it at the end."""
+    l1_oct = tensor_alt(grassmann1(), octonions())
+    bent = HomAlgebra(perturb_bilinear(l1_oct.mu, (1, 2, 3), 1), l1_oct.alpha)
+    pre, jordan = standard_pre_instances()[1], plus_jordan(tensor_alt(grassmann1(), truncpoly(2)))
+    checks = [
+        lambda: check_product_law(l1_oct, "hom-alternative"),
+        lambda: check_product_law(bent, "hom-alternative"),
+        lambda: check_product_law(jordan, "hom-jordan"),
+        lambda: check_pre_law(pre, "hom-prealternative"),
+        lambda: check_pre_bimodule(regular_bimodule(standard_pre_instances()[0])),
+    ]
+    limit, last, sizes = 16, {}, []
+
+    def spy(memoised, key):
+        def memoise(binder, fn):
+            memo = []
+
+            def missed(*args):  # a miss, whose result the memo then stores
+                last[id(memo[0])] = memo[0], key(args)
+                return fn(*args)
+
+            f = memoised(binder, missed)
+            memo.append(binder.memos[-1])
+
+            def g(*args):
+                r = f(*args)
+                sizes.append(len(memo[0]))
+                return r
+
+            return g
+
+        return memoise
+
+    def cleared(binder, clear=engine._Polynomials.clear):  # a contraction's slice starts
+        for memo in binder.memos:
+            last.pop(id(memo), None)
+        clear(binder)
+
+    for path in ("scan", "contract"):
+        with forced(path):
+            expected = [check() for check in checks]
+            last.clear(), sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(engine, "MEMO_LIMIT", limit)
+                m.setattr(engine._Tables, "memoised", spy(engine._Tables.memoised, tuple))
+                m.setattr(engine._Polynomials, "memoised",
+                          spy(engine._Polynomials.memoised, lambda args: tuple(map(id, args))))
+                m.setattr(engine._Polynomials, "clear", cleared)
+                assert [check() for check in checks] == expected, path
+        assert max(sizes) == limit, path
+        assert all(key in memo for memo, key in last.values()), path
+
+
 def bound(*tables):
     """A table binder with the given products and maps bound."""
     binder = engine._Tables(F5)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 from superalt import (
     DEFAULT_JORDAN_CYCLE,
     JORDAN_CYCLES,
+    HomPreAlgebra,
     PRE_LAWS,
     PRODUCT_LAWS,
+    SuperSpace,
     ValidationError,
     Vector,
+    alt_of,
     calibrate_jordan,
     check_morphism,
     check_pre_law,
@@ -29,6 +33,7 @@ from superalt import (
     truncpoly,
 )
 from conftest import rand_homogeneous
+from test_compiled_scan import F5, field_of, rand_bilinear, rand_map
 
 
 def test_signed_flips_on_odd_exponent(p3):
@@ -61,6 +66,27 @@ def test_octonions_fail_associativity_at_frozen_witness(oct):
     expected = [Fraction(0)] * 8
     expected[6] = Fraction(-2)
     assert list(rep.residual) == expected
+
+
+@pytest.mark.parametrize("kind", ("Q", F5), ids=("Q", "F5"))
+def test_flexible_prealternative_sums_to_hom_flexible_of_the_sum(kind):
+    """kind1 + kind2 + kind3 is the associator of x o y = x prec y + x succ y,
+    so at every basis triple the three flex-k residuals add up to the
+    hom-flexible residual of alt_of(P): each mirrored term carries the
+    Koszul sign (-1)^(|x||y| + |x||z| + |y||z|) of the reversal."""
+    rng = random.Random(2017)
+    space = SuperSpace(field_of(kind), 2, 2)
+    points = [(Vector.basis(space, i), space.parity(i)) for i in space.indices()]
+    apart = []
+    for _ in range(4):
+        pre = HomPreAlgebra(rand_bilinear(rng, kind, space, space, space, 0.6),
+                            rand_bilinear(rng, kind, space, space, space, 0.6),
+                            rand_map(rng, kind, space, space))
+        flex = [fn for _, _, fn in law_identities(pre, "flexible-prealternative")]
+        [(_, _, whole)] = law_identities(alt_of(pre), "hom-flexible")
+        apart += [pts for pts in itertools.product(points, repeat=3)
+                  if sum((fn(pts) for fn in flex), Vector.zero(space)) != whole(pts)]
+    assert not apart, len(apart)
 
 
 def test_octonions_pass_alternativity_and_flexibility(oct):

@@ -7,11 +7,14 @@ enumerate_even_maps in the same order, and on every candidate a nested loop
 over the operator equations bound to the reference Vector closures.  found
 (in order), candidates_checked, exhausted and space_size must agree,
 exhaustively on small spaces and on budgeted prefixes of larger ones, every
-budget being a counter bound.
+budget being a counter bound.  The signed permutation search tests the
+same polynomials on each map of enumerate_signed_permutation_maps; its
+oracle is check_operator on every one of them.
 """
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,10 +23,13 @@ from superalt import (
     AltBimodule,
     EvenBilinear,
     HomAlgebra,
+    OperatorSpec,
     PrimeField,
     SuperSpace,
+    check_operator,
     corpus,
     enumerate_even_maps,
+    enumerate_signed_permutation_maps,
     integration,
     rb_split,
     reduce_instance,
@@ -32,6 +38,7 @@ from superalt import (
     search_operators,
     truncpoly,
 )
+from superalt import operators
 from superalt.laws import REFERENCE
 from conftest import from_rows
 from superalt.operators import _backtrack, _o_operator_groups, _operator_groups, _SearchStats
@@ -229,3 +236,56 @@ def test_backtrack_prunes_and_counts_in_counter_order():
     assert list(_backtrack(polys, 2, 5, 7, stats)) == []
     assert stats.disposed == 7
 
+
+SIGNED = [("truncpoly-3", 5), ("l1-p3", 3)]
+SIGNED_KINDS = [("endomorphism", None), ("rota-baxter", 0), ("rota-baxter", 1), ("averaging", None)]
+
+
+def signed_brute_force(a, kind, weight):
+    """The passing maps of enumerate_signed_permutation_maps, by check_operator."""
+    w = a.space.field.coerce(weight) if kind == "rota-baxter" else None
+    maps = list(enumerate_signed_permutation_maps(a.space))
+    hits = [(c, f) for c, f in enumerate(maps)
+            if check_operator(OperatorSpec(kind, f, weight=w), a).passed]
+    return hits, len(maps)
+
+
+@pytest.mark.parametrize("name,p", SIGNED)
+@pytest.mark.parametrize("kind,weight", SIGNED_KINDS)
+def test_signed_permutation_search_matches_brute_force(name, p, kind, weight):
+    a = named(name, p)
+    hits, size = signed_brute_force(a, kind, weight)
+    budgets = {0, 1, size // 2, size - 1, size, size + 7, None}
+    budgets |= {c for c, _ in hits} | {c + 1 for c, _ in hits}
+    for budget in sorted(budgets, key=lambda b: -1 if b is None else b):
+        res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
+        limit = size if budget is None else min(budget, size)
+        assert res.found == [f for c, f in hits if c < limit], (name, kind, budget)
+        assert res.candidates_checked == limit, (name, kind, budget)
+        assert res.exhausted == (limit == size), (name, kind, budget)
+        assert res.space_size == size, (name, kind, budget)
+
+
+@pytest.mark.parametrize("name,p", SIGNED + [("grassmann1", 3), ("zero-2-1", 3)])
+def test_signed_permutation_endomorphisms_are_closed_under_composition(name, p):
+    a = named(name, p)
+    res = search_operators(a, "endomorphism", signed_perms=True)
+    assert res.exhausted and res.found
+    found = set(res.found)
+    assert all(f.compose(g) in found for f in found for g in found)
+
+
+def test_a_signed_search_checks_only_the_maps_it_finds():
+    a = named("l1-p3", 3)
+    calls = []
+
+    def counted(spec, instance):
+        calls.append(spec.map)
+        return check_operator(spec, instance)
+
+    with mock.patch.object(operators, "check_operator", counted):
+        for kind, weight in SIGNED_KINDS:
+            for budget in (None, 1000):
+                calls.clear()
+                res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
+                assert calls == res.found, (kind, budget)
