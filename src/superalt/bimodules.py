@@ -35,8 +35,53 @@ from .laws import (
 from .constructions import alt_of, rb_split
 
 
-class AltBimodule:
+def _from_left(key: str) -> bool:
+    """Whether the action named key takes its algebra argument on the left:
+    an l... action maps A x V -> V and an r... action maps V x A -> V."""
+    return key[0] == "l"
+
+
+def action_factors(key: str, a, v):
+    """The (left, right) factors of the action named key over A = a, V = v."""
+    return (a, v) if _from_left(key) else (v, a)
+
+
+class _Bimodule:
+    """What both kinds share.  ACTIONS names a kind's actions in document
+    key order, which puts every l... action first."""
+
+    __slots__ = ()
+    ACTIONS = ()
+
+    def __init__(self, base, beta: EvenMap, name: str, **actions: EvenBilinear):
+        errors = []
+        v = beta.domain
+        if beta.codomain != v:
+            errors.append("beta must be an even self-map of the module")
+        for key in self.ACTIONS:
+            act = actions[key]
+            if (act.left, act.right, act.out) != (*action_factors(key, base.space, v), v):
+                shape = " x ".join(action_factors(key, "A", "V"))
+                errors.append(f"{key} action must map {shape} -> V")
+        if errors:
+            raise ValidationError(errors)
+        self.base = base
+        self.beta = beta
+        self.name = name
+        for key in self.ACTIONS:
+            setattr(self, key, actions[key])
+
+    @property
+    def module(self):
+        return self.beta.domain
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name or self.module.dims})"
+
+
+class AltBimodule(_Bimodule):
     __slots__ = ("base", "beta", "lsucc", "rprec", "name")
+    ACTIONS = ("lsucc", "rprec")
 
     def __init__(
         self,
@@ -46,32 +91,12 @@ class AltBimodule:
         rprec: EvenBilinear,
         name: str = "",
     ):
-        errors = []
-        v = beta.domain
-        if beta.codomain != v:
-            errors.append("beta must be an even self-map of the module")
-        if (lsucc.left, lsucc.right, lsucc.out) != (base.space, v, v):
-            errors.append("left action must map A x V -> V")
-        if (rprec.left, rprec.right, rprec.out) != (v, base.space, v):
-            errors.append("right action must map V x A -> V")
-        if errors:
-            raise ValidationError(errors)
-        self.base = base
-        self.beta = beta
-        self.lsucc = lsucc
-        self.rprec = rprec
-        self.name = name
-
-    @property
-    def module(self):
-        return self.beta.domain
-
-    def __repr__(self):
-        return f"AltBimodule({self.name or self.module.dims})"
+        super().__init__(base, beta, name, lsucc=lsucc, rprec=rprec)
 
 
-class PreBimodule:
+class PreBimodule(_Bimodule):
     __slots__ = ("base", "beta", "lprec", "rprec", "lsucc", "rsucc", "name")
+    ACTIONS = ("lprec", "lsucc", "rprec", "rsucc")
 
     def __init__(
         self,
@@ -83,32 +108,7 @@ class PreBimodule:
         rsucc: EvenBilinear,
         name: str = "",
     ):
-        errors = []
-        v = beta.domain
-        if beta.codomain != v:
-            errors.append("beta must be an even self-map of the module")
-        for label, act in (("lprec", lprec), ("lsucc", lsucc)):
-            if (act.left, act.right, act.out) != (base.space, v, v):
-                errors.append(f"{label} action must map A x V -> V")
-        for label, act in (("rprec", rprec), ("rsucc", rsucc)):
-            if (act.left, act.right, act.out) != (v, base.space, v):
-                errors.append(f"{label} action must map V x A -> V")
-        if errors:
-            raise ValidationError(errors)
-        self.base = base
-        self.beta = beta
-        self.lprec = lprec
-        self.rprec = rprec
-        self.lsucc = lsucc
-        self.rsucc = rsucc
-        self.name = name
-
-    @property
-    def module(self):
-        return self.beta.domain
-
-    def __repr__(self):
-        return f"PreBimodule({self.name or self.module.dims})"
+        super().__init__(base, beta, name, lprec=lprec, rprec=rprec, lsucc=lsucc, rsucc=rsucc)
 
 
 @dataclass(frozen=True)
@@ -405,30 +405,20 @@ def project_bimodule(m, direction: str, pre: HomPreAlgebra | None = None):
 
 def twist_bimodule(m):
     """Precompose every action with alpha^2 on the algebra argument; beta and
-    the base stay.  Requires the base multiplicative."""
+    the base stay.  Requires the base multiplicative: alpha a morphism of
+    the product (alt) or of both products (pre)."""
     if isinstance(m, AltBimodule):
         _require("twist_bimodule", check_product_law(m.base, "multiplicative"))
-        a2 = m.base.alpha.power(2)
-        return AltBimodule(
-            m.base,
-            m.beta,
-            m.lsucc.pre_compose_left(a2),
-            m.rprec.pre_compose_right(a2),
-            name=f"twist({m.name})",
-        )
-    if isinstance(m, PreBimodule):
+    elif isinstance(m, PreBimodule):
         _require("twist_bimodule", check_morphism(m.base.alpha, m.base, m.base, weak=False))
-        a2 = m.base.alpha.power(2)
-        return PreBimodule(
-            m.base,
-            m.beta,
-            lprec=m.lprec.pre_compose_left(a2),
-            rprec=m.rprec.pre_compose_right(a2),
-            lsucc=m.lsucc.pre_compose_left(a2),
-            rsucc=m.rsucc.pre_compose_right(a2),
-            name=f"twist({m.name})",
-        )
-    raise ValidationError([f"not a bimodule: {m!r}"])
+    else:
+        raise ValidationError([f"not a bimodule: {m!r}"])
+    a2 = m.base.alpha.power(2)
+    actions = {}
+    for key in m.ACTIONS:
+        act = getattr(m, key)
+        actions[key] = act.pre_compose_left(a2) if _from_left(key) else act.pre_compose_right(a2)
+    return type(m)(m.base, m.beta, name=f"twist({m.name})", **actions)
 
 
 def rb_induced_bimodules(m: AltBimodule, r: EvenMap):

@@ -155,19 +155,10 @@ def reduce_instance(a, p: int):
     structure constant has a denominator divisible by p."""
     if not isinstance(a.space.field, RationalField):
         raise ValidationError(["reduction starts from a rational instance"])
-    if isinstance(a, HomAlgebra):
-        return HomAlgebra(
-            _reduce_bilinear(a.mu, p),
-            reduce_map(a.alpha, p),
-            name=f"{a.name}@{p}" if a.name else f"@{p}",
-        )
-    if isinstance(a, HomPreAlgebra):
-        return HomPreAlgebra(
-            _reduce_bilinear(a.prec, p),
-            _reduce_bilinear(a.succ, p),
-            reduce_map(a.alpha, p),
-            name=f"{a.name}@{p}" if a.name else f"@{p}",
-        )
+    if isinstance(a, (HomAlgebra, HomPreAlgebra)):
+        products = [_reduce_bilinear(getattr(a, attr), p) for attr, _ in a.PRODUCTS]
+        name = f"{a.name}@{p}" if a.name else f"@{p}"
+        return type(a)(*products, reduce_map(a.alpha, p), name=name)
     raise ValidationError([f"cannot reduce {a!r}"])
 
 

@@ -12,24 +12,21 @@ from __future__ import annotations
 import json
 import os
 
-from .bimodules import AltBimodule, PreBimodule
+from .bimodules import AltBimodule, PreBimodule, action_factors
 from .core import EvenBilinear, EvenMap, SuperSpace, ValidationError
 from .fields import FieldError, field_from_json, field_to_json
 from .laws import HomAlgebra, HomPreAlgebra, LawReport
 
 DOCUMENT_KINDS = ("algebra", "pre-algebra", "map", "bimodule", "report")
-BASE_KINDS = ("algebra", "pre-algebra")
+# instance document kind -> class; each class declares its PRODUCTS
+_INSTANCES = {"algebra": HomAlgebra, "pre-algebra": HomPreAlgebra}
+BASE_KINDS = tuple(_INSTANCES)
 MAX_DIM = 64  # cap on n0 + n1 of every space a document declares
-# variant -> (bimodule class, base class, actions in document key order, the
-# refusal of another base); an action named l... maps A x V -> V, r... V x A -> V
+# variant -> (bimodule class, base class, the refusal of another base); each
+# bimodule class declares its ACTIONS
 _BIMODULES = {
-    "alt": (AltBimodule, HomAlgebra, ("lsucc", "rprec"), "an alt bimodule needs an algebra base"),
-    "pre": (
-        PreBimodule,
-        HomPreAlgebra,
-        ("lprec", "rprec", "lsucc", "rsucc"),
-        "a pre bimodule needs a pre-algebra base",
-    ),
+    "alt": (AltBimodule, HomAlgebra, "an alt bimodule needs an algebra base"),
+    "pre": (PreBimodule, HomPreAlgebra, "a pre bimodule needs a pre-algebra base"),
 }
 
 
@@ -191,18 +188,18 @@ def _doc(kind, space, body, name, metadata):
     return doc
 
 
-def algebra_to_doc(a: HomAlgebra, name: str | None = None, metadata: dict | None = None):
-    body = {"product": entries_to_json(a.mu), "twist": matrix_to_json(a.alpha)}
-    return _doc("algebra", a.space, body, name or a.name, metadata)
+def algebra_to_doc(a, name: str | None = None, metadata: dict | None = None):
+    """The document of an instance of either kind: each declared product
+    under its key, then the twist."""
+    for kind, cls in _INSTANCES.items():
+        if isinstance(a, cls):
+            body = {key: entries_to_json(getattr(a, attr)) for attr, key in cls.PRODUCTS}
+            body["twist"] = matrix_to_json(a.alpha)
+            return _doc(kind, a.space, body, name or a.name, metadata)
+    raise ValidationError([f"not an instance: {a!r}"])
 
 
-def pre_to_doc(p: HomPreAlgebra, name: str | None = None, metadata: dict | None = None):
-    body = {
-        "prec": entries_to_json(p.prec),
-        "succ": entries_to_json(p.succ),
-        "twist": matrix_to_json(p.alpha),
-    }
-    return _doc("pre-algebra", p.space, body, name or p.name, metadata)
+pre_to_doc = algebra_to_doc
 
 
 def map_to_doc(f: EvenMap, name: str | None = None, metadata: dict | None = None):
@@ -213,10 +210,10 @@ def map_to_doc(f: EvenMap, name: str | None = None, metadata: dict | None = None
 
 
 def bimodule_to_doc(m, base_path: str, name: str | None = None, metadata: dict | None = None):
-    for variant, (cls, _, actions, _) in _BIMODULES.items():
+    for variant, (cls, _, _) in _BIMODULES.items():
         if isinstance(m, cls):
             body = {"variant": variant, "base": base_path, "beta": matrix_to_json(m.beta)}
-            body.update((key, entries_to_json(getattr(m, key))) for key in actions)
+            body.update((key, entries_to_json(getattr(m, key))) for key in cls.ACTIONS)
             return _doc("bimodule", m.module, body, name or m.name, metadata)
     raise ValidationError([f"not a bimodule: {m!r}"])
 
@@ -236,19 +233,14 @@ def _space_from_doc(doc, required, ctx, optional=("name", "metadata")):
     return field, SuperSpace(field, n0, n1)
 
 
-def doc_to_algebra(doc, ctx) -> HomAlgebra:
-    field, space = _space_from_doc(doc, ("product", "twist"), ctx)
-    mu = _entries_from_json(field, doc["product"], space, space, space, ctx, "product")
+def doc_to_instance(doc, ctx):
+    """The instance of an algebra or pre-algebra document."""
+    cls = _INSTANCES[doc["kind"]]
+    keys = tuple(key for _, key in cls.PRODUCTS)
+    field, space = _space_from_doc(doc, keys + ("twist",), ctx)
+    products = [_entries_from_json(field, doc[key], space, space, space, ctx, key) for key in keys]
     alpha = _matrix_from_json(field, doc["twist"], space, space, ctx, "twist")
-    return HomAlgebra(mu, alpha, name=doc.get("name", ""))
-
-
-def doc_to_pre(doc, ctx) -> HomPreAlgebra:
-    field, space = _space_from_doc(doc, ("prec", "succ", "twist"), ctx)
-    prec = _entries_from_json(field, doc["prec"], space, space, space, ctx, "prec")
-    succ = _entries_from_json(field, doc["succ"], space, space, space, ctx, "succ")
-    alpha = _matrix_from_json(field, doc["twist"], space, space, ctx, "twist")
-    return HomPreAlgebra(prec, succ, alpha, name=doc.get("name", ""))
+    return cls(*products, alpha, name=doc.get("name", ""))
 
 
 def doc_to_map(doc, ctx) -> EvenMap:
@@ -263,8 +255,8 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
     variant = doc.get("variant")
     if variant not in ("alt", "pre"):
         raise DocumentError([f"variant: expected alt or pre, got {variant!r}"])
-    cls, base_cls, actions, needs = _BIMODULES[variant]
-    field, v = _space_from_doc(doc, ("base", "variant", "beta") + actions, ctx)
+    cls, base_cls, needs = _BIMODULES[variant]
+    field, v = _space_from_doc(doc, ("base", "variant", "beta") + cls.ACTIONS, ctx)
     if not isinstance(doc["base"], str) or os.path.isabs(doc["base"]):
         raise DocumentError([f"base: expected a relative path, got {doc['base']!r}"])
     base_path = os.path.join(base_dir, doc["base"])
@@ -277,10 +269,8 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
     if a.field != field:
         mine, theirs = (json.dumps(field_to_json(f)) for f in (field, a.field))
         raise DocumentError([f"scalars: {mine} differ from the base's {theirs}"])
-    acts = {key: _entries_from_json(field, doc[key], a, v, v, ctx, key)
-            for key in actions if key[0] == "l"}
-    acts.update((key, _entries_from_json(field, doc[key], v, a, v, ctx, key))
-                for key in actions if key[0] == "r")
+    acts = {key: _entries_from_json(field, doc[key], *action_factors(key, a, v), v, ctx, key)
+            for key in cls.ACTIONS}
     return cls(base, beta, name=doc.get("name", ""), **acts)
 
 
@@ -312,10 +302,8 @@ def _parse(text, strict, base_dir, kinds):
              "base references cannot chain or cycle"]
         )
     ctx = _Ctx(strict)
-    if kind == "algebra":
-        obj = doc_to_algebra(doc, ctx)
-    elif kind == "pre-algebra":
-        obj = doc_to_pre(doc, ctx)
+    if kind in BASE_KINDS:
+        obj = doc_to_instance(doc, ctx)
     elif kind == "map":
         obj = doc_to_map(doc, ctx)
     elif kind == "bimodule":
@@ -353,10 +341,8 @@ def save(doc: dict, path: str) -> None:
 
 
 def object_to_doc(obj, name=None, metadata=None, base_path=None):
-    if isinstance(obj, HomAlgebra):
+    if isinstance(obj, (HomAlgebra, HomPreAlgebra)):
         return algebra_to_doc(obj, name, metadata)
-    if isinstance(obj, HomPreAlgebra):
-        return pre_to_doc(obj, name, metadata)
     if isinstance(obj, EvenMap):
         return map_to_doc(obj, name, metadata)
     if isinstance(obj, (AltBimodule, PreBimodule)):

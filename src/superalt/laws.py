@@ -49,6 +49,8 @@ class HomAlgebra:
     """(A, mu, alpha): one even product and an even self-map on one space."""
 
     __slots__ = ("space", "mu", "alpha", "name")
+    # (attribute, document key) of each product, in constructor order
+    PRODUCTS = (("mu", "product"),)
 
     def __init__(self, mu: EvenBilinear, alpha: EvenMap, name: str = ""):
         if not (mu.left == mu.right == mu.out):
@@ -73,6 +75,7 @@ class HomPreAlgebra:
     """(A, prec, succ, alpha): two even products whose sum is the circle product."""
 
     __slots__ = ("space", "prec", "succ", "alpha", "name", "_circ")
+    PRODUCTS = (("prec", "prec"), ("succ", "succ"))
 
     def __init__(self, prec: EvenBilinear, succ: EvenBilinear, alpha: EvenMap, name: str = ""):
         if not (prec.left == prec.right == prec.out):
@@ -967,12 +970,11 @@ def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:
 
 def _morphism_groups(f, src, dst, weak: bool, bind):
     """The scan groups of check_morphism."""
-    if isinstance(src, HomAlgebra):
-        pairs = [("mu", src.mu, dst.mu)]
-    else:
-        pairs = [("prec", src.prec, dst.prec), ("succ", src.succ, dst.succ)]
     # every preserves-prec pair comes before any preserves-succ pair
-    groups = [_preserves_group(f, s, d, f"preserves-{name}", bind) for name, s, d in pairs]
+    groups = [
+        _preserves_group(f, getattr(src, attr), getattr(dst, attr), f"preserves-{attr}", bind)
+        for attr, _ in src.PRODUCTS
+    ]
     if not weak:
         groups.append(_intertwining_group(f, src.alpha, dst.alpha, "intertwines-twist", bind))
     return groups

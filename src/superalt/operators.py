@@ -331,18 +331,25 @@ def enumerate_even_maps(
         yield EvenMap.from_entries(domain, codomain, entries)
 
 
-def enumerate_signed_permutation_maps(space: SuperSpace):
-    """Even maps sending each basis vector to +-(a basis vector of the same
-    parity), in lexicographic (even perm, odd perm, sign pattern) order."""
-    field = space.field
-    if not isinstance(field, PrimeField):
-        raise ValidationError(["signed permutation enumeration needs a finite scalar field"])
+def _signed_perms(space: SuperSpace):
+    """(perm, signs) of each signed permutation map, basis vector j going to
+    signs[j] times basis vector perm[j], in lexicographic (even perm, odd
+    perm, sign pattern) order."""
     n0, n = space.even, space.dim
     for pe in itertools.permutations(range(n0)):
         for po in itertools.permutations(range(n0, n)):
             perm = pe + po
             for signs in itertools.product((1, -1), repeat=n):
-                yield EvenMap.from_entries(space, space, list(zip(perm, range(n), signs)))
+                yield perm, signs
+
+
+def enumerate_signed_permutation_maps(space: SuperSpace):
+    """Even maps sending each basis vector to +-(a basis vector of the same
+    parity), in lexicographic (even perm, odd perm, sign pattern) order."""
+    if not isinstance(space.field, PrimeField):
+        raise ValidationError(["signed permutation enumeration needs a finite scalar field"])
+    for perm, signs in _signed_perms(space):
+        yield EvenMap.from_entries(space, space, list(zip(perm, range(space.dim), signs)))
 
 
 def search_operators(
@@ -554,10 +561,10 @@ def _signed_permutations(space, positions, by_var, p: int, limit: int, stats: _S
     enumerate_signed_permutation_maps on which every by_var polynomial vanishes."""
     index = {pos: k for k, pos in enumerate(positions)}
     polys = [terms for filed in by_var for terms in filed]
-    for candidate in itertools.islice(enumerate_signed_permutation_maps(space), limit):
+    for perm, signs in itertools.islice(_signed_perms(space), limit):
         digits = [0] * len(positions)
-        for i, j, v in candidate.sparse_entries():
-            digits[index[i, j]] = v.val
+        for j, (i, sign) in enumerate(zip(perm, signs)):
+            digits[index[i, j]] = sign % p
         stats.nodes += 1
         if _vanish(polys, digits, p):
             yield tuple(digits)

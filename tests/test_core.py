@@ -323,3 +323,18 @@ def test_core_works_over_prime_fields():
     v = Vector(s, [F.scalar(3), F.scalar(4)])
     assert f.apply(v).coords == (F.scalar(6), F.scalar(4))
     assert f.power(4) == EvenMap.diagonal(s, (F.scalar(16), F.scalar(1)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_even_map_sum_adds_entrywise(field):
+    s = SuperSpace(field, 2, 1)
+    f = from_rows(s, s, [[1, 2, 0], [0, 3, 0], [0, 0, 4]])
+    g = from_rows(s, s, [[-1, 1, 0], [5, 0, 0], [0, 0, 1]])
+    total = f + g
+    assert total.entries == tuple(
+        tuple(a + b for a, b in zip(fr, gr)) for fr, gr in zip(f.entries, g.entries)
+    )
+    assert f + EvenMap.zero(s) == f
+    assert f + f.scaled(-1) == EvenMap.zero(s)
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        f + EvenMap.identity(SuperSpace(field, 1, 2))

@@ -179,3 +179,36 @@ def test_fp_equal_values_have_equal_hashes(case):
     y = FpElement(b, p) if b_residue else b
     if x == y:
         assert hash(x) == hash(y)
+
+
+def test_rational_json_bare_int_is_bent_leniently_and_refused_strictly():
+    v, warn = QQ.from_json(3, strict=False)
+    assert v == Fraction(3) and "bare int" in warn
+    with pytest.raises(FieldError, match="bare int"):
+        QQ.from_json(3, strict=True)
+
+
+@pytest.mark.parametrize("convert", ["scalar", "coerce"])
+def test_prime_field_refuses_other_residues_and_non_integers(convert):
+    F = PrimeField(5)
+    to = getattr(F, convert)
+    assert to(F.scalar(3)) == 3
+    with pytest.raises(FieldError, match="residue mod 7 used in F_5"):
+        to(PrimeField(7).one)
+    for junk in (Fraction(1, 2), 1.0, True, "1"):
+        with pytest.raises(FieldError):
+            to(junk)
+
+
+@given(st.integers(), st.integers(min_value=0, max_value=40), st.sampled_from([3, 5, 7, 13]))
+def test_fp_reflected_ops_and_powers_agree_with_ints_mod_p(a, k, p):
+    F = PrimeField(p)
+    x = F.scalar(a)
+    assert 5 - x == F.scalar(5 - a)
+    assert x ** k == F.scalar(pow(a, k, p))
+    if a % p:
+        assert (1 / x) * a == 1
+        assert 1 / x == F.scalar(pow(a, -1, p))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            1 / x

@@ -199,3 +199,11 @@ def test_table_layouts_are_read_only_inside_core():
     readers = [path.name for path in src.glob("*.py") if path.name != "core.py"
                and re.search(r"\b_(rows|cols)\b", path.read_text())]
     assert readers == []
+
+
+def test_io_reads_products_and_actions_only_through_the_declared_layouts():
+    # each instance class declares PRODUCTS and each bimodule class ACTIONS;
+    # documents are written and read from those, never by attribute name
+    io_py = Path(__file__).resolve().parent.parent / "src" / "superalt" / "io.py"
+    named = re.findall(r"\.(?:mu|prec|succ)\b|\b[lr](?:prec|succ)\b", io_py.read_text())
+    assert named == []

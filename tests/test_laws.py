@@ -261,3 +261,12 @@ def test_report_serialization_round_trip_fields(oct):
     assert d["passed"] is False
     assert d["witness"] == [1, 2, 3]
     assert d["residual"][6] == "-2"
+
+
+def test_pre_instances_are_equal_iff_products_and_twists_are(pre3, p3):
+    same = HomPreAlgebra(pre3.prec, pre3.succ, pre3.alpha, name="renamed")
+    assert same == pre3 and pre3 == same
+    assert HomPreAlgebra(pre3.succ, pre3.prec, pre3.alpha) != pre3
+    assert HomPreAlgebra(pre3.prec, pre3.succ, pre3.alpha.scaled(2)) != pre3
+    assert pre3 != alt_of(pre3) and alt_of(pre3) != pre3
+    assert pre3 != p3 and (pre3 == "pre3") is False

@@ -1,0 +1,132 @@
+"""Bimodule axioms against the split null extension.
+
+M is a bimodule over A iff A x| M is in A's class: the space A + M, its
+basis reordered even-first, with the product ab + a.v + u.b (the product of
+two module elements vanishes) and the twist alpha + beta (Eilenberg,
+"Extensions of general algebras", 1948; Schafer, "Representations of
+alternative algebras", 1952).  So check_alt_bimodule(M) must give the
+verdict of the hom-alternative check of A x| M, and check_pre_bimodule(M)
+that of the hom-prealternative check, on each product the actions
+extending it.  The oracle shares no axiom with the checks it tests: it
+reads only the instance laws.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from superalt import (
+    EvenBilinear,
+    EvenMap,
+    HomAlgebra,
+    HomPreAlgebra,
+    SuperSpace,
+    check_alt_bimodule,
+    check_pre_bimodule,
+    check_pre_law,
+    check_product_law,
+    grassmann1_twisted,
+    matrix_algebra,
+    perturb_bilinear,
+    project_bimodule,
+    rb_induced_bimodules,
+    regular_bimodule,
+    twist_bimodule,
+)
+
+# the products of A x| M: each instance product, extended by the actions
+# whose values it gives on A x M and M x A
+EXTENDS = {
+    "mu": ("lsucc", "rprec"),
+    "prec": ("lprec", "rprec"),
+    "succ": ("lsucc", "rsucc"),
+}
+
+
+def null_extension(m):
+    """A x| M for a bimodule m, with the basis of A + M reordered as A even,
+    M even, A odd, M odd."""
+    a, v = m.base.space, m.module
+    s = SuperSpace(a.field, a.even + v.even, a.odd + v.odd)
+    at = [i if i < a.even else i + v.even for i in a.indices()]
+    vt = [a.even + j if j < v.even else a.dim + j for j in v.indices()]
+    on = {"l": (at, vt, vt), "r": (vt, at, vt)}
+
+    def moved(bil, left, right, out):
+        return [(left[i], right[j], out[k], c) for i, j, k, c in bil.sparse_entries()]
+
+    products = []
+    for attr, _ in type(m.base).PRODUCTS:
+        entries = moved(getattr(m.base, attr), at, at, at)
+        for key in EXTENDS[attr]:
+            entries += moved(getattr(m, key), *on[key[0]])
+        products.append(EvenBilinear.from_entries(s, s, s, entries))
+    twist = [(at[i], at[j], c) for i, j, c in m.base.alpha.sparse_entries()]
+    twist += [(vt[i], vt[j], c) for i, j, c in m.beta.sparse_entries()]
+    return type(m.base)(*products, EvenMap.from_entries(s, s, twist), name=f"{m.name}-null")
+
+
+def verdicts(m):
+    """(bimodule check, instance check of the null extension) verdicts."""
+    if isinstance(m.base, HomAlgebra):
+        return (check_alt_bimodule(m).passed,
+                check_product_law(null_extension(m), "hom-alternative").passed)
+    assert isinstance(m.base, HomPreAlgebra)
+    return (check_pre_bimodule(m).passed,
+            check_pre_law(null_extension(m), "hom-prealternative").passed)
+
+
+def perturbed(m, rng, count):
+    """count copies of m, each with one parity-allowed action entry moved by 1."""
+    out = []
+    for _ in range(count):
+        key = rng.choice(type(m).ACTIONS)
+        act = getattr(m, key)
+        while True:
+            i, j, k = (rng.randrange(sp.dim) for sp in (act.left, act.right, act.out))
+            if (act.left.parity(i) + act.right.parity(j)) % 2 == act.out.parity(k):
+                break
+        actions = {name: getattr(m, name) for name in type(m).ACTIONS}
+        actions[key] = perturb_bilinear(act, (i, j, k), Fraction(1))
+        out.append(type(m)(m.base, m.beta, name=f"{m.name}~{key}{(i, j, k)}", **actions))
+    return out
+
+
+@pytest.fixture(scope="module")
+def bimodules(p3, rb3, pre3, pre6):
+    reg_pre3, reg_pre6 = regular_bimodule(pre3), regular_bimodule(pre6)
+    rb_alt, rb_pre = rb_induced_bimodules(regular_bimodule(p3), rb3)
+    alt = [
+        regular_bimodule(p3),
+        regular_bimodule(grassmann1_twisted()),
+        regular_bimodule(matrix_algebra(2)),
+        rb_alt,
+        project_bimodule(reg_pre3, "i"),
+        project_bimodule(reg_pre3, "ii"),
+        project_bimodule(reg_pre6, "i"),
+        project_bimodule(reg_pre6, "ii"),
+        twist_bimodule(regular_bimodule(grassmann1_twisted())),
+    ]
+    pre = [
+        reg_pre3,
+        reg_pre6,
+        rb_pre,
+        project_bimodule(project_bimodule(reg_pre3, "i"), "iii", pre=pre3),
+        twist_bimodule(reg_pre3),
+    ]
+    return {"alt": alt, "pre": pre}
+
+
+@pytest.mark.parametrize("kind", ["alt", "pre"])
+def test_bimodule_verdicts_match_the_null_extension(bimodules, kind):
+    rng = random.Random(17)
+    bent_verdicts = []
+    for m in bimodules[kind]:
+        assert verdicts(m) == (True, True), m.name
+        for bent in perturbed(m, rng, 8):
+            mine, oracle = verdicts(bent)
+            assert mine == oracle, bent.name
+            bent_verdicts.append(mine)
+    # some single-entry moves keep the axioms, most break them
+    assert set(bent_verdicts) == {True, False}

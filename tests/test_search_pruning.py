@@ -22,6 +22,7 @@ from superalt import (
     OPERATOR_KINDS,
     AltBimodule,
     EvenBilinear,
+    EvenMap,
     HomAlgebra,
     OperatorSpec,
     PrimeField,
@@ -289,3 +290,22 @@ def test_a_signed_search_checks_only_the_maps_it_finds():
                 calls.clear()
                 res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
                 assert calls == res.found, (kind, budget)
+
+
+def test_a_signed_search_builds_only_the_maps_it_finds():
+    # candidates are tested as digit vectors; an EvenMap is built only for
+    # a map that passes every filed polynomial
+    a = named("l1-p3", 3)
+    built = []
+    from_entries = EvenMap.from_entries.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return from_entries(cls, *args)
+
+    with mock.patch.object(EvenMap, "from_entries", classmethod(counted)):
+        for kind, weight in SIGNED_KINDS:
+            for budget in (None, 1000):
+                built.clear()
+                res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
+                assert len(built) == len(res.found), (kind, budget)
