@@ -151,29 +151,45 @@ REFERENCE = _Reference()
 
 
 class _Tables:
+    """The table binder: one applier per tensor or map, compiled at its first
+    binding and memoised on argument values.  A value-keyed result depends
+    only on its tensor, so a binder may serve several checks that share
+    tensors (see operators._check_on), each dropping what it alone bound."""
+
     def __init__(self, field):
         self.field = field
         self.vector = _table_vector_type(field)
-        self.bound = {}  # id(t) -> (t, applier); t is kept so its id stays its own
+        self.bound = {}  # id(t) -> (t, applier, memo); t is kept so its id stays its own
         self.memos = []
+        self.spaces = {}  # space -> its basis points
         self.build_s = 0.0
 
     def __call__(self, t):
         hit = self.bound.get(id(t))
         if hit is None:
             start = time.perf_counter()
-            hit = self.bound[id(t)] = t, self.memoised(t._table_applier())
+            applier = self.memoised(t._table_applier())
+            hit = self.bound[id(t)] = t, applier, self.memos[-1]
             self.build_s += time.perf_counter() - start
         return hit[1]
 
+    def drop(self, t):
+        """Forget t's applier and its memo, as if t had never been bound."""
+        _, _, memo = self.bound.pop(id(t))
+        self.memos = [m for m in self.memos if m is not memo]
+
     def points(self, space: SuperSpace):
-        return tuple(
-            (self.vector.of([int(i == j) for j in space.indices()]), space.parity(i))
-            for i in space.indices()
-        )
+        """The basis points of a space, built once per binder."""
+        pts = self.spaces.get(space)
+        if pts is None:
+            pts = self.spaces[space] = tuple(
+                (self.vector.of([int(i == j) for j in space.indices()]), space.parity(i))
+                for i in space.indices()
+            )
+        return pts
 
     def memoised(self, fn):
-        """fn memoised on its arguments for the life of the check (see MEMO_LIMIT)."""
+        """fn memoised on its arguments for the life of the binder (see MEMO_LIMIT)."""
         memo = {}
         self.memos.append(memo)
 
@@ -721,7 +737,7 @@ def _evaluation(tuples, arity, tables) -> str:
     failure sooner than a contraction finishes its slice."""
     if tuples < CONTRACT_MIN_TUPLES:
         return "scan"
-    fill = max(map(_fill, (t for t, _ in tables.bound.values())), default=0)
+    fill = max(map(_fill, (t for t, *_ in tables.bound.values())), default=0)
     return "contract" if fill ** (arity - 1) <= CONTRACT_MAX_GROWTH else "scan"
 
 

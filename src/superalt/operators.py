@@ -24,6 +24,7 @@ bounds the counter, so candidates_checked is min(budget, space size).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -137,15 +138,27 @@ def check_operator(spec: OperatorSpec, a) -> LawReport:
     a is a HomAlgebra for all kinds except that endomorphism also accepts a
     HomPreAlgebra (both products must then be preserved); an o-operator's
     bimodule must have a as its base."""
+    return _check_on(_Tables(a.space.field), spec, a)
+
+
+def _check_on(tables, spec: OperatorSpec, a) -> LawReport:
+    """check_operator on the table binder tables, which may keep the
+    appliers of a's tensors from earlier checks.  spec.map is bound fresh,
+    and dropped again once its check returns: the binder then holds what it
+    held before, and each check sees the tables a fresh binder would."""
     if spec.kind == "o-operator":
         _check_options(spec.kind, spec.weight, spec.bimodule, a)
-        return check_o_operator(spec.map, spec.bimodule)
     w = a.space.field.coerce(spec.weight) if spec.kind == "rota-baxter" else None
-    return _run_groups(
-        spec.kind,
-        lambda bind: _operator_groups(spec.kind, a, spec.map, w, bind),
-        _Tables(a.space.field),
-    )
+    report = _run_groups(spec.kind, _groups(spec.kind, a, spec.map, w, spec.bimodule), tables)
+    tables.drop(spec.map)
+    return report
+
+
+def _groups(kind: str, a, m, w, bimodule):
+    """The scan groups of the operator equations of m, as a function of the binder."""
+    if kind == "o-operator":
+        return functools.partial(_o_operator_groups, m, bimodule)
+    return functools.partial(_operator_groups, kind, a, m, w)
 
 
 def _operator_groups(kind: str, a, m, w, bind):
@@ -177,9 +190,7 @@ def _o_operator_equation(mu, L, R, T, u, v):
 def check_o_operator(t: EvenMap, m: "AltBimodule") -> LawReport:
     """T(u) o T(v) = T(L(T u) v + R(T v) u) on basis pairs of V, plus
     T beta = alpha T."""
-    return _run_groups(
-        "o-operator", lambda bind: _o_operator_groups(t, m, bind), _Tables(t.domain.field)
-    )
+    return _check_on(_Tables(t.domain.field), OperatorSpec("o-operator", t, bimodule=m), m.base)
 
 
 def _o_operator_groups(t, m: "AltBimodule", bind):
@@ -373,9 +384,10 @@ def search_operators(
     is fixed, and skips a subtree on which one fails, its candidates below
     the budget counting as checked; a signed permutation is tested on all of
     them.  So found holds exactly the maps passing check_operator, in
-    counter order, each checked there again; a disagreement raises
-    RuntimeError.  Refused: rational instances (infinite spaces), the options
-    _check_options refuses, and signed_perms for o-operators."""
+    counter order, each checked again as check_operator checks it, all on
+    one table binder; a disagreement raises RuntimeError.  Refused:
+    rational instances (infinite spaces), the options _check_options
+    refuses, and signed_perms for o-operators."""
     field = a.space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["operator search requires an F_p instance"])
@@ -400,12 +412,9 @@ def search_operators(
         live += 1
     start = time.perf_counter()
     unknown = _FreeMap(domain, a.space, positions[n - live:])
-    binder = _Polynomials(field)
-    if kind == "o-operator":
-        groups = _o_operator_groups(unknown, bimodule, binder)
-    else:
-        groups = _operator_groups(kind, a, unknown, w, binder)
-    by_var = _file_polynomials(groups, live, p)
+    # the bound groups and their binder's memos are garbage once filed
+    build = _groups(kind, a, unknown, w, bimodule)
+    by_var = _file_polynomials(build(_Polynomials(field)), live, p)
     bound_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -414,23 +423,29 @@ def search_operators(
         survivors = _signed_permutations(s, positions, by_var, p, limit, stats)
     else:
         survivors = _backtrack(by_var, live, p, limit, stats)
-    found = []
+    # every survivor is checked again on one table binder, which compiles the
+    # instance's tensors once for the whole search
+    tables = _Tables(field)
+    found, recheck_s = [], 0.0
     for digits in survivors:
+        checking = time.perf_counter()
         candidate = EvenMap.from_entries(
             domain, a.space, [(i, j, d) for (i, j), d in zip(unknown.free, digits) if d]
         )
-        rep = check_operator(OperatorSpec(kind, candidate, weight=w, bimodule=bimodule), a)
+        rep = _check_on(tables, OperatorSpec(kind, candidate, weight=w, bimodule=bimodule), a)
         if not rep.passed:
             raise RuntimeError(
                 f"{kind}: map {candidate.entries} survives the pruned search, but its "
                 f"check fails with {rep.identity} at {rep.witness}"
             )
         found.append(candidate)
+        recheck_s += time.perf_counter() - checking
+    search_s = time.perf_counter() - start
     _log.debug(
         "%s search: %d polynomials bound in %.6f s; %d nodes visited, %d subtrees pruned, "
-        "%d candidates disposed of by pruning, %d found in %.6f s",
+        "%d candidates disposed of by pruning, %d found in %.6f s: walk %.6f s, re-check %.6f s",
         kind, sum(map(len, by_var)), bound_s, stats.nodes, stats.pruned, stats.disposed,
-        len(found), time.perf_counter() - start,
+        len(found), search_s, search_s - recheck_s, recheck_s,
     )
     return SearchResult(kind, found, stats.disposed + len(found), limit == space_size, space_size)
 

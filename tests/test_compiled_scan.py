@@ -625,13 +625,14 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
         assert (": scan: " in line) == line.endswith(" memo entries")
     assert [line.split(" in ")[0] for line in scans if ": contract: " in line] == [
         "hom-jordan group 2/2: contract: 65536 tuples"]
-    # one line per search: its counts, and bind time against search time
+    # one line per search: its counts, bind time, and search time split into
+    # the walk and the re-check of the found maps
     found = len(json.loads(quiet[-1][1].split("\n", 1)[1])["search"]["found"])
     assert len(searches) == 1
     assert re.fullmatch(
         r"rota-baxter search: \d+ polynomials bound in [\d.]+ s; \d+ nodes visited, "
         r"\d+ subtrees pruned, \d+ candidates disposed of by pruning, "
-        rf"{found} found in [\d.]+ s",
+        rf"{found} found in [\d.]+ s: walk [\d.]+ s, re-check [\d.]+ s",
         searches[0],
     )
     # -v writes the same log lines to stderr and leaves stdout alone

@@ -1,4 +1,4 @@
-"""Bimodule axioms against the split null extension.
+"""Bimodule axioms and o-operators against the split null extension.
 
 M is a bimodule over A iff A x| M is in A's class: the space A + M, its
 basis reordered even-first, with the product ab + a.v + u.b (the product of
@@ -7,8 +7,13 @@ two module elements vanishes) and the twist alpha + beta (Eilenberg,
 alternative algebras", 1952).  So check_alt_bimodule(M) must give the
 verdict of the hom-alternative check of A x| M, and check_pre_bimodule(M)
 that of the hom-prealternative check, on each product the actions
-extending it.  The oracle shares no axiom with the checks it tests: it
-reads only the instance laws.
+extending it.  An even map T: M -> A is an o-operator iff its graph
+{(T v, v)} is closed under the product and the twist of A x| M (Kupershmidt,
+"What a classical r-matrix really is", 1999):
+(T u + u)(T v + v) = T(u) T(v) + L(T u) v + R(T v) u lies in the graph iff
+the o-operator equation holds at (u, v), and (alpha + beta)(T v + v) iff
+alpha T v = T beta v.  The oracles share no axiom or equation with the
+checks they test: they read only the instance laws and linear algebra.
 """
 
 import random
@@ -22,16 +27,21 @@ from superalt import (
     HomAlgebra,
     HomPreAlgebra,
     SuperSpace,
+    Vector,
     check_alt_bimodule,
+    check_o_operator,
     check_pre_bimodule,
     check_pre_law,
     check_product_law,
+    corpus,
     grassmann1_twisted,
     matrix_algebra,
     perturb_bilinear,
     project_bimodule,
     rb_induced_bimodules,
     regular_bimodule,
+    search_operators,
+    solve_in_span,
     twist_bimodule,
 )
 
@@ -44,13 +54,20 @@ EXTENDS = {
 }
 
 
-def null_extension(m):
-    """A x| M for a bimodule m, with the basis of A + M reordered as A even,
-    M even, A odd, M odd."""
+def placements(m):
+    """The space of A x| M for a bimodule m, its basis that of A + M
+    reordered as A even, M even, A odd, M odd, and the indices there of the
+    basis vectors of A and of M."""
     a, v = m.base.space, m.module
     s = SuperSpace(a.field, a.even + v.even, a.odd + v.odd)
     at = [i if i < a.even else i + v.even for i in a.indices()]
     vt = [a.even + j if j < v.even else a.dim + j for j in v.indices()]
+    return s, at, vt
+
+
+def null_extension(m):
+    """A x| M for a bimodule m (see placements)."""
+    s, at, vt = placements(m)
     on = {"l": (at, vt, vt), "r": (vt, at, vt)}
 
     def moved(bil, left, right, out):
@@ -130,3 +147,53 @@ def test_bimodule_verdicts_match_the_null_extension(bimodules, kind):
             bent_verdicts.append(mine)
     # some single-entry moves keep the axioms, most break them
     assert set(bent_verdicts) == {True, False}
+
+
+def graph_is_closed(t, m):
+    """Whether the graph {(T v, v)} of t: M -> A is closed under the product
+    and the twist of A x| M, membership decided by solving in its span."""
+    ext = null_extension(m)
+    s, at, vt = placements(m)
+    graph = []
+    for j in m.module.indices():
+        coords = [0] * s.dim
+        for i, c in enumerate(t.image_of_basis(j).coords):
+            coords[at[i]] = c
+        coords[vt[j]] = 1
+        graph.append(Vector(s, coords))
+    images = [ext.mu.apply(g, h) for g in graph for h in graph]
+    images += [ext.alpha.apply(g) for g in graph]
+    return all(solve_in_span(graph, v) is not None for v in images)
+
+
+def bent_maps(t, rng, count):
+    """count copies of t, each with one parity-allowed entry moved by a
+    nonzero scalar."""
+    p = t.domain.field.p
+    out = []
+    for _ in range(count):
+        while True:
+            i, j = rng.randrange(t.codomain.dim), rng.randrange(t.domain.dim)
+            if t.codomain.parity(i) == t.domain.parity(j):
+                break
+        entries = t.sparse_entries() + [(i, j, rng.randrange(1, p))]
+        out.append(EvenMap.from_entries(t.domain, t.codomain, entries))
+    return out
+
+
+@pytest.mark.parametrize("name,p,budget", [("truncpoly-3", 5, 12000), ("l1-p3", 3, 3000)])
+def test_o_operator_verdicts_match_the_graph_criterion(name, p, budget):
+    a = corpus.build_named(name, prime=p)[1]
+    m = regular_bimodule(a)
+    found = search_operators(a, "o-operator", bimodule=m, budget=budget).found
+    assert len(found) >= 10, name
+    rng = random.Random(18)
+    bent_verdicts = []
+    for t in found:
+        assert check_o_operator(t, m).passed and graph_is_closed(t, m), (name, t.entries)
+        for bent in bent_maps(t, rng, 3):
+            mine = check_o_operator(bent, m).passed
+            assert mine == graph_is_closed(bent, m), (name, bent.entries)
+            bent_verdicts.append(mine)
+    # some single-entry moves give another o-operator, most do not
+    assert set(bent_verdicts) == {True, False}, name

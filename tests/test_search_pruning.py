@@ -12,6 +12,7 @@ same polynomials on each map of enumerate_signed_permutation_maps; its
 oracle is check_operator on every one of them.
 """
 
+import collections
 import itertools
 import random
 from unittest import mock
@@ -279,12 +280,13 @@ def test_signed_permutation_endomorphisms_are_closed_under_composition(name, p):
 def test_a_signed_search_checks_only_the_maps_it_finds():
     a = named("l1-p3", 3)
     calls = []
+    check_on = operators._check_on
 
-    def counted(spec, instance):
+    def counted(tables, spec, instance):
         calls.append(spec.map)
-        return check_operator(spec, instance)
+        return check_on(tables, spec, instance)
 
-    with mock.patch.object(operators, "check_operator", counted):
+    with mock.patch.object(operators, "_check_on", counted):
         for kind, weight in SIGNED_KINDS:
             for budget in (None, 1000):
                 calls.clear()
@@ -309,3 +311,108 @@ def test_a_signed_search_builds_only_the_maps_it_finds():
                 built.clear()
                 res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
                 assert len(built) == len(res.found), (kind, budget)
+
+
+# The three searches of the perfbench search workload, and the exhaustive
+# searches on l1-p3 over F_3 whose found maps number in the hundreds.
+def rechecked_searches():
+    p35, l1p3 = named("truncpoly-3", 5), named("l1-p3", 3)
+    reg = regular_bimodule(p35)
+    return [
+        (p35, dict(kind="rota-baxter", weight=0, budget=10000)),
+        (l1p3, dict(kind="rota-baxter", weight=0, budget=3000)),
+        (p35, dict(kind="o-operator", bimodule=reg, budget=12000)),
+        (l1p3, dict(kind="rota-baxter", weight=0)),
+        (l1p3, dict(kind="averaging")),
+        (l1p3, dict(kind="endomorphism", signed_perms=True)),
+    ]
+
+
+def fixed_tensors(a, bimodule):
+    """Every tensor a check binds besides the candidate map (a regular
+    bimodule's actions are the product, its twist the instance's)."""
+    if bimodule is None:
+        return [a.mu, a.alpha]
+    return [a.mu, bimodule.lsucc, bimodule.rprec, bimodule.beta, a.alpha]
+
+
+def test_found_maps_are_rechecked_as_fresh_checks_on_one_binder():
+    check_on = operators._check_on
+    for a, options in rechecked_searches():
+        rechecks = []
+
+        def recorded(tables, spec, instance):
+            rep = check_on(tables, spec, instance)
+            # the candidate's applier and memo are gone: the binder holds the
+            # tensors every candidate shares, one memo each, as it did before
+            held = [t for t, *_ in tables.bound.values()]
+            assert all(t is not spec.map for t in held)
+            assert set(map(id, held)) == set(map(id, fixed_tensors(a, spec.bimodule)))
+            assert len(tables.memos) == len(held)
+            rechecks.append((tables, spec, rep))
+            return rep
+
+        with mock.patch.object(operators, "_check_on", recorded):
+            res = search_operators(a, **options)
+        assert res.found, options
+        assert [spec.map for _, spec, _ in rechecks] == res.found
+        assert len({id(tables) for tables, _, _ in rechecks}) == 1, "one binder per search"
+        for _, spec, rep in rechecks:
+            assert rep == check_operator(spec, a), (options, spec.map)
+
+
+def test_a_search_compiles_the_instance_tensors_once():
+    # one compile on the polynomial binder that files the equations, one on
+    # the binder that checks the found maps again, however many they are
+    compiled = collections.Counter()
+
+    def counting(original):
+        def applier(self):
+            compiled[id(self)] += 1
+            return original(self)
+
+        return applier
+
+    p35 = named("truncpoly-3", 5)
+    reg = regular_bimodule(p35)
+    with mock.patch.object(EvenBilinear, "_table_applier",
+                           counting(EvenBilinear._table_applier)), \
+            mock.patch.object(EvenMap, "_table_applier", counting(EvenMap._table_applier)):
+        for options in (dict(kind="rota-baxter", weight=0), dict(kind="o-operator", bimodule=reg)):
+            found = set()
+            for budget in (2, 12000):
+                compiled.clear()
+                res = search_operators(p35, budget=budget, **options)
+                found.add(len(res.found))
+                tensors = fixed_tensors(p35, options.get("bimodule"))
+                assert [compiled[id(t)] for t in tensors] == [2] * len(tensors), options
+                assert all(compiled[id(f)] == 1 for f in res.found)
+            assert min(found) >= 1 and max(found) >= 40, options
+
+
+def test_a_search_checks_every_survivor_again():
+    # with no polynomial filed, every candidate survives the walk, so the
+    # re-check alone must refuse the first map that is not an operator
+    p35 = named("truncpoly-3", 5)
+    reg = regular_bimodule(p35)
+    searches = [
+        (dict(kind="rota-baxter", weight=0), enumerate_even_maps(p35.space)),
+        (dict(kind="o-operator", bimodule=reg), enumerate_even_maps(reg.module, p35.space)),
+        (dict(kind="endomorphism", signed_perms=True),
+         enumerate_signed_permutation_maps(p35.space)),
+    ]
+
+    def nothing(groups, nvars, p):
+        return [[] for _ in range(nvars + 1)]
+
+    for options, candidates in searches:
+        w = p35.space.field.coerce(options["weight"]) if "weight" in options else None
+        first = next(
+            f for f in candidates
+            if not check_operator(OperatorSpec(options["kind"], f, weight=w,
+                                               bimodule=options.get("bimodule")), p35).passed
+        )
+        with mock.patch.object(operators, "_file_polynomials", nothing):
+            with pytest.raises(RuntimeError, match="survives the pruned search") as err:
+                search_operators(p35, budget=1000, **options)
+        assert f"map {first.entries} survives" in str(err.value), options
