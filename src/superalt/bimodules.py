@@ -24,6 +24,7 @@ from .laws import (
     HomAlgebra,
     HomPreAlgebra,
     LawReport,
+    _polarized,
     _require,
     _run_groups,
     _Tables,
@@ -152,29 +153,17 @@ def _abm_identities(m: AltBimodule, bind=REFERENCE):
             + signed(lv(al(y), lv(x, v)), px * pv)
         )
 
-    def abm3(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            lv(mu(x, y), be(v))
-            + signed(lv(mu(y, x), be(v)), px * py)
-            - lv(al(x), lv(y, v))
-            - signed(lv(al(y), lv(x, v)), px * py)
-        )
+    def abm3(x, y, v):
+        return lv(mu(x, y), be(v)) - lv(al(x), lv(y, v))
 
-    def abm4(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            vr(be(v), mu(x, y))
-            + signed(vr(be(v), mu(y, x)), px * py)
-            - vr(vr(v, x), al(y))
-            - signed(vr(vr(v, y), al(x)), px * py)
-        )
+    def abm4(x, y, v):
+        return vr(be(v), mu(x, y)) - vr(vr(v, x), al(y))
 
     return [
         ("abm1", 3, abm1),
         ("abm2", 3, abm2),
-        ("abm3", 3, abm3, SWAP_XY),
-        ("abm4", 3, abm4, SWAP_XY),
+        _polarized("abm3", SWAP_XY, abm3),
+        _polarized("abm4", SWAP_XY, abm4),
     ]
 
 
@@ -190,10 +179,8 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
     def rc(v, x):
         return rp(v, x) + rs(v, x)
 
-    def pbm1(pts):
-        (x, px), (y, py), (v, _) = pts
-        w = aci(x, y) + signed(aci(y, x), px * py)
-        return ls(w, be(v)) - ls(al(x), ls(y, v)) - signed(ls(al(y), ls(x, v)), px * py)
+    def pbm1(x, y, v):
+        return ls(aci(x, y), be(v)) - ls(al(x), ls(y, v))
 
     def pbm2(pts):
         (x, px), (y, _), (v, pv) = pts
@@ -257,14 +244,8 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
             - signed(ls(al(y), rs(v, x)), px * pv)
         )
 
-    def pbm9(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            rp(rp(v, x), al(y))
-            + signed(rp(rp(v, y), al(x)), px * py)
-            - rp(be(v), aci(x, y))
-            - signed(rp(be(v), aci(y, x)), px * py)
-        )
+    def pbm9(x, y, v):
+        return rp(rp(v, x), al(y)) - rp(be(v), aci(x, y))
 
     def pbm10(pts):
         (x, _), (y, py), (v, pv) = pts
@@ -276,7 +257,7 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
         )
 
     return [
-        ("pbm1", 3, pbm1, SWAP_XY),
+        _polarized("pbm1", SWAP_XY, pbm1),
         ("pbm2", 3, pbm2),
         ("pbm3", 3, pbm3),
         ("pbm4", 3, pbm4),
@@ -284,7 +265,7 @@ def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
         ("pbm6", 3, pbm6),
         ("pbm7", 3, pbm7),
         ("pbm8", 3, pbm8),
-        ("pbm9", 3, pbm9, SWAP_XY),
+        _polarized("pbm9", SWAP_XY, pbm9),
         ("pbm10", 3, pbm10),
     ]
 

@@ -38,6 +38,7 @@ from .io import (
     DocumentError,
     canonical_dumps,
     load,
+    matrix_to_json,
     object_to_doc,
     report_to_doc,
     save,
@@ -219,8 +220,6 @@ def _cmd_search(args):
         f"search {res.kind}: {len(res.found)} found, "
         f"{res.candidates_checked} of {res.space_size} candidates checked ({tail})"
     )
-    from .io import matrix_to_json
-
     doc = {
         "kind": "report",
         "search": {

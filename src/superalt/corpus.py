@@ -285,9 +285,9 @@ _FIXED = {
 def build_named(name: str, prime: int | None = None):
     """Resolve a corpus name to ("algebra" | "map", object).
 
-    Patterns: zero-N0-N1, truncpoly-K, matrix-N, integration-K; fixed names
-    grassmann1, grassmann1-twisted, p3, octonions, matrix-2, l1-p3, l1-oct,
-    alpha2.  With prime=p everything is built over F_p.  A pattern whose
+    Patterns: zero-N0-N1, truncpoly-K, matrix-N (matrix-2 among them),
+    integration-K; fixed names grassmann1, grassmann1-twisted, p3, octonions,
+    l1-p3, l1-oct, alpha2.  With prime=p everything is built over F_p.  A pattern whose
     space exceeds the document cap io.MAX_DIM is refused before it is built."""
     field = PrimeField(prime) if prime is not None else QQ
     head, *args = name.split("-")

@@ -342,7 +342,10 @@ class LawReport:
 # (name, arity, fn, perm), where fn consumes a tuple of (vector, parity)
 # points and returns the residual vector, and perm, when given, is a
 # permutation of the slots that changes the residual by a sign at most:
-# fn(pts) = +-fn(tuple(pts[s] for s in perm)).
+# fn(pts) = +-fn(tuple(pts[s] for s in perm)).  Every polarized identity,
+# of these tables and of the bimodule axioms, is built by _polarized, which
+# writes the Koszul sign of its swap and declares the swap as its perm;
+# supercomm and jordan declare theirs by hand.
 
 PRODUCT_LAWS = (
     "hom-associative",
@@ -383,34 +386,41 @@ _JORDAN_ASSIGNMENTS = {
 }
 
 
-def _left_polarization(comp):
-    """comp(x, y, z) + (-1)^(xy) comp(y, x, z): comp alternates in x, y."""
+def _polarized(name, perm, first, second=None):
+    """The entry of the identity first(x, y, z) + (-1)^k second(the points
+    permuted by perm), perm being a swap of slots: the image of a tuple t
+    reads t[perm[s]] at slot s, and k, the Koszul sign of the swap, is the
+    sum of p_i p_j over the pairs of slots (i, j) it reverses.  second
+    defaults to first, and then the identity changes under perm by the sign
+    (-1)^k alone, so the entry declares perm as its symmetry."""
+    image, odd = _swap(perm)
+    other = first if second is None else second
 
-    def f(pts):
-        (x, px), (y, py), (z, _) = pts
-        return comp(x, y, z) + signed(comp(y, x, z), px * py)
+    def fn(pts):
+        (x, px), (y, py), (z, pz) = pts
+        (u, _), (v, _), (w, _) = image(pts)
+        r, s = first(x, y, z), other(u, v, w)
+        return r - s if odd[px << 2 | py << 1 | pz] else r + s
 
-    return f
+    return (name, 3, fn) if second is not None else (name, 3, fn, perm)
 
 
-def _right_polarization(comp):
-    """comp(x, y, z) + (-1)^(yz) comp(x, z, y): comp alternates in y, z."""
-
-    def f(pts):
-        (x, _), (y, py), (z, pz) = pts
-        return comp(x, y, z) + signed(comp(x, z, y), py * pz)
-
-    return f
+@functools.lru_cache(maxsize=64)
+def _swap(perm):
+    """(image, odd) of a swap of three slots, worked out once per swap:
+    image permutes a tuple by it, and odd[px << 2 | py << 1 | pz] says
+    whether k is odd at the parities (px, py, pz) (see _polarized)."""
+    pairs = [(perm[j], perm[i]) for i, j in itertools.combinations(range(3), 2)
+             if perm[i] > perm[j]]
+    odd = [sum(p[i] * p[j] for i, j in pairs) % 2 for p in itertools.product((0, 1), repeat=3)]
+    return operator.itemgetter(*perm), odd
 
 
 def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
     mu, al = bind(a.mu), bind(a.alpha)
     asso = bind.memoised(_associator(mu, al))
-    left_alt, right_alt = _left_polarization(asso), _right_polarization(asso)
-
-    def flexible(pts):
-        (x, px), (y, py), (z, pz) = pts
-        return asso(x, y, z) + signed(asso(z, y, x), px * py + px * pz + py * pz)
+    left_alt = _polarized("left-alt", SWAP_XY, asso)
+    right_alt = _polarized("right-alt", SWAP_YZ, asso)
 
     def associative(pts):
         (x, _), (y, _), (z, _) = pts
@@ -437,13 +447,10 @@ def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
 
     table = {
         "hom-associative": [("as", 3, associative)],
-        "left-hom-alternative": [("left-alt", 3, left_alt, SWAP_XY)],
-        "right-hom-alternative": [("right-alt", 3, right_alt, SWAP_YZ)],
-        "hom-alternative": [
-            ("left-alt", 3, left_alt, SWAP_XY),
-            ("right-alt", 3, right_alt, SWAP_YZ),
-        ],
-        "hom-flexible": [("flex", 3, flexible, SWAP_XZ)],
+        "left-hom-alternative": [left_alt],
+        "right-hom-alternative": [right_alt],
+        "hom-alternative": [left_alt, right_alt],
+        "hom-flexible": [_polarized("flex", SWAP_XZ, asso)],
         "super-commutative": [("supercomm", 2, supercomm, (1, 0))],
         "multiplicative": [("mult", 2, multiplicative)],
         "hom-jordan": [
@@ -457,42 +464,19 @@ def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
 
 
 def _pre_identities(p: HomPreAlgebra, law: str, bind):
-    comps = _pre_components(p, bind)
-    kind1, kind2, kind3 = comps
-
-    def pa3(pts):
-        (x, px), (y, py), (z, _) = pts
-        return kind2(x, y, z) + signed(kind3(y, x, z), px * py)
-
-    def pa4(pts):
-        (x, _), (y, py), (z, pz) = pts
-        return kind2(x, y, z) + signed(kind1(x, z, y), py * pz)
-
-    def make_flex(comp):
-        # the Koszul sign of the reversal, as in the product law's flexible
-        def f(pts):
-            (x, px), (y, py), (z, pz) = pts
-            return comp(x, y, z) + signed(comp(z, y, x), px * py + px * pz + py * pz)
-
-        return f
-
+    kind1, kind2, kind3 = comps = _pre_components(p, bind)
     table = {
         "hom-prealternative": [
-            ("pa3", 3, pa3),
-            ("pa4", 3, pa4),
-            ("pa5", 3, _left_polarization(kind1), SWAP_XY),
-            ("pa6", 3, _right_polarization(kind3), SWAP_YZ),
-        ],
-        "left-prealternative": [
-            (f"left-{k}", 3, _left_polarization(c), SWAP_XY) for k, c in enumerate(comps, 1)
-        ],
-        "right-prealternative": [
-            (f"right-{k}", 3, _right_polarization(c), SWAP_YZ) for k, c in enumerate(comps, 1)
-        ],
-        "flexible-prealternative": [
-            (f"flex-{k}", 3, make_flex(c), SWAP_XZ) for k, c in enumerate(comps, 1)
+            _polarized("pa3", SWAP_XY, kind2, kind3),
+            _polarized("pa4", SWAP_YZ, kind2, kind1),
+            _polarized("pa5", SWAP_XY, kind1),
+            _polarized("pa6", SWAP_YZ, kind3),
         ],
     }
+    for law_name, side, swap in (("left-prealternative", "left", SWAP_XY),
+                                 ("right-prealternative", "right", SWAP_YZ),
+                                 ("flexible-prealternative", "flex", SWAP_XZ)):
+        table[law_name] = [_polarized(f"{side}-{k}", swap, c) for k, c in enumerate(comps, 1)]
     if law not in table:
         raise ValidationError([f"unknown pre-algebra law {law!r}"])
     return table[law]

@@ -103,7 +103,9 @@ def _check_options(kind: str, weight, bimodule, a=None):
 
 
 def _rota_baxter(mu, R, w, x, y):
-    inner = mu(R(x), y) + mu(x, R(y)) + mu(x, y).scaled(w)
+    inner = mu(R(x), y) + mu(x, R(y))
+    if w:
+        inner = inner + mu(x, y).scaled(w)
     return mu(R(x), R(y)) - R(inner)
 
 

@@ -1,0 +1,176 @@
+"""The polarized identities against hand-written closures.
+
+laws._polarized builds every identity that pairs a term with its image
+under a slot swap, signed by the Koszul sign of the swap, and declares the
+swap as the identity's symmetry when both terms are one component.  The
+closures below write each of those identities out with its sign by hand,
+as the identity tables once did, and are the reference: at every basis
+tuple of random product, pre, alt-bimodule and pre-bimodule instances over
+Q, F_3 and F_5, each table entry must give the same residual and declare
+the same symmetry.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from superalt import CALIBRATED_PBM_VARIANT, PRE_LAWS, PRODUCT_LAWS
+from superalt import laws as engine
+from superalt.bimodules import _abm_identities, _pbm_identities
+from superalt.laws import signed
+from test_identity_symmetry import KINDS, random_instances
+
+XY, YZ, XZ = (1, 0, 2), (0, 2, 1), (2, 1, 0)
+
+
+def left_polarization(comp):
+    def f(pts):
+        (x, px), (y, py), (z, _) = pts
+        return comp(x, y, z) + signed(comp(y, x, z), px * py)
+
+    return f
+
+
+def right_polarization(comp):
+    def f(pts):
+        (x, _), (y, py), (z, pz) = pts
+        return comp(x, y, z) + signed(comp(x, z, y), py * pz)
+
+    return f
+
+
+def flexible(comp):
+    def f(pts):
+        (x, px), (y, py), (z, pz) = pts
+        return comp(x, y, z) + signed(comp(z, y, x), px * py + px * pz + py * pz)
+
+    return f
+
+
+def product_references(a):
+    asso = engine._associator(a.mu.apply, a.alpha.apply)
+    return {
+        "left-alt": (left_polarization(asso), XY),
+        "right-alt": (right_polarization(asso), YZ),
+        "flex": (flexible(asso), XZ),
+    }
+
+
+def pre_references(p):
+    comps = kind1, kind2, kind3 = engine._pre_components(p)
+
+    def pa3(pts):
+        (x, px), (y, py), (z, _) = pts
+        return kind2(x, y, z) + signed(kind3(y, x, z), px * py)
+
+    def pa4(pts):
+        (x, _), (y, py), (z, pz) = pts
+        return kind2(x, y, z) + signed(kind1(x, z, y), py * pz)
+
+    refs = {
+        "pa3": (pa3, None),
+        "pa4": (pa4, None),
+        "pa5": (left_polarization(kind1), XY),
+        "pa6": (right_polarization(kind3), YZ),
+    }
+    for k, c in enumerate(comps, 1):
+        refs[f"left-{k}"] = left_polarization(c), XY
+        refs[f"right-{k}"] = right_polarization(c), YZ
+        refs[f"flex-{k}"] = flexible(c), XZ
+    return refs
+
+
+def abm_references(m):
+    mu, al = m.base.mu.apply, m.base.alpha.apply
+    lv, vr, be = m.lsucc.apply, m.rprec.apply, m.beta.apply
+
+    def abm3(pts):
+        (x, px), (y, py), (v, _) = pts
+        return (
+            lv(mu(x, y), be(v))
+            + signed(lv(mu(y, x), be(v)), px * py)
+            - lv(al(x), lv(y, v))
+            - signed(lv(al(y), lv(x, v)), px * py)
+        )
+
+    def abm4(pts):
+        (x, px), (y, py), (v, _) = pts
+        return (
+            vr(be(v), mu(x, y))
+            + signed(vr(be(v), mu(y, x)), px * py)
+            - vr(vr(v, x), al(y))
+            - signed(vr(vr(v, y), al(x)), px * py)
+        )
+
+    return {"abm3": (abm3, XY), "abm4": (abm4, XY)}
+
+
+def pbm_references(m):
+    aci, al, be = m.base.circ().apply, m.base.alpha.apply, m.beta.apply
+    ls, rp = m.lsucc.apply, m.rprec.apply
+
+    def pbm1(pts):
+        (x, px), (y, py), (v, _) = pts
+        w = aci(x, y) + signed(aci(y, x), px * py)
+        return ls(w, be(v)) - ls(al(x), ls(y, v)) - signed(ls(al(y), ls(x, v)), px * py)
+
+    def pbm9(pts):
+        (x, px), (y, py), (v, _) = pts
+        return (
+            rp(rp(v, x), al(y))
+            + signed(rp(rp(v, y), al(x)), px * py)
+            - rp(be(v), aci(x, y))
+            - signed(rp(be(v), aci(y, x)), px * py)
+        )
+
+    return {"pbm1": (pbm1, XY), "pbm9": (pbm9, XY)}
+
+
+def compare(spaces, entries, references, seen, nonzero):
+    """(name, tuple) of the first basis tuple at which an entry that has a
+    reference gives another residual, (name, "perm") where it declares
+    another symmetry; adds the names compared to seen, and those with a
+    nonzero residual somewhere to nonzero."""
+    bad = []
+    for name, _, fn, *perm in entries:
+        if name not in references:
+            continue
+        ref, ref_perm = references[name]
+        seen.add(name)
+        if perm != ([ref_perm] if ref_perm else []):
+            bad.append((name, "perm"))
+        points = [engine._basis_points(s) for s in spaces]
+        for idx in itertools.product(*(s.indices() for s in spaces)):
+            pts = tuple(slot[i] for slot, i in zip(points, idx))
+            r = ref(pts)
+            if fn(pts).coords != r.coords:
+                bad.append((name, idx))
+                break
+            if not r.is_zero():
+                nonzero.add(name)
+    return bad
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_polarized_entries_match_the_hand_written_closures(kind):
+    rng = random.Random(31)
+    seen, nonzero = set(), set()
+    for _ in range(10):
+        a, p, alt, pre = random_instances(rng, kind)
+        s, v = a.space, alt.module
+        cases = [((s,) * 3, engine._identities(a, law, None, engine.REFERENCE),
+                  product_references(a)) for law in PRODUCT_LAWS]
+        cases += [((s,) * 3, engine._identities(p, law, None, engine.REFERENCE),
+                   pre_references(p)) for law in PRE_LAWS]
+        cases.append(((s, s, v), _abm_identities(alt), abm_references(alt)))
+        cases.append(((s, s, v), _pbm_identities(pre, CALIBRATED_PBM_VARIANT),
+                      pbm_references(pre)))
+        for spaces, entries, references in cases:
+            assert compare(spaces, entries, references, seen, nonzero) == []
+    names = {
+        "left-alt", "right-alt", "flex", "pa3", "pa4", "pa5", "pa6",
+        "left-1", "left-2", "left-3", "right-1", "right-2", "right-3",
+        "flex-1", "flex-2", "flex-3", "abm3", "abm4", "pbm1", "pbm9",
+    }
+    assert seen == nonzero == names
