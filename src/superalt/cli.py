@@ -2,7 +2,7 @@
 
 Every verb prints a human summary followed by a canonical JSON report.
 Exit codes: 0 all checks pass, 1 a law or axiom fails (the report carries
-the witness), 2 usage or document validation error.
+the witness), 2 usage or document validation error, or stdout closed early.
 """
 
 from __future__ import annotations
@@ -354,18 +354,22 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.verbose:
-        return _run(args)
+    args = build_parser().parse_args(argv)
     logger = logging.getLogger("superalt")
-    handler = logging.StreamHandler(sys.stderr)
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.DEBUG)
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the rest of stdout goes to the null device, so exit cannot fail on it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the report was written", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)

@@ -342,10 +342,10 @@ class LawReport:
 # (name, arity, fn, perm), where fn consumes a tuple of (vector, parity)
 # points and returns the residual vector, and perm, when given, is a
 # permutation of the slots that changes the residual by a sign at most:
-# fn(pts) = +-fn(tuple(pts[s] for s in perm)).  Every polarized identity,
-# of these tables and of the bimodule axioms, is built by _polarized, which
-# writes the Koszul sign of its swap and declares the swap as its perm;
-# supercomm and jordan declare theirs by hand.
+# fn(pts) = +-fn(tuple(pts[s] for s in perm)).  Every identity that sums a
+# term over its images under the powers of a slot permutation, in these
+# tables and in the bimodule axioms, is built by _polarized, which writes
+# the Koszul sign of each image and declares the permutation as its perm.
 
 PRODUCT_LAWS = (
     "hom-associative",
@@ -374,112 +374,108 @@ SWAP_XY, SWAP_YZ, SWAP_XZ = (1, 0, 2), (0, 2, 1), (2, 1, 0)
 # corpus: the unique cyclic reading under which all of them pass.
 DEFAULT_JORDAN_CYCLE = "xyt"
 
-_JORDAN_ASSIGNMENTS = {
-    # template term: sign (-1)^(t(x+z)), body as(x o y, alpha(z), alpha(t));
-    # each entry lists the three bindings of (x, y, z, t) produced by cycling
-    # the named triple of variables while the fourth stays fixed.  The
-    # identity is the sum of the three, so the second binding, which rotates
-    # the triple, is its symmetry.
-    "xyz": ((0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3)),
-    "xyt": ((0, 1, 2, 3), (1, 3, 2, 0), (3, 0, 2, 1)),
-    "xzt": ((0, 1, 2, 3), (2, 1, 3, 0), (3, 1, 0, 2)),
-}
+# The generator of each reading's cycle of the slots (x, y, z, t): its
+# powers cycle the named triple of variables while the fourth stays fixed.
+_JORDAN_GENERATORS = dict(zip(JORDAN_CYCLES, ((1, 2, 0, 3), (1, 3, 2, 0), (2, 1, 3, 0))))
 
 
-def _polarized(name, perm, first, second=None):
-    """The entry of the identity first(x, y, z) + (-1)^k second(the points
-    permuted by perm), perm being a swap of slots: the image of a tuple t
-    reads t[perm[s]] at slot s, and k, the Koszul sign of the swap, is the
-    sum of p_i p_j over the pairs of slots (i, j) it reverses.  second
-    defaults to first, and then the identity changes under perm by the sign
-    (-1)^k alone, so the entry declares perm as its symmetry."""
-    image, odd = _swap(perm)
+def _polarized(name, perm, first, second=None, sign=1):
+    """The entry of the identity first(points) + sum over the powers q of perm
+    but the identity of sign (-1)^k second(the points permuted by q): the image
+    of t reads t[q[s]] at slot s, and k, the Koszul sign of q, sums p_i p_j over
+    the pairs of slots (i, j) it reverses.  second defaults to first; the identity
+    then changes under perm by a sign alone (for sign -1, if perm is a swap), so
+    the entry declares perm as its symmetry.  A swap of three slots, the scans'
+    commonest, is unpacked by hand: zip would add a quarter to each evaluation."""
+    images = _koszul(perm, sign)
     other = first if second is None else second
 
     def fn(pts):
+        vs, ps = zip(*pts)
+        r = first(*vs)
+        for image, negated in images[ps]:
+            s = other(*image(vs))
+            r = r - s if negated else r + s
+        return r
+
+    def swap(pts):
         (x, px), (y, py), (z, pz) = pts
+        ((image, negated),) = images[px, py, pz]
         (u, _), (v, _), (w, _) = image(pts)
         r, s = first(x, y, z), other(u, v, w)
-        return r - s if odd[px << 2 | py << 1 | pz] else r + s
+        return r - s if negated else r + s
 
-    return (name, 3, fn) if second is not None else (name, 3, fn, perm)
+    if len(perm) == 3 and len(_powers(perm)) == 1:
+        fn = swap
+    return (name, len(perm), fn) if second is not None else (name, len(perm), fn, perm)
 
 
 @functools.lru_cache(maxsize=64)
-def _swap(perm):
-    """(image, odd) of a swap of three slots, worked out once per swap:
-    image permutes a tuple by it, and odd[px << 2 | py << 1 | pz] says
-    whether k is odd at the parities (px, py, pz) (see _polarized)."""
-    pairs = [(perm[j], perm[i]) for i, j in itertools.combinations(range(3), 2)
-             if perm[i] > perm[j]]
-    odd = [sum(p[i] * p[j] for i, j in pairs) % 2 for p in itertools.product((0, 1), repeat=3)]
-    return operator.itemgetter(*perm), odd
+def _koszul(perm, sign):
+    """At each tuple of parities, (image, negated) per power q of perm but the
+    identity, in _powers's order: image permutes a tuple by q, and negated says
+    whether sign (-1)^k is -1 there (see _polarized).  Worked out once per perm and sign."""
+    n = len(perm)
+    powers = [[dict(moved).get(s, s) for s in range(n)] for moved in _powers(perm)]
+    reversed_pairs = [[(q[i], q[j]) for i, j in itertools.combinations(range(n), 2) if q[i] > q[j]]
+                      for q in powers]
+    return {p: tuple((operator.itemgetter(*q), (sum(p[i] * p[j] for i, j in pairs) + (sign < 0)) % 2)
+                     for q, pairs in zip(powers, reversed_pairs))
+            for p in itertools.product((0, 1), repeat=n)}
 
 
 def _product_identities(a: HomAlgebra, law: str, jordan_cycle: str, bind):
+    """The entries of one product law: only that law's closures are built."""
     mu, al = bind(a.mu), bind(a.alpha)
     asso = bind.memoised(_associator(mu, al))
-    left_alt = _polarized("left-alt", SWAP_XY, asso)
-    right_alt = _polarized("right-alt", SWAP_YZ, asso)
 
     def associative(pts):
         (x, _), (y, _), (z, _) = pts
         return asso(x, y, z)
 
-    def supercomm(pts):
-        (x, px), (y, py) = pts
-        return mu(x, y) - signed(mu(y, x), px * py)
-
     def multiplicative(pts):
         (x, _), (y, _) = pts
         return al(mu(x, y)) - mu(al(x), al(y))
 
-    assignments = _JORDAN_ASSIGNMENTS[jordan_cycle]
-    bindings = [operator.itemgetter(*b) for b in assignments]
+    def jordan():
+        _, _, cycled, perm = _polarized("jordan", _JORDAN_GENERATORS[jordan_cycle],
+                                        lambda x, y, z, t: asso(mu(x, y), al(z), al(t)))
 
-    def jordan(pts):
-        terms = []
-        for binding in bindings:
-            (x, px), (y, _), (z, pz), (t, pt) = binding(pts)
-            terms.append(signed(asso(mu(x, y), al(z), al(t)), pt * (px + pz)))
-        first, second, third = terms
-        return first + second + third
+        def lead_signed(pts):  # the paper's lead sign (-1)^(t(x+z)), at the points as given
+            (_, px), _, (_, pz), (_, pt) = pts
+            return signed(cycled(pts), pt * (px + pz))
 
+        return ("jordan", 4, lead_signed, perm)
+
+    # no entry reads the table: a closure over it would make a cycle, left to the collector
     table = {
-        "hom-associative": [("as", 3, associative)],
-        "left-hom-alternative": [left_alt],
-        "right-hom-alternative": [right_alt],
-        "hom-alternative": [left_alt, right_alt],
-        "hom-flexible": [_polarized("flex", SWAP_XZ, asso)],
-        "super-commutative": [("supercomm", 2, supercomm, (1, 0))],
-        "multiplicative": [("mult", 2, multiplicative)],
-        "hom-jordan": [
-            ("supercomm", 2, supercomm, (1, 0)),
-            ("jordan", 4, jordan, assignments[1]),
-        ],
+        "hom-associative": lambda: [("as", 3, associative)],
+        "left-hom-alternative": lambda: [_polarized("left-alt", SWAP_XY, asso)],
+        "right-hom-alternative": lambda: [_polarized("right-alt", SWAP_YZ, asso)],
+        "hom-alternative": lambda: [_polarized("left-alt", SWAP_XY, asso),
+                                    _polarized("right-alt", SWAP_YZ, asso)],
+        "hom-flexible": lambda: [_polarized("flex", SWAP_XZ, asso)],
+        "super-commutative": lambda: [_polarized("supercomm", (1, 0), mu, sign=-1)],
+        "multiplicative": lambda: [("mult", 2, multiplicative)],
+        "hom-jordan": lambda: [_polarized("supercomm", (1, 0), mu, sign=-1), jordan()],
     }
     if law not in table:
         raise ValidationError([f"unknown product law {law!r}"])
-    return table[law]
+    return table[law]()
 
 
 def _pre_identities(p: HomPreAlgebra, law: str, bind):
+    """The entries of one pre law: only that law's closures are built."""
     kind1, kind2, kind3 = comps = _pre_components(p, bind)
-    table = {
-        "hom-prealternative": [
-            _polarized("pa3", SWAP_XY, kind2, kind3),
-            _polarized("pa4", SWAP_YZ, kind2, kind1),
-            _polarized("pa5", SWAP_XY, kind1),
-            _polarized("pa6", SWAP_YZ, kind3),
-        ],
-    }
-    for law_name, side, swap in (("left-prealternative", "left", SWAP_XY),
-                                 ("right-prealternative", "right", SWAP_YZ),
-                                 ("flexible-prealternative", "flex", SWAP_XZ)):
-        table[law_name] = [_polarized(f"{side}-{k}", swap, c) for k, c in enumerate(comps, 1)]
-    if law not in table:
+    if law == "hom-prealternative":
+        return [_polarized("pa3", SWAP_XY, kind2, kind3), _polarized("pa4", SWAP_YZ, kind2, kind1),
+                _polarized("pa5", SWAP_XY, kind1), _polarized("pa6", SWAP_YZ, kind3)]
+    sides = {"left-prealternative": ("left", SWAP_XY), "right-prealternative": ("right", SWAP_YZ),
+             "flexible-prealternative": ("flex", SWAP_XZ)}
+    if law not in sides:
         raise ValidationError([f"unknown pre-algebra law {law!r}"])
-    return table[law]
+    side, swap = sides[law]
+    return [_polarized(f"{side}-{k}", swap, c) for k, c in enumerate(comps, 1)]
 
 
 def law_identities(instance, law: str, jordan_cycle: Optional[str] = None):

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import superalt
 import superalt.io as sio
 from superalt import (
     QQ,
@@ -49,6 +53,24 @@ def workdir(tmp_path, capsys):
     assert main(["corpus", "octonions", "--out", str(d / "oct.json")]) == 0
     capsys.readouterr()
     return d
+
+
+def test_a_reader_that_closes_stdout_early_ends_every_verb_with_one_error_line(workdir):
+    # the child's stdout is a pipe whose read end is closed before it starts,
+    # as when `superalt corpus list | head -1` has read its line
+    src = str(Path(superalt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["corpus", "list"], ["check", "oct.json", "--law", "hom-alternative", "--jobs", "1"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "superalt.cli", *argv], cwd=workdir, env=env,
+                                  stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.splitlines() == [
+            "error: standard output was closed before the report was written"], argv
 
 
 def test_corpus_list(capsys):

@@ -15,7 +15,8 @@ for an even one.  Every term of the envelope residual then carries the
 product e_U of those generators, so its e_U component must be the super
 residual at (a_s) up to one sign, and every other component must vanish.
 The closures write no sign on the envelope, all of its points being even,
-so a sign written wrong in them shows as a disagreement.
+so a sign written wrong in them shows as a disagreement.  Hom-jordan is
+compared under each of its cyclic readings.
 """
 
 import itertools
@@ -24,6 +25,7 @@ import random
 import pytest
 
 from superalt import (
+    JORDAN_CYCLES,
     PRE_LAWS,
     PRODUCT_LAWS,
     QQ,
@@ -126,18 +128,20 @@ def random_pair(rng, dims):
 @pytest.mark.parametrize("dims", [(1, 2), (2, 2)], ids=str)
 def test_every_identity_agrees_with_its_grassmann_envelope(dims):
     rng = random.Random(37)
-    laws = set()  # the laws with a nonzero residual on some instance
+    laws = set()  # the (law, cycle) pairs with a nonzero residual on some instance
     for _ in range(3):
         a, p = random_pair(rng, dims)
         env = Envelope(a.space)
         g_a = HomAlgebra(env.product(a.mu), env.twist(a.alpha))
         g_p = HomPreAlgebra(env.product(p.prec), env.product(p.succ), env.twist(p.alpha))
-        # hom-jordan under its default cycle, the reading that checks use
-        cases = [(a, g_a, law) for law in PRODUCT_LAWS] + [(p, g_p, law) for law in PRE_LAWS]
-        for inst, g, law in cases:
-            bad, nonzero = disagreements(inst.space, env, law_identities(inst, law),
-                                         law_identities(g, law))
-            assert bad == [], law
+        # hom-jordan under every cyclic reading, each signed by its own cycle
+        cases = [(a, g_a, law, cycle) for law in PRODUCT_LAWS
+                 for cycle in (JORDAN_CYCLES if law == "hom-jordan" else (None,))]
+        cases += [(p, g_p, law, None) for law in PRE_LAWS]
+        for inst, g, law, cycle in cases:
+            bad, nonzero = disagreements(inst.space, env, law_identities(inst, law, cycle),
+                                         law_identities(g, law, cycle))
+            assert bad == [], (law, cycle)
             if nonzero:
-                laws.add(law)
-    assert laws == set(PRODUCT_LAWS) | set(PRE_LAWS)
+                laws.add((law, cycle))
+    assert laws == {(law, cycle) for _, _, law, cycle in cases}

@@ -25,6 +25,7 @@ from superalt import (
     HomAlgebra,
     HomPreAlgebra,
     PreBimodule,
+    SuperSpace,
     Vector,
     check_alt_bimodule,
     check_pre_bimodule,
@@ -40,7 +41,7 @@ from superalt import (
 from superalt import laws as engine
 from conftest import forced
 from superalt.bimodules import _abm_identities, _pbm_identities
-from test_compiled_scan import F3, F5, VARIANTS, rand_bilinear, rand_map, rand_space
+from test_compiled_scan import F3, F5, VARIANTS, field_of, rand_bilinear, rand_map, rand_space
 
 KINDS = ("Q", F3, F5)
 
@@ -63,10 +64,11 @@ def asymmetric(spaces, identities):
     return bad
 
 
-def random_instances(rng, kind):
+def random_instances(rng, kind, dims=None):
     """A product instance, a pre-instance, an alt-bimodule and a pre-bimodule
-    with random constants and twists."""
-    s = rand_space(rng, kind)
+    with random constants and twists, on a random space or on the space of
+    dims = (n0, n1)."""
+    s = rand_space(rng, kind) if dims is None else SuperSpace(field_of(kind), *dims)
     a = HomAlgebra(rand_bilinear(rng, kind, s, s, s, density=0.6), rand_map(rng, kind, s, s))
     p = HomPreAlgebra(rand_bilinear(rng, kind, s, s, s, density=0.6),
                       rand_bilinear(rng, kind, s, s, s, density=0.6), rand_map(rng, kind, s, s))
@@ -81,8 +83,10 @@ def random_instances(rng, kind):
 def test_declared_symmetries_hold_at_every_basis_tuple(kind):
     rng = random.Random(23)
     declared = set()
-    for _ in range(6):
-        a, p, alt, pre = random_instances(rng, kind)
+    # random spaces are mostly of one parity; a swap signed wrongly at mixed
+    # parities shows on the (1, 2) and (2, 2) spaces
+    for dims in [None] * 6 + [(1, 2), (2, 2)]:
+        a, p, alt, pre = random_instances(rng, kind, dims)
         s, v = a.space, alt.module
         cases = [((s,) * 3, engine._identities(p, law, None, engine.REFERENCE)) for law in PRE_LAWS]
         for law in PRODUCT_LAWS:

@@ -1,13 +1,16 @@
 """The polarized identities against hand-written closures.
 
-laws._polarized builds every identity that pairs a term with its image
-under a slot swap, signed by the Koszul sign of the swap, and declares the
-swap as the identity's symmetry when both terms are one component.  The
-closures below write each of those identities out with its sign by hand,
-as the identity tables once did, and are the reference: at every basis
-tuple of random product, pre, alt-bimodule and pre-bimodule instances over
-Q, F_3 and F_5, each table entry must give the same residual and declare
-the same symmetry.
+laws._polarized builds every identity that sums a term over its images
+under the powers of a slot permutation, each signed by its Koszul sign, and
+declares the permutation as the identity's symmetry when every term is one
+component: the swaps of the polarized axioms, the swap of supercomm and the
+3-cycle of jordan.  The closures below write each of those identities out
+with its sign by hand, as the identity tables once did, and are the
+reference: at every basis tuple of random product, pre, alt-bimodule and
+pre-bimodule instances over Q, F_3 and F_5, each table entry must give the
+same residual and declare the same symmetry.  Jordan is compared under its
+default cycle, the one reading whose hand-written sign template was the
+Koszul sign.
 """
 
 import itertools
@@ -49,11 +52,27 @@ def flexible(comp):
 
 
 def product_references(a):
-    asso = engine._associator(a.mu.apply, a.alpha.apply)
+    mu, al = a.mu.apply, a.alpha.apply
+    asso = engine._associator(mu, al)
+
+    def supercomm(pts):
+        (x, px), (y, py) = pts
+        return mu(x, y) - signed(mu(y, x), px * py)
+
+    def jordan(pts):  # the default cycle xyt: (x, y, z, t) -> (y, t, z, x) -> (t, x, z, y)
+        terms = []
+        for binding in ((0, 1, 2, 3), (1, 3, 2, 0), (3, 0, 2, 1)):
+            (x, px), (y, _), (z, pz), (t, pt) = (pts[s] for s in binding)
+            terms.append(signed(asso(mu(x, y), al(z), al(t)), pt * (px + pz)))
+        first, second, third = terms
+        return first + second + third
+
     return {
         "left-alt": (left_polarization(asso), XY),
         "right-alt": (right_polarization(asso), YZ),
         "flex": (flexible(asso), XZ),
+        "supercomm": (supercomm, (1, 0)),
+        "jordan": (jordan, (1, 3, 2, 0)),
     }
 
 
@@ -131,17 +150,18 @@ def compare(spaces, entries, references, seen, nonzero):
     """(name, tuple) of the first basis tuple at which an entry that has a
     reference gives another residual, (name, "perm") where it declares
     another symmetry; adds the names compared to seen, and those with a
-    nonzero residual somewhere to nonzero."""
+    nonzero residual somewhere to nonzero.  An entry of arity k ranges over
+    the first k of spaces."""
     bad = []
-    for name, _, fn, *perm in entries:
+    for name, arity, fn, *perm in entries:
         if name not in references:
             continue
         ref, ref_perm = references[name]
         seen.add(name)
         if perm != ([ref_perm] if ref_perm else []):
             bad.append((name, "perm"))
-        points = [engine._basis_points(s) for s in spaces]
-        for idx in itertools.product(*(s.indices() for s in spaces)):
+        points = [engine._basis_points(s) for s in spaces[:arity]]
+        for idx in itertools.product(*(s.indices() for s in spaces[:arity])):
             pts = tuple(slot[i] for slot, i in zip(points, idx))
             r = ref(pts)
             if fn(pts).coords != r.coords:
@@ -159,7 +179,7 @@ def test_polarized_entries_match_the_hand_written_closures(kind):
     for _ in range(10):
         a, p, alt, pre = random_instances(rng, kind)
         s, v = a.space, alt.module
-        cases = [((s,) * 3, engine._identities(a, law, None, engine.REFERENCE),
+        cases = [((s,) * 4, engine._identities(a, law, None, engine.REFERENCE),
                   product_references(a)) for law in PRODUCT_LAWS]
         cases += [((s,) * 3, engine._identities(p, law, None, engine.REFERENCE),
                    pre_references(p)) for law in PRE_LAWS]
@@ -169,7 +189,7 @@ def test_polarized_entries_match_the_hand_written_closures(kind):
         for spaces, entries, references in cases:
             assert compare(spaces, entries, references, seen, nonzero) == []
     names = {
-        "left-alt", "right-alt", "flex", "pa3", "pa4", "pa5", "pa6",
+        "left-alt", "right-alt", "flex", "supercomm", "jordan", "pa3", "pa4", "pa5", "pa6",
         "left-1", "left-2", "left-3", "right-1", "right-2", "right-3",
         "flex-1", "flex-2", "flex-3", "abm3", "abm4", "pbm1", "pbm9",
     }
