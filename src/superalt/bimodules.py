@@ -5,33 +5,40 @@ action x succ v, a right action v prec x, and an even self-map beta of V.
 A pre-bimodule over (A, prec, succ, alpha) carries four actions
 (lprec, rprec, lsucc, rsucc), one per product and side.
 
-The four alt axioms and ten pre axioms are checked elementwise on basis
-triples (x, y, v).  Two readings of the pre axioms are ambiguous in their
-usual presentation; both are parameterized here and the defaults are the
-readings validated by the regular representation (calibrate_pre_bimodule
-re-derives them).
+V is a bimodule exactly when its split null extension A x| V is in A's
+class (Eilenberg, "Extensions of general algebras", 1948; Schafer,
+"Representations of alternative algebras", 1952): the space A + V with the
+product ab + a.v + u.b, each product of A extended by the actions of its
+kind, and the twist alpha + beta.  So the four alt axioms and the ten pre
+axioms are not written out.  The derivation table _DERIVATIONS gives each,
+at a basis triple (x, y, v), as one identity of the base law on A x| V,
+its slots arranged, times a sign; the checks evaluate it with the base
+law's own entries.  Two pre axioms are ambiguous in their usual
+presentation (PbmVariant).  With T = (-1)^(|x||v|) beta(v) succ (x succ y),
+the printed pbm2 is the derived pbm2 + 2T, and the printed pbm4, whose
+inner product is circ, is the derived pbm4 - T.  The defaults are the
+derived readings, which the regular representation validates
+(calibrate_pre_bimodule re-derives them).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .core import EvenBilinear, EvenMap, ValidationError
+from .core import EvenBilinear, EvenMap, SuperSpace, ValidationError
 from .laws import (
-    REFERENCE,
-    SWAP_XY,
     HomAlgebra,
     HomPreAlgebra,
     LawReport,
-    _polarized,
+    _identities,
     _require,
     _run_groups,
     _Tables,
     check_morphism,
     check_product_law,
     check_pre_law,
-    signed,
 )
 from .constructions import alt_of, rb_split
 
@@ -131,155 +138,134 @@ class PbmVariant:
 CALIBRATED_PBM_VARIANT = PbmVariant(pbm2_sign=1, pbm4_inner="prec")
 
 
-def _abm_identities(m: AltBimodule, bind=REFERENCE):
-    mu, al = bind(m.base.mu), bind(m.base.alpha)
-    lv, vr, be = bind(m.lsucc), bind(m.rprec), bind(m.beta)
-
-    def abm1(pts):
-        (x, px), (y, _), (v, pv) = pts
-        return (
-            vr(vr(v, x), al(y))
-            + signed(vr(lv(x, v), al(y)), px * pv)
-            - signed(lv(al(x), vr(v, y)), px * pv)
-            - vr(be(v), mu(x, y))
-        )
-
-    def abm2(pts):
-        (x, px), (y, _), (v, pv) = pts
-        return (
-            lv(al(y), vr(v, x))
-            - vr(lv(y, v), al(x))
-            - signed(lv(mu(y, x), be(v)), px * pv)
-            + signed(lv(al(y), lv(x, v)), px * pv)
-        )
-
-    def abm3(x, y, v):
-        return lv(mu(x, y), be(v)) - lv(al(x), lv(y, v))
-
-    def abm4(x, y, v):
-        return vr(be(v), mu(x, y)) - vr(vr(v, x), al(y))
-
-    return [
-        ("abm1", 3, abm1),
-        ("abm2", 3, abm2),
-        _polarized("abm3", SWAP_XY, abm3),
-        _polarized("abm4", SWAP_XY, abm4),
-    ]
+# The derivation table: per kind of bimodule, the law its checks report and
+# the base law, and per axiom the identity of the base law that the axiom is
+# on A x| M (see _null_extension), the identity's slots reading the axiom's
+# slots (x, y, v) as the arrangement spells them ("vxy": the identity at
+# (v, x, y)), and the sign: +, -, or two slots a, b for (-1)^(|a||b|).
+_DERIVATIONS = {
+    AltBimodule: ("alt-bimodule", "hom-alternative", (
+        ("abm1", "left-alt", "vxy", "+"),
+        ("abm2", "right-alt", "yvx", "-"),
+        ("abm3", "left-alt", "xyv", "+"),
+        ("abm4", "right-alt", "vxy", "-"),
+    )),
+    PreBimodule: ("pre-bimodule", "hom-prealternative", (
+        ("pbm1", "pa5", "xyv", "+"),
+        ("pbm2", "pa5", "xvy", "+"),
+        ("pbm3", "pa3", "xvy", "xv"),
+        ("pbm4", "pa3", "vxy", "xv"),
+        ("pbm5", "pa3", "xyv", "xy"),
+        ("pbm6", "pa4", "yvx", "+"),
+        ("pbm7", "pa4", "vyx", "+"),
+        ("pbm8", "pa4", "yxv", "+"),
+        ("pbm9", "pa6", "vxy", "+"),
+        ("pbm10", "pa6", "xvy", "+"),
+    )),
+}
+_SLOTS = "xyv"
+# the (left, right) actions that extend each product of the base on A x| M
+_EXTENDS = {"mu": ("lsucc", "rprec"), "prec": ("lprec", "rprec"), "succ": ("lsucc", "rsucc")}
 
 
-def _pbm_identities(m: PreBimodule, variant: PbmVariant, bind=REFERENCE):
-    apr, asu, aci = bind(m.base.prec), bind(m.base.succ), bind(m.base.circ())
-    al, be = bind(m.base.alpha), bind(m.beta)
-    lp, ls = bind(m.lprec), bind(m.lsucc)
-    rp, rs = bind(m.rprec), bind(m.rsucc)
+def _null_extension(m):
+    """The split null extension A x| M of m: the space A + M, its basis
+    reordered A even, M even, A odd, M odd, with each product of A extended
+    by the actions of _EXTENDS, the product of two module elements zero, and
+    the twist alpha + beta.  Returns it with the indices there of the basis
+    of A and of M."""
+    a, v = m.base.space, m.module
+    s = SuperSpace(a.field, a.even + v.even, a.odd + v.odd)
+    at = [i if i < a.even else i + v.even for i in a.indices()]
+    vt = [a.even + j if j < v.even else a.dim + j for j in v.indices()]
 
-    def lc(x, v):
-        return lp(x, v) + ls(x, v)
+    def moved(t, left, right, out):
+        return [(left[i], right[j], out[k], c) for i, j, k, c in t.sparse_entries()]
 
-    def rc(v, x):
-        return rp(v, x) + rs(v, x)
-
-    def pbm1(x, y, v):
-        return ls(aci(x, y), be(v)) - ls(al(x), ls(y, v))
-
-    def pbm2(pts):
-        (x, px), (y, _), (v, pv) = pts
-        w = lc(x, v) + signed(rc(v, x), px * pv)
-        term = signed(rs(be(v), asu(x, y)), px * pv)
-        res = rs(w, al(y)) - ls(al(x), rs(v, y))
-        return res - term if variant.pbm2_sign == 1 else res + term
-
-    def pbm3(pts):
-        (x, px), (y, _), (v, pv) = pts
-        return (
-            rp(rp(v, x), al(y))
-            + signed(rp(ls(x, v), al(y)), px * pv)
-            - rp(be(v), aci(x, y))
-            - signed(ls(al(x), rp(v, y)), px * pv)
-        )
-
-    def pbm4(pts):
-        (x, px), (y, _), (v, pv) = pts
-        inner = apr(x, y) if variant.pbm4_inner == "prec" else aci(x, y)
-        return (
-            rp(lp(x, v), al(y))
-            + signed(rp(rs(v, x), al(y)), px * pv)
-            - lp(al(x), rc(v, y))
-            - signed(rs(be(v), inner), px * pv)
-        )
-
-    def pbm5(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            lp(apr(y, x), be(v))
-            + signed(lp(asu(x, y), be(v)), px * py)
-            - lp(al(y), lc(x, v))
-            - signed(ls(al(x), lp(y, v)), px * py)
-        )
-
-    def pbm6(pts):
-        (x, px), (y, _), (v, pv) = pts
-        return (
-            rp(ls(y, v), al(x))
-            + signed(ls(aci(y, x), be(v)), px * pv)
-            - ls(al(y), rp(v, x))
-            - signed(ls(al(y), ls(x, v)), px * pv)
-        )
-
-    def pbm7(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            rp(rs(v, y), al(x))
-            + signed(rs(rc(v, x), al(y)), px * py)
-            - rs(be(v), apr(y, x))
-            - signed(rs(be(v), asu(x, y)), px * py)
-        )
-
-    def pbm8(pts):
-        (x, px), (y, _), (v, pv) = pts
-        return (
-            lp(asu(y, x), be(v))
-            + signed(rs(lc(y, v), al(x)), px * pv)
-            - ls(al(y), lp(x, v))
-            - signed(ls(al(y), rs(v, x)), px * pv)
-        )
-
-    def pbm9(x, y, v):
-        return rp(rp(v, x), al(y)) - rp(be(v), aci(x, y))
-
-    def pbm10(pts):
-        (x, _), (y, py), (v, pv) = pts
-        return (
-            rp(lp(x, v), al(y))
-            + signed(lp(apr(x, y), be(v)), py * pv)
-            - lp(al(x), rc(v, y))
-            - signed(lp(al(x), lc(y, v)), py * pv)
-        )
-
-    return [
-        _polarized("pbm1", SWAP_XY, pbm1),
-        ("pbm2", 3, pbm2),
-        ("pbm3", 3, pbm3),
-        ("pbm4", 3, pbm4),
-        ("pbm5", 3, pbm5),
-        ("pbm6", 3, pbm6),
-        ("pbm7", 3, pbm7),
-        ("pbm8", 3, pbm8),
-        _polarized("pbm9", SWAP_XY, pbm9),
-        ("pbm10", 3, pbm10),
-    ]
+    products = []
+    for attr, _ in type(m.base).PRODUCTS:
+        lkey, rkey = _EXTENDS[attr]
+        entries = moved(getattr(m.base, attr), at, at, at)
+        entries += moved(getattr(m, lkey), at, vt, vt) + moved(getattr(m, rkey), vt, at, vt)
+        products.append(EvenBilinear.from_entries(s, s, s, entries))
+    twist = [(at[i], at[j], c) for i, j, c in m.base.alpha.sparse_entries()]
+    twist += [(vt[i], vt[j], c) for i, j, c in m.beta.sparse_entries()]
+    return type(m.base)(*products, EvenMap.from_entries(s, s, twist)), at, vt
 
 
-def _bimodule_run(law, m, identities, jobs, extra=None) -> LawReport:
-    """One scan group over basis triples (x, y, v) holding every axiom that
-    identities(bind) lists, scanned on the tables of m."""
+def _derived(fn, arrangement, sign):
+    """The axiom at points (x, y, v) that the identity fn gives at the points
+    as arrangement spells them, times sign (see _DERIVATIONS)."""
+    pick = operator.itemgetter(*map(_SLOTS.index, arrangement))
+    if sign == "+":
+        return lambda pts: fn(pick(pts))
+    if sign == "-":
+        return lambda pts: -fn(pick(pts))
+    s, t = map(_SLOTS.index, sign)
 
-    def build(bind):
-        base = bind.points(m.base.space)
-        idfns = [(name, fn, *perm) for name, _, fn, *perm in identities(bind)]
-        return [([base, base, bind.points(m.module)], idfns)]
+    def derived(pts):
+        r = fn(pick(pts))
+        return -r if pts[s][1] & pts[t][1] else r
 
-    return _run_groups(law, build, _Tables(m.module.field), jobs, extra)
+    return derived
+
+
+def _conjugated(perm, arrangement):
+    """The declared symmetry of the axiom that reads an identity of symmetry
+    perm as arrangement spells: the identity's slot k reads the axiom's slot
+    q[k], so permuting the axiom's slots by q[k] -> q[perm[k]] permutes the
+    identity's by perm.  Kept (as a one-element list) only if it leaves v in
+    place, and so carries each slot onto one over the same points."""
+    q = [_SLOTS.index(c) for c in arrangement]
+    conj = tuple(q[perm[q.index(s)]] for s in range(3))
+    return [conj] if conj[2] == 2 else []
+
+
+def _axiom_group(m, ext, at, vt, variant, bind):
+    """The scan group of m's axioms on bind: slots x and y over the basis
+    points of A in ext = A x| M, slot v over those of M, and one entry
+    (name, fn, *perm) per row of the derivation table, evaluated with the
+    base law's own entries on ext.  Every residual lies in M."""
+    _, law, rows = _DERIVATIONS[type(m)]
+    identities = {name: (fn, *perm) for name, _, fn, *perm in _identities(ext, law, None, bind)}
+    entries = {}
+    for axiom, identity, arrangement, sign in rows:
+        fn, *perm = identities[identity]
+        entries[axiom] = [_derived(fn, arrangement, sign),
+                          *(_conjugated(*perm, arrangement) if perm else ())]
+    if variant is not None:  # the printed readings, as the module docstring derives them
+        su, al, coerce = bind(ext.succ), bind(ext.alpha), ext.space.field.coerce
+
+        def plus_t(fn, times):  # fn + times T, T = (-1)^(|x||v|) beta(v) succ (x succ y)
+            def corrected(pts):
+                (x, px), (y, _), (v, pv) = pts
+                return fn(pts) + su(al(v), su(x, y)).scaled(-times if px & pv else times)
+
+            return corrected
+
+        if variant.pbm2_sign == -1:
+            entries["pbm2"][0] = plus_t(entries["pbm2"][0], coerce(2))
+        if variant.pbm4_inner == "circ":
+            entries["pbm4"][0] = plus_t(entries["pbm4"][0], coerce(-1))
+    points = bind.points(ext.space)
+    base, module = tuple(points[i] for i in at), tuple(points[j] for j in vt)
+    return [base, base, module], [(axiom, *entry) for axiom, entry in entries.items()]
+
+
+def _bimodule_axioms(m, variant: PbmVariant | None = None, jobs: int = 1) -> LawReport:
+    """The axioms of m, under variant for a pre-bimodule, on a base already
+    known to be in its class: one scan group over basis triples (x, y, v)
+    (see _axiom_group) on the tables of A x| M.  A failure reports its
+    residual's coordinates on M, the only ones that can be nonzero."""
+    ext, at, vt = _null_extension(m)
+    law = _DERIVATIONS[type(m)][0]
+    extra = None if variant is None else {
+        "variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
+    report = _run_groups(law, lambda bind: [_axiom_group(m, ext, at, vt, variant, bind)],
+                         _Tables(m.module.field), jobs, extra)
+    if not report.passed:
+        report.residual = tuple(report.residual[j] for j in vt)
+    return report
 
 
 def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
@@ -287,12 +273,7 @@ def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
 
     Refuses (rather than failing) when the base is not hom-alternative."""
     _require("check_alt_bimodule", check_product_law(m.base, "hom-alternative"))
-    return _alt_bimodule_axioms(m, jobs)
-
-
-def _alt_bimodule_axioms(m: AltBimodule, jobs: int = 1) -> LawReport:
-    """check_alt_bimodule on a base already known to be hom-alternative."""
-    return _bimodule_run("alt-bimodule", m, lambda bind: _abm_identities(m, bind), jobs)
+    return _bimodule_axioms(m, jobs=jobs)
 
 
 def check_pre_bimodule(
@@ -303,15 +284,7 @@ def check_pre_bimodule(
 
     Refuses when the base is not hom-prealternative."""
     _require("check_pre_bimodule", check_pre_law(m.base, "hom-prealternative"))
-    return _pre_bimodule_axioms(m, variant or CALIBRATED_PBM_VARIANT, jobs)
-
-
-def _pre_bimodule_axioms(m: PreBimodule, variant: PbmVariant, jobs: int = 1) -> LawReport:
-    """check_pre_bimodule on a base already known to be hom-prealternative."""
-    extra = {"variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
-    return _bimodule_run(
-        "pre-bimodule", m, lambda bind: _pbm_identities(m, variant, bind), jobs, extra
-    )
+    return _bimodule_axioms(m, variant or CALIBRATED_PBM_VARIANT, jobs)
 
 
 def regular_bimodule(instance):
@@ -414,7 +387,7 @@ def rb_induced_bimodules(m: AltBimodule, r: EvenMap):
     (refusing as rb_split); then the alt axioms of m are checked."""
     a = m.base
     split = rb_split(a, r)
-    _require("rb_induced_bimodules", _alt_bimodule_axioms(m))
+    _require("rb_induced_bimodules", _bimodule_axioms(m))
     tri_left = m.lsucc.pre_compose_left(r)  # x |> v = R(x) succ v
     tri_right = m.rprec.pre_compose_right(r)  # v <| x = v prec R(x)
     alt = AltBimodule(
@@ -453,7 +426,7 @@ def calibrate_pre_bimodule(instances) -> dict:
         key = f"pbm2{'+' if var.pbm2_sign == 1 else '-'}/pbm4-{var.pbm4_inner}"
         verdicts = {}
         for name, m in modules:
-            verdicts[name] = _pre_bimodule_axioms(m, var).passed
+            verdicts[name] = _bimodule_axioms(m, var).passed
         per_variant[key] = verdicts
     survivors = [k for k, v in per_variant.items() if all(v.values())]
     default = CALIBRATED_PBM_VARIANT

@@ -141,12 +141,13 @@ class EvenMap:
         if domain.field != codomain.field:
             raise ValidationError(["domain and codomain use different scalar fields"])
         nd, nc = domain.dim, codomain.dim
-        z, coerce = domain.field.zero, domain.field.coerce
+        coerce = domain.field.coerce
         cells = {}
         bad = []
         for i, j, v in entries:
             if 0 <= i < nc and 0 <= j < nd:
-                cells[i, j] = cells.get((i, j), z) + coerce(v)
+                v, key = coerce(v), (i, j)
+                cells[key] = cells[key] + v if key in cells else v
             else:
                 bad.append(f"entry ({i}, {j}) out of range for codomain x domain = {nc}x{nd}")
         if bad:
@@ -293,12 +294,13 @@ class EvenBilinear:
 
     def __init__(self, left: SuperSpace, right: SuperSpace, out: SuperSpace, *, entries):
         nl, nr, no = left.dim, right.dim, out.dim
-        z, coerce = left.field.zero, left.field.coerce
+        coerce = left.field.coerce
         cells = {}
         bad = []
         for i, j, k, v in entries:
             if 0 <= i < nl and 0 <= j < nr and 0 <= k < no:
-                cells[i, j, k] = cells.get((i, j, k), z) + coerce(v)
+                v, key = coerce(v), (i, j, k)
+                cells[key] = cells[key] + v if key in cells else v
             else:
                 bad.append(f"entry ({i}, {j}, {k}) out of range for dims {nl}x{nr}x{no}")
         if bad:

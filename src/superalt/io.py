@@ -116,25 +116,42 @@ def entries_to_json(bil: EvenBilinear):
     return [[i, j, k, field.to_json(v)] for i, j, k, v in bil.sparse_entries()]
 
 
+# At most this many malformed, out-of-range or duplicate entries of one list
+# are reported each on its own line; one more line counts the rest.
+_ENTRY_ERROR_LINES = 5
+
+
 def _entries_from_json(field, lst, left, right, out, ctx, where):
     if not isinstance(lst, list):
         ctx.err(where, f"expected a list of [i,j,k,value] entries, got {type(lst).__name__}")
         ctx.raise_if_failed()
+    cells = left.dim * right.dim * out.dim
+    if len(lst) > cells:  # some index triple repeats or is out of range
+        ctx.err(where, f"{len(lst)} entries for the {cells} cells of {left.dim}x{right.dim}x{out.dim}")
+        ctx.raise_if_failed()
     entries = []
     prev = None
     seen = set()
+    refused = 0
+
+    def refuse(loc, msg):
+        nonlocal refused
+        refused += 1
+        if refused <= _ENTRY_ERROR_LINES:
+            ctx.err(loc, msg)
+
     for pos, entry in enumerate(lst):
         loc = f"{where}[{pos}]"
         if not (isinstance(entry, list) and len(entry) == 4):
-            ctx.err(loc, f"expected [i, j, k, value], got {entry!r}")
+            refuse(loc, f"expected [i, j, k, value], got {entry!r}")
             continue
         i, j, k, v = entry
         idx_ok = all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j, k))
         if not idx_ok or not (0 <= i < left.dim and 0 <= j < right.dim and 0 <= k < out.dim):
-            ctx.err(loc, f"indices ({i},{j},{k}) out of range")
+            refuse(loc, f"indices ({i},{j},{k}) out of range")
             continue
         if (i, j, k) in seen:
-            ctx.err(loc, f"duplicate entry for ({i},{j},{k})")
+            refuse(loc, f"duplicate entry for ({i},{j},{k})")
             continue
         seen.add((i, j, k))
         if prev is not None and (i, j, k) < prev:
@@ -145,6 +162,9 @@ def _entries_from_json(field, lst, left, right, out, ctx, where):
             ctx.bend(loc, "explicit zero entry")
             continue
         entries.append((i, j, k, val))
+    if refused > _ENTRY_ERROR_LINES:
+        ctx.err(where, f"and {refused - _ENTRY_ERROR_LINES} more malformed, out-of-range or "
+                       "duplicate entries")
     ctx.raise_if_failed()
     try:
         return EvenBilinear.from_entries(left, right, out, entries)

@@ -343,9 +343,10 @@ class LawReport:
 # points and returns the residual vector, and perm, when given, is a
 # permutation of the slots that changes the residual by a sign at most:
 # fn(pts) = +-fn(tuple(pts[s] for s in perm)).  Every identity that sums a
-# term over its images under the powers of a slot permutation, in these
-# tables and in the bimodule axioms, is built by _polarized, which writes
-# the Koszul sign of each image and declares the permutation as its perm.
+# term over its images under the powers of a slot permutation is built by
+# _polarized, which writes the Koszul sign of each image and declares the
+# permutation as its perm; the bimodule axioms are these identities on a
+# split null extension (see bimodules._DERIVATIONS).
 
 PRODUCT_LAWS = (
     "hom-associative",

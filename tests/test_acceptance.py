@@ -60,7 +60,7 @@ from superalt import (
     yau_twist,
     zero,
 )
-from superalt.bimodules import _abm_identities, _pbm_identities
+from bimodule_references import alt_references, pre_references
 from conftest import rand_homogeneous
 
 
@@ -359,7 +359,7 @@ def test_10_single_entry_perturbations_are_caught():
     bent_alt = AltBimodule(mp.base, mp.beta,
                            perturb_bilinear(mp.lsucc, (1, 1, 0), one), mp.rprec)
     rep = check_alt_bimodule(bent_alt)
-    if rep.passed or not _recheck_bimodule_witness(bent_alt, _abm_identities(bent_alt), rep):
+    if rep.passed or not _recheck_bimodule_witness(bent_alt, alt_references(bent_alt), rep):
         problems.append("bent regular(p3) action not caught with verified witness")
 
     count += 1
@@ -367,7 +367,7 @@ def test_10_single_entry_perturbations_are_caught():
     bent_oct = AltBimodule(mo.base, mo.beta, mo.lsucc,
                            perturb_bilinear(mo.rprec, (2, 5, 7), one))
     rep = check_alt_bimodule(bent_oct)
-    if rep.passed or not _recheck_bimodule_witness(bent_oct, _abm_identities(bent_oct), rep):
+    if rep.passed or not _recheck_bimodule_witness(bent_oct, alt_references(bent_oct), rep):
         problems.append("bent regular(octonions) action not caught with verified witness")
 
     count += 1
@@ -377,7 +377,7 @@ def test_10_single_entry_perturbations_are_caught():
                            mq.rprec, mq.lsucc, mq.rsucc)
     rep = check_pre_bimodule(bent_pre)
     if rep.passed or not _recheck_bimodule_witness(
-            bent_pre, _pbm_identities(bent_pre, CALIBRATED_PBM_VARIANT), rep):
+            bent_pre, pre_references(bent_pre, CALIBRATED_PBM_VARIANT), rep):
         problems.append("bent regular(pre) action not caught with verified witness")
 
     verdict(10, f"all {count} single-entry perturbations fail with a witness "

@@ -369,6 +369,26 @@ def test_oversized_dims_are_a_document_error(tmp_path, capsys, key, dims):
     assert line.startswith("error: ") and f"{key}: n0 + n1 = {sum(dims)} exceeds the cap" in line
 
 
+def test_bad_entries_are_reported_in_a_few_lines(tmp_path, capsys):
+    # 60 copies of one entry fit the 64 cells of a 4 x 4 x 4 product: 59
+    # duplicates, of which a few are listed and the rest counted
+    doc = {"kind": "algebra", "scalars": "Q", "dims": [2, 2], "product": [[0, 0, 0, "1"]] * 60,
+           "twist": [["1" if i == j else "0" for j in range(4)] for i in range(4)]}
+    (tmp_path / "dup.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(tmp_path / "dup.json"), "--law", "hom-alternative")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) <= 6 and all(line.startswith("error: ") for line in lines)
+    assert "duplicate entry for (0,0,0)" in lines[0] and "and 54 more" in lines[-1]
+    # a list longer than the cells is refused before any entry is read
+    doc["product"] = [[0, 0, 0, "1"]] * 65
+    (tmp_path / "long.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(tmp_path / "long.json"), "--law", "hom-alternative")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and line.endswith("product: 65 entries for the 64 cells of 4x4x4")
+
+
 def test_check_operator_exit_codes(workdir, capsys):
     code, out, _ = run(capsys, "check-operator", str(workdir / "p3.json"),
                        "--map", str(workdir / "R.json"), "--kind", "rota-baxter")

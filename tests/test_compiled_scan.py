@@ -4,11 +4,11 @@ closures.
 The checks evaluate on compiled structure tables, each scan group either by
 the tuple scan or by contraction on generic points, as laws._evaluation
 rules.  The references below walk basis tuples in scan order through the
-Vector closures of `law_identities`, `_abm_identities` and
-`_pbm_identities`, count every tuple they evaluate and stop at the first
-nonzero residual.  Every check runs with each group forced onto each path
-(the contraction once with whole parity runs of slot 0 per slice and once
-with one index per slice), and every LawReport field must agree with the
+Vector closures of `law_identities` and the hand-written bimodule axioms of
+`bimodule_references`, count every tuple they evaluate and stop at the
+first nonzero residual.  Every check runs with each group forced onto each
+path (the contraction once with whole parity runs of slot 0 per slice and
+once with one index per slice), and every LawReport field must agree with the
 reference: on corpus instances that pass, on single-entry perturbations of
 them, on random small instances over Q (integral and non-integral
 constants), F_3 and F_5, and on dim-0 and odd-only spaces.
@@ -67,9 +67,9 @@ from superalt import (
     zero,
 )
 from superalt import laws as engine
-from superalt.bimodules import _abm_identities, _pbm_identities
 from superalt.cli import main
 from superalt.io import object_to_doc, save
+from bimodule_references import alt_references, pre_references
 from conftest import forced, from_rows
 
 F3, F5 = PrimeField(3), PrimeField(5)
@@ -212,7 +212,7 @@ def ref_alt_bimodule(m):
     base = ref_product_law(m.base, "hom-alternative")
     if not base.passed:
         return base
-    return ref_scan("alt-bimodule", bimodule_groups(m, _abm_identities(m)))
+    return ref_scan("alt-bimodule", bimodule_groups(m, alt_references(m)))
 
 
 def ref_pre_bimodule(m, variant):
@@ -220,7 +220,7 @@ def ref_pre_bimodule(m, variant):
     if not base.passed:
         return base
     extra = {"variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
-    return ref_scan("pre-bimodule", bimodule_groups(m, _pbm_identities(m, variant)), extra)
+    return ref_scan("pre-bimodule", bimodule_groups(m, pre_references(m, variant)), extra)
 
 
 # -- comparisons -------------------------------------------------------

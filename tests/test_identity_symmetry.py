@@ -40,7 +40,7 @@ from superalt import (
 )
 from superalt import laws as engine
 from conftest import forced
-from superalt.bimodules import _abm_identities, _pbm_identities
+from bimodule_references import derived_entries
 from test_compiled_scan import F3, F5, VARIANTS, field_of, rand_bilinear, rand_map, rand_space
 
 KINDS = ("Q", F3, F5)
@@ -64,15 +64,16 @@ def asymmetric(spaces, identities):
     return bad
 
 
-def random_instances(rng, kind, dims=None):
+def random_instances(rng, kind, dims=None, module_dims=None):
     """A product instance, a pre-instance, an alt-bimodule and a pre-bimodule
     with random constants and twists, on a random space or on the space of
-    dims = (n0, n1)."""
+    dims = (n0, n1), the modules on a random space or on that of module_dims."""
     s = rand_space(rng, kind) if dims is None else SuperSpace(field_of(kind), *dims)
     a = HomAlgebra(rand_bilinear(rng, kind, s, s, s, density=0.6), rand_map(rng, kind, s, s))
     p = HomPreAlgebra(rand_bilinear(rng, kind, s, s, s, density=0.6),
                       rand_bilinear(rng, kind, s, s, s, density=0.6), rand_map(rng, kind, s, s))
-    v = rand_space(rng, kind, max_dim=2)
+    v = (rand_space(rng, kind, max_dim=2) if module_dims is None
+         else SuperSpace(field_of(kind), *module_dims))
     alt = AltBimodule(a, rand_map(rng, kind, v, v), rand_bilinear(rng, kind, s, v, v, density=0.6),
                       rand_bilinear(rng, kind, v, s, v, density=0.6))
     acts = [rand_bilinear(rng, kind, *spaces, density=0.6) for spaces in ((s, v, v), (v, s, v)) * 2]
@@ -94,8 +95,8 @@ def test_declared_symmetries_hold_at_every_basis_tuple(kind):
                 ids = engine._identities(a, law, cycle, engine.REFERENCE)
                 for arity in {arity for _, arity, *_ in ids}:
                     cases.append(((s,) * arity, [e for e in ids if e[1] == arity]))
-        cases.append(((s, s, v), _abm_identities(alt)))
-        cases += [((s, s, v), _pbm_identities(pre, variant)) for variant in VARIANTS]
+        cases.append(((s, s, v), derived_entries(alt)))
+        cases += [((s, s, v), derived_entries(pre, variant)) for variant in VARIANTS]
         for spaces, ids in cases:
             assert asymmetric(spaces, ids) == []
             declared |= {name for name, _, _, *perm in ids if perm}

@@ -10,6 +10,7 @@ from superalt import (
     PrimeField,
     SuperSpace,
     ValidationError,
+    build_named,
     check_o_operator,
     check_operator,
     enumerate_even_maps,
@@ -84,6 +85,21 @@ def test_o_operator_regular_recovers_rb(p3, rb3):
     assert rep.passed
     bad = check_o_operator(EvenMap.identity(p3.space), m)
     assert not bad.passed and bad.witness == (0, 0)
+
+
+@pytest.mark.parametrize("name,p,budget,found", [
+    ("truncpoly-3", 5, 12000, 40), ("l1-p3", 3, 3000, 15), ("truncpoly-3", 3, None, 15),
+])
+def test_rota_baxter_of_weight_0_is_the_o_operator_of_the_regular_bimodule(name, p, budget, found):
+    # R(x) R(y) = R(R(x) y + x R(y)) is the o-operator equation with the
+    # product acting on A itself, so both searches walk the same maps
+    a = build_named(name, prime=p)[1]
+    rb = search_operators(a, "rota-baxter", budget=budget)
+    o = search_operators(a, "o-operator", bimodule=regular_bimodule(a), budget=budget)
+    assert [t.sparse_entries() for t in o.found] == [t.sparse_entries() for t in rb.found]
+    assert len(rb.found) == found
+    assert (o.candidates_checked, o.exhausted) == (rb.candidates_checked, rb.exhausted)
+    assert rb.exhausted == (budget is None)
 
 
 def test_o_induced_matches_rb_split(p3, rb3, pre3):

@@ -34,7 +34,7 @@ from superalt import (
     regular_bimodule,
     zero,
 )
-from superalt.bimodules import CALIBRATED_PBM_VARIANT, _alt_bimodule_axioms, _pre_bimodule_axioms
+from superalt.bimodules import CALIBRATED_PBM_VARIANT, _bimodule_axioms
 
 F3 = PrimeField(3)
 
@@ -86,22 +86,22 @@ def test_parallel_pre_law_matches_serial(serial_and_parallel):
 
 def test_parallel_alt_bimodule_matches_serial(serial_and_parallel):
     m = regular_bimodule(zero(10, 11, F3))
-    rep = serial_and_parallel(_alt_bimodule_axioms, m)
+    rep = serial_and_parallel(_bimodule_axioms, m)
     assert rep.passed and rep.checked == TRIPLES
     bad = AltBimodule(m.base, m.beta, perturb_bilinear(m.lsucc, (3, 11, 11), 1), m.rprec)
-    rep = serial_and_parallel(_alt_bimodule_axioms, bad, public=check_alt_bimodule)
+    rep = serial_and_parallel(_bimodule_axioms, bad, public=check_alt_bimodule)
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
 def test_parallel_pre_bimodule_matches_serial(serial_and_parallel):
     m = regular_bimodule(zero_pre())
-    rep = serial_and_parallel(_pre_bimodule_axioms, m, CALIBRATED_PBM_VARIANT)
+    rep = serial_and_parallel(_bimodule_axioms, m, CALIBRATED_PBM_VARIANT)
     assert rep.passed and rep.checked == TRIPLES
     bad = PreBimodule(
         m.base, m.beta, perturb_bilinear(m.lprec, (3, 11, 11), 1), m.rprec, m.lsucc, m.rsucc
     )
     rep = serial_and_parallel(
-        _pre_bimodule_axioms, bad, CALIBRATED_PBM_VARIANT, public=check_pre_bimodule
+        _bimodule_axioms, bad, CALIBRATED_PBM_VARIANT, public=check_pre_bimodule
     )
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 

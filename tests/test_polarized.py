@@ -6,11 +6,12 @@ declares the permutation as the identity's symmetry when every term is one
 component: the swaps of the polarized axioms, the swap of supercomm and the
 3-cycle of jordan.  The closures below write each of those identities out
 with its sign by hand, as the identity tables once did, and are the
-reference: at every basis tuple of random product, pre, alt-bimodule and
-pre-bimodule instances over Q, F_3 and F_5, each table entry must give the
-same residual and declare the same symmetry.  Jordan is compared under its
-default cycle, the one reading whose hand-written sign template was the
-Koszul sign.
+reference: at every basis tuple of random product and pre instances over Q,
+F_3 and F_5, each table entry must give the same residual and declare the
+same symmetry.  The bimodule axioms that inherit a polarized identity's
+swap on A x| M are compared the same way against bimodule_references.
+Jordan is compared under its default cycle, the one reading whose
+hand-written sign template was the Koszul sign.
 """
 
 import itertools
@@ -18,10 +19,10 @@ import random
 
 import pytest
 
-from superalt import CALIBRATED_PBM_VARIANT, PRE_LAWS, PRODUCT_LAWS
+from superalt import PRE_LAWS, PRODUCT_LAWS
 from superalt import laws as engine
-from superalt.bimodules import _abm_identities, _pbm_identities
 from superalt.laws import signed
+import bimodule_references
 from test_identity_symmetry import KINDS, random_instances
 
 XY, YZ, XZ = (1, 0, 2), (0, 2, 1), (2, 1, 0)
@@ -100,50 +101,12 @@ def pre_references(p):
     return refs
 
 
-def abm_references(m):
-    mu, al = m.base.mu.apply, m.base.alpha.apply
-    lv, vr, be = m.lsucc.apply, m.rprec.apply, m.beta.apply
-
-    def abm3(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            lv(mu(x, y), be(v))
-            + signed(lv(mu(y, x), be(v)), px * py)
-            - lv(al(x), lv(y, v))
-            - signed(lv(al(y), lv(x, v)), px * py)
-        )
-
-    def abm4(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            vr(be(v), mu(x, y))
-            + signed(vr(be(v), mu(y, x)), px * py)
-            - vr(vr(v, x), al(y))
-            - signed(vr(vr(v, y), al(x)), px * py)
-        )
-
-    return {"abm3": (abm3, XY), "abm4": (abm4, XY)}
-
-
-def pbm_references(m):
-    aci, al, be = m.base.circ().apply, m.base.alpha.apply, m.beta.apply
-    ls, rp = m.lsucc.apply, m.rprec.apply
-
-    def pbm1(pts):
-        (x, px), (y, py), (v, _) = pts
-        w = aci(x, y) + signed(aci(y, x), px * py)
-        return ls(w, be(v)) - ls(al(x), ls(y, v)) - signed(ls(al(y), ls(x, v)), px * py)
-
-    def pbm9(pts):
-        (x, px), (y, py), (v, _) = pts
-        return (
-            rp(rp(v, x), al(y))
-            + signed(rp(rp(v, y), al(x)), px * py)
-            - rp(be(v), aci(x, y))
-            - signed(rp(be(v), aci(y, x)), px * py)
-        )
-
-    return {"pbm1": (pbm1, XY), "pbm9": (pbm9, XY)}
+def symmetric_references(m):
+    """The hand-written bimodule axioms of m that declare a symmetry, the
+    swap x <-> y that the derived axiom carries over from its polarized
+    identity (abm3, abm4, pbm1, pbm9)."""
+    return {name: (fn, perm[0])
+            for name, _, fn, *perm in bimodule_references.references(m) if perm}
 
 
 def compare(spaces, entries, references, seen, nonzero):
@@ -183,9 +146,9 @@ def test_polarized_entries_match_the_hand_written_closures(kind):
                   product_references(a)) for law in PRODUCT_LAWS]
         cases += [((s,) * 3, engine._identities(p, law, None, engine.REFERENCE),
                    pre_references(p)) for law in PRE_LAWS]
-        cases.append(((s, s, v), _abm_identities(alt), abm_references(alt)))
-        cases.append(((s, s, v), _pbm_identities(pre, CALIBRATED_PBM_VARIANT),
-                      pbm_references(pre)))
+        for m in (alt, pre):
+            cases.append(((s, s, v), bimodule_references.derived_entries(m),
+                          symmetric_references(m)))
         for spaces, entries, references in cases:
             assert compare(spaces, entries, references, seen, nonzero) == []
     names = {

@@ -1,4 +1,5 @@
-"""README stays honest: its CLI lines parse and the API it names exists."""
+"""README stays honest: its CLI lines parse, the API it names exists, and its
+table of bimodule axioms is the derivation table the checks use."""
 
 import importlib
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 import superalt
 import superalt.io
+from superalt.bimodules import _DERIVATIONS
 from superalt.cli import build_parser
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -60,3 +62,25 @@ def test_every_cli_line_of_the_readme_parses(line):
 @pytest.mark.parametrize("name", api_names())
 def test_every_api_name_of_the_readme_resolves(name):
     assert callable(resolve(name)), name
+
+
+def derivation_rows():
+    """The rows (axiom, identity, arrangement, sign) of the README's table of
+    bimodule axioms, in bimodules._DERIVATIONS's spelling: the arrangement
+    as the slot letters the identity reads, the sign as +, - or the two
+    slots of (-1)^(|a||b|)."""
+    table = README.split("| axiom | identity at | sign |", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.strip().splitlines()[1:]:
+        axiom, at, sign = (cell.strip() for cell in line.strip("|").split(" | "))
+        identity, *slots = re.fullmatch(r"`([\w-]+)` at \((\w), (\w), (\w)\)", at).groups()
+        power = re.fullmatch(r"\(-1\)\^\(\\\|(\w)\\\|\\\|(\w)\\\|\)", sign)
+        rows.append((axiom, identity, "".join(slots),
+                     "".join(power.groups()) if power else {"+": "+", "−": "-"}[sign]))
+    return rows
+
+
+def test_the_readme_table_of_bimodule_axioms_is_the_derivation_table():
+    rows = [row for _, _, law_rows in _DERIVATIONS.values() for row in law_rows]
+    assert len(rows) == 14
+    assert derivation_rows() == rows
