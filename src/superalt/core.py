@@ -215,9 +215,14 @@ class EvenMap:
         return Vector(self.codomain, acc)
 
     def _table_applier(self):
-        """apply on table vectors, read from the sparse columns."""
+        """apply on table vectors of plain scalars, read from the sparse columns."""
         cols = [[(i, _plain(m)) for i, m in col] for col in self._cols]
         return _column_applier(cols, self.codomain)
+
+    def _poly_applier(self):
+        """apply on table vectors whose coordinates may be _Poly values."""
+        cols = [[(i, ((0, _plain(m)),)) for i, m in col] for col in self._cols]
+        return _poly_column_applier(cols, self.codomain)
 
     def image_of_basis(self, j: int) -> Vector:
         z = self.codomain.field.zero
@@ -364,7 +369,7 @@ class EvenBilinear:
         return Vector(self.out, acc)
 
     def _table_applier(self):
-        """apply on table vectors, read from the sparse rows."""
+        """apply on table vectors of plain scalars, read from the sparse rows."""
         rows = [[[(k, _plain(c)) for k, c in cell] for cell in row] for row in self._rows]
         n, make = self.out.dim, _table_vector_type(self.out.field).of
 
@@ -379,6 +384,33 @@ class EvenBilinear:
                             for k, c in row[j]:
                                 acc[k] += s * c
             return make(acc)
+
+        return apply
+
+    def _poly_applier(self):
+        """apply on table vectors whose coordinates may be _Poly values, fused:
+        each term of a product goes straight into the dict of its output
+        coordinate, and each coordinate is normalized once (see _normalizer)."""
+        rows = [[[(k, _plain(c)) for k, c in cell] for cell in row] for row in self._rows]
+        n, finish = self.out.dim, _normalizer(self.out.field)
+        terms = _Poly.terms
+
+        def apply(x, y):
+            acc = [{} for _ in range(n)]
+            ys = [(j, terms(yv)) for j, yv in enumerate(y) if yv]
+            for i, xv in enumerate(x):
+                if xv:
+                    row, xt = rows[i], terms(xv)
+                    for j, yt in ys:
+                        for k, c in row[j]:
+                            a = acc[k]
+                            get = a.get
+                            for ma, ca in xt:
+                                ca *= c
+                                for mb, cb in yt:
+                                    m = ma + mb
+                                    a[m] = get(m, 0) + ca * cb
+            return finish(acc)
 
         return apply
 
@@ -485,8 +517,9 @@ class _Poly(dict):
     chooses the packing and decodes it: laws._generic_point gives each
     variable one bit, operators._FreeMap one byte.  No coefficient is zero: a
     sum that cancels drops its term, and % p drops the terms that vanish mod
-    p.  += adds in place, for the appliers' accumulators: the first += on a
-    scalar 0 makes the accumulator its own copy."""
+    p.  A _Poly adds, subtracts and scales by a scalar; the products of
+    polynomials are formed only by the fused appliers (_poly_applier), which
+    accumulate each term into the dict of its output coordinate."""
 
     __slots__ = ()
 
@@ -495,18 +528,20 @@ class _Poly(dict):
         """The (monomial, coefficient) terms of a _Poly or a scalar."""
         return c.items() if isinstance(c, _Poly) else [(0, c)] if c else []
 
-    def __iadd__(self, other):
-        get = self.get
+    def _merged(self, other, subtract):
+        """self + other, or self - other if subtract, in one pass over other."""
+        out = _Poly(self)
+        get = out.get
         for m, c in _Poly.terms(other):
-            c += get(m, 0)
+            c = get(m, 0) - c if subtract else get(m, 0) + c
             if c:
-                self[m] = c
+                out[m] = c
             else:
-                del self[m]
-        return self
+                del out[m]
+        return out
 
     def __add__(self, other):
-        return _Poly(self).__iadd__(other)
+        return self._merged(other, False)
 
     __radd__ = __add__
 
@@ -514,25 +549,16 @@ class _Poly(dict):
         return _Poly({m: -c for m, c in self.items()})
 
     def __sub__(self, other):
-        return self + -other
+        return self._merged(other, True)
 
     def __rsub__(self, other):
         return -self + other
 
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):  # a scalar, which cannot cancel a term
-            return _Poly({m: c * other for m, c in self.items()}) if other else _Poly()
-        out = _Poly()
-        get = out.get
-        for ma, ca in self.items():
-            for mb, cb in other.items():
-                m = ma + mb
-                c = ca * cb + get(m, 0)
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
-        return out
+    def __mul__(self, s):
+        """The polynomial times a scalar s, which cannot cancel a term."""
+        if isinstance(s, _Poly):
+            return NotImplemented
+        return _Poly({m: c * s for m, c in self.items()}) if s else _Poly()
 
     __rmul__ = __mul__
 
@@ -604,8 +630,9 @@ def _table_vector_type(field: Field) -> type:
 
 
 def _column_applier(cols, codomain: SuperSpace):
-    """The applier of a linear map on table vectors into codomain, column j
-    listing (i, entry) for the nonzero entries of the image of basis j."""
+    """The applier of a linear map on table vectors of plain scalars into
+    codomain, column j listing (i, entry) for the nonzero entries of the
+    image of basis j."""
     n, make = codomain.dim, _table_vector_type(codomain.field).of
 
     def apply(x):
@@ -615,6 +642,44 @@ def _column_applier(cols, codomain: SuperSpace):
                 for i, m in cols[j]:
                     acc[i] += m * xv
         return make(acc)
+
+    return apply
+
+
+def _normalizer(field: Field):
+    """The function that turns the accumulated dicts of a fused applier into
+    a table vector, each dict a _Poly whose zero terms are dropped and, over
+    F_p, whose coefficients are reduced into [0, p), in one pass."""
+    vector = _table_vector_type(field)
+    if not field.char:
+        return lambda acc: vector([_Poly({m: c for m, c in a.items() if c}) if a else 0
+                                   for a in acc])
+    p = field.p
+    return lambda acc: vector([_Poly({m: r for m, c in a.items() if (r := c % p)}) if a else 0
+                               for a in acc])
+
+
+def _poly_column_applier(cols, codomain: SuperSpace):
+    """The fused applier of a linear map on table vectors whose coordinates
+    may be _Poly values, column j listing (i, terms of the entry) for the
+    nonzero entries of the image of basis j: each term of a product goes
+    straight into the dict of its output coordinate (see _normalizer)."""
+    n, finish = codomain.dim, _normalizer(codomain.field)
+    terms = _Poly.terms
+
+    def apply(x):
+        acc = [{} for _ in range(n)]
+        for j, xv in enumerate(x):
+            if xv:
+                xt = terms(xv)
+                for i, entry in cols[j]:
+                    a = acc[i]
+                    get = a.get
+                    for me, ce in entry:
+                        for mx, cx in xt:
+                            m = me + mx
+                            a[m] = get(m, 0) + ce * cx
+        return finish(acc)
 
     return apply
 

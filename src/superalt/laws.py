@@ -156,6 +156,8 @@ class _Tables:
     only on its tensor, so a binder may serve several checks that share
     tensors (see operators._check_on), each dropping what it alone bound."""
 
+    KERNEL = "_table_applier"  # the method that compiles a tensor's applier
+
     def __init__(self, field):
         self.field = field
         self.vector = _table_vector_type(field)
@@ -168,7 +170,7 @@ class _Tables:
         hit = self.bound.get(id(t))
         if hit is None:
             start = time.perf_counter()
-            applier = self.memoised(t._table_applier())
+            applier = self.memoised(getattr(t, self.KERNEL)())
             hit = self.bound[id(t)] = t, applier, self.memos[-1]
             self.build_s += time.perf_counter() - start
         return hit[1]
@@ -219,7 +221,10 @@ class _Polynomials(_Tables):
     search binds an unknown map on it (see operators._FreeMap), for one
     pass over the basis tuples; a contracted scan evaluates its group on
     generic points through it, and empties the memos at each slice (see
-    _contract)."""
+    _contract).  Its appliers are the fused kernels (_poly_applier), which
+    build no intermediate polynomial per structure constant."""
+
+    KERNEL = "_poly_applier"
 
     def __init__(self, field):
         super().__init__(field)
@@ -731,20 +736,22 @@ def _fill(t) -> float:
 # The rule's bounds, from checks timed both ways in one process (best of 5,
 # two rounds, scan ms / contraction ms; X~k is X in the basis (I + E) e_i,
 # E holding k random same-parity entries above the diagonal, as in
-# ROADMAP.md, item 3).  At growth 1, the scan wins at 512 triples
+# ROADMAP.md's baseline).  Set when the contraction still built a polynomial
+# per structure constant: at growth 1, the scan won at 512 triples
 # (octonions hom-alternative 2.8-5.0 / 3.3-5.9) and the contraction from
-# 625 tuples on (plus(truncpoly-5) hom-jordan 3.0-3.4 / 1.9-2.0,
-# truncpoly-10 7.9-9.2 / 3.7-4.1, l1-truncpoly-6 16.0-17.7 / 6.3-6.9, l1-oct
-# 42.8-46.8 / 22.3-24.2, plus(octonions) hom-jordan 16.5-18.0 / 4.1-4.3);
-# the bound keeps 512-triple checks, such as perturbed octonions that fail
-# early, on the scan.  A failure within the first few hundred tuples costs the contraction twice
-# the scan (l1-oct hom-associative, failing at 292: 3.3 / 6.5-6.6).  The
-# growth up to which the contraction wins rises with size: about 1.5 at
-# 1 000-4 096 tuples (truncpoly-12~3, growth 1.38: 16.9-18.4 / 16.1-16.4;
-# l1-oct~4, 1.58: 49.0-54.6 / 40.7-44.9; l1-truncpoly-6~6, 1.72:
-# 12.9-17.0 / 14.5-17.8; l1-oct~8, 3.26: 39.5-42.0 / 44.9-51.4), beyond 3.7
-# at 32 768 triples (l1-l1-oct@5~16, 3.78: 1 067-1 147 / 447-587); the
-# growth bound of 2 lies between.
+# 625 tuples on; a failure within the first few hundred tuples cost the
+# contraction twice the scan (l1-oct hom-associative, failing at 292: 3.3 /
+# 6.5-6.6); the growth up to which the contraction won rose with size,
+# about 1.5 at 1 000-4 096 tuples and beyond 3.7 at 32 768 triples, and the
+# growth bound of 2 lies between.  Re-timed with the fused kernels (see
+# EvenBilinear._poly_applier), the contraction wins every one of these rows:
+# octonions hom-alternative, 512 triples, 3.9-4.2 / 2.2-2.3;
+# plus(truncpoly-5) hom-jordan, 625 tuples, 2.4-2.7 / 0.9-0.9;
+# truncpoly-10~3, growth 1.61, 1 000 triples, 7.8-8.8 / 5.0-5.3; l1-oct~4,
+# 1.58, 4 096 triples, 48.3-62.2 / 21.8-23.8; l1-l1-oct@5~16, 3.78, 32 768
+# triples, 1 038-1 134 / 379-385; and the early failure costs about the same
+# both ways (4.2 / 4.9-5.1).  So both bounds are now cautious; they keep the
+# values they were set at until a change measures new ones.
 CONTRACT_MIN_TUPLES = 1024
 CONTRACT_MAX_GROWTH = 2
 

@@ -38,8 +38,8 @@ from .core import (
     SuperSpace,
     ValidationError,
     Vector,
-    _column_applier,
     _Poly,
+    _poly_column_applier,
     independent_columns,
     solve_in_span,
 )
@@ -474,11 +474,11 @@ class _FreeMap:
         self.codomain = codomain
         self.free = tuple(free)
 
-    def _table_applier(self):
+    def _poly_applier(self):
         cols = [[] for _ in self.domain.indices()]
         for var, (i, j) in enumerate(self.free):
-            cols[j].append((i, _Poly({1 << EXPONENT_BITS * var: 1})))
-        return _column_applier(cols, self.codomain)
+            cols[j].append((i, ((1 << EXPONENT_BITS * var, 1),)))
+        return _poly_column_applier(cols, self.codomain)
 
 
 def _file_polynomials(groups, nvars: int, p: int) -> list:

@@ -362,6 +362,29 @@ def test_pre_bimodules_match_reference(seed, kind):
     compare_pre_bimodule(regular_bimodule(bent))
 
 
+def test_a_pre_bimodule_failing_first_at_pbm3_on_odd_x_and_v_matches_reference():
+    """pbm3's sign (-1)^(|x||v|) shows only where x and v are both odd, which
+    the drawn modules above never reach first.  Over a mixed-parity base
+    with zero products, this module's first failure is pbm3 at odd (x, y, v):
+    rprec(f_1, e_1) = -f_0 and lsucc(e_1, f_0) = f_2 leave the term
+    -(-1)^(|x||v|) lsucc(alpha(x), rprec(v, y)) alone there."""
+    for kind in FIELD_KINDS:
+        field = field_of(kind)
+        a, v = SuperSpace(field, 1, 1), SuperSpace(field, 1, 2)
+        nothing = EvenBilinear.zero(a, a, a)
+        base = HomPreAlgebra(nothing, nothing, EvenMap.identity(a))
+        m = PreBimodule(
+            base, EvenMap.identity(v), EvenBilinear.zero(a, v, v),
+            EvenBilinear.from_entries(v, a, v, [(1, 1, 0, field.coerce(-1))]),
+            EvenBilinear.from_entries(a, v, v, [(1, 0, 2, field.one)]), EvenBilinear.zero(v, a, v),
+        )
+        report = check_pre_bimodule(m)
+        assert (report.identity, report.witness, report.witness_parities) == (
+            "pbm3", (1, 1, 1), (1, 1, 1))
+        assert report.residual == (0, 0, field.coerce(-1))
+        compare_pre_bimodule(m)
+
+
 def test_six_dimensional_pre_bimodule_matches_reference():
     rng = random.Random(13)
     for kind in ("Q/2", F5):

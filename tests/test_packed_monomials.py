@@ -1,7 +1,8 @@
 """What the polynomial evaluation pays for, and the packing of its monomials.
 
 A bilinear table applier multiplies two coordinates only for a cell with
-structure constants.  A _Poly monomial is an int packing an exponent
+structure constants, and the fused kernel of the polynomial binder once per
+structure constant of such a cell.  A _Poly monomial is an int packing an exponent
 vector, and the product of two monomials is their sum, so each packing must
 leave room for every exponent that can arise: one bit per variable on the
 generic points of a contraction, whose identities are multilinear, and one
@@ -64,25 +65,32 @@ class Counted(int):
         return int(self) * other
 
 
-def counted_products(b: EvenBilinear, x, y) -> int:
+def counted_products(b: EvenBilinear, x, y, kernel="_table_applier") -> int:
     Counted.calls = 0
-    b._table_applier()([Counted(v) if v else 0 for v in x], y)
+    getattr(b, kernel)()([Counted(v) if v else 0 for v in x], y)
     return Counted.calls
 
 
 def test_a_bilinear_applier_multiplies_only_at_cells_with_constants():
+    """The scan's applier forms x_i y_j once per cell with constants; the
+    fused kernel of the polynomial binder multiplies x_i once per constant
+    of such a cell, and at an empty cell not at all."""
     rng = random.Random(3)
     for b in (tensor_alt(grassmann1(), octonions()).mu, truncpoly(5).mu, matrix_algebra(2).mu):
-        cells = {(i, j) for i, j, _, _ in b.sparse_entries()}
+        cells = Counter((i, j) for i, j, _, _ in b.sparse_entries())
         assert len(cells) < b.left.dim * b.right.dim  # some cells are empty
         for _ in range(20):
             x = [rng.choice([0, 0, 1, -2, 3]) for _ in b.left.indices()]
             y = [rng.choice([0, 0, 1, -2, 3]) for _ in b.right.indices()]
-            expected = sum(1 for i, j in cells if x[i] and y[j])
-            assert counted_products(b, x, y) == expected
+            met = [n for (i, j), n in cells.items() if x[i] and y[j]]
+            assert counted_products(b, x, y) == len(met)
+            assert counted_products(b, x, y, "_poly_applier") == sum(met)
+            polys = [_Poly({1: v}) if v else 0 for v in y]  # polynomial right factors
+            assert counted_products(b, x, polys, "_poly_applier") == sum(met)
     s = SuperSpace(QQ, 3, 2)
     ones = [1] * s.dim
-    assert counted_products(EvenBilinear.zero(s, s, s), ones, ones) == 0
+    for kernel in ("_table_applier", "_poly_applier"):
+        assert counted_products(EvenBilinear.zero(s, s, s), ones, ones, kernel) == 0
 
 
 def watched_contractions(residuals):

@@ -13,6 +13,7 @@ oracle is check_operator on every one of them.
 """
 
 import collections
+import contextlib
 import itertools
 import random
 from unittest import mock
@@ -362,8 +363,9 @@ def test_found_maps_are_rechecked_as_fresh_checks_on_one_binder():
 
 
 def test_a_search_compiles_the_instance_tensors_once():
-    # one compile on the polynomial binder that files the equations, one on
-    # the binder that checks the found maps again, however many they are
+    # one compile on the polynomial binder that files the equations (its
+    # fused kernel, _poly_applier), one on the binder that checks the found
+    # maps again (_table_applier), however many they are
     compiled = collections.Counter()
 
     def counting(original):
@@ -375,9 +377,11 @@ def test_a_search_compiles_the_instance_tensors_once():
 
     p35 = named("truncpoly-3", 5)
     reg = regular_bimodule(p35)
-    with mock.patch.object(EvenBilinear, "_table_applier",
-                           counting(EvenBilinear._table_applier)), \
-            mock.patch.object(EvenMap, "_table_applier", counting(EvenMap._table_applier)):
+    kernels = [(t, entry) for t in (EvenBilinear, EvenMap)
+               for entry in ("_table_applier", "_poly_applier")]
+    with contextlib.ExitStack() as stack:
+        for t, entry in kernels:
+            stack.enter_context(mock.patch.object(t, entry, counting(getattr(t, entry))))
         for options in (dict(kind="rota-baxter", weight=0), dict(kind="o-operator", bimodule=reg)):
             found = set()
             for budget in (2, 12000):
