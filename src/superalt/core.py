@@ -371,7 +371,7 @@ class EvenBilinear:
     def _table_applier(self):
         """apply on table vectors of plain scalars, read from the sparse rows."""
         rows = [[[(k, _plain(c)) for k, c in cell] for cell in row] for row in self._rows]
-        n, make = self.out.dim, _table_vector_type(self.out.field).of
+        n, vector = self.out.dim, _table_vector_type(self.out.field)
 
         def apply(x, y):
             acc = [0] * n
@@ -383,20 +383,20 @@ class EvenBilinear:
                             s = xv * yv
                             for k, c in row[j]:
                                 acc[k] += s * c
-            return make(acc)
+            return vector(acc)
 
         return apply
 
     def _poly_applier(self):
         """apply on table vectors whose coordinates may be _Poly values, fused:
-        each term of a product goes straight into the dict of its output
-        coordinate, and each coordinate is normalized once (see _normalizer)."""
+        each term of a product goes straight into the _Poly of its output
+        coordinate, a workspace returned raw (see _Poly), or 0 if no term
+        reached it."""
         rows = [[[(k, _plain(c)) for k, c in cell] for cell in row] for row in self._rows]
-        n, finish = self.out.dim, _normalizer(self.out.field)
-        terms = _Poly.terms
+        n, terms = self.out.dim, _Poly.terms
 
         def apply(x, y):
-            acc = [{} for _ in range(n)]
+            acc = [_Poly() for _ in range(n)]
             ys = [(j, terms(yv)) for j, yv in enumerate(y) if yv]
             for i, xv in enumerate(x):
                 if xv:
@@ -410,7 +410,7 @@ class EvenBilinear:
                                 for mb, cb in yt:
                                     m = ma + mb
                                     a[m] = get(m, 0) + ca * cb
-            return finish(acc)
+            return _TableVector([a or 0 for a in acc])
 
         return apply
 
@@ -499,15 +499,16 @@ class EvenBilinear:
 
 
 # Table evaluation.  A table vector is the coordinate tuple of a vector in
-# plain scalars: residues as ints in [0, p), rationals as ints when integral
-# and as Fractions otherwise.  It supports what the identity closures use of
-# Vector: +, -, negation, scaled and is_zero.  A coordinate may also be a
-# _Poly, a polynomial with such scalars as coefficients: in the unknown
-# entries of a map for an operator search, in the coordinates of generic
-# points for a contracted scan (see laws._Polynomials).  Denominators are
-# never cleared by rescaling: alpha(xy) - alpha(x) alpha(y) is not
-# homogeneous in the twist, so a rescaled twist could pass where the true one
-# fails.
+# plain scalars: over Q, ints when integral and Fractions otherwise; over
+# F_p, ints that stand for their residues, reduced into [0, p) only where a
+# value is read (is_zero, coords), as in lazy modular reduction.  It supports
+# what the identity closures use of Vector: +, -, negation, scaled and
+# is_zero.  A coordinate may also be a _Poly, a polynomial with such scalars
+# as coefficients: in the unknown entries of a map for an operator search,
+# in the coordinates of generic points for a contracted scan (see
+# laws._Polynomials).  Denominators are never cleared by rescaling:
+# alpha(xy) - alpha(x) alpha(y) is not homogeneous in the twist, so a
+# rescaled twist could pass where the true one fails.
 
 
 class _Poly(dict):
@@ -515,11 +516,14 @@ class _Poly(dict):
     packs an exponent vector, so that the product of two monomials is their
     sum and the constant monomial is 0.  The code that makes the variables
     chooses the packing and decodes it: laws._generic_point gives each
-    variable one bit, operators._FreeMap one byte.  No coefficient is zero: a
-    sum that cancels drops its term, and % p drops the terms that vanish mod
-    p.  A _Poly adds, subtracts and scales by a scalar; the products of
+    variable one bit, operators._FreeMap one byte.  A _Poly is held raw: a
+    sum that cancels keeps its term with coefficient 0, and over F_p a
+    coefficient is any int standing for its residue.  Only the reads take
+    the normal form (normal): the contraction's witness (laws._contract) and
+    the search's filing (operators._file_polynomials).  A _Poly adds,
+    subtracts and scales by a scalar, each in one pass; the products of
     polynomials are formed only by the fused appliers (_poly_applier), which
-    accumulate each term into the dict of its output coordinate."""
+    accumulate each term into the _Poly of its output coordinate."""
 
     __slots__ = ()
 
@@ -528,20 +532,22 @@ class _Poly(dict):
         """The (monomial, coefficient) terms of a _Poly or a scalar."""
         return c.items() if isinstance(c, _Poly) else [(0, c)] if c else []
 
-    def _merged(self, other, subtract):
-        """self + other, or self - other if subtract, in one pass over other."""
+    @staticmethod
+    def normal(c, p=0):
+        """The normal form of c, a _Poly or a scalar, as a _Poly: its terms
+        with a nonzero coefficient, over F_p (p > 0) nonzero mod p and
+        reduced into [0, p)."""
+        if p:
+            return _Poly({m: r for m, a in _Poly.terms(c) if (r := a % p)})
+        return _Poly({m: a for m, a in _Poly.terms(c) if a})
+
+    def __add__(self, other):
+        """self + other: a copy, then one pass over other."""
         out = _Poly(self)
         get = out.get
         for m, c in _Poly.terms(other):
-            c = get(m, 0) - c if subtract else get(m, 0) + c
-            if c:
-                out[m] = c
-            else:
-                del out[m]
+            out[m] = get(m, 0) + c
         return out
-
-    def __add__(self, other):
-        return self._merged(other, False)
 
     __radd__ = __add__
 
@@ -549,50 +555,43 @@ class _Poly(dict):
         return _Poly({m: -c for m, c in self.items()})
 
     def __sub__(self, other):
-        return self._merged(other, True)
+        """self - other: a copy, then one pass over other."""
+        out = _Poly(self)
+        get = out.get
+        for m, c in _Poly.terms(other):
+            out[m] = get(m, 0) - c
+        return out
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, s):
-        """The polynomial times a scalar s, which cannot cancel a term."""
+        """The polynomial times a scalar s."""
         if isinstance(s, _Poly):
             return NotImplemented
         return _Poly({m: c * s for m, c in self.items()}) if s else _Poly()
 
     __rmul__ = __mul__
 
-    def __mod__(self, p):
-        out = _Poly()
-        for m, c in self.items():
-            c %= p
-            if c:
-                out[m] = c
-        return out
-
 
 class _TableVector(tuple):
-    """A table vector over Q."""
+    """A table vector over Q, and over every field on the polynomial binder."""
 
     __slots__ = ()
 
-    @classmethod
-    def of(cls, coords) -> "_TableVector":
-        return cls(coords)
-
     def __add__(self, other):
-        return _TableVector(map(operator.add, self, other))
+        return type(self)(map(operator.add, self, other))
 
     def __sub__(self, other):
-        return _TableVector(map(operator.sub, self, other))
+        return type(self)(map(operator.sub, self, other))
 
     def __neg__(self):
-        return _TableVector(map(operator.neg, self))
+        return type(self)(map(operator.neg, self))
 
     def scaled(self, s):
         """The vector times the field scalar s."""
         s = _plain(s)
-        return self.of([s * a for a in self])
+        return type(self)([s * a for a in self])
 
     def is_zero(self) -> bool:
         return not any(self)
@@ -605,22 +604,16 @@ class _TableVector(tuple):
 @functools.lru_cache(maxsize=None)
 def _residue_vector(p: int):
     class ResidueVector(_TableVector):
-        """A table vector over F_p, every coordinate reduced to [0, p)."""
+        """A table vector over F_p, its coordinates reduced mod p where read."""
 
         __slots__ = ()
 
-        @classmethod
-        def of(cls, coords):
-            return cls([a % p for a in coords])
+        def is_zero(self) -> bool:
+            return not any(a % p for a in self)
 
-        def __add__(self, other):
-            return ResidueVector([(a + b) % p for a, b in zip(self, other)])
-
-        def __sub__(self, other):
-            return ResidueVector([(a - b) % p for a, b in zip(self, other)])
-
-        def __neg__(self):
-            return ResidueVector([-a % p for a in self])
+        @property
+        def coords(self) -> tuple:
+            return tuple(a % p for a in self)
 
     return ResidueVector
 
@@ -633,7 +626,7 @@ def _column_applier(cols, codomain: SuperSpace):
     """The applier of a linear map on table vectors of plain scalars into
     codomain, column j listing (i, entry) for the nonzero entries of the
     image of basis j."""
-    n, make = codomain.dim, _table_vector_type(codomain.field).of
+    n, vector = codomain.dim, _table_vector_type(codomain.field)
 
     def apply(x):
         acc = [0] * n
@@ -641,34 +634,21 @@ def _column_applier(cols, codomain: SuperSpace):
             if xv:
                 for i, m in cols[j]:
                     acc[i] += m * xv
-        return make(acc)
+        return vector(acc)
 
     return apply
-
-
-def _normalizer(field: Field):
-    """The function that turns the accumulated dicts of a fused applier into
-    a table vector, each dict a _Poly whose zero terms are dropped and, over
-    F_p, whose coefficients are reduced into [0, p), in one pass."""
-    vector = _table_vector_type(field)
-    if not field.char:
-        return lambda acc: vector([_Poly({m: c for m, c in a.items() if c}) if a else 0
-                                   for a in acc])
-    p = field.p
-    return lambda acc: vector([_Poly({m: r for m, c in a.items() if (r := c % p)}) if a else 0
-                               for a in acc])
 
 
 def _poly_column_applier(cols, codomain: SuperSpace):
     """The fused applier of a linear map on table vectors whose coordinates
     may be _Poly values, column j listing (i, terms of the entry) for the
     nonzero entries of the image of basis j: each term of a product goes
-    straight into the dict of its output coordinate (see _normalizer)."""
-    n, finish = codomain.dim, _normalizer(codomain.field)
-    terms = _Poly.terms
+    straight into the _Poly of its output coordinate, returned raw as in
+    EvenBilinear._poly_applier."""
+    n, terms = codomain.dim, _Poly.terms
 
     def apply(x):
-        acc = [{} for _ in range(n)]
+        acc = [_Poly() for _ in range(n)]
         for j, xv in enumerate(x):
             if xv:
                 xt = terms(xv)
@@ -679,7 +659,7 @@ def _poly_column_applier(cols, codomain: SuperSpace):
                         for mx, cx in xt:
                             m = me + mx
                             a[m] = get(m, 0) + ce * cx
-        return finish(acc)
+        return _TableVector([a or 0 for a in acc])
 
     return apply
 

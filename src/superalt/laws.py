@@ -39,6 +39,7 @@ from .core import (
     ValidationError,
     Vector,
     _Poly,
+    _TableVector,
     _table_vector_type,
 )
 
@@ -131,7 +132,10 @@ def _require(op: str, report: "LawReport"):
 # through EvenBilinear.apply and EvenMap.apply; it recomputes the residual
 # at every hit.  An operator search binds on the polynomial binder too, over
 # F_p, its polynomials being in the entries of an unknown map (see
-# operators._FreeMap).
+# operators._FreeMap).  Table values are held raw, residues unreduced and
+# cancelled terms kept (see core._Poly); they are normalized once, where
+# they are read: the scan's is_zero and coords, the contraction's witness
+# and the search's filing.
 
 
 class _Reference:
@@ -185,7 +189,7 @@ class _Tables:
         pts = self.spaces.get(space)
         if pts is None:
             pts = self.spaces[space] = tuple(
-                (self.vector.of([int(i == j) for j in space.indices()]), space.parity(i))
+                (self.vector([int(i == j) for j in space.indices()]), space.parity(i))
                 for i in space.indices()
             )
         return pts
@@ -216,24 +220,29 @@ class _Polynomials(_Tables):
     reused while the entry lives.  The closures pass the points of a tuple
     and earlier memoised results as arguments, so a repeated subexpression
     over them is computed once; an argument built on the spot, such as a
-    sum, is a new object and misses.  terms counts the terms of every
-    vector computed, shared the calls answered from a memo.  An operator
-    search binds an unknown map on it (see operators._FreeMap), for one
-    pass over the basis tuples; a contracted scan evaluates its group on
-    generic points through it, and empties the memos at each slice (see
-    _contract).  Its appliers are the fused kernels (_poly_applier), which
-    build no intermediate polynomial per structure constant."""
+    sum, is a new object and misses.  shared counts the calls answered from
+    a memo and, while the superalt logger prints DEBUG lines, terms the raw
+    terms of every vector computed.  An operator search binds an unknown map
+    on it (see operators._FreeMap), for one pass over the basis tuples; a
+    contracted scan evaluates its group on generic points through it, and
+    empties the memos at each slice (see _contract).  Its appliers are the
+    fused kernels (_poly_applier), which build no intermediate polynomial
+    per structure constant.  Its vectors are plain _TableVectors over every
+    field, their coordinates raw (see core._Poly): only the reads normalize."""
 
     KERNEL = "_poly_applier"
 
     def __init__(self, field):
         super().__init__(field)
+        self.vector = _TableVector
+        self.counting = _log.isEnabledFor(logging.DEBUG)
         self.terms = 0
         self.shared = 0
 
     def memoised(self, fn):
         memo = {}
         self.memos.append(memo)
+        counting = self.counting
 
         def f(*args):
             key = tuple(map(id, args))
@@ -242,7 +251,8 @@ class _Polynomials(_Tables):
                 self.shared += 1
                 return hit[1]
             r = fn(*args)
-            self.terms += sum(len(c) if type(c) is _Poly else c != 0 for c in r)
+            if counting:
+                self.terms += sum(len(c) if type(c) is _Poly else c != 0 for c in r)
             if len(memo) >= MEMO_LIMIT:
                 memo.clear()
             memo[key] = args, r
@@ -391,8 +401,9 @@ def _polarized(name, perm, first, second=None, sign=1):
     of t reads t[q[s]] at slot s, and k, the Koszul sign of q, sums p_i p_j over
     the pairs of slots (i, j) it reverses.  second defaults to first; the identity
     then changes under perm by a sign alone (for sign -1, if perm is a swap), so
-    the entry declares perm as its symmetry.  A swap of three slots, the scans'
-    commonest, is unpacked by hand: zip would add a quarter to each evaluation."""
+    the entry declares perm as its symmetry.  A single swap, of two slots or
+    three, is unpacked by hand: zip would add a quarter to each evaluation of
+    three slots, and a twentieth to a check of super-commutativity."""
     images = _koszul(perm, sign)
     other = first if second is None else second
 
@@ -404,15 +415,21 @@ def _polarized(name, perm, first, second=None, sign=1):
             r = r - s if negated else r + s
         return r
 
-    def swap(pts):
+    def swap2(pts):
+        (x, px), (y, py) = pts
+        ((_, negated),) = images[px, py]
+        r, s = first(x, y), other(y, x)
+        return r - s if negated else r + s
+
+    def swap3(pts):
         (x, px), (y, py), (z, pz) = pts
         ((image, negated),) = images[px, py, pz]
         (u, _), (v, _), (w, _) = image(pts)
         r, s = first(x, y, z), other(u, v, w)
         return r - s if negated else r + s
 
-    if len(perm) == 3 and len(_powers(perm)) == 1:
-        fn = swap
+    if len(_powers(perm)) == 1:
+        fn = {2: swap2, 3: swap3}.get(len(perm), fn)
     return (name, len(perm), fn) if second is not None else (name, len(perm), fn, perm)
 
 
@@ -743,15 +760,15 @@ def _fill(t) -> float:
 # contraction twice the scan (l1-oct hom-associative, failing at 292: 3.3 /
 # 6.5-6.6); the growth up to which the contraction won rose with size,
 # about 1.5 at 1 000-4 096 tuples and beyond 3.7 at 32 768 triples, and the
-# growth bound of 2 lies between.  Re-timed with the fused kernels (see
-# EvenBilinear._poly_applier), the contraction wins every one of these rows:
-# octonions hom-alternative, 512 triples, 3.9-4.2 / 2.2-2.3;
-# plus(truncpoly-5) hom-jordan, 625 tuples, 2.4-2.7 / 0.9-0.9;
-# truncpoly-10~3, growth 1.61, 1 000 triples, 7.8-8.8 / 5.0-5.3; l1-oct~4,
-# 1.58, 4 096 triples, 48.3-62.2 / 21.8-23.8; l1-l1-oct@5~16, 3.78, 32 768
-# triples, 1 038-1 134 / 379-385; and the early failure costs about the same
-# both ways (4.2 / 4.9-5.1).  So both bounds are now cautious; they keep the
-# values they were set at until a change measures new ones.
+# growth bound of 2 lies between.  Re-timed with fused kernels whose values
+# are normalized only where read (see core._Poly), the contraction wins every
+# row: octonions hom-alternative, 512 triples, 2.8 / 1.2-1.4; plus(truncpoly-5)
+# hom-jordan, 625 tuples, 1.8 / 0.5-0.6; truncpoly-10~3, growth 1.61, 1 000
+# triples, 5.9-6.0 / 3.3; l1-oct~4 (a new draw, growth 1.54), 4 096 triples,
+# 32.1-32.3 / 13.5-14.1; l1-l1-oct@5~16 (new, 3.33), 32 768 triples, 638-640 /
+# 195-200; and the early failure costs the same both ways (2.0 / 1.9).  So
+# both bounds are now cautious; they keep the values they were set at until a
+# change measures new ones.
 CONTRACT_MIN_TUPLES = 1024
 CONTRACT_MAX_GROWTH = 2
 
@@ -809,9 +826,11 @@ def _contract(slots, idfns, binder):
     the bits of its tuple, and a tuple earlier in lexicographic order is a
     greater int.  Slot 0 goes in slices of consecutive indices of one
     parity, at most CONTRACT_SLICE_TUPLES tuples each (one index at least),
-    in order; only the greatest monomial of the current slice, at the first
-    identity that has it, is kept, so one block's polynomials are held at a
-    time and a failure stops at its slice.  Blocks come in lexicographic
+    in order; only the greatest monomial of the current slice with a
+    nonzero coefficient (nonzero mod p over F_p), at the first identity
+    that has it, is kept, with its residual in normal form (_Poly.normal),
+    so one block's polynomials are held at a time and a failure stops at
+    its slice.  Blocks come in lexicographic
     order of their least tuples, so once the slice's best is above a block's
     least tuple, no later block can hold an earlier one.
 
@@ -826,7 +845,7 @@ def _contract(slots, idfns, binder):
     slice."""
     if not all(slots):
         return None, 0, 0
-    make = binder.vector.of
+    make, p = binder.vector, binder.field.char
     offsets = list(itertools.accumulate(map(len, slots), initial=0))
     nvars = offsets[-1]
     width = max(1, CONTRACT_SLICE_TUPLES // math.prod(map(len, slots[1:])))
@@ -847,7 +866,7 @@ def _contract(slots, idfns, binder):
                 break
             pts = (head,) + tuple(pt for _, pt in block)
             for at, (_, fn, *_) in enumerate(idfns):
-                r = fn(pts)
+                r = [_Poly.normal(c, p) for c in fn(pts)]
                 for c in r:
                     if c and (best is None or max(c) > best[0]):
                         best = max(c), at, r
@@ -858,7 +877,7 @@ def _contract(slots, idfns, binder):
             codes = (code for code in range(nvars) if mono >> (nvars - 1 - code) & 1)
             for code, offset, slot in zip(codes, offsets, slots):
                 flat = flat * len(slot) + code - offset
-            return (flat, at, tuple(c.get(mono, 0) if c else 0 for c in r)), n, evaluations
+            return (flat, at, tuple(c.get(mono, 0) for c in r)), n, evaluations
     return None, len(firsts), evaluations
 
 

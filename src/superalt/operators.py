@@ -482,8 +482,9 @@ class _FreeMap:
 
 
 def _file_polynomials(groups, nvars: int, p: int) -> list:
-    """Every nonzero residual coordinate of the groups on their basis tuples,
-    made monic and stored once as a tuple of (coefficient, monomial) terms.
+    """Every residual coordinate of the groups on their basis tuples that is
+    nonzero in normal form (_Poly.normal), made monic and stored once as a
+    tuple of (coefficient, monomial) terms.
 
     Entry k of the result lists the polynomials whose last variable is k;
     the last entry, index -1, lists the nonzero constants."""
@@ -492,8 +493,8 @@ def _file_polynomials(groups, nvars: int, p: int) -> list:
         for pts in itertools.product(*slots):
             for _, fn in idfns:
                 for poly in fn(pts):
-                    if poly:
-                        terms = sorted((_variables(m), c) for m, c in _Poly.terms(poly))
+                    if poly := _Poly.normal(poly, p):
+                        terms = sorted((_variables(m), c) for m, c in poly.items())
                         inv = pow(terms[0][1], p - 2, p)
                         last = max((mono[-1] for mono, _ in terms if mono), default=-1)
                         by_var[last].add(tuple((c * inv % p, mono) for mono, c in terms))

@@ -31,6 +31,25 @@ def forced(path, slice_tuples=None):
         yield
 
 
+def watched_contractions(residuals):
+    """Patch _contract so that every residual it evaluates is kept, with the
+    slots of its group, in residuals."""
+    contract = laws._contract
+
+    def watched(slots, idfns, binder):
+        def watch(fn):
+            def f(pts):
+                r = fn(pts)
+                residuals.append((slots, r))
+                return r
+
+            return f
+
+        return contract(slots, [(name, watch(fn), *rest) for name, fn, *rest in idfns], binder)
+
+    return mock.patch.object(laws, "_contract", watched)
+
+
 def rand_homogeneous(space, rng, bound=3):
     """A nonzero vector supported on a single parity block, with integer
     coordinates drawn uniformly from [-bound, bound]."""

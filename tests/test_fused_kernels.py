@@ -3,13 +3,14 @@
 On the polynomial binder every tensor and map is compiled into a fused
 kernel (`EvenBilinear._poly_applier`, `EvenMap._poly_applier`,
 `operators._FreeMap._poly_applier`): each term of a product goes straight
-into the dict of its output coordinate, and each coordinate is normalized
-once.  The reference below is the loop the appliers ran before, kept here:
-per cell, the product of the two coordinates as a polynomial, then its
-product with each structure constant added into the accumulator, all
-through _Poly's sums, and the vector made by the field's `of`.  The kernels
-must give the same terms exactly, with no zero coefficient and, over F_p,
-every coefficient in [0, p).
+into the _Poly of its output coordinate, a workspace returned raw, with the
+terms that cancelled and, over F_p, unreduced coefficients.  Values are
+normalized where they are read, by `_Poly.normal`.  The reference below is
+the loop the appliers ran before, kept here: per cell, the product of the
+two coordinates as a polynomial, then its product with each structure
+constant added into the accumulator, all through _Poly's sums.  Read in
+normal form, the kernels must give the same terms exactly, and the normal
+form has no zero coefficient and, over F_p, every coefficient in [0, p).
 """
 
 import random
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from superalt import EvenBilinear, EvenMap, PrimeField, QQ, SuperSpace
-from superalt.core import _plain, _Poly, _table_vector_type
+from superalt.core import _plain, _Poly, _TableVector
 from superalt.operators import EXPONENT_BITS, _FreeMap
 
 FIELDS = (QQ, PrimeField(3), PrimeField(5))
@@ -44,7 +45,7 @@ def reference_bilinear(b: EvenBilinear, x, y):
                 s = product(xv, yv)
                 for k, c in b._rows[i][j]:
                     acc[k] = acc[k] + product(s, _plain(c))
-    return _table_vector_type(b.out.field).of(acc)
+    return acc
 
 
 def reference_columns(cols, codomain: SuperSpace, x):
@@ -54,19 +55,25 @@ def reference_columns(cols, codomain: SuperSpace, x):
         if xv:
             for i, m in cols[j]:
                 acc[i] = acc[i] + product(m, xv)
-    return _table_vector_type(codomain.field).of(acc)
+    return acc
+
+
+def normalized(v, field) -> list:
+    """Each coordinate as the reads take it, asserting the normal form: no
+    zero coefficient and, over F_p, every coefficient in [0, p)."""
+    out = [_Poly.normal(c, field.char) for c in v]
+    for c in out:
+        assert type(c) is _Poly
+        for a in c.values():
+            assert a and (0 <= a < field.p if field.char else True)
+    return out
 
 
 def assert_same(fused, reference, field):
-    assert type(fused) is _table_vector_type(field)
-    assert len(fused) == len(reference)
-    for f, r in zip(fused, reference):
-        assert type(f) is _Poly or f == 0
-        assert dict(_Poly.terms(f)) == dict(_Poly.terms(r))
-        for c in dict(_Poly.terms(f)).values():
-            assert c
-            if field.char:
-                assert 0 <= c < field.p
+    """The kernel returns its workspaces raw, and reads as the reference."""
+    assert type(fused) is _TableVector
+    assert all(type(f) is _Poly or f == 0 for f in fused)
+    assert normalized(fused, field) == normalized(reference, field)
 
 
 def rand_constant(rng, field):
@@ -107,8 +114,7 @@ def rand_coordinate(rng, field):
 
 
 def rand_vector(rng, space):
-    return _table_vector_type(space.field).of(
-        [rand_coordinate(rng, space.field) for _ in space.indices()])
+    return _TableVector([rand_coordinate(rng, space.field) for _ in space.indices()])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -149,22 +155,40 @@ def test_the_column_kernels_match_the_generic_loop(field):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_terms_that_cancel_leave_no_zero_coefficient(field):
     """Two cells whose products meet at one monomial of one output
-    coordinate with opposite coefficients, over F_p also after reduction."""
+    coordinate with opposite coefficients: the kernel keeps the raw term,
+    0 over Q and p over F_p, and its normal form leaves no zero coefficient."""
+    p = field.char
     s = SuperSpace(field, 2, 0)
     two, minus_two = field.coerce(2), field.coerce(-2)
     b = EvenBilinear.from_entries(s, s, s, [(0, 0, 0, two), (1, 0, 0, minus_two),
                                             (0, 0, 1, two), (1, 0, 1, two)])
-    vector = _table_vector_type(field)
-    x = vector.of([_Poly({1: 1}), _Poly({1: 1, 2: 1})])
-    y = vector.of([_Poly({4: 1}), 0])
+    x = _TableVector([_Poly({1: 1}), _Poly({1: 1, 2: 1})])
+    y = _TableVector([_Poly({4: 1}), 0])
     r = b._poly_applier()(x, y)
     assert_same(r, reference_bilinear(b, x, y), field)
-    assert r[0] == _Poly({6: _plain(minus_two)})  # the x_1 x_4 terms cancel
-    assert r[1] == vector.of([_Poly({5: 4, 6: 2})])[0]
+    assert r[0] == _Poly({5: p, 6: _plain(minus_two)})  # the x_1 x_4 terms cancel
+    assert _Poly.normal(r[0], p) == _Poly({6: _plain(minus_two)})
+    assert r[1] == _Poly({5: 4, 6: 2})
+    assert _Poly.normal(r[1], p) == _Poly({5: 4 % p if p else 4, 6: 2})
     m = EvenMap.from_entries(s, s, [(0, 0, two), (0, 1, two)])
-    z = vector.of([_Poly({1: 1}), _Poly({1: -1})])
+    z = _TableVector([_Poly({1: 1}), _Poly({1: p - 1 if p else -1})])
     assert_same(m._poly_applier()(z), reference_columns([[(0, _plain(two))]] * 2, s, z), field)
-    assert m._poly_applier()(z)[0] == _Poly()
+    assert m._poly_applier()(z) == (_Poly({1: 2 * p}), 0)  # 0: no term reached it
+    assert _Poly.normal(m._poly_applier()(z)[0], p) == _Poly()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_read_normal_form_keeps_each_nonzero_residue_once(field):
+    """_Poly.normal of raw values: every term whose coefficient is nonzero
+    (mod p over F_p) stays, reduced into [0, p); the others go."""
+    p, rng = field.char, random.Random(field.char)
+    for _ in range(200):
+        raw = _Poly({rng.randrange(8): rng.randrange(-3 * (p or 3), 3 * (p or 3))
+                     for _ in range(rng.randint(0, 6))})
+        for c in (raw, rng.randrange(-10, 10)):
+            normal = normalized([c], field)[0]
+            terms = dict(_Poly.terms(c))
+            assert normal == {m: a % p if p else a for m, a in terms.items() if (a % p if p else a)}
 
 
 def test_a_polynomial_times_a_polynomial_is_refused():

@@ -52,7 +52,7 @@ from superalt import laws as engine
 from superalt import operators
 from superalt.core import _Poly
 from superalt.fields import QQ
-from conftest import forced
+from conftest import forced, watched_contractions
 
 
 class Counted(int):
@@ -91,25 +91,6 @@ def test_a_bilinear_applier_multiplies_only_at_cells_with_constants():
     ones = [1] * s.dim
     for kernel in ("_table_applier", "_poly_applier"):
         assert counted_products(EvenBilinear.zero(s, s, s), ones, ones, kernel) == 0
-
-
-def watched_contractions(residuals):
-    """Patch _contract so that every residual it evaluates is kept, with the
-    slots of its group, in residuals."""
-    contract = engine._contract
-
-    def watched(slots, idfns, binder):
-        def watch(fn):
-            def f(pts):
-                r = fn(pts)
-                residuals.append((slots, r))
-                return r
-
-            return f
-
-        return contract(slots, [(name, watch(fn), *rest) for name, fn, *rest in idfns], binder)
-
-    return mock.patch.object(engine, "_contract", watched)
 
 
 def slot_masks(slots):
