@@ -828,11 +828,12 @@ def _contract(slots, idfns, binder):
     parity, at most CONTRACT_SLICE_TUPLES tuples each (one index at least),
     in order; only the greatest monomial of the current slice with a
     nonzero coefficient (nonzero mod p over F_p), at the first identity
-    that has it, is kept, with its residual in normal form (_Poly.normal),
-    so one block's polynomials are held at a time and a failure stops at
-    its slice.  Blocks come in lexicographic
-    order of their least tuples, so once the slice's best is above a block's
-    least tuple, no later block can hold an earlier one.
+    that has it, is kept, with its residual in normal form (_Poly.normal,
+    taken only of the residual that becomes the best), so one block's
+    polynomials are held at a time and a failure stops at its slice.
+    Blocks come in lexicographic order of their least tuples, so once the
+    slice's best is above a block's least tuple, no later block can hold an
+    earlier one.
 
     When every identity's symmetry moves slot 0 (see _slot0_orbit), the
     slots in its orbit range over the indices from the slice's first slot-0
@@ -866,10 +867,12 @@ def _contract(slots, idfns, binder):
                 break
             pts = (head,) + tuple(pt for _, pt in block)
             for at, (_, fn, *_) in enumerate(idfns):
-                r = [_Poly.normal(c, p) for c in fn(pts)]
+                r = fn(pts)
                 for c in r:
-                    if c and (best is None or max(c) > best[0]):
-                        best = max(c), at, r
+                    terms = _Poly.terms(c)
+                    live = [m for m, a in terms if a % p] if p else [m for m, a in terms if a]
+                    if live and (best is None or max(live) > best[0]):
+                        best = max(live), at, [_Poly.normal(v, p) for v in r]
             evaluations += len(idfns)
         if best is not None:
             mono, at, r = best

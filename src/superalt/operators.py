@@ -13,11 +13,11 @@ the twist:
 An o-operator T: V -> A over a bimodule (V, L, R, beta) of (A, o, alpha)
 satisfies T(u) o T(v) = T(L(T u) v + R(T v) u) and T beta = alpha T.
 
-search_operators walks the even maps over F_p in the radix order of
-enumerate_even_maps, depth-first over the entries, and skips every subtree
-on which an operator equation already fails; or it tests each signed
-permutation map on the same equations.  The contract is that of checking
-each candidate in turn: found lists every passing map in counter order, a
+search_operators walks one mixed-radix counter depth first, the radix
+order of enumerate_even_maps or the order of
+enumerate_signed_permutation_maps, and skips every subtree on which an
+operator equation already fails.  The contract is that of checking each
+candidate in turn: found lists every passing map in counter order, a
 skipped subtree counts all of its candidates as checked, and a budget
 bounds the counter, so candidates_checked is min(budget, space size).
 """
@@ -344,25 +344,16 @@ def enumerate_even_maps(
         yield EvenMap.from_entries(domain, codomain, entries)
 
 
-def _signed_perms(space: SuperSpace):
-    """(perm, signs) of each signed permutation map, basis vector j going to
-    signs[j] times basis vector perm[j], in lexicographic (even perm, odd
-    perm, sign pattern) order."""
-    n0, n = space.even, space.dim
-    for pe in itertools.permutations(range(n0)):
-        for po in itertools.permutations(range(n0, n)):
-            perm = pe + po
-            for signs in itertools.product((1, -1), repeat=n):
-                yield perm, signs
-
-
 def enumerate_signed_permutation_maps(space: SuperSpace):
     """Even maps sending each basis vector to +-(a basis vector of the same
     parity), in lexicographic (even perm, odd perm, sign pattern) order."""
     if not isinstance(space.field, PrimeField):
         raise ValidationError(["signed permutation enumeration needs a finite scalar field"])
-    for perm, signs in _signed_perms(space):
-        yield EvenMap.from_entries(space, space, list(zip(perm, range(space.dim), signs)))
+    n0, n = space.even, space.dim
+    for pe in itertools.permutations(range(n0)):
+        for po in itertools.permutations(range(n0, n)):
+            for signs in itertools.product((1, -1), repeat=n):
+                yield EvenMap.from_entries(space, space, list(zip(pe + po, range(n), signs)))
 
 
 def search_operators(
@@ -381,15 +372,16 @@ def search_operators(
     bounds the counter, so candidates_checked is min(budget, space_size) and
     exhausted says whether the budget covered the whole space.  Each residual
     coordinate of the operator equations on basis pairs is bound once as a
-    polynomial in the map entries.  The radix search fixes the digits depth
-    first, most significant first, tests each polynomial once its last entry
-    is fixed, and skips a subtree on which one fails, its candidates below
-    the budget counting as checked; a signed permutation is tested on all of
-    them.  So found holds exactly the maps passing check_operator, in
-    counter order, each checked again as check_operator checks it, all on
-    one table binder; a disagreement raises RuntimeError.  Refused:
-    rational instances (infinite spaces), the options _check_options
-    refuses, and signed_perms for o-operators."""
+    polynomial in the map entries.  One walk serves both spaces: it takes
+    the counter's digits (an entry, or a column's image or sign) depth
+    first, most significant first, tests each polynomial at the step that
+    decides its last entry, and skips a subtree on which one fails, its
+    candidates below the budget counting as checked.  So found holds
+    exactly the maps passing check_operator, in counter order, each checked
+    again as check_operator checks it, all on one table binder; a
+    disagreement raises RuntimeError.  Refused: rational instances (infinite
+    spaces), the options _check_options refuses, and signed_perms for
+    o-operators."""
     field = a.space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["operator search requires an F_p instance"])
@@ -403,28 +395,25 @@ def search_operators(
     w = field.coerce(weight) if kind == "rota-baxter" else None
     domain = bimodule.module if kind == "o-operator" else a.space
     positions = _even_positions(a.space, domain)
-    p, n, s = field.p, len(positions), a.space
-    space_size = p**n
-    if signed_perms:
-        space_size = math.factorial(s.even) * math.factorial(s.odd) * 2**s.dim
+    p, n = field.p, len(positions)
+    radices, steps, bind = (_signed_counter(a.space, positions, p) if signed_perms
+                            else ([p] * n, range(n), None))
+    space_size = math.prod(radices)
     limit = space_size if budget is None else min(budget, space_size)
-    # radix counters below limit leave all but the last `live` digits at 0
-    live = n if signed_perms else 0
-    while p**live < limit:
-        live += 1
+    if not signed_perms:
+        # radix counters below limit leave all but the last `live` digits at 0
+        live = next(k for k in range(n + 1) if p**k >= limit)
+        positions, radices, steps = positions[n - live:], radices[:live], range(live)
     start = time.perf_counter()
-    unknown = _FreeMap(domain, a.space, positions[n - live:])
+    unknown = _FreeMap(domain, a.space, positions)
     # the bound groups and their binder's memos are garbage once filed
     build = _groups(kind, a, unknown, w, bimodule)
-    by_var = _file_polynomials(build(_Polynomials(field)), live, p)
+    by_step = _file_polynomials(build(_Polynomials(field)), steps, len(radices), p)
     bound_s = time.perf_counter() - start
 
     start = time.perf_counter()
     stats = _SearchStats()
-    if signed_perms:
-        survivors = _signed_permutations(s, positions, by_var, p, limit, stats)
-    else:
-        survivors = _backtrack(by_var, live, p, limit, stats)
+    survivors = _backtrack(by_step, radices, p, limit, stats, bind)
     # every survivor is checked again on one table binder, which compiles the
     # instance's tensors once for the whole search
     tables = _Tables(field)
@@ -446,7 +435,7 @@ def search_operators(
     _log.debug(
         "%s search: %d polynomials bound in %.6f s; %d nodes visited, %d subtrees pruned, "
         "%d candidates disposed of by pruning, %d found in %.6f s: walk %.6f s, re-check %.6f s",
-        kind, sum(map(len, by_var)), bound_s, stats.nodes, stats.pruned, stats.disposed,
+        kind, sum(map(len, by_step)), bound_s, stats.nodes, stats.pruned, stats.disposed,
         len(found), search_s, search_s - recheck_s, recheck_s,
     )
     return SearchResult(kind, found, stats.disposed + len(found), limit == space_size, space_size)
@@ -481,14 +470,15 @@ class _FreeMap:
         return _poly_column_applier(cols, self.codomain)
 
 
-def _file_polynomials(groups, nvars: int, p: int) -> list:
+def _file_polynomials(groups, steps, nsteps: int, p: int) -> list:
     """Every residual coordinate of the groups on their basis tuples that is
     nonzero in normal form (_Poly.normal), made monic and stored once as a
     tuple of (coefficient, monomial) terms.
 
-    Entry k of the result lists the polynomials whose last variable is k;
-    the last entry, index -1, lists the nonzero constants."""
-    by_var = [set() for _ in range(nvars + 1)]
+    Entry k of the result lists the polynomials whose last entry is decided
+    by step k of the walk, steps[v] being the step that decides x_v; the
+    last entry, index -1, lists the nonzero constants."""
+    by_step = [set() for _ in range(nsteps + 1)]
     for slots, idfns in groups:
         for pts in itertools.product(*slots):
             for _, fn in idfns:
@@ -496,9 +486,9 @@ def _file_polynomials(groups, nvars: int, p: int) -> list:
                     if poly := _Poly.normal(poly, p):
                         terms = sorted((_variables(m), c) for m, c in poly.items())
                         inv = pow(terms[0][1], p - 2, p)
-                        last = max((mono[-1] for mono, _ in terms if mono), default=-1)
-                        by_var[last].add(tuple((c * inv % p, mono) for mono, c in terms))
-    return [sorted(polys) for polys in by_var]
+                        last = max((steps[v] for mono, _ in terms for v in mono), default=-1)
+                        by_step[last].add(tuple((c * inv % p, mono) for mono, c in terms))
+    return [sorted(polys) for polys in by_step]
 
 
 def _variables(mono: int) -> tuple:
@@ -514,55 +504,59 @@ def _variables(mono: int) -> tuple:
 
 @dataclass
 class _SearchStats:
-    nodes: int = 0  # the root (constants), then each digit assignment, or each signed map
-    pruned: int = 0  # subtrees skipped, leaves and rejected signed maps included
+    nodes: int = 0  # the root (constants), then each step's digit: an entry, an image or a sign
+    pruned: int = 0  # subtrees skipped, leaves included
     disposed: int = 0  # candidates below the limit inside those subtrees
 
 
-def _vanish(polys, digits, p) -> bool:
+def _vanish(polys, entries, p) -> bool:
     for terms in polys:
         total = 0
         for c, mono in terms:
             for v in mono:
-                c *= digits[v]
+                c *= entries[v]
             total += c
         if total % p:
             return False
     return True
 
 
-def _backtrack(by_var, nvars: int, p: int, limit: int, stats: _SearchStats):
-    """Yield, in counter order, the digit tuples below limit on which every
-    polynomial of by_var vanishes.
+def _backtrack(by_step, radices, p: int, limit: int, stats: _SearchStats, bind=None):
+    """Yield, in counter order, the entry tuples of the counters below limit
+    on which every polynomial of by_step vanishes.
 
-    Digits are fixed most significant first; a node fixing digit k tests the
-    polynomials whose last variable is k, and on a failure its whole subtree
-    of candidates is skipped.  Iterative, so nvars is not bounded by the
-    recursion limit."""
+    Step k takes digit k, below radices[k], most significant first: the
+    entry x_k itself, or the entries that bind(k, digit) sets in the list
+    it returns.  A node taking step k tests the polynomials filed under k,
+    and on a failure its whole subtree of candidates is skipped.  Iterative,
+    so the number of steps is not bounded by the recursion limit."""
     if limit <= 0:
         return
     stats.nodes += 1
-    if not _vanish(by_var[-1], (), p):
+    if not _vanish(by_step[-1], (), p):
         stats.pruned += 1
         stats.disposed += limit
         return
-    if nvars == 0:
+    nsteps = len(radices)
+    if nsteps == 0:
         yield ()
         return
-    weights = [p ** (nvars - 1 - k) for k in range(nvars)]
-    digits = [0] * nvars
+    weights = [math.prod(radices[k + 1:]) for k in range(nsteps)]
+    entries = digits = [0] * nsteps
     k = base = 0  # base: the counter of the first candidate below the node
     while True:
         stats.nodes += 1
-        if not _vanish(by_var[k], digits, p):
+        if bind:
+            entries = bind(k, digits[k])
+        if not _vanish(by_step[k], entries, p):
             stats.pruned += 1
             stats.disposed += min(weights[k], limit - base)
-        elif k == nvars - 1:
-            yield tuple(digits)
+        elif k == nsteps - 1:
+            yield tuple(entries)
         else:
             k += 1
             continue
-        while digits[k] == p - 1:
+        while digits[k] == radices[k] - 1:
             base -= digits[k] * weights[k]
             digits[k] = 0
             k -= 1
@@ -574,18 +568,24 @@ def _backtrack(by_var, nvars: int, p: int, limit: int, stats: _SearchStats):
             return
 
 
-def _signed_permutations(space, positions, by_var, p: int, limit: int, stats: _SearchStats):
-    """Yield the digit tuples over positions of the first limit maps of
-    enumerate_signed_permutation_maps on which every by_var polynomial vanishes."""
-    index = {pos: k for k, pos in enumerate(positions)}
-    polys = [terms for filed in by_var for terms in filed]
-    for perm, signs in itertools.islice(_signed_perms(space), limit):
-        digits = [0] * len(positions)
-        for j, (i, sign) in enumerate(zip(perm, signs)):
-            digits[index[i, j]] = sign % p
-        stats.nodes += 1
-        if _vanish(polys, digits, p):
-            yield tuple(digits)
+def _signed_counter(space: SuperSpace, positions, p: int):
+    """The counter of enumerate_signed_permutation_maps over the entries at
+    positions: step j < n picks column j's image among the unused basis
+    vectors of its parity (the Lehmer digits of the even, then the odd
+    permutation), step n + j its sign, + first (entry 1, then p - 1).
+    Returns the radices, the step deciding each entry, and the bind."""
+    n0, n = space.even, space.dim
+    var = {pos: v for v, pos in enumerate(positions)}
+    entries, images = [0] * len(positions), list(range(n))
+
+    def bind(k, digit):
+        if k < n:
+            block = range(n0) if k < n0 else range(n0, n)
+            entries[var[images[k], k]] = 0
+            images[k] = [i for i in block if i not in images[:k]][digit]
         else:
-            stats.pruned += 1
-            stats.disposed += 1
+            entries[var[images[k - n], k - n]] = p - 1 if digit else 1
+        return entries
+
+    radices = [n0 - j if j < n0 else n - j for j in range(n)] + [2] * n
+    return radices, [n + j for _, j in positions], bind

@@ -157,8 +157,8 @@ def filed_polynomials(a, kind, **options):
     file_polynomials = operators._file_polynomials
     filed = []
 
-    def intercept(groups, nvars, p):
-        filed.append(file_polynomials(groups, nvars, p))
+    def intercept(groups, steps, nsteps, p):
+        filed.append(file_polynomials(groups, steps, nsteps, p))
         raise Filed
 
     with mock.patch.object(operators, "_file_polynomials", intercept), pytest.raises(Filed):

@@ -7,14 +7,18 @@ enumerate_even_maps in the same order, and on every candidate a nested loop
 over the operator equations bound to the reference Vector closures.  found
 (in order), candidates_checked, exhausted and space_size must agree,
 exhaustively on small spaces and on budgeted prefixes of larger ones, every
-budget being a counter bound.  The signed permutation search tests the
-same polynomials on each map of enumerate_signed_permutation_maps; its
-oracle is check_operator on every one of them.
+budget being a counter bound.  The signed permutation search is the same
+walk over another mixed-radix counter (each column's image, then each
+column's sign); its oracles are the itertools order of
+enumerate_signed_permutation_maps, which the counter must walk map for map,
+and check_operator on every one of those maps.
 """
 
 import collections
 import contextlib
+import hashlib
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -44,7 +48,14 @@ from superalt import (
 from superalt import operators
 from superalt.laws import REFERENCE
 from conftest import from_rows
-from superalt.operators import _backtrack, _o_operator_groups, _operator_groups, _SearchStats
+from superalt.operators import (
+    _backtrack,
+    _even_positions,
+    _o_operator_groups,
+    _operator_groups,
+    _SearchStats,
+    _signed_counter,
+)
 
 # every kind once, rota-baxter at weights 0 and 1
 KINDS = [(k, None) for k in OPERATOR_KINDS if k != "rota-baxter"]
@@ -221,7 +232,7 @@ def test_a_nonzero_constant_disposes_of_the_whole_space():
     # no operator equation has a constant term (the zero map passes them
     # all), so the search is driven here on a hand-made system
     stats = _SearchStats()
-    leaves = list(_backtrack([[], [], [((1, ()),)]], 2, 3, 7, stats))
+    leaves = list(_backtrack([[], [], [((1, ()),)]], [3, 3], 3, 7, stats))
     assert leaves == [] and stats.disposed == 7 and stats.pruned == 1
 
 
@@ -230,13 +241,13 @@ def test_backtrack_prunes_and_counts_in_counter_order():
     # both at every x1, so the whole x0 = 0 subtree is pruned leaf by leaf
     polys = [[], [((1, (0, 1)), (4, ())), ((1, (0,)), (3, (1,)))], []]
     stats = _SearchStats()
-    leaves = list(_backtrack(polys, 2, 5, 25, stats))
+    leaves = list(_backtrack(polys, [5, 5], 5, 25, stats))
     assert leaves == [(x0, x1) for x0 in range(5) for x1 in range(5)
                       if (x0 * x1 - 1) % 5 == 0 and (x0 - 2 * x1) % 5 == 0]
     assert stats.disposed + len(leaves) == 25
     # a limit inside the x0 = 1 subtree clips the count at the limit
     stats = _SearchStats()
-    assert list(_backtrack(polys, 2, 5, 7, stats)) == []
+    assert list(_backtrack(polys, [5, 5], 5, 7, stats)) == []
     assert stats.disposed == 7
 
 
@@ -253,7 +264,8 @@ def signed_brute_force(a, kind, weight):
     return hits, len(maps)
 
 
-@pytest.mark.parametrize("name,p", SIGNED)
+# zero-2-1 and grassmann1 have unequal even and odd dimensions
+@pytest.mark.parametrize("name,p", SIGNED + [("zero-2-1", 3), ("grassmann1", 3)])
 @pytest.mark.parametrize("kind,weight", SIGNED_KINDS)
 def test_signed_permutation_search_matches_brute_force(name, p, kind, weight):
     a = named(name, p)
@@ -267,6 +279,64 @@ def test_signed_permutation_search_matches_brute_force(name, p, kind, weight):
         assert res.candidates_checked == limit, (name, kind, budget)
         assert res.exhausted == (limit == size), (name, kind, budget)
         assert res.space_size == size, (name, kind, budget)
+
+
+def found_digest(found):
+    return hashlib.sha256(
+        repr([[(i, j, v.val) for i, j, v in f.sparse_entries()] for f in found]).encode()
+    ).hexdigest()
+
+
+def test_signed_permutation_search_on_the_octonions():
+    a = named("octonions", 3)
+    res = search_operators(a, "rota-baxter", weight=0, signed_perms=True)
+    assert (len(res.found), res.candidates_checked, res.exhausted) == (0, 10321920, True)
+    # The 208 maps, and the sha256 of their sparse entries as found_digest
+    # lists them, were recorded from the search at commit 23a44b0, which
+    # tested each whole signed permutation against every filed polynomial.
+    res = search_operators(a, "endomorphism", budget=200000, signed_perms=True)
+    assert (len(res.found), res.candidates_checked, res.exhausted) == (208, 200000, False)
+    assert found_digest(res.found) == (
+        "f5c98e3a4a1d7389afbbf272c5e82757ca488200a9788866256a18a78fdd124c"
+    )
+
+
+def signed_entry_digits(space, positions):
+    """The entries at positions of each map of enumerate_signed_permutation_maps."""
+    rows = (f.entries for f in enumerate_signed_permutation_maps(space))
+    return [tuple(m[i][j].val for i, j in positions) for m in rows]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("dims", [(2, 0), (1, 2), (2, 2), (3, 1)], ids=lambda d: "%d-%d" % d)
+def test_the_signed_counter_walks_the_signed_maps_in_their_order(dims, p):
+    space = SuperSpace(PrimeField(p), *dims)
+    positions = _even_positions(space, space)
+    maps = signed_entry_digits(space, positions)
+    size = len(maps)
+    radices, steps, _ = _signed_counter(space, positions, p)
+    assert math.prod(radices) == size and len(radices) == 2 * space.dim
+    # column 0 goes to +e_0, and the last column to +-e_(n-1)
+    first, last = positions.index((0, 0)), len(positions) - 1
+    system = [
+        ((1, (first,)), (p - 1, ())),
+        ((1, (last, last)), (p - 1, ())),
+    ]
+    filed = [[] for _ in range(len(radices) + 1)]
+    for terms in system:
+        filed[max(steps[v] for _, mono in terms for v in mono)].append(terms)
+
+    def vanishes(digits):
+        return all(sum(c * math.prod(digits[v] for v in mono) for c, mono in terms) % p == 0
+                   for terms in system)
+
+    for limit in sorted({0, 1, 2, 3, size // 3, size // 2 + 1, size - 1, size, size + 5}):
+        for polys, passing in (([[]] * len(filed), maps), (filed, list(filter(vanishes, maps)))):
+            stats = _SearchStats()
+            radices, _, bind = _signed_counter(space, positions, p)
+            walked = list(_backtrack(polys, radices, p, limit, stats, bind))
+            assert walked == [d for d in passing if maps.index(d) < limit], (limit, polys)
+            assert stats.disposed + len(walked) == min(limit, size), (limit, polys)
 
 
 @pytest.mark.parametrize("name,p", SIGNED + [("grassmann1", 3), ("zero-2-1", 3)])
@@ -406,8 +476,8 @@ def test_a_search_checks_every_survivor_again():
          enumerate_signed_permutation_maps(p35.space)),
     ]
 
-    def nothing(groups, nvars, p):
-        return [[] for _ in range(nvars + 1)]
+    def nothing(groups, steps, nsteps, p):
+        return [[] for _ in range(nsteps + 1)]
 
     for options, candidates in searches:
         w = p35.space.field.coerce(options["weight"]) if "weight" in options else None
