@@ -215,7 +215,7 @@ class EvenMap:
         return Vector(self.codomain, acc)
 
     def _table_applier(self):
-        """apply on table vectors of plain scalars, read from the sparse columns."""
+        """apply on sparse table vectors, read from the sparse columns."""
         cols = [[(i, _plain(m)) for i, m in col] for col in self._cols]
         return _column_applier(cols, self.codomain)
 
@@ -369,21 +369,23 @@ class EvenBilinear:
         return Vector(self.out, acc)
 
     def _table_applier(self):
-        """apply on table vectors of plain scalars, read from the sparse rows."""
+        """apply on sparse table vectors, read from the sparse rows: one
+        product x_i y_j per cell with constants."""
         rows = [[[(k, _plain(c)) for k, c in cell] for cell in row] for row in self._rows]
-        n, vector = self.out.dim, _table_vector_type(self.out.field)
+        of = _sparse_vector(self.out.field.char, self.out.dim).of
 
         def apply(x, y):
-            acc = [0] * n
-            for i, xv in enumerate(x):
-                if xv:
-                    row = rows[i]
-                    for j, yv in enumerate(y):
-                        if yv and row[j]:
-                            s = xv * yv
-                            for k, c in row[j]:
-                                acc[k] += s * c
-            return vector(acc)
+            acc = {}
+            get = acc.get
+            for i, xv in x:
+                row = rows[i]
+                for j, yv in y:
+                    cell = row[j]
+                    if cell:
+                        s = xv * yv
+                        for k, c in cell:
+                            acc[k] = get(k, 0) + s * c
+            return of(acc)
 
         return apply
 
@@ -498,17 +500,22 @@ class EvenBilinear:
         return f"EvenBilinear({self.left.dim}x{self.right.dim}->{self.out.dim})"
 
 
-# Table evaluation.  A table vector is the coordinate tuple of a vector in
-# plain scalars: over Q, ints when integral and Fractions otherwise; over
-# F_p, ints that stand for their residues, reduced into [0, p) only where a
-# value is read (is_zero, coords), as in lazy modular reduction.  It supports
-# what the identity closures use of Vector: +, -, negation, scaled and
-# is_zero.  A coordinate may also be a _Poly, a polynomial with such scalars
-# as coefficients: in the unknown entries of a map for an operator search,
-# in the coordinates of generic points for a contracted scan (see
-# laws._Polynomials).  Denominators are never cleared by rescaling:
-# alpha(xy) - alpha(x) alpha(y) is not homogeneous in the twist, so a
-# rescaled twist could pass where the true one fails.
+# Table evaluation.  A table vector stands for a vector in plain scalars:
+# over Q, ints when integral and Fractions otherwise; over F_p, ints that
+# stand for their residues.  It supports what the identity closures use of
+# Vector: +, -, negation and scaled.  The table binder's vectors are sparse
+# and canonical (_SparseVector): they list their nonzero coordinates only, so
+# an applier visits the one or two coordinates of a basis tuple's vectors,
+# and equal values are equal tuples, which a value-keyed memo hashes alike;
+# the scan reads them through is_zero, and through coords, the dense
+# coordinates, at a hit.  The polynomial binder's vectors are dense
+# (_TableVector), a coordinate possibly a _Poly, a polynomial with such
+# scalars as coefficients: in the unknown entries of a map for an operator
+# search, in the coordinates of generic points for a contracted scan (see
+# laws._Polynomials); its readers iterate the coordinates.  Denominators are
+# never cleared by rescaling: alpha(xy) - alpha(x) alpha(y) is not
+# homogeneous in the twist, so a rescaled twist could pass where the true one
+# fails.
 
 
 class _Poly(dict):
@@ -575,7 +582,8 @@ class _Poly(dict):
 
 
 class _TableVector(tuple):
-    """A table vector over Q, and over every field on the polynomial binder."""
+    """A table vector on the polynomial binder: dense coordinates, each a
+    plain scalar or a _Poly, held raw (see _Poly)."""
 
     __slots__ = ()
 
@@ -593,48 +601,97 @@ class _TableVector(tuple):
         s = _plain(s)
         return type(self)([s * a for a in self])
 
+
+class _SparseVector(tuple):
+    """A table vector on the table binder, in canonical form: the pairs
+    (index, value) of its nonzero coordinates, indices ascending, over F_p
+    each value reduced into [1, p).  So the zero vector is the empty tuple,
+    and two vectors are equal, and hash alike, iff they stand for the same
+    value.  Each field and dimension has one subclass (_sparse_vector), which
+    sets p (0 over Q) and dim; of makes its vectors from raw sums."""
+
+    __slots__ = ()
+    p = 0
+    dim = 0
+
+    @classmethod
+    def of(cls, acc: dict):
+        """The vector whose coordinate i is acc.get(i, 0), a raw value."""
+        p, pairs = cls.p, []
+        for i, v in acc.items():
+            if p:
+                v %= p
+            if v:
+                pairs.append((i, v))
+        if len(pairs) > 1:
+            pairs.sort()
+        return cls(pairs)
+
+    def __add__(self, other):
+        if not other:
+            return self
+        if not self:
+            return other
+        acc = dict(self)
+        get = acc.get
+        for i, v in other:
+            acc[i] = get(i, 0) + v
+        return self.of(acc)
+
+    def __sub__(self, other):
+        if not other:
+            return self
+        acc = dict(self)
+        get = acc.get
+        for i, v in other:
+            acc[i] = get(i, 0) - v
+        return self.of(acc)
+
+    def __neg__(self):
+        p = self.p
+        if p:
+            return type(self)([(i, p - v) for i, v in self])
+        return type(self)([(i, -v) for i, v in self])
+
+    def scaled(self, s):
+        """The vector times the field scalar s."""
+        s, p = _plain(s), self.p
+        if not s:
+            return type(self)()
+        if p:
+            return type(self)([(i, s * v % p) for i, v in self])
+        return type(self)([(i, s * v) for i, v in self])
+
     def is_zero(self) -> bool:
-        return not any(self)
+        return not self
 
     @property
     def coords(self) -> tuple:
-        return tuple(self)
+        dense = [0] * self.dim
+        for i, v in self:
+            dense[i] = v
+        return tuple(dense)
 
 
 @functools.lru_cache(maxsize=None)
-def _residue_vector(p: int):
-    class ResidueVector(_TableVector):
-        """A table vector over F_p, its coordinates reduced mod p where read."""
-
-        __slots__ = ()
-
-        def is_zero(self) -> bool:
-            return not any(a % p for a in self)
-
-        @property
-        def coords(self) -> tuple:
-            return tuple(a % p for a in self)
-
-    return ResidueVector
-
-
-def _table_vector_type(field: Field) -> type:
-    return _residue_vector(field.p) if field.char else _TableVector
+def _sparse_vector(p: int, dim: int) -> type:
+    """The _SparseVector class of vectors of dimension dim over F_p (Q if p is 0)."""
+    return type("_SparseVector", (_SparseVector,), {"__slots__": (), "p": p, "dim": dim})
 
 
 def _column_applier(cols, codomain: SuperSpace):
-    """The applier of a linear map on table vectors of plain scalars into
-    codomain, column j listing (i, entry) for the nonzero entries of the
-    image of basis j."""
-    n, vector = codomain.dim, _table_vector_type(codomain.field)
+    """The applier of a linear map on sparse table vectors into codomain,
+    column j listing (i, entry) for the nonzero entries of the image of
+    basis j."""
+    of = _sparse_vector(codomain.field.char, codomain.dim).of
 
     def apply(x):
-        acc = [0] * n
-        for j, xv in enumerate(x):
-            if xv:
-                for i, m in cols[j]:
-                    acc[i] += m * xv
-        return vector(acc)
+        acc = {}
+        get = acc.get
+        for j, xv in x:
+            for i, m in cols[j]:
+                acc[i] = get(i, 0) + m * xv
+        return of(acc)
 
     return apply
 

@@ -39,8 +39,8 @@ from .core import (
     ValidationError,
     Vector,
     _Poly,
+    _sparse_vector,
     _TableVector,
-    _table_vector_type,
 )
 
 Point = tuple[Vector, int]  # homogeneous element with its parity
@@ -124,18 +124,19 @@ def _require(op: str, report: "LawReport"):
 
 # Binders.  Each identity closure is written once, over appliers that a
 # binder makes from the tensors and maps it reads.  Every check evaluates on
-# table vectors (see core._TableVector) with appliers read from the sparse
-# tables: a tuple scan on the table binder, memoised on argument values for
-# that check; a contraction on the polynomial binder, memoised on argument
-# identity within one slot-0 slice, whose coordinates are polynomials in the
-# coordinates of generic points.  The reference binder evaluates on Vectors
-# through EvenBilinear.apply and EvenMap.apply; it recomputes the residual
-# at every hit.  An operator search binds on the polynomial binder too, over
-# F_p, its polynomials being in the entries of an unknown map (see
-# operators._FreeMap).  Table values are held raw, residues unreduced and
-# cancelled terms kept (see core._Poly); they are normalized once, where
-# they are read: the scan's is_zero and coords, the contraction's witness
-# and the search's filing.
+# table vectors (see core, "Table evaluation") with appliers read from the
+# sparse tables: a tuple scan on the table binder, whose vectors are sparse
+# and canonical (core._SparseVector), memoised on argument values for that
+# check; a contraction on the polynomial binder, memoised on argument
+# identity within one slot-0 slice, whose dense coordinates are polynomials
+# in the coordinates of generic points.  The reference binder evaluates on
+# Vectors through EvenBilinear.apply and EvenMap.apply; it recomputes the
+# residual at every hit.  An operator search binds on the polynomial binder
+# too, over F_p, its polynomials being in the entries of an unknown map (see
+# operators._FreeMap).  Polynomial values are held raw, residues unreduced
+# and cancelled terms kept (see core._Poly); they are normalized once, where
+# they are read: the contraction's witness and the search's filing.  A
+# sparse vector is normalized when it is made, since its hash is its value.
 
 
 class _Reference:
@@ -164,7 +165,6 @@ class _Tables:
 
     def __init__(self, field):
         self.field = field
-        self.vector = _table_vector_type(field)
         self.bound = {}  # id(t) -> (t, applier, memo); t is kept so its id stays its own
         self.memos = []
         self.spaces = {}  # space -> its basis points
@@ -189,10 +189,12 @@ class _Tables:
         pts = self.spaces.get(space)
         if pts is None:
             pts = self.spaces[space] = tuple(
-                (self.vector([int(i == j) for j in space.indices()]), space.parity(i))
-                for i in space.indices()
+                (self.basis_vector(space, i), space.parity(i)) for i in space.indices()
             )
         return pts
+
+    def basis_vector(self, space: SuperSpace, i: int):
+        return _sparse_vector(self.field.char, space.dim)(((i, 1),))
 
     def memoised(self, fn):
         """fn memoised on its arguments for the life of the binder (see MEMO_LIMIT)."""
@@ -227,14 +229,14 @@ class _Polynomials(_Tables):
     contracted scan evaluates its group on generic points through it, and
     empties the memos at each slice (see _contract).  Its appliers are the
     fused kernels (_poly_applier), which build no intermediate polynomial
-    per structure constant.  Its vectors are plain _TableVectors over every
+    per structure constant.  Its vectors are dense _TableVectors over every
     field, their coordinates raw (see core._Poly): only the reads normalize."""
 
     KERNEL = "_poly_applier"
+    vector = _TableVector
 
     def __init__(self, field):
         super().__init__(field)
-        self.vector = _TableVector
         self.counting = _log.isEnabledFor(logging.DEBUG)
         self.terms = 0
         self.shared = 0
@@ -259,6 +261,9 @@ class _Polynomials(_Tables):
             return r
 
         return f
+
+    def basis_vector(self, space: SuperSpace, i: int):
+        return _TableVector([int(i == j) for j in space.indices()])
 
     def clear(self):
         """Empty every memo, releasing the arguments and results it holds."""
@@ -784,14 +789,15 @@ def _parity_runs(slot):
 
 def _generic_point(slot, run, offset, nvars, make):
     """The point sum of x_(offset + i) slot[i] over i in run, with its parity;
-    make builds a table vector from its coordinates.  Of nvars variables in
-    all, x_code is the monomial 1 << (nvars - 1 - code), one bit each."""
-    coords = [0] * len(slot[run[0]][0])
+    the slot's points are sparse table vectors (core._SparseVector), and make
+    builds a dense table vector from the point's coordinates.  Of nvars
+    variables in all, x_code is the monomial 1 << (nvars - 1 - code), one bit
+    each."""
+    coords = [0] * slot[run[0]][0].dim
     for i in run:
         var = 1 << (nvars - 1 - offset - i)
-        for j, c in enumerate(slot[i][0]):
-            if c:
-                coords[j] = coords[j] + _Poly({var: c})
+        for j, c in slot[i][0]:
+            coords[j] = coords[j] + _Poly({var: c})
     return make(coords), slot[run[0]][1]
 
 

@@ -1,11 +1,12 @@
-"""Raw values at the reads: table values are normalized only where read.
+"""Raw values at the reads: polynomial values are normalized only where read.
 
-The kernels and the vector sums hold their values raw.  A _Poly keeps a
-term that cancels, with coefficient 0, and over F_p a coordinate or a
-coefficient is any int standing for its residue.  Three reads take the
-normal form: the scan's is_zero and coords, the contraction's witness, and
-the search's filing.  Each case below makes a raw value that a read must
-see through, and compares the check with the law_identities reference on
+The polynomial kernels and vector sums hold their values raw.  A _Poly
+keeps a term that cancels, with coefficient 0, and over F_p a coefficient
+is any int standing for its residue.  Two reads take the normal form: the
+contraction's witness and the search's filing.  The scan's sparse vectors
+are canonical instead, reduced when they are made.  Each case below makes
+a raw value that a read must see through, or that a sparse vector must
+reduce, and compares the check with the law_identities reference on
 verdict, witness, checked and residual, on every path: the tuple scan, the
 contraction, the contraction in one-index slices, and the fork pool.
 
@@ -13,8 +14,9 @@ contraction, the contraction in one-index slices, and the fork pool.
     above the first failing tuple.
 (b) Over F_3 and F_5, a contracted residual keeps a coefficient that is a
     nonzero multiple of p above the first failing tuple.
-(c) Over F_5, a scan meets congruent but unequal coordinates as memo keys,
-    and residuals that vanish mod p but not as ints.
+(c) Over F_5, twisted products of residues meet as congruent but unequal
+    ints; a scan's sparse vectors reduce them when made, so no two memo keys
+    are congruent but unequal, and a residual that vanishes mod p is empty.
 """
 
 import functools
@@ -41,7 +43,7 @@ from superalt import (
     tensor_map,
 )
 from superalt import laws
-from superalt.core import _Poly, _table_vector_type
+from superalt.core import _Poly, _sparse_vector
 from conftest import forced, watched_contractions
 
 PATHS = ("scan", "contract", "slices", "pool")
@@ -154,12 +156,13 @@ class Kept(laws._Tables):
 
 def congruent_memo_keys(binder, p) -> int:
     """The memo keys that are congruent mod p to an earlier, unequal key of
-    the same memo."""
+    the same memo: each argument of a key is a sparse vector, its pairs
+    (index, value) reduced here mod p, those that vanish dropped."""
     met = 0
     for memo in binder.memos:
         seen = {}
         for key in memo:
-            reduced = tuple(tuple(c % p for c in v) for v in key)
+            reduced = tuple(tuple((i, r) for i, c in v if (r := c % p)) for v in key)
             met += seen.setdefault(reduced, key) != key
     return met
 
@@ -197,16 +200,21 @@ def test_congruent_memo_keys_give_the_reference_verdict(bend, path, forked):
         a = bent(bent(a, (5, 6, 3)), (6, 5, 3), -1)
     if path == "scan":
         residuals, binders = scanned_residuals(a, "hom-jordan")
-        assert sum(congruent_memo_keys(binder, 5) for binder in binders)
-        assert any(any(r) and r.is_zero() for r in residuals)
+        assert sum(map(len, (memo for binder in binders for memo in binder.memos)))
+        assert sum(congruent_memo_keys(binder, 5) for binder in binders) == 0
+        assert any(r.is_zero() for r in residuals)
+        for r in residuals:  # canonical: indices ascending, values in [1, p)
+            assert [i for i, _ in r] == sorted({i for i, _ in r})
+            assert all(0 < v < 5 for _, v in r)
     rep = assert_matches_reference(a, "hom-jordan", path, forked)
     assert (rep.passed, rep.checked) == ((False, 8**2 + 117) if bend else (True, 8**2 + 8**4))
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_a_residue_vector_reduces_where_it_is_read(p):
-    vector = _table_vector_type(PrimeField(p))
-    raw = vector([p, -p, 2 * p + 1, -1])
-    assert raw - raw == vector([0] * 4) and (raw + raw)[2] == 4 * p + 2  # sums stay raw
-    assert raw.coords == (0, 0, 1, p - 1)
-    assert not raw.is_zero() and vector([p, -p, 3 * p]).is_zero()
+def test_a_sparse_vector_reduces_when_it_is_made(p):
+    vector = _sparse_vector(p, 4)
+    raw = vector.of({0: p, 1: -p, 2: 2 * p + 1, 3: -1})
+    assert raw == ((2, 1), (3, p - 1)) and raw.coords == (0, 0, 1, p - 1)
+    assert raw - raw == vector() and (raw + raw) == ((2, 2), (3, p - 2))  # sums reduce
+    assert -raw == ((2, p - 1), (3, 1)) and raw.scaled(PrimeField(p).scalar(2)) == raw + raw
+    assert not raw.is_zero() and vector.of({0: p, 1: -p, 2: 3 * p}).is_zero()

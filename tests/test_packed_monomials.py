@@ -66,8 +66,13 @@ class Counted(int):
 
 
 def counted_products(b: EvenBilinear, x, y, kernel="_table_applier") -> int:
+    """The products the kernel forms on the dense coordinates x and y, given
+    to the table applier as sparse vectors, to the fused kernel as they are."""
     Counted.calls = 0
-    getattr(b, kernel)()([Counted(v) if v else 0 for v in x], y)
+    x = [Counted(v) if v else 0 for v in x]
+    if kernel == "_table_applier":
+        x, y = ([(i, v) for i, v in enumerate(vs) if v] for vs in (x, y))
+    getattr(b, kernel)()(x, y)
     return Counted.calls
 
 
