@@ -45,6 +45,7 @@ from .io import (
 )
 from .laws import (
     JORDAN_CYCLES,
+    POOL_MIN_TUPLES,
     PRE_LAWS,
     PRODUCT_LAWS,
     HomAlgebra,
@@ -274,7 +275,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker count for law scans (default: all cores)")
+                        help="workers for the scans of check, check-pre and verify-bimodule, "
+                        f"used only for a scanned group of at least {POOL_MIN_TUPLES} tuples; "
+                        "other verbs accept and ignore it (default: all cores)")
     common.add_argument("--strict-canonical", action="store_true",
                         help="reject non-canonical documents instead of normalizing")
     common.add_argument("-v", "--verbose", action="store_true",

@@ -512,10 +512,10 @@ class EvenBilinear:
 # (_TableVector), a coordinate possibly a _Poly, a polynomial with such
 # scalars as coefficients: in the unknown entries of a map for an operator
 # search, in the coordinates of generic points for a contracted scan (see
-# laws._Polynomials); its readers iterate the coordinates.  Denominators are
-# never cleared by rescaling: alpha(xy) - alpha(x) alpha(y) is not
-# homogeneous in the twist, so a rescaled twist could pass where the true one
-# fails.
+# laws._Polynomials); its readers iterate the coordinates, and a memo keys
+# it by identity.  Denominators are never cleared by rescaling: alpha(xy) -
+# alpha(x) alpha(y) is not homogeneous in the twist, so a rescaled twist
+# could pass where the true one fails.
 
 
 class _Poly(dict):
@@ -583,9 +583,17 @@ class _Poly(dict):
 
 class _TableVector(tuple):
     """A table vector on the polynomial binder: dense coordinates, each a
-    plain scalar or a _Poly, held raw (see _Poly)."""
+    plain scalar or a _Poly, held raw (see _Poly).  A _Poly has no hash, so
+    the vector is equal only to itself and hashes by identity."""
 
     __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
 
     def __add__(self, other):
         return type(self)(map(operator.add, self, other))

@@ -125,11 +125,14 @@ def _require(op: str, report: "LawReport"):
 # Binders.  Each identity closure is written once, over appliers that a
 # binder makes from the tensors and maps it reads.  Every check evaluates on
 # table vectors (see core, "Table evaluation") with appliers read from the
-# sparse tables: a tuple scan on the table binder, whose vectors are sparse
-# and canonical (core._SparseVector), memoised on argument values for that
-# check; a contraction on the polynomial binder, memoised on argument
-# identity within one slot-0 slice, whose dense coordinates are polynomials
-# in the coordinates of generic points.  The reference binder evaluates on
+# sparse tables, each applier and associator memoised by one memo
+# (_Tables.memoised, a functools.lru_cache) on its arguments: a tuple scan
+# on the table binder, whose vectors are sparse and canonical
+# (core._SparseVector), so the memo keys on their values, for that check; a
+# contraction on the polynomial binder, whose dense vectors
+# (core._TableVector) hash by identity, so the memo keys on the argument
+# objects, within one slot-0 slice, their coordinates being polynomials in
+# the coordinates of generic points.  The reference binder evaluates on
 # Vectors through EvenBilinear.apply and EvenMap.apply; it recomputes the
 # residual at every hit.  An operator search binds on the polynomial binder
 # too, over F_p, its polynomials being in the entries of an unknown map (see
@@ -165,7 +168,7 @@ class _Tables:
 
     def __init__(self, field):
         self.field = field
-        self.bound = {}  # id(t) -> (t, applier, memo); t is kept so its id stays its own
+        self.bound = {}  # id(t) -> (t, applier); t is kept so its id stays its own
         self.memos = []
         self.spaces = {}  # space -> its basis points
         self.build_s = 0.0
@@ -174,15 +177,14 @@ class _Tables:
         hit = self.bound.get(id(t))
         if hit is None:
             start = time.perf_counter()
-            applier = self.memoised(getattr(t, self.KERNEL)())
-            hit = self.bound[id(t)] = t, applier, self.memos[-1]
+            hit = self.bound[id(t)] = t, self.memoised(getattr(t, self.KERNEL)())
             self.build_s += time.perf_counter() - start
         return hit[1]
 
     def drop(self, t):
         """Forget t's applier and its memo, as if t had never been bound."""
-        _, _, memo = self.bound.pop(id(t))
-        self.memos = [m for m in self.memos if m is not memo]
+        _, applier = self.bound.pop(id(t))
+        self.memos = [m for m in self.memos if m is not applier]
 
     def points(self, space: SuperSpace):
         """The basis points of a space, built once per binder."""
@@ -197,85 +199,70 @@ class _Tables:
         return _sparse_vector(self.field.char, space.dim)(((i, 1),))
 
     def memoised(self, fn):
-        """fn memoised on its arguments for the life of the binder (see MEMO_LIMIT)."""
-        memo = {}
+        """fn memoised on its arguments, listed in memos (see MEMO_LIMIT)."""
+        memo = functools.lru_cache(maxsize=MEMO_LIMIT)(fn)
         self.memos.append(memo)
-
-        def f(*args):
-            r = memo.get(args)
-            if r is None:
-                r = fn(*args)
-                if len(memo) >= MEMO_LIMIT:
-                    memo.clear()
-                memo[args] = r
-            return r
-
-        return f
+        return memo
 
 
 class _Polynomials(_Tables):
     """The table binder for coordinates that may be polynomials (core._Poly).
 
-    A _Poly, being a dict, has no hash, so each applier and shared
-    subexpression is memoised on the identity of its arguments: an entry
-    holds the argument objects with the result, so no id in a key can be
-    reused while the entry lives.  The closures pass the points of a tuple
-    and earlier memoised results as arguments, so a repeated subexpression
-    over them is computed once; an argument built on the spot, such as a
-    sum, is a new object and misses.  shared counts the calls answered from
-    a memo and, while the superalt logger prints DEBUG lines, terms the raw
-    terms of every vector computed.  An operator search binds an unknown map
-    on it (see operators._FreeMap), for one pass over the basis tuples; a
+    Its vectors are dense _TableVectors over every field, their coordinates
+    raw (see core._Poly): only the reads normalize.  A _TableVector hashes
+    by identity, so the memo keys on the argument objects, which a key
+    holds: no id in it can be reused while the entry lives.  The closures
+    pass the points of a tuple and earlier memoised results as arguments, so
+    a repeated subexpression over them is computed once; an argument built
+    on the spot, such as a sum, is a new object and misses.  shared counts
+    the calls answered from its memos since hits was last reset, and, while
+    the superalt logger prints DEBUG lines, terms the raw terms of every
+    vector a miss computed.  An operator search binds an unknown map on it
+    (see operators._FreeMap), for one pass over the basis tuples; a
     contracted scan evaluates its group on generic points through it, and
     empties the memos at each slice (see _contract).  Its appliers are the
     fused kernels (_poly_applier), which build no intermediate polynomial
-    per structure constant.  Its vectors are dense _TableVectors over every
-    field, their coordinates raw (see core._Poly): only the reads normalize."""
+    per structure constant."""
 
     KERNEL = "_poly_applier"
     vector = _TableVector
 
     def __init__(self, field):
         super().__init__(field)
-        self.counting = _log.isEnabledFor(logging.DEBUG)
         self.terms = 0
-        self.shared = 0
+        self.hits = 0  # the hits of the memos up to their last clear()
+
+    @property
+    def shared(self):
+        return self.hits + sum(memo.cache_info().hits for memo in self.memos)
 
     def memoised(self, fn):
-        memo = {}
-        self.memos.append(memo)
-        counting = self.counting
+        if not _log.isEnabledFor(logging.DEBUG):
+            return super().memoised(fn)
 
-        def f(*args):
-            key = tuple(map(id, args))
-            hit = memo.get(key)
-            if hit is not None:
-                self.shared += 1
-                return hit[1]
+        def counted(*args):  # inside the memo, so only misses count
             r = fn(*args)
-            if counting:
-                self.terms += sum(len(c) if type(c) is _Poly else c != 0 for c in r)
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            memo[key] = args, r
+            self.terms += sum(len(c) if type(c) is _Poly else c != 0 for c in r)
             return r
 
-        return f
+        return super().memoised(counted)
 
     def basis_vector(self, space: SuperSpace, i: int):
         return _TableVector([int(i == j) for j in space.indices()])
 
     def clear(self):
-        """Empty every memo, releasing the arguments and results it holds."""
+        """Empty every memo, releasing the arguments and results it holds;
+        hits keeps the calls they answered."""
         for memo in self.memos:
-            memo.clear()
+            self.hits += memo.cache_info().hits
+            memo.cache_clear()
 
 
-# A memo that holds this many entries is emptied before it stores the next:
-# its keys are intermediate vectors, and on a dense instance nearly every one
-# is new, so a memo that stopped growing would keep only the early tuples'
-# keys, which the late tuples rarely meet.
-MEMO_LIMIT = 1 << 13
+# A full memo evicts its least recently used entry to store the next, so the
+# late tuples of a dense group still meet their neighbours' entries.  Dense
+# groups fill every memo, so the limit bounds a scan's memory; each entry
+# holds a link besides its key and result.
+MEMO_LIMIT = 1 << 12
 
 
 def signed(v: Vector, exponent: int) -> Vector:
@@ -691,12 +678,13 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
             if polynomials is None:
                 binder = _Polynomials(tables.field)
                 polynomials = build(binder)
-            binder.terms = binder.shared = 0
+            binder.clear()
+            binder.terms = binder.hits = 0
             hit, slices, evaluations = _contract(slots, polynomials[g - 1][1], binder)
             work = f"{slices} slices, {binder.terms} polynomial terms, {binder.shared} shared"
         else:
             hit, evaluations = _scan_parallel(slots, idfns, total, jobs)
-            work = f"{sum(map(len, tables.memos))} memo entries"
+            work = f"{sum(m.cache_info().currsize for m in tables.memos)} memo entries"
         if debug:
             _log.debug(
                 "%s group %d/%d: %s: %d tuples in %.6f s; %d evaluations; "

@@ -476,11 +476,12 @@ def test_contraction_stops_at_the_slice_of_the_first_failure(caplog):
         assert f"; {slices} slices, " in line
 
 
-def test_a_full_memo_is_emptied_before_it_stores_the_next(monkeypatch):
-    """At MEMO_LIMIT entries a memo of either binder is emptied, not frozen:
-    on either path the reports stay as they are, no memo holds more than the
-    limit, and the last key each memo stored after a contraction last cleared
-    it is in it at the end."""
+def test_a_full_memo_never_exceeds_the_limit_and_keeps_its_newest_key(monkeypatch):
+    """At MEMO_LIMIT entries a memo of either binder evicts to store the
+    next, and does not freeze: on either path the reports stay as they are,
+    no memo holds more than the limit, some memo is full when it misses, and
+    the last key each memo stored after a contraction last cleared it is in
+    it at the end (a call with it hits)."""
     l1_oct = tensor_alt(grassmann1(), octonions())
     bent = HomAlgebra(perturb_bilinear(l1_oct.mu, (1, 2, 3), 1), l1_oct.alpha)
     pre, jordan = standard_pre_instances()[1], plus_jordan(tensor_alt(grassmann1(), truncpoly(2)))
@@ -491,27 +492,19 @@ def test_a_full_memo_is_emptied_before_it_stores_the_next(monkeypatch):
         lambda: check_pre_law(pre, "hom-prealternative"),
         lambda: check_pre_bimodule(regular_bimodule(standard_pre_instances()[0])),
     ]
-    limit, last, sizes = 16, {}, []
+    limit, last, sizes, memos = 16, {}, [], []
+    memoised = engine._Tables.memoised  # _Polynomials.memoised reaches it through super()
 
-    def spy(memoised, key):
-        def memoise(binder, fn):
-            memo = []
+    def spy(binder, fn):
+        def missed(*args):  # a miss: the memo's size before it stores the result
+            memo = memos[at]
+            sizes.append(memo.cache_info().currsize)
+            last[id(memo)] = memo, args
+            return fn(*args)
 
-            def missed(*args):  # a miss, whose result the memo then stores
-                last[id(memo[0])] = memo[0], key(args)
-                return fn(*args)
-
-            f = memoised(binder, missed)
-            memo.append(binder.memos[-1])
-
-            def g(*args):
-                r = f(*args)
-                sizes.append(len(memo[0]))
-                return r
-
-            return g
-
-        return memoise
+        at = len(memos)
+        memos.append(memoised(binder, missed))
+        return memos[at]
 
     def cleared(binder, clear=engine._Polynomials.clear):  # a contraction's slice starts
         for memo in binder.memos:
@@ -521,16 +514,18 @@ def test_a_full_memo_is_emptied_before_it_stores_the_next(monkeypatch):
     for path in ("scan", "contract"):
         with forced(path):
             expected = [check() for check in checks]
-            last.clear(), sizes.clear()
+            last.clear(), sizes.clear(), memos.clear()
             with monkeypatch.context() as m:
                 m.setattr(engine, "MEMO_LIMIT", limit)
-                m.setattr(engine._Tables, "memoised", spy(engine._Tables.memoised, tuple))
-                m.setattr(engine._Polynomials, "memoised",
-                          spy(engine._Polynomials.memoised, lambda args: tuple(map(id, args))))
+                m.setattr(engine._Tables, "memoised", spy)
                 m.setattr(engine._Polynomials, "clear", cleared)
                 assert [check() for check in checks] == expected, path
         assert max(sizes) == limit, path
-        assert all(key in memo for memo, key in last.values()), path
+        assert max(memo.cache_info().currsize for memo in memos) == limit, path
+        for memo, args in last.values():
+            hits = memo.cache_info().hits
+            memo(*args)
+            assert memo.cache_info().hits == hits + 1, path
 
 
 def bound(*tables):

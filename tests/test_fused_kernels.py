@@ -173,7 +173,7 @@ def test_terms_that_cancel_leave_no_zero_coefficient(field):
     m = EvenMap.from_entries(s, s, [(0, 0, two), (0, 1, two)])
     z = _TableVector([_Poly({1: 1}), _Poly({1: p - 1 if p else -1})])
     assert_same(m._poly_applier()(z), reference_columns([[(0, _plain(two))]] * 2, s, z), field)
-    assert m._poly_applier()(z) == (_Poly({1: 2 * p}), 0)  # 0: no term reached it
+    assert tuple(m._poly_applier()(z)) == (_Poly({1: 2 * p}), 0)  # 0: no term reached it
     assert _Poly.normal(m._poly_applier()(z)[0], p) == _Poly()
 
 

@@ -145,13 +145,25 @@ def test_a_zero_coefficient_above_the_first_failure_is_no_witness(case, path, fo
 
 
 class Kept(laws._Tables):
-    """A table binder that lists itself in made."""
+    """A table binder that lists itself in made, and in keys, per memo, the
+    argument tuple of each call that missed it, whose result it then stored."""
 
     made = []
 
     def __init__(self, field):
         super().__init__(field)
+        self.keys = []
         Kept.made.append(self)
+
+    def memoised(self, fn):
+        keys = []
+        self.keys.append(keys)
+
+        def missed(*args):
+            keys.append(args)
+            return fn(*args)
+
+        return super().memoised(missed)
 
 
 def congruent_memo_keys(binder, p) -> int:
@@ -159,9 +171,9 @@ def congruent_memo_keys(binder, p) -> int:
     the same memo: each argument of a key is a sparse vector, its pairs
     (index, value) reduced here mod p, those that vanish dropped."""
     met = 0
-    for memo in binder.memos:
+    for keys in binder.keys:
         seen = {}
-        for key in memo:
+        for key in keys:
             reduced = tuple(tuple((i, r) for i, c in v if (r := c % p)) for v in key)
             met += seen.setdefault(reduced, key) != key
     return met
@@ -200,7 +212,7 @@ def test_congruent_memo_keys_give_the_reference_verdict(bend, path, forked):
         a = bent(bent(a, (5, 6, 3)), (6, 5, 3), -1)
     if path == "scan":
         residuals, binders = scanned_residuals(a, "hom-jordan")
-        assert sum(map(len, (memo for binder in binders for memo in binder.memos)))
+        assert sum(memo.cache_info().currsize for binder in binders for memo in binder.memos)
         assert sum(congruent_memo_keys(binder, 5) for binder in binders) == 0
         assert any(r.is_zero() for r in residuals)
         for r in residuals:  # canonical: indices ascending, values in [1, p)

@@ -27,6 +27,7 @@ from superalt import (
     PRODUCT_LAWS,
     AltBimodule,
     EvenBilinear,
+    EvenMap,
     HomAlgebra,
     HomPreAlgebra,
     PreBimodule,
@@ -50,7 +51,7 @@ from superalt import (
 )
 from superalt import laws as engine
 from superalt import operators
-from superalt.core import _Poly
+from superalt.core import _Poly, _TableVector
 from superalt.fields import QQ
 from conftest import forced, watched_contractions
 
@@ -236,13 +237,31 @@ def test_a_contraction_evaluates_each_term_once_per_slice():
 
 
 class Kept(engine._Polynomials):
-    """A polynomial binder that lists itself in made."""
+    """A polynomial binder that lists itself in made, and in stored, per
+    memo, the arguments and result of each call that missed it since the
+    binder last cleared its memos."""
 
     made = []
 
     def __init__(self, field):
         super().__init__(field)
+        self.stored = []
         Kept.made.append(self)
+
+    def memoised(self, fn):
+        stored = []
+        self.stored.append(stored)
+
+        def missed(*args):
+            stored.append((args, fn(*args)))
+            return stored[-1][1]
+
+        return super().memoised(missed)
+
+    def clear(self):
+        super().clear()
+        for stored in self.stored:
+            stored.clear()
 
 
 def kept_binders():
@@ -252,8 +271,11 @@ def kept_binders():
 
 
 def test_every_memo_entry_holds_its_argument_objects():
-    """A key is the ids of its arguments, and its entry holds them, so none
-    of those ids can name another object while the entry lives."""
+    """A key is its argument objects, _TableVectors, which hash by identity,
+    and its entry holds them, so no id in it can name another object while
+    the entry lives: every entry a contraction and a search stored is still
+    there, and a call with the same objects hits and returns the very result
+    it stored."""
     contraction, search = kept_binders()
     a, p35 = l1_oct_5(), reduce_instance(truncpoly(3), 5)
     with contraction, search:
@@ -261,11 +283,52 @@ def test_every_memo_entry_holds_its_argument_objects():
         assert search_operators(p35, "rota-baxter", weight=0, budget=2000).found
     assert len(Kept.made) == 2
     for binder in Kept.made:
-        entries = [entry for memo in binder.memos for entry in memo.items()]
-        assert entries
-        for key, (args, r) in entries:
-            assert key == tuple(map(id, args))
-        assert binder.shared
+        shared = binder.shared
+        assert shared
+        assert sum(map(len, binder.stored))
+        for memo, stored in zip(binder.memos, binder.stored):
+            assert memo.cache_info().currsize == len(stored)
+            for args, r in stored:
+                assert all(type(v) is _TableVector for v in args)
+                assert memo(*args) is r
+        assert binder.shared == shared + sum(map(len, binder.stored))
+
+
+def test_the_polynomial_binder_keys_its_memos_by_identity(monkeypatch):
+    """A _TableVector is equal only to itself, and hashes by identity: a
+    fresh vector equal in value to an earlier argument misses the memo, the
+    same object hits, and a new vector that takes the id of a dropped one
+    never gets the dropped one's result."""
+    s = SuperSpace(QQ, 2, 1)
+    m = EvenMap.from_entries(s, s, [(0, 0, QQ.coerce(2)), (0, 1, QQ.coerce(3)),
+                                    (2, 2, QQ.coerce(-1))])
+    monkeypatch.setattr(engine, "MEMO_LIMIT", 1)  # each miss evicts, and frees, the last key
+    binder = engine._Polynomials(QQ)
+    applier = binder(m)
+    assert binder.memos == [applier]
+
+    x = _TableVector([_Poly({1: 1}), 2, 0])
+    twin = _TableVector(x)
+    assert x == x and not x != x and hash(x) == hash(x)
+    assert tuple(twin) == tuple(x) and twin != x and not twin == x
+    assert len({x, twin}) == 2
+    with pytest.raises(TypeError):
+        hash(tuple(x))  # a _Poly, being a dict, has no hash
+    r = applier(x)
+    assert applier(x) is r
+    assert applier.cache_info()[:2] == (1, 1)  # hits, misses
+    assert applier(twin) is not r and applier.cache_info()[:2] == (1, 2)
+    del x, twin, r
+
+    rng, ids, kernel = random.Random(5), Counter(), m._poly_applier()
+    for calls in range(1, 201):
+        v = _TableVector([rng.randrange(-3, 4) for _ in s.indices()])
+        ids[id(v)] += 1
+        assert tuple(applier(v)) == tuple(kernel(v))
+        assert applier.cache_info().misses == 2 + calls
+        del v
+    assert max(ids.values()) > 1  # ids were reused
+    assert binder.shared == 1
 
 
 def test_the_memos_are_empty_when_each_slice_starts():
@@ -283,7 +346,7 @@ def test_the_memos_are_empty_when_each_slice_starts():
             def f(pts):
                 if not heads or pts[0] is not heads[-1]:  # a new slice's slot-0 point
                     heads.append(pts[0])
-                    starts.append(sum(map(len, binder.memos)))
+                    starts.append(sum(m.cache_info().currsize for m in binder.memos))
                 return fn(pts)
 
             return f

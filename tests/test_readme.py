@@ -2,6 +2,7 @@
 table of bimodule axioms is the derivation table the checks use."""
 
 import importlib
+import logging
 import pathlib
 import re
 import shlex
@@ -84,3 +85,17 @@ def test_the_readme_table_of_bimodule_axioms_is_the_derivation_table():
     rows = [row for _, _, law_rows in _DERIVATIONS.values() for row in law_rows]
     assert len(rows) == 14
     assert derivation_rows() == rows
+
+
+def test_the_readme_debug_line_of_the_plus_jordan_check(caplog):
+    """The contracted group's DEBUG line of the hom-jordan check of
+    plus_jordan(l1-oct) ends with the work the README quotes for it."""
+    quoted = re.search(r"\(`(\d+ slices, \d+ polynomial terms, \d+ shared)` on the `plus_jordan`",
+                       README).group(1)
+    a = superalt.plus_jordan(superalt.tensor_alt(superalt.grassmann1(), superalt.octonions()))
+    with caplog.at_level(logging.DEBUG, logger="superalt"):
+        assert superalt.check_product_law(a, "hom-jordan").passed
+    [line] = [r.getMessage() for r in caplog.records
+              if r.name == "superalt" and ": contract: " in r.getMessage()]
+    assert line.startswith("hom-jordan group 2/2: contract: 65536 tuples")
+    assert line.endswith(quoted)
