@@ -272,7 +272,7 @@ def check_alt_bimodule(m: AltBimodule, jobs: int = 1) -> LawReport:
     """All four axioms on basis triples (x, y, v).
 
     Refuses (rather than failing) when the base is not hom-alternative."""
-    _require("check_alt_bimodule", check_product_law(m.base, "hom-alternative"))
+    _require("check_alt_bimodule", check_product_law(m.base, "hom-alternative", jobs=jobs))
     return _bimodule_axioms(m, jobs=jobs)
 
 
@@ -283,7 +283,7 @@ def check_pre_bimodule(
     calibrated) reading of the two ambiguous axioms.
 
     Refuses when the base is not hom-prealternative."""
-    _require("check_pre_bimodule", check_pre_law(m.base, "hom-prealternative"))
+    _require("check_pre_bimodule", check_pre_law(m.base, "hom-prealternative", jobs=jobs))
     return _bimodule_axioms(m, variant or CALIBRATED_PBM_VARIANT, jobs)
 
 

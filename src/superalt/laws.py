@@ -428,10 +428,9 @@ def _polarized(name, perm, first, second=None, sign=1):
 @functools.lru_cache(maxsize=64)
 def _koszul(perm, sign):
     """At each tuple of parities, (image, negated) per power q of perm but the
-    identity, in _powers's order: image permutes a tuple by q, and negated says
+    identity, as _powers lists them: image is q's getter, and negated says
     whether sign (-1)^k is -1 there (see _polarized).  Worked out once per perm and sign."""
-    n = len(perm)
-    powers = [[dict(moved).get(s, s) for s in range(n)] for moved in _powers(perm)]
+    n, powers = len(perm), _powers(perm)
     reversed_pairs = [[(q[i], q[j]) for i, j in itertools.combinations(range(n), 2) if q[i] > q[j]]
                       for q in powers]
     return {p: tuple((operator.itemgetter(*q), (sum(p[i] * p[j] for i, j in pairs) + (sign < 0)) % 2)
@@ -571,9 +570,8 @@ def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str, bind)
 
 
 def _images(slots, perm=None):
-    """The images of a tuple under the powers of perm but the identity (see
-    _powers), or None when there is no perm or it carries a slot onto other
-    points."""
+    """The powers of perm but the identity, as _powers lists them, or None
+    when there is no perm or it carries a slot onto other points."""
     if perm is None or any(slots[s] != slots[q] for s, q in enumerate(perm)):
         return None
     return _powers(perm)
@@ -581,43 +579,13 @@ def _images(slots, perm=None):
 
 @functools.lru_cache(maxsize=64)
 def _powers(perm):
-    """The powers of perm but the identity.  Each is listed by the (k, s) of
-    the positions it moves, k ascending: its image of a tuple t reads t[s] at
-    position k, and agrees with t elsewhere."""
+    """The powers q of perm but the identity, each as the slot order its
+    image reads: the image of a tuple t reads t[q[s]] at slot s."""
     images, q = [], perm
     while q != tuple(sorted(q)):
-        images.append(tuple((k, s) for k, s in enumerate(q) if k != s))
+        images.append(q)
         q = tuple(q[s] for s in perm)
     return tuple(images)
-
-
-def _least_run(prefix, images, n):
-    """The range (b0, b1) of the last indices v in [0, n) for which the tuple
-    prefix + (v,) is least among its images: (0, 0) when the prefix alone
-    decides against it, else (b0, n).
-
-    Each image compares with the tuple at the positions it moves, in order:
-    two indices of the prefix decide it or tie, and the first position that
-    compares an index c of the prefix with v bounds v below by c, the rest of
-    the comparison at v = c deciding whether c itself stays in.  No position
-    compares v with an index of the prefix first: an image that moves the
-    last position reads it at an earlier one, whose comparison comes first."""
-    lo, last = 0, len(prefix)
-    for moved in images:
-        for at, (k, s) in enumerate(moved):
-            c = prefix[k]
-            if s < last:
-                if c < prefix[s]:
-                    break
-                if c > prefix[s]:
-                    return 0, 0
-                continue
-            full = prefix + (c,)
-            after = moved[at + 1:]
-            rest = [full[k] for k, _ in after] <= [full[s] for _, s in after]
-            lo = max(lo, c + (not rest))  # c against v: v > c, or v = c if the rest allows
-            break
-    return lo, n
 
 
 def _scan_range(slots, idfns, start, stop):
@@ -626,29 +594,24 @@ def _scan_range(slots, idfns, start, stop):
     residual coordinates) of the first failure or None, and evaluations
     counts the identity evaluations made.
 
-    The last slot's index j runs innermost.  An identity with a symmetry is
-    evaluated only while j is in its range for the current prefix of the
-    other slots' indices, the range where the tuple is least in its orbit
-    (see _least_run), recomputed when the prefix changes: at any other tuple
-    a smaller image fails with it or not at all."""
-    n = len(slots[-1])
-    if not n:
-        return None, 0
-    checks = [[at, fn, _images(slots, *perm), 0, n] for at, (_, fn, *perm) in enumerate(idfns)]
-    symmetric = [check for check in checks if check[2]]
-    if symmetric:
-        prefixes = itertools.product(*(range(len(slot)) for slot in slots[:-1]))
-        prefixes = itertools.islice(prefixes, start // n, None)
-    evaluations = 0
+    An identity with a symmetry is evaluated only at index tuples least in
+    their orbit, none of its images (the getters of _images's slot orders)
+    being less: at any other tuple a smaller image fails with it or not at
+    all.  Index tuples are built only for a group that has such an identity."""
+    checks = [(at, fn, [operator.itemgetter(*q) for q in _images(slots, *perm) or ()])
+              for at, (_, fn, *perm) in enumerate(idfns)]
     tuples = itertools.islice(itertools.product(*slots), start, stop)
-    for flat, pts in enumerate(tuples, start):
-        j = flat % n
-        if symmetric and (j == 0 or flat == start):
-            prefix = next(prefixes)
-            for check in symmetric:
-                check[3:] = _least_run(prefix, check[2], n)
-        for at, fn, _, b0, b1 in checks:
-            if b0 <= j < b1:
+    indices = itertools.repeat(None)
+    if any(getters for _, _, getters in checks):
+        indices = itertools.islice(itertools.product(*(range(len(slot)) for slot in slots)),
+                                   start, stop)
+    evaluations = 0
+    for flat, pts, idx in zip(itertools.count(start), tuples, indices):
+        for at, fn, getters in checks:
+            for image in getters:
+                if image(idx) < idx:
+                    break
+            else:
                 evaluations += 1
                 r = fn(pts)
                 if not r.is_zero():
@@ -798,11 +761,11 @@ def _slot_blocks(slot, offset, nvars, make, start):
 
 
 def _slot0_orbit(slots, idfns):
-    """The slots other than 0 that the symmetry of every identity of the
-    group carries slot 0 to (see _images): a tuple whose index in one of them
-    is below its slot-0 index is least in no identity's orbit."""
-    orbits = [{s for moved in _images(slots, *perm) or () for k, s in moved if k == 0}
-              for _, _, *perm in idfns]
+    """The slots other than 0 whose points the images of every identity of
+    the group read at slot 0 (q[0] of each slot order q of _images): a tuple
+    whose index in one of them is below its slot-0 index is least in no
+    identity's orbit."""
+    orbits = [{q[0] for q in _images(slots, *perm) or ()} for _, _, *perm in idfns]
     return set.intersection(*orbits) - {0}
 
 

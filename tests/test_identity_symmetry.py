@@ -3,10 +3,13 @@ scan and the contraction skip by them.
 
 An identity (name, arity, fn, perm) declares that fn changes at most its
 sign when its points are permuted by perm.  The checks then evaluate it only
-at tuples least in their orbit (see laws._scan_range and laws._contract), so
-a wrong declaration could hide a failure: every declaration is evaluated
-here at every basis tuple and its image, on random instances over Q, F_3 and
-F_5 with random twists, through the reference closures.
+at tuples least in their orbit, no image under a power of perm (listed by
+laws._powers as the slot order it reads) being less (see laws._scan_range and
+laws._contract), so a wrong declaration could hide a failure: every
+declaration is evaluated here at every basis tuple and its image, on random
+instances over Q, F_3 and F_5 with random twists, through the reference
+closures.  The scan is checked to evaluate exactly the least tuples, over
+whole groups and over the chunks a pool cuts.
 """
 
 import itertools
@@ -142,24 +145,55 @@ def powers(perm):
     return out
 
 
+ZERO = engine._sparse_vector(0, 1)()
+
+
+def scan_records(slots, perms, start, stop):
+    """The (identity position, tuple) pairs, in order, at which
+    laws._scan_range evaluates a group over [start, stop) of the tuples of
+    slots, one recording identity per entry of perms, with that perm as its
+    symmetry (none for None); the scan must count them as its evaluations."""
+    evaluated = []
+
+    def recorder(at):
+        def fn(pts):
+            evaluated.append((at, pts))
+            return ZERO
+        return fn
+
+    idfns = [(f"id{at}", recorder(at), *([] if perm is None else [perm]))
+             for at, perm in enumerate(perms)]
+    assert engine._scan_range(slots, idfns, start, stop) == (None, len(evaluated))
+    return evaluated
+
+
 @pytest.mark.parametrize("perm", [(1, 0), (1, 0, 2), (0, 2, 1), (2, 1, 0),
                                   (1, 2, 0, 3), (1, 3, 2, 0), (2, 1, 3, 0), (1, 0, 3, 2)])
 def test_least_run_is_the_range_of_tuples_least_in_their_orbit(perm):
+    """The run of (identity, tuple) pairs the scan evaluates is, over any
+    range of the tuples, exactly the pairs whose tuple is least in its orbit."""
+    assert engine._powers(perm) == tuple(powers(perm))
     for n in (1, 2, 3, 4):
-        images = engine._images([range(n)] * len(perm), perm)
-        for prefix in itertools.product(range(n), repeat=len(perm) - 1):
-            tuples = [prefix + (v,) for v in range(n)]
-            least = [t[-1] for t in tuples
-                     if all(t <= tuple(t[s] for s in q) for q in powers(perm))]
-            assert list(range(*engine._least_run(prefix, images, n))) == least
+        slots = [tuple(range(n))] * len(perm)
+        tuples = list(itertools.product(*slots))
+        total = len(tuples)
+        # the whole group, and the chunks between about ten cuts, most of them
+        # mid-prefix, as the pool cuts them
+        cuts = sorted({*range(0, total, max(1, total // 10)), total})
+        for perms in ((perm,), (perm, None), (None, perm)):
+            def expected(start, stop):
+                return [(at, t) for t in tuples[start:stop] for at, p in enumerate(perms)
+                        if p is None or all(t <= tuple(t[s] for s in q) for q in powers(p))]
+
+            for start, stop in itertools.combinations(cuts, 2):
+                assert scan_records(slots, perms, start, stop) == expected(start, stop)
 
 
 def test_a_symmetry_is_used_only_between_slots_of_the_same_points():
     base, module = ("a", "b"), ("u", "v", "w")
-    assert engine._images([base, base, module], engine.SWAP_XY) == (((0, 1), (1, 0)),)
+    assert engine._images([base, base, module], engine.SWAP_XY) == ((1, 0, 2),)
     assert engine._images([base, base, module], engine.SWAP_YZ) is None
-    assert engine._images([base] * 4, (1, 3, 2, 0)) == (
-        ((0, 1), (1, 3), (3, 0)), ((0, 3), (1, 0), (3, 1)))
+    assert engine._images([base] * 4, (1, 3, 2, 0)) == ((1, 3, 2, 0), (3, 0, 2, 1))
     assert engine._images([base] * 3) is None
 
 

@@ -106,6 +106,22 @@ def test_parallel_pre_bimodule_matches_serial(serial_and_parallel):
     assert not rep.passed and rep.witness[0] == 3 and rep.checked > CHUNK
 
 
+@pytest.mark.parametrize("base,check,module", [(zero(10, 11, F3), check_alt_bimodule, AltBimodule),
+                                                (zero_pre(), check_pre_bimodule, PreBimodule)],
+                         ids=["alt", "pre"])
+def test_a_bimodule_check_scans_its_base_on_the_pool(forked, base, check, module):
+    """The base has 9261 triples; a 1-dimensional module's axioms, 21 * 21
+    triples, never pool, so the workers that jobs=2 starts scanned the base."""
+    s, v = base.space, SuperSpace(F3, 1, 0)
+    m = module(base, EvenMap.identity(v), **{name: EvenBilinear.zero(*(
+        (s, v, v) if name[0] == "l" else (v, s, v))) for name in module.ACTIONS})
+    assert check(m, jobs=1).passed
+    forked(False)
+    rep = check(m, jobs=2)
+    forked()
+    assert rep.passed and rep.checked == 21 * 21
+
+
 @pytest.mark.parametrize("cpus,jobs,started", [(3, 1000, [3]), (64, 1000, [9]), (1, 1000, []),
                                                (8, 2, [2])])
 def test_pool_size_is_bounded_by_jobs_chunks_and_cpus(monkeypatch, cpus, jobs, started):
