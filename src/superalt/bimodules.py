@@ -32,6 +32,7 @@ from .laws import (
     HomAlgebra,
     HomPreAlgebra,
     LawReport,
+    _basis_points,
     _identities,
     _require,
     _run_groups,
@@ -247,7 +248,7 @@ def _axiom_group(m, ext, at, vt, variant, bind):
             entries["pbm2"][0] = plus_t(entries["pbm2"][0], coerce(2))
         if variant.pbm4_inner == "circ":
             entries["pbm4"][0] = plus_t(entries["pbm4"][0], coerce(-1))
-    points = bind.points(ext.space)
+    points = _basis_points(ext.space, bind.basis)
     base, module = tuple(points[i] for i in at), tuple(points[j] for j in vt)
     return [base, base, module], [(axiom, *entry) for axiom, entry in entries.items()]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -35,6 +36,7 @@ from .constructions import (
 from .core import EvenMap, ValidationError
 from .fields import QQ, FieldError, FpElement, PrimeField, RationalField
 from .io import (
+    MAX_DIM,
     DocumentError,
     canonical_dumps,
     load,
@@ -102,7 +104,7 @@ def _write(doc, path):
 def _parse_scalar(field, text):
     try:
         if isinstance(field, RationalField):
-            return field.from_json(text, strict=False)[0]
+            return field.from_json(text)[0]
         return field.scalar(int(text))
     except (ValueError, ZeroDivisionError):
         raise _Usage(f"cannot read scalar {text!r} for {field}")
@@ -154,6 +156,10 @@ def _cmd_construct(args):
         raise _Usage(f"{op} takes exactly {count}")
     strict = args.strict_canonical
     inputs = [_load_as(path, kind, strict) for path, kind in zip(args.inputs, kinds)]
+    # the result spans the product of the inputs' dimensions (a tensor's), or the one input's
+    dim = math.prod(a.space.dim for a in inputs)
+    if dim > MAX_DIM:
+        raise _Usage(f"{op}: the result's n0 + n1 = {dim} exceeds the cap of {MAX_DIM}")
     metadata = {"operation": op, "inputs": list(args.inputs)}
     if option is not None:
         value = getattr(args, option)

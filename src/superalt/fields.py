@@ -155,8 +155,9 @@ class RationalField:
     def to_json(self, x) -> str:
         return str(x)
 
-    def from_json(self, v, strict: bool = True):
-        """Decode a JSON scalar.  Returns (value, warning-or-None)."""
+    def from_json(self, v):
+        """Decode a JSON scalar.  Returns (value, warning-or-None); a reader
+        that is strict refuses the value when the warning is given."""
         if isinstance(v, str):
             exponent = _EXPONENT.search(v)
             if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
@@ -167,16 +168,10 @@ class RationalField:
             except (ValueError, ZeroDivisionError) as e:
                 raise FieldError(f"bad rational literal {v!r}: {e}") from None
             if canonical != v:
-                msg = f"rational {v!r} not in canonical form (want {canonical!r})"
-                if strict:
-                    raise FieldError(msg)
-                return q, msg
+                return q, f"rational {v!r} not in canonical form (want {canonical!r})"
             return q, None
         if isinstance(v, int) and not isinstance(v, bool):
-            msg = f"rational written as bare int {v} (canonical form is a string)"
-            if strict:
-                raise FieldError(msg)
-            return Fraction(v), msg
+            return Fraction(v), f"rational written as bare int {v} (canonical form is a string)"
         raise FieldError(f"cannot read {v!r} as a rational")
 
     def __repr__(self):
@@ -231,14 +226,12 @@ class PrimeField:
     def to_json(self, x) -> int:
         return x.val
 
-    def from_json(self, v, strict: bool = True):
+    def from_json(self, v):
+        """Decode a JSON residue.  Returns (value, warning-or-None)."""
         if isinstance(v, int) and not isinstance(v, bool):
             if 0 <= v < self.p:
                 return FpElement(v, self.p), None
-            msg = f"residue {v} outside [0, {self.p})"
-            if strict:
-                raise FieldError(msg)
-            return FpElement(v, self.p), msg
+            return FpElement(v, self.p), f"residue {v} outside [0, {self.p})"
         raise FieldError(f"cannot read {v!r} as a residue mod {self.p}")
 
     def __repr__(self):

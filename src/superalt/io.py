@@ -66,10 +66,10 @@ def canonical_dumps(doc: dict) -> str:
 
 
 def _scalar_from_json(field, v, ctx, where):
-    # the field's own decoder knows canonical form; lenient decode plus
-    # bend() reproduces strict behavior exactly
+    # the field's own decoder knows canonical form, and bend() refuses what
+    # it warns of when the reading is strict
     try:
-        val, warn = field.from_json(v, strict=False)
+        val, warn = field.from_json(v)
     except FieldError as e:
         ctx.err(where, str(e))
         return field.zero
@@ -198,9 +198,14 @@ def _matrix_from_json(field, rows, domain, codomain, ctx, where):
 
 def _doc(kind, space, body, name, metadata):
     """A document of this kind over space: its scalars and dims, the body's
-    keys, then the name and metadata when given."""
+    keys, then the name and metadata when given.  A space beyond MAX_DIM is
+    refused, as load would refuse the document."""
     doc = {"kind": kind, "scalars": field_to_json(space.field), "dims": [space.even, space.odd]}
     doc.update(body)
+    for key in ("dims", "codomain_dims"):
+        n = sum(doc.get(key, ()))
+        if n > MAX_DIM:
+            raise ValidationError([f"{key}: n0 + n1 = {n} exceeds the cap of {MAX_DIM}"])
     if name:
         doc["name"] = name
     if metadata:

@@ -123,11 +123,14 @@ def _require(op: str, report: "LawReport"):
 
 
 # Binders.  Each identity closure is written once, over appliers that a
-# binder makes from the tensors and maps it reads.  Every check evaluates on
-# table vectors (see core, "Table evaluation") with appliers read from the
-# sparse tables, each applier and associator memoised by one memo
-# (_Tables.memoised, a functools.lru_cache) on its arguments: a tuple scan
-# on the table binder, whose vectors are sparse and canonical
+# binder makes from the tensors and maps it reads.  A binder only compiles
+# each tensor once and memoises its applier; its points are those that
+# _basis_points builds from its basis function, and the scan engine times
+# its builds and counts its memo hits (_run_groups, _contract).  Every check
+# evaluates on table vectors (see core, "Table evaluation") with appliers
+# read from the sparse tables, each applier and associator memoised by one
+# memo (_Tables.memoised, a functools.lru_cache) on its arguments: a tuple
+# scan on the table binder, whose vectors are sparse and canonical
 # (core._SparseVector), so the memo keys on their values, for that check; a
 # contraction on the polynomial binder, whose dense vectors
 # (core._TableVector) hash by identity, so the memo keys on the argument
@@ -143,16 +146,14 @@ def _require(op: str, report: "LawReport"):
 
 
 class _Reference:
+    basis = staticmethod(Vector.basis)
+
     def __call__(self, t):
         return t.apply
 
     @staticmethod
     def memoised(fn):
         return fn
-
-    @staticmethod
-    def points(space: SuperSpace):
-        return _basis_points(space)
 
 
 REFERENCE = _Reference()
@@ -162,7 +163,8 @@ class _Tables:
     """The table binder: one applier per tensor or map, compiled at its first
     binding and memoised on argument values.  A value-keyed result depends
     only on its tensor, so a binder may serve several checks that share
-    tensors (see operators._check_on), each dropping what it alone bound."""
+    tensors (see operators._check_on), each dropping what it alone bound.
+    Its basis points are sparse table vectors."""
 
     KERNEL = "_table_applier"  # the method that compiles a tensor's applier
 
@@ -170,15 +172,11 @@ class _Tables:
         self.field = field
         self.bound = {}  # id(t) -> (t, applier); t is kept so its id stays its own
         self.memos = []
-        self.spaces = {}  # space -> its basis points
-        self.build_s = 0.0
 
     def __call__(self, t):
         hit = self.bound.get(id(t))
         if hit is None:
-            start = time.perf_counter()
             hit = self.bound[id(t)] = t, self.memoised(getattr(t, self.KERNEL)())
-            self.build_s += time.perf_counter() - start
         return hit[1]
 
     def drop(self, t):
@@ -186,17 +184,9 @@ class _Tables:
         _, applier = self.bound.pop(id(t))
         self.memos = [m for m in self.memos if m is not applier]
 
-    def points(self, space: SuperSpace):
-        """The basis points of a space, built once per binder."""
-        pts = self.spaces.get(space)
-        if pts is None:
-            pts = self.spaces[space] = tuple(
-                (self.basis_vector(space, i), space.parity(i)) for i in space.indices()
-            )
-        return pts
-
-    def basis_vector(self, space: SuperSpace, i: int):
-        return _sparse_vector(self.field.char, space.dim)(((i, 1),))
+    @staticmethod
+    def basis(space: SuperSpace, i: int):
+        return _sparse_vector(space.field.char, space.dim)(((i, 1),))
 
     def memoised(self, fn):
         """fn memoised on its arguments, listed in memos (see MEMO_LIMIT)."""
@@ -208,21 +198,19 @@ class _Tables:
 class _Polynomials(_Tables):
     """The table binder for coordinates that may be polynomials (core._Poly).
 
-    Its vectors are dense _TableVectors over every field, their coordinates
-    raw (see core._Poly): only the reads normalize.  A _TableVector hashes
-    by identity, so the memo keys on the argument objects, which a key
-    holds: no id in it can be reused while the entry lives.  The closures
-    pass the points of a tuple and earlier memoised results as arguments, so
-    a repeated subexpression over them is computed once; an argument built
-    on the spot, such as a sum, is a new object and misses.  shared counts
-    the calls answered from its memos since hits was last reset, and, while
-    the superalt logger prints DEBUG lines, terms the raw terms of every
-    vector a miss computed.  An operator search binds an unknown map on it
-    (see operators._FreeMap), for one pass over the basis tuples; a
-    contracted scan evaluates its group on generic points through it, and
-    empties the memos at each slice (see _contract).  Its appliers are the
-    fused kernels (_poly_applier), which build no intermediate polynomial
-    per structure constant."""
+    Its vectors, basis points included, are dense _TableVectors over every
+    field, their coordinates raw (see core._Poly): only the reads normalize.
+    A _TableVector hashes by identity, so the memo keys on the argument
+    objects, which a key holds: no id in it can be reused while the entry
+    lives.  The closures pass the points of a tuple and earlier memoised
+    results as arguments, so a repeated subexpression over them is computed
+    once; an argument built on the spot, such as a sum, is a new object and
+    misses.  While the superalt logger prints DEBUG lines, terms counts the
+    raw terms of every vector a miss computed.  An operator search binds an
+    unknown map on it (see operators._FreeMap), for one pass over the basis
+    tuples; a contracted scan evaluates its group on generic points through
+    it (see _contract).  Its appliers are the fused kernels (_poly_applier),
+    which build no intermediate polynomial per structure constant."""
 
     KERNEL = "_poly_applier"
     vector = _TableVector
@@ -230,11 +218,6 @@ class _Polynomials(_Tables):
     def __init__(self, field):
         super().__init__(field)
         self.terms = 0
-        self.hits = 0  # the hits of the memos up to their last clear()
-
-    @property
-    def shared(self):
-        return self.hits + sum(memo.cache_info().hits for memo in self.memos)
 
     def memoised(self, fn):
         if not _log.isEnabledFor(logging.DEBUG):
@@ -247,15 +230,9 @@ class _Polynomials(_Tables):
 
         return super().memoised(counted)
 
-    def basis_vector(self, space: SuperSpace, i: int):
+    @staticmethod
+    def basis(space: SuperSpace, i: int):
         return _TableVector([int(i == j) for j in space.indices()])
-
-    def clear(self):
-        """Empty every memo, releasing the arguments and results it holds;
-        hits keeps the calls they answered."""
-        for memo in self.memos:
-            self.hits += memo.cache_info().hits
-            memo.cache_clear()
 
 
 # A full memo evicts its least recently used entry to store the next, so the
@@ -524,9 +501,11 @@ def _identities(instance, law, jordan_cycle, bind):
 
 
 @functools.lru_cache(maxsize=64)
-def _basis_points(space: SuperSpace) -> tuple[Point, ...]:
-    """The basis vectors of a space with their parities, built once per space."""
-    return tuple((Vector.basis(space, i), space.parity(i)) for i in space.indices())
+def _basis_points(space: SuperSpace, basis=Vector.basis) -> tuple[Point, ...]:
+    """The basis vectors basis(space, i) of a space with their parities, built
+    once per space and basis function: a binder's points are
+    _basis_points(space, bind.basis)."""
+    return tuple((basis(space, i), space.parity(i)) for i in space.indices())
 
 
 def _group_identities(identities):
@@ -542,14 +521,14 @@ def _group_identities(identities):
 def _law_groups(space: SuperSpace, identities, bind):
     """Scan groups of a law's identities: one per run of equal-arity
     identities, each over the basis of the space."""
-    points = bind.points(space)
+    points = _basis_points(space, bind.basis)
     return [([points] * arity, idfns) for arity, idfns in _group_identities(identities)]
 
 
 def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str, bind):
     """f(x src y) - f(x) dst f(y) on basis pairs of f's domain."""
     F, s, d = bind(f), bind(src), bind(dst)
-    points = bind.points(f.domain)
+    points = _basis_points(f.domain, bind.basis)
 
     def preserves(pts):
         (x, _), (y, _) = pts
@@ -566,7 +545,7 @@ def _intertwining_group(f: EvenMap, src: EvenMap, dst: EvenMap, name: str, bind)
         ((x, _),) = pts
         return F(s(x)) - d(F(x))
 
-    return [bind.points(f.domain)], [(name, intertwines)]
+    return [_basis_points(f.domain, bind.basis)], [(name, intertwines)]
 
 
 def _images(slots, perm=None):
@@ -626,10 +605,15 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
     """Evaluate, in order, the groups that build(tables) lists on the table
     binder tables, returning a LawReport.  _evaluation picks, per group,
     the tuple scan or the contraction; both find the same first failure.
+    Each group's DEBUG line gives the seconds of this check's build calls
+    so far (the table binder's, then the polynomial binder's once a group
+    contracts), whatever tables held before.
 
     At a hit the group build(REFERENCE) lists in the same place recomputes
     the residual at the witness, which must agree with the evaluated one."""
+    start = time.perf_counter()
     groups = build(tables)
+    build_s = time.perf_counter() - start
     polynomials = None  # the groups rebuilt on a _Polynomials binder, once one contracts
     debug = _log.isEnabledFor(logging.DEBUG)
     checked_before = 0
@@ -639,12 +623,13 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
         path = _evaluation(total, len(slots), tables)
         if path == "contract":
             if polynomials is None:
+                building = time.perf_counter()
                 binder = _Polynomials(tables.field)
                 polynomials = build(binder)
-            binder.clear()
-            binder.terms = binder.hits = 0
-            hit, slices, evaluations = _contract(slots, polynomials[g - 1][1], binder)
-            work = f"{slices} slices, {binder.terms} polynomial terms, {binder.shared} shared"
+                build_s += time.perf_counter() - building
+            terms = binder.terms
+            hit, slices, evaluations, shared = _contract(slots, polynomials[g - 1][1], binder)
+            work = f"{slices} slices, {binder.terms - terms} polynomial terms, {shared} shared"
         else:
             hit, evaluations = _scan_parallel(slots, idfns, total, jobs)
             work = f"{sum(m.cache_info().currsize for m in tables.memos)} memo entries"
@@ -653,7 +638,7 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
                 "%s group %d/%d: %s: %d tuples in %.6f s; %d evaluations; "
                 "tables built in %.6f s; %s",
                 law, g, len(groups), path, total if hit is None else hit[0] + 1,
-                time.perf_counter() - start, evaluations, tables.build_s, work,
+                time.perf_counter() - start, evaluations, build_s, work,
             )
         if hit is not None:
             flat, at, scanned = hit
@@ -706,25 +691,15 @@ def _fill(t) -> float:
     return t.nonzero_count() / max(1, inputs)
 
 
-# The rule's bounds, from checks timed both ways in one process (best of 5,
-# two rounds, scan ms / contraction ms; X~k is X in the basis (I + E) e_i,
-# E holding k random same-parity entries above the diagonal, as in
-# ROADMAP.md's baseline).  Set when the contraction still built a polynomial
-# per structure constant: at growth 1, the scan won at 512 triples
-# (octonions hom-alternative 2.8-5.0 / 3.3-5.9) and the contraction from
-# 625 tuples on; a failure within the first few hundred tuples cost the
-# contraction twice the scan (l1-oct hom-associative, failing at 292: 3.3 /
-# 6.5-6.6); the growth up to which the contraction won rose with size,
-# about 1.5 at 1 000-4 096 tuples and beyond 3.7 at 32 768 triples, and the
-# growth bound of 2 lies between.  Re-timed with fused kernels whose values
-# are normalized only where read (see core._Poly), the contraction wins every
-# row: octonions hom-alternative, 512 triples, 2.8 / 1.2-1.4; plus(truncpoly-5)
-# hom-jordan, 625 tuples, 1.8 / 0.5-0.6; truncpoly-10~3, growth 1.61, 1 000
-# triples, 5.9-6.0 / 3.3; l1-oct~4 (a new draw, growth 1.54), 4 096 triples,
-# 32.1-32.3 / 13.5-14.1; l1-l1-oct@5~16 (new, 3.33), 32 768 triples, 638-640 /
-# 195-200; and the early failure costs the same both ways (2.0 / 1.9).  So
-# both bounds are now cautious; they keep the values they were set at until a
-# change measures new ones.
+# The rule's bounds.  Timed both ways in one process, the contraction wins
+# every crossover row, from the octonions' 512 hom-alternative triples at
+# growth 1 to 32 768 triples at growth 3.33, and an early failure costs the
+# same both ways; it wins the dense rows up to growth about 8 (ROADMAP.md,
+# Baseline), so the growth bound of 2 is cautious.  The tuple bound keeps
+# the many small groups on the scan: measured at commit 3f99fcb (perfbench
+# workloads in process, 12 interleaved rounds), lowering it to 512, 256 and
+# 128 made a pipeline pass 1.12x, 1.14x and 1.21x slower, law-scan staying
+# within 2 %, and a bound of 0 made search 2.0x and pipeline 1.48x slower.
 CONTRACT_MIN_TUPLES = 1024
 CONTRACT_MAX_GROWTH = 2
 
@@ -771,8 +746,8 @@ def _slot0_orbit(slots, idfns):
 
 def _contract(slots, idfns, binder):
     """Evaluate one group on generic points; returns (hit, slices evaluated,
-    identity evaluations), hit being what _scan_range returns over the whole
-    group.
+    identity evaluations, memo hits), hit being what _scan_range returns over
+    the whole group.
 
     Slot s is bound to generic points sum x_(offset_s + i) e_i, one per run
     of equal parity, so one evaluation of a block of runs gives each
@@ -797,21 +772,23 @@ def _contract(slots, idfns, binder):
     index on: the tuples cut off are least in no identity's orbit, so the
     least failure is kept.
 
-    idfns are bound on binder, a _Polynomials, whose memos are emptied at
-    each slice: within it, every block gets the same point objects, so the
-    blocks share their subexpressions, and memory stays bounded by one
-    slice."""
+    idfns are bound on binder, a _Polynomials, whose memos are emptied when
+    each slice starts: within it, every block gets the same point objects,
+    so the blocks share their subexpressions, and memory stays bounded by
+    one slice.  The memo hits are summed over the slices, each slice's read
+    at its end."""
     if not all(slots):
-        return None, 0, 0
+        return None, 0, 0, 0
     make, p = binder.vector, binder.field.char
     offsets = list(itertools.accumulate(map(len, slots), initial=0))
     nvars = offsets[-1]
     width = max(1, CONTRACT_SLICE_TUPLES // math.prod(map(len, slots[1:])))
     firsts = [run[k:k + width] for run in _parity_runs(slots[0]) for k in range(0, len(run), width)]
     orbit = _slot0_orbit(slots, idfns)
-    evaluations = 0
+    evaluations = shared = 0
     for n, first in enumerate(firsts, 1):
-        binder.clear()
+        for memo in binder.memos:
+            memo.cache_clear()
         blocks = [
             _slot_blocks(slots[s], offsets[s], nvars, make, first[0] if s in orbit else 0)
             for s in range(1, len(slots))
@@ -831,14 +808,15 @@ def _contract(slots, idfns, binder):
                     if live and (best is None or max(live) > best[0]):
                         best = max(live), at, [_Poly.normal(v, p) for v in r]
             evaluations += len(idfns)
+        shared += sum(memo.cache_info().hits for memo in binder.memos)
         if best is not None:
             mono, at, r = best
             flat = 0
             codes = (code for code in range(nvars) if mono >> (nvars - 1 - code) & 1)
             for code, offset, slot in zip(codes, offsets, slots):
                 flat = flat * len(slot) + code - offset
-            return (flat, at, tuple(c.get(mono, 0) for c in r)), n, evaluations
-    return None, len(firsts), evaluations
+            return (flat, at, tuple(c.get(mono, 0) for c in r)), n, evaluations, shared
+    return None, len(firsts), evaluations, shared
 
 
 # The smallest scan group worth a fork pool: through the CLI on 2 cores, two
@@ -915,7 +893,7 @@ def _odd_diagonal_info(p: HomPreAlgebra, bind) -> dict:
     """
     kind1, _, kind3 = _pre_components(p, bind)
     space = p.space
-    e = [x for x, _ in bind.points(space)]
+    e = [x for x, _ in _basis_points(space, bind.basis)]
     odd = space.indices_of_parity(1)
     cases = [("diag-succ", i, j, kind1(e[i], e[i], e[j])) for i in odd for j in space.indices()]
     cases += [("diag-prec", i, j, kind3(e[i], e[j], e[j])) for j in odd for i in space.indices()]
@@ -933,8 +911,10 @@ def check_pre_law(p: HomPreAlgebra, law: str, jobs: int = 1) -> LawReport:
     residual census (informational; the polarized axioms are the verdict).
     """
     tables = _Tables(p.space.field)
-    extra = {"odd_diagonal": _odd_diagonal_info(p, tables)} if law == "hom-prealternative" else None
-    return _check_law(p, law, None, jobs, extra, tables)
+    report = _check_law(p, law, None, jobs, None, tables)
+    if law == "hom-prealternative":
+        report.extra["odd_diagonal"] = _odd_diagonal_info(p, tables)
+    return report
 
 
 def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:

@@ -49,6 +49,7 @@ from .laws import (
     HomPreAlgebra,
     HypothesisError,
     LawReport,
+    _basis_points,
     _intertwining_group,
     _morphism_groups,
     _Polynomials,
@@ -178,7 +179,7 @@ def _operator_groups(kind: str, a, m, w, bind):
     def on_pair(equation):
         return lambda pts: equation(mu, R, w, pts[0][0], pts[1][0])
 
-    points = bind.points(a.space)
+    points = _basis_points(a.space, bind.basis)
     return [
         ([points, points], [("equation", on_pair(eq)) for eq in _EQUATIONS[kind]]),
         _intertwining_group(m, a.alpha, a.alpha, "twist-commuting", bind),
@@ -206,7 +207,7 @@ def _o_operator_groups(t, m: "AltBimodule", bind):
         (u, _), (v, _) = pts
         return _o_operator_equation(mu, L, R, T, u, v)
 
-    points = bind.points(m.module)
+    points = _basis_points(m.module, bind.basis)
     return [
         ([points, points], [("equation", equation)]),
         _intertwining_group(t, m.beta, a.alpha, "twist-intertwining", bind),

@@ -34,6 +34,7 @@ from superalt import (
     transpose,
     truncpoly,
     yau_twist,
+    zero,
 )
 from superalt.cli import main
 
@@ -247,6 +248,7 @@ def construct_dir(tmp_path, monkeypatch):
         "pre": rb_split(p3, integration(3)),
         "two": EvenMap.diagonal(p3.space, [Fraction(2)] * 3),
         "id": EvenMap.identity(p3.space),
+        "z33": zero(33, 0),
     }
     for stem, obj in objs.items():
         sio.save(sio.object_to_doc(obj), f"{stem}.json")
@@ -280,8 +282,10 @@ def test_every_construct_op_writes_its_construction(construct_dir, capsys, op):
     (["rb-split", "--in", "p3.json", "--map", "R.json", "--n", "5"], "rb-split does not take --n"),
     (["derived", "--in", "pre.json", "--n", "1", "--lambda", "2"],
      "derived does not take --lambda"),
+    (["tensor", "--in", "g1.json", "z33.json"],
+     "tensor: the result's n0 + n1 = 66 exceeds the cap of 64"),
 ], ids=["derived-n", "scale-lambda", "rb-split-map", "alt-two-inputs", "tensor-one-input",
-        "alt-stray-map", "rb-split-stray-n", "derived-stray-lambda"])
+        "alt-stray-map", "rb-split-stray-n", "derived-stray-lambda", "tensor-beyond-the-cap"])
 def test_a_construct_op_refuses_a_stray_or_missing_option_or_input(construct_dir, capsys, argv,
                                                                    message):
     code, out, err = run(capsys, "construct", *argv, "--out", "out.json")

@@ -15,7 +15,9 @@ from superalt import (
     reduce_instance,
     regular_bimodule,
     truncpoly,
+    zero,
 )
+from superalt.core import ValidationError
 from superalt.io import DocumentError
 from conftest import to_cube
 
@@ -118,14 +120,17 @@ def test_sparse_entries_omit_zeros_and_sort(oct):
 
 
 def test_lenient_parsing_normalizes_scalars(tmp_path):
-    doc = sio.algebra_to_doc(truncpoly(3))
-    doc["product"][0][3] = "2/4"
-    text = sio.canonical_dumps(doc)
-    doc2, obj, warnings = sio.parse_text(text)
-    assert any("2/4" in w for w in warnings)
-    assert to_cube(obj.mu)[0][0][0] == Fraction(1, 2)
-    with pytest.raises(DocumentError):
-        sio.parse_text(text, strict=True)
+    # a rational not in lowest terms, a bare int over Q, a residue beyond F_5
+    for p, written, value in ((0, "2/4", Fraction(1, 2)), (0, 3, 3), (5, 7, 2)):
+        doc = sio.algebra_to_doc(reduce_instance(truncpoly(3), p) if p else truncpoly(3))
+        doc["product"][0][3] = written
+        text = sio.canonical_dumps(doc)
+        doc2, obj, warnings = sio.parse_text(text)
+        assert len(warnings) == 1 and warnings[0].startswith("product[0]: ")
+        assert str(written) in warnings[0]
+        assert to_cube(obj.mu)[0][0][0] == value
+        with pytest.raises(DocumentError, match=r"product\[0\]: "):
+            sio.parse_text(text, strict=True)
 
 
 def test_unsorted_entries_warn_then_error(tmp_path):
@@ -278,6 +283,16 @@ def test_dims_are_capped_before_allocation():
     doc = {"kind": "algebra", "scalars": "Q", "dims": [n, 1], "product": [], "twist": []}
     with pytest.raises(DocumentError, match=f"dims: n0 \\+ n1 = {n + 1} exceeds the cap"):
         sio.parse_text(json.dumps(doc))
+
+
+def test_no_document_is_written_beyond_the_cap():
+    n = sio.MAX_DIM
+    assert sio.object_to_doc(zero(n, 0))["dims"] == [n, 0]
+    with pytest.raises(ValidationError, match=f"dims: n0 \\+ n1 = {n + 1} exceeds the cap"):
+        sio.object_to_doc(zero(n + 1, 0))
+    wide = EvenMap.zero(SuperSpace(QQ, 1, 0), SuperSpace(QQ, n, 1))
+    with pytest.raises(ValidationError, match=f"codomain_dims: n0 \\+ n1 = {n + 1} exceeds"):
+        sio.object_to_doc(wide)
 
 
 @pytest.mark.parametrize("opening,closing", [("[", ""), ('{"a": ', ""), ("[", "]")],

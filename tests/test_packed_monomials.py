@@ -230,7 +230,7 @@ def test_a_contraction_evaluates_each_term_once_per_slice():
         assert check_product_law(a, "hom-alternative").passed
     assert slices[0] == 2
     assert max(evaluated.values()) == 1
-    ((identities, (_, _, evaluations)),) = contractions
+    ((identities, (_, _, evaluations, _)),) = contractions
     blocks = evaluations // identities
     assert blocks == 8
     assert sum(n for (name, *_), n in evaluated.items() if name == "asso") == 3 * blocks
@@ -238,8 +238,8 @@ def test_a_contraction_evaluates_each_term_once_per_slice():
 
 class Kept(engine._Polynomials):
     """A polynomial binder that lists itself in made, and in stored, per
-    memo, the arguments and result of each call that missed it since the
-    binder last cleared its memos."""
+    memo, the arguments and result of each call that missed it; the last
+    cache_info().misses of them missed it since it was last cleared."""
 
     made = []
 
@@ -257,11 +257,6 @@ class Kept(engine._Polynomials):
             return stored[-1][1]
 
         return super().memoised(missed)
-
-    def clear(self):
-        super().clear()
-        for stored in self.stored:
-            stored.clear()
 
 
 def kept_binders():
@@ -283,15 +278,17 @@ def test_every_memo_entry_holds_its_argument_objects():
         assert search_operators(p35, "rota-baxter", weight=0, budget=2000).found
     assert len(Kept.made) == 2
     for binder in Kept.made:
-        shared = binder.shared
+        shared = sum(memo.cache_info().hits for memo in binder.memos)
         assert shared
-        assert sum(map(len, binder.stored))
-        for memo, stored in zip(binder.memos, binder.stored):
+        held = [stored[len(stored) - memo.cache_info().misses:]
+                for memo, stored in zip(binder.memos, binder.stored)]
+        assert sum(map(len, held))
+        for memo, stored in zip(binder.memos, held):
             assert memo.cache_info().currsize == len(stored)
             for args, r in stored:
                 assert all(type(v) is _TableVector for v in args)
                 assert memo(*args) is r
-        assert binder.shared == shared + sum(map(len, binder.stored))
+        assert sum(memo.cache_info().hits for memo in binder.memos) == shared + sum(map(len, held))
 
 
 def test_the_polynomial_binder_keys_its_memos_by_identity(monkeypatch):
@@ -328,7 +325,7 @@ def test_the_polynomial_binder_keys_its_memos_by_identity(monkeypatch):
         assert applier.cache_info().misses == 2 + calls
         del v
     assert max(ids.values()) > 1  # ids were reused
-    assert binder.shared == 1
+    assert applier.cache_info().hits == 1
 
 
 def test_the_memos_are_empty_when_each_slice_starts():

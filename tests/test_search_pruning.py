@@ -18,8 +18,11 @@ import collections
 import contextlib
 import hashlib
 import itertools
+import logging
 import math
 import random
+import re
+import types
 from unittest import mock
 
 import pytest
@@ -45,7 +48,7 @@ from superalt import (
     search_operators,
     truncpoly,
 )
-from superalt import operators
+from superalt import laws, operators
 from superalt.laws import REFERENCE
 from conftest import from_rows
 from superalt.operators import (
@@ -430,6 +433,21 @@ def test_found_maps_are_rechecked_as_fresh_checks_on_one_binder():
         assert len({id(tables) for tables, _, _ in rechecks}) == 1, "one binder per search"
         for _, spec, rep in rechecks:
             assert rep == check_operator(spec, a), (options, spec.map)
+
+
+def test_every_recheck_of_a_search_reports_its_own_build_seconds(caplog, monkeypatch):
+    """The re-checks share one table binder, which keeps the instance's
+    tensors, yet each group line gives the seconds of its own check's build
+    calls: on a clock that advances by 1 at each read, the same on every
+    line, not a total that grows with each map."""
+    ticks = itertools.count()
+    monkeypatch.setattr(laws, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    with caplog.at_level(logging.DEBUG, logger="superalt"):
+        res = search_operators(named("truncpoly-3", 5), "rota-baxter", weight=0, budget=2000)
+    built = [re.search(r"tables built in (\S+) s", r.getMessage()).group(1)
+             for r in caplog.records if " group " in r.getMessage()]
+    assert len(res.found) > 1 and len(built) == 2 * len(res.found)
+    assert set(built) == {"1.000000"}
 
 
 def test_a_search_compiles_the_instance_tensors_once():

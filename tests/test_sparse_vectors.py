@@ -140,7 +140,7 @@ def test_a_scanned_witness_has_the_reference_residual(p):
         rep = check_product_law(a, "hom-alternative")
     assert not rep.passed
     tables = laws._Tables(a.space.field)
-    points = tables.points(a.space)
+    points = laws._basis_points(a.space, tables.basis)
     scanned = {name: fn for name, _, fn, *_ in laws._identities(a, "hom-alternative", None, tables)}
     reference = {name: fn for name, _, fn in law_identities(a, "hom-alternative")}
     basis = [(Vector.basis(a.space, i), a.space.parity(i)) for i in a.space.indices()]
