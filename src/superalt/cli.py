@@ -101,13 +101,20 @@ def _write(doc, path):
     return EXIT_PASS
 
 
-def _parse_scalar(field, text):
+def _parse_scalar(field, text, option, strict):
+    """The scalar option's text, read as a document's scalar is read: by
+    field.from_json, from the text over Q and from its integer over F_p.
+    What the decoder warns of is refused in strict mode, warned of
+    otherwise."""
     try:
-        if isinstance(field, RationalField):
-            return field.from_json(text)[0]
-        return field.scalar(int(text))
-    except (ValueError, ZeroDivisionError):
+        value, warning = field.from_json(text if isinstance(field, RationalField) else int(text))
+    except ValueError:
         raise _Usage(f"cannot read scalar {text!r} for {field}")
+    if warning:
+        if strict:
+            raise _Usage(f"{option}: {warning}")
+        _warn([f"{option}: {warning}"])
+    return value
 
 
 def _cmd_check(args):
@@ -141,7 +148,8 @@ CONSTRUCT_OPS = tuple(_CONSTRUCTIONS)
 _OPTION_READERS = {
     "map": lambda path, first, strict: _load_as(path, EvenMap, strict),
     "n": lambda n, first, strict: n,
-    "lambda": lambda text, first, strict: _parse_scalar(first.space.field, text),
+    "lambda": lambda text, first, strict: _parse_scalar(first.space.field, text, "--lambda",
+                                                        strict),
 }
 
 
@@ -192,7 +200,8 @@ def _operator_options(args, field):
         raise _Usage(f"--bimodule is for o-operator, not {args.kind}")
     weight = bimod = None
     if args.kind == "rota-baxter":
-        weight = _parse_scalar(field, args.weight if args.weight is not None else "0")
+        weight = _parse_scalar(field, args.weight if args.weight is not None else "0", "--weight",
+                               args.strict_canonical)
     if args.kind == "o-operator":
         if args.bimodule is None:
             raise _Usage(f"{args.verb} --kind o-operator needs --bimodule")

@@ -40,6 +40,7 @@ from .core import (
     Vector,
     _Poly,
     _sparse_vector,
+    _SparseVector,
     _TableVector,
 )
 
@@ -162,9 +163,9 @@ REFERENCE = _Reference()
 class _Tables:
     """The table binder: one applier per tensor or map, compiled at its first
     binding and memoised on argument values.  A value-keyed result depends
-    only on its tensor, so a binder may serve several checks that share
-    tensors (see operators._check_on), each dropping what it alone bound.
-    Its basis points are sparse table vectors."""
+    only on its tensor, so one binder may serve several maps that share
+    tensors (see operators._found_groups).  Its basis points are sparse
+    table vectors."""
 
     KERNEL = "_table_applier"  # the method that compiles a tensor's applier
 
@@ -178,11 +179,6 @@ class _Tables:
         if hit is None:
             hit = self.bound[id(t)] = t, self.memoised(getattr(t, self.KERNEL)())
         return hit[1]
-
-    def drop(self, t):
-        """Forget t's applier and its memo, as if t had never been bound."""
-        _, applier = self.bound.pop(id(t))
-        self.memos = [m for m in self.memos if m is not applier]
 
     @staticmethod
     def basis(space: SuperSpace, i: int):
@@ -620,7 +616,7 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
     for g, (slots, idfns) in enumerate(groups, 1):
         total = math.prod(len(slot) for slot in slots)
         start = time.perf_counter() if debug else 0.0
-        path = _evaluation(total, len(slots), tables)
+        path = _evaluation(slots, tables)
         if path == "contract":
             if polynomials is None:
                 building = time.perf_counter()
@@ -629,11 +625,13 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
                 build_s += time.perf_counter() - building
             terms = binder.terms
             hit, slices, evaluations, shared = _contract(slots, polynomials[g - 1][1], binder)
-            work = f"{slices} slices, {binder.terms - terms} polynomial terms, {shared} shared"
         else:
             hit, evaluations = _scan_parallel(slots, idfns, total, jobs)
-            work = f"{sum(m.cache_info().currsize for m in tables.memos)} memo entries"
         if debug:
+            if path == "contract":
+                work = f"{slices} slices, {binder.terms - terms} polynomial terms, {shared} shared"
+            else:
+                work = f"{sum(m.cache_info().currsize for m in tables.memos)} memo entries"
             _log.debug(
                 "%s group %d/%d: %s: %d tuples in %.6f s; %d evaluations; "
                 "tables built in %.6f s; %s",
@@ -668,21 +666,30 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
     return LawReport(law=law, passed=True, checked=checked_before, extra=dict(extra or {}))
 
 
-def _evaluation(tuples, arity, tables) -> str:
-    """How _run_groups evaluates a group: "contract" or "scan".
+def _evaluation(slots, tables) -> str:
+    """How _run_groups evaluates the group over slots: "contract" or "scan".
 
-    A contraction produces about fill^(arity - 1) polynomial terms per
-    tuple, fill being the most nonzero constants per argument of any table
-    bound in tables (per basis pair of a product, per basis vector of a
-    map), while a scan's cost per tuple grows far slower with fill.  So a
-    group is contracted when fill^(arity - 1) is at most
-    CONTRACT_MAX_GROWTH and it has at least CONTRACT_MIN_TUPLES tuples:
-    smaller groups are cheap either way, and a scan stops at an early
-    failure sooner than a contraction finishes its slice."""
-    if tuples < CONTRACT_MIN_TUPLES:
+    A contraction needs every slot to range over basis points, as the
+    binder's basis makes them (an empty slot, of a dim-0 space, does): its
+    identities are then linear in each slot (see _contract).  It produces
+    about fill^(arity - 1) polynomial terms per tuple, fill being the most
+    nonzero constants per argument of any table bound in tables (per basis
+    pair of a product, per basis vector of a map), while a scan's cost per
+    tuple grows far slower with fill.  So a group is contracted when
+    fill^(arity - 1) is at most CONTRACT_MAX_GROWTH and it has at least
+    CONTRACT_MIN_TUPLES tuples: smaller groups are cheap either way, and a
+    scan stops at an early failure sooner than a contraction finishes its
+    slice."""
+    if math.prod(map(len, slots)) < CONTRACT_MIN_TUPLES or not all(map(_over_basis, slots)):
         return "scan"
     fill = max(map(_fill, (t for t, *_ in tables.bound.values())), default=0)
-    return "contract" if fill ** (arity - 1) <= CONTRACT_MAX_GROWTH else "scan"
+    return "contract" if fill ** (len(slots) - 1) <= CONTRACT_MAX_GROWTH else "scan"
+
+
+def _over_basis(slot) -> bool:
+    """Whether every point of a slot is a basis point of the table binder:
+    (e_i, parity), e_i a sparse table vector whose one coordinate is 1."""
+    return all(isinstance(v, _SparseVector) and len(v) == 1 and v[0][1] == 1 for v, _ in slot)
 
 
 def _fill(t) -> float:

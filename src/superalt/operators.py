@@ -49,6 +49,7 @@ from .laws import (
     HomPreAlgebra,
     HypothesisError,
     LawReport,
+    REFERENCE,
     _basis_points,
     _intertwining_group,
     _morphism_groups,
@@ -141,20 +142,11 @@ def check_operator(spec: OperatorSpec, a) -> LawReport:
     a is a HomAlgebra for all kinds except that endomorphism also accepts a
     HomPreAlgebra (both products must then be preserved); an o-operator's
     bimodule must have a as its base."""
-    return _check_on(_Tables(a.space.field), spec, a)
-
-
-def _check_on(tables, spec: OperatorSpec, a) -> LawReport:
-    """check_operator on the table binder tables, which may keep the
-    appliers of a's tensors from earlier checks.  spec.map is bound fresh,
-    and dropped again once its check returns: the binder then holds what it
-    held before, and each check sees the tables a fresh binder would."""
     if spec.kind == "o-operator":
         _check_options(spec.kind, spec.weight, spec.bimodule, a)
     w = a.space.field.coerce(spec.weight) if spec.kind == "rota-baxter" else None
-    report = _run_groups(spec.kind, _groups(spec.kind, a, spec.map, w, spec.bimodule), tables)
-    tables.drop(spec.map)
-    return report
+    return _run_groups(spec.kind, _groups(spec.kind, a, spec.map, w, spec.bimodule),
+                       _Tables(a.space.field))
 
 
 def _groups(kind: str, a, m, w, bimodule):
@@ -193,7 +185,7 @@ def _o_operator_equation(mu, L, R, T, u, v):
 def check_o_operator(t: EvenMap, m: "AltBimodule") -> LawReport:
     """T(u) o T(v) = T(L(T u) v + R(T v) u) on basis pairs of V, plus
     T beta = alpha T."""
-    return _check_on(_Tables(t.domain.field), OperatorSpec("o-operator", t, bimodule=m), m.base)
+    return check_operator(OperatorSpec("o-operator", t, bimodule=m), m.base)
 
 
 def _o_operator_groups(t, m: "AltBimodule", bind):
@@ -378,11 +370,12 @@ def search_operators(
     first, most significant first, tests each polynomial at the step that
     decides its last entry, and skips a subtree on which one fails, its
     candidates below the budget counting as checked.  So found holds
-    exactly the maps passing check_operator, in counter order, each checked
-    again as check_operator checks it, all on one table binder; a
-    disagreement raises RuntimeError.  Refused: rational instances (infinite
-    spaces), the options _check_options refuses, and signed_perms for
-    o-operators."""
+    exactly the maps passing check_operator, in counter order.  They are
+    checked again in one scan on one table binder, each at every tuple of
+    every group of its own check (see _found_groups); a failing map raises
+    RuntimeError, which names the first to fail in counter order.  Refused:
+    rational instances (infinite spaces), the options _check_options
+    refuses, and signed_perms for o-operators."""
     field = a.space.field
     if not isinstance(field, PrimeField):
         raise ValidationError(["operator search requires an F_p instance"])
@@ -414,24 +407,15 @@ def search_operators(
 
     start = time.perf_counter()
     stats = _SearchStats()
-    survivors = _backtrack(by_step, radices, p, limit, stats, bind)
-    # every survivor is checked again on one table binder, which compiles the
-    # instance's tensors once for the whole search
-    tables = _Tables(field)
-    found, recheck_s = [], 0.0
-    for digits in survivors:
-        checking = time.perf_counter()
-        candidate = EvenMap.from_entries(
-            domain, a.space, [(i, j, d) for (i, j), d in zip(unknown.free, digits) if d]
-        )
-        rep = _check_on(tables, OperatorSpec(kind, candidate, weight=w, bimodule=bimodule), a)
-        if not rep.passed:
-            raise RuntimeError(
-                f"{kind}: map {candidate.entries} survives the pruned search, but its "
-                f"check fails with {rep.identity} at {rep.witness}"
-            )
-        found.append(candidate)
-        recheck_s += time.perf_counter() - checking
+    found = [
+        EvenMap.from_entries(domain, a.space,
+                             [(i, j, d) for (i, j), d in zip(unknown.free, digits) if d])
+        for digits in _backtrack(by_step, radices, p, limit, stats, bind)
+    ]
+    checking = time.perf_counter()
+    if found:
+        _recheck(kind, a, found, w, bimodule)
+    recheck_s = time.perf_counter() - checking
     search_s = time.perf_counter() - start
     _log.debug(
         "%s search: %d polynomials bound in %.6f s; %d nodes visited, %d subtrees pruned, "
@@ -440,6 +424,64 @@ def search_operators(
         len(found), search_s, search_s - recheck_s, recheck_s,
     )
     return SearchResult(kind, found, stats.disposed + len(found), limit == space_size, space_size)
+
+
+def _recheck(kind: str, a, found, w, bimodule):
+    """Check the found maps again, as check_operator checks each, in one scan
+    on one table binder (see _found_groups), which compiles the instance's
+    tensors once; raise RuntimeError naming the first map, in counter order,
+    whose own check fails."""
+    tables = _Tables(a.space.field)
+    build = functools.partial(_found_groups, kind, a, found, w, bimodule)
+    report = _run_groups(kind, build, tables)
+    tables(found[-1]).cache_clear()  # the scan empties each other map's memo as it leaves it
+    if report.passed:
+        return
+    # the scan stops in the first group some map fails, which need not be the first map's
+    for m in found:
+        rep = check_operator(OperatorSpec(kind, m, weight=w, bimodule=bimodule), a)
+        if not rep.passed:
+            raise RuntimeError(
+                f"{kind}: map {m.entries} survives the pruned search, but its "
+                f"check fails with {rep.identity} at {rep.witness}"
+            )
+    raise RuntimeError(f"{kind}: the re-check of the found maps fails with {report.identity} "
+                       f"at {report.witness}, but each map's own check passes")
+
+
+def _found_groups(kind: str, a, found, w, bimodule, bind):
+    """The groups _groups(kind, a, m, w, bimodule) lists for each map m in
+    found, as one list: each group gains a leading slot, whose point (i, 0)
+    stands for found[i], and its identities evaluate map i's own at the rest
+    of the tuple.  So a scan takes the maps in counter order, one block of
+    tuples each, and it empties a map's memo as it leaves the map's block:
+    the binder keeps every map's compiled applier, but the memo entries of
+    one map at a time."""
+    per_map = []  # per map, the functions of its groups' identities, in order
+    for m in found:
+        groups = _groups(kind, a, m, w, bimodule)(bind)
+        per_map.append(tuple(fn for _, idfns in groups for _, fn, *_ in idfns))
+    memos = None if bind is REFERENCE else [bind(m) for m in found]
+    block = 0  # the map whose memo may hold entries
+
+    def evaluated(k):
+        fns = [own[k] for own in per_map]
+
+        def fn(pts):
+            nonlocal block
+            i = pts[0][0]
+            if i != block:
+                if memos:
+                    memos[block].cache_clear()
+                block = i
+            return fns[i](pts[1:])
+
+        return fn
+
+    lead = tuple((i, 0) for i in range(len(found)))
+    k = itertools.count()
+    return [([lead, *slots], [(name, evaluated(next(k))) for name, *_ in idfns])
+            for slots, idfns in groups]
 
 
 # A search binds on the polynomial binder (laws._Polynomials) over F_p: its

@@ -25,7 +25,7 @@ from superalt import (
 def forced(path, slice_tuples=None):
     """Every group evaluated by path ("scan" or "contract"), whatever the
     rule says; a contraction in slices of at most slice_tuples tuples."""
-    with mock.patch.object(laws, "_evaluation", lambda tuples, arity, tables: path), \
+    with mock.patch.object(laws, "_evaluation", lambda slots, tables: path), \
             mock.patch.object(laws, "CONTRACT_SLICE_TUPLES",
                               slice_tuples or laws.CONTRACT_SLICE_TUPLES):
         yield
@@ -131,7 +131,7 @@ def pre6(l1p3, rb3):
 def scan_path(monkeypatch):
     """Every scan group on the tuple scan.  The pool tests need it: their
     large sparse groups would be contracted, and a contraction never forks."""
-    monkeypatch.setattr(laws, "_evaluation", lambda tuples, arity, tables: "scan")
+    monkeypatch.setattr(laws, "_evaluation", lambda slots, tables: "scan")
 
 
 @pytest.fixture

@@ -214,6 +214,47 @@ def test_construct_scale_takes_a_scalar(workdir, capsys):
     assert main(["check-pre", str(out_path), "--law", "hom-prealternative"]) == 0
 
 
+@pytest.mark.parametrize("verb", ["construct", "search"])
+def test_a_scalar_option_is_read_as_a_document_scalar(workdir, capsys, verb):
+    """--lambda and --weight go through the field's JSON decoder, as the
+    scalars of a document do: what it warns of (a rational not in lowest
+    terms, a residue outside [0, p)) is refused with one error line and
+    exit 2 under --strict-canonical, and read with one warning line
+    otherwise, the same value as its canonical form."""
+    if verb == "construct":
+        pre = workdir / "pre.json"
+        run(capsys, "construct", "rb-split", "--in", str(workdir / "p3.json"),
+            "--map", str(workdir / "R.json"), "--out", str(pre))
+
+        def argv(value, name):
+            return ["construct", "scale", "--in", str(pre), "--lambda", value,
+                    "--out", str(workdir / name)]
+
+        given, canonical = "2/4", "1/2"
+        message = "--lambda: rational '2/4' not in canonical form (want '1/2')"
+    else:
+        run(capsys, "corpus", "truncpoly-3", "--prime", "5", "--out", str(workdir / "p35.json"))
+
+        def argv(value, name):
+            return ["search", str(workdir / "p35.json"), "--kind", "rota-baxter",
+                    "--weight", value, "--budget", "2000"]
+
+        given, canonical = "7", "2"
+        message = "--weight: residue 7 outside [0, 5)"
+    assert run(capsys, *argv(given, "strict.json"), "--strict-canonical") == \
+        (2, "", f"error: {message}\n")
+    assert not (workdir / "strict.json").exists()
+    code, out, err = run(capsys, *argv(given, "lenient.json"))
+    assert (code, err) == (0, f"warning: {message}\n")
+    expected = run(capsys, *argv(canonical, "canonical.json"))
+    if verb == "construct":
+        docs = [json.loads((workdir / name).read_text()) for name in ("lenient.json", "canonical.json")]
+        assert [doc.pop("metadata")["lambda"] for doc in docs] == [given, canonical]
+        assert docs[0] == docs[1]
+    else:
+        assert expected == (0, out, "")
+
+
 # -- every construct op ----------------------------------------------------
 # Each op runs on documents written from in-process instances, and its
 # output must be the same construction serialized in process, with the

@@ -531,13 +531,19 @@ def bound(*tables):
     return binder
 
 
+def over(*sizes):
+    """Slots over the basis points of spaces of the given dimensions."""
+    return [engine._basis_points(SuperSpace(F5, n // 2, n - n // 2), engine._Tables.basis)
+            for n in sizes]
+
+
 def test_rule_reads_group_size_arity_and_table_fill():
     s = SuperSpace(F5, 8, 8)
     identity = EvenMap.identity(s)
     sparse = bound(EvenBilinear.zero(s, s, s), identity)  # fill 1: the twist's
-    assert engine._evaluation(1024, 3, sparse) == "contract"
-    assert engine._evaluation(1023, 3, sparse) == "scan"
-    assert engine._evaluation(16**4, 4, sparse) == "contract"
+    assert engine._evaluation(over(16, 16, 4), sparse) == "contract"
+    assert engine._evaluation(over(3, 11, 31), sparse) == "scan"
+    assert engine._evaluation(over(16, 16, 16, 16), sparse) == "contract"
     # two constants on the pairs (i, j) with i < 5, one elsewhere: fill 336/256,
     # so 1.72 terms per triple and 2.26 per 4-tuple against the bound of 2
     def outs(i, j):
@@ -548,13 +554,34 @@ def test_rule_reads_group_size_arity_and_table_fill():
         for k in outs(i, j)[:2 if i < 5 else 1]
     ])
     assert engine._fill(mixed) == 336 / 256
-    assert engine._evaluation(8192, 3, bound(mixed, identity)) == "contract"
-    assert engine._evaluation(16**4, 4, bound(mixed, identity)) == "scan"
+    assert engine._evaluation(over(16, 16, 32), bound(mixed, identity)) == "contract"
+    assert engine._evaluation(over(16, 16, 16, 16), bound(mixed, identity)) == "scan"
     # a twist with two entries in a column counts as well
     doubled = from_rows(s, s, [[F5.one if i in (j, j ^ 1) else F5.zero for j in s.indices()]
                               for i in s.indices()])
     assert engine._fill(doubled) == 2
-    assert engine._evaluation(16**4, 4, bound(EvenBilinear.zero(s, s, s), doubled)) == "scan"
+    assert engine._evaluation(over(16, 16, 16, 16), bound(EvenBilinear.zero(s, s, s), doubled)) \
+        == "scan"
+
+
+def test_only_groups_over_basis_points_are_contracted():
+    """A contraction needs identities linear in every slot, so the rule
+    contracts a group only when each slot ranges over basis points: some of
+    a space's, as a bimodule's axiom group takes them, but not the leading
+    slot of a search's re-check, whose points stand for the found maps, nor
+    multiples of basis vectors.  An empty slot, of a dim-0 space, ranges
+    over basis points; its group has no tuple and is scanned."""
+    s = SuperSpace(F5, 8, 8)
+    sparse = bound(EvenBilinear.zero(s, s, s), EvenMap.identity(s))
+    points = over(16)[0]
+    assert engine._evaluation([points[3:], points, points[::2]], sparse) == "contract"
+    found = tuple((i, 0) for i in range(1344))
+    assert engine._evaluation([found, points, points], sparse) == "scan"
+    doubled = tuple((v.scaled(F5.scalar(2)), par) for v, par in points)
+    assert engine._evaluation([doubled, points, points], sparse) == "scan"
+    assert engine._over_basis(over(0)[0]) and over(0)[0] == ()
+    assert engine._evaluation([*over(0), points, points], sparse) == "scan"
+    assert engine._evaluation([*over(16, 16), *over(0)] * 2, sparse) == "scan"
 
 
 # -- exactness over Q --------------------------------------------------

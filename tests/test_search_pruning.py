@@ -351,21 +351,37 @@ def test_signed_permutation_endomorphisms_are_closed_under_composition(name, p):
     assert all(f.compose(g) in found for f in found for g in found)
 
 
+def rechecked(record):
+    """Patch operators._groups so that record gets every map whose groups
+    are built on a table binder: the re-check builds them there, the walk
+    on the polynomial binder."""
+    groups = operators._groups
+
+    def recording(kind, a, m, w, bimodule):
+        build = groups(kind, a, m, w, bimodule)
+
+        def on(bind):
+            if type(bind) is laws._Tables:
+                record.append(m)
+            return build(bind)
+
+        return on
+
+    return mock.patch.object(operators, "_groups", recording)
+
+
 def test_a_signed_search_checks_only_the_maps_it_finds():
     a = named("l1-p3", 3)
     calls = []
-    check_on = operators._check_on
-
-    def counted(tables, spec, instance):
-        calls.append(spec.map)
-        return check_on(tables, spec, instance)
-
-    with mock.patch.object(operators, "_check_on", counted):
-        for kind, weight in SIGNED_KINDS:
-            for budget in (None, 1000):
-                calls.clear()
+    for kind, weight in SIGNED_KINDS:
+        for budget in (None, 1000):
+            calls.clear()
+            with rechecked(calls):
                 res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
-                assert calls == res.found, (kind, budget)
+            assert calls == res.found, (kind, budget)
+            w = a.space.field.coerce(weight) if weight is not None else None
+            assert all(check_operator(OperatorSpec(kind, f, weight=w), a).passed
+                       for f in res.found), (kind, budget)
 
 
 def test_a_signed_search_builds_only_the_maps_it_finds():
@@ -410,44 +426,119 @@ def fixed_tensors(a, bimodule):
     return [a.mu, bimodule.lsucc, bimodule.rprec, bimodule.beta, a.alpha]
 
 
+def spied_rechecks(runs, fixed):
+    """Patch operators._run_groups so that runs gets (binder, groups,
+    report) for each re-check, and every identity of its groups asserts, as
+    the scan enters a found map's block, that no other map's memo holds an
+    entry; the maps are those bound on the binder but the fixed tensors."""
+    run_groups = operators._run_groups
+
+    def spied(law, build, tables, *args):
+        def watched(bind):
+            groups = build(bind)
+            if bind is not tables:
+                return groups
+            appliers = [t for t, _ in tables.bound.values() if all(t is not f for f in fixed)]
+            entered = [None]
+
+            def watch(fn):
+                def f(pts):
+                    r = fn(pts)
+                    if pts[0] is not entered[0]:
+                        entered[0] = pts[0]
+                        held = [m for m in appliers if tables(m).cache_info().currsize]
+                        assert held in ([], [appliers[pts[0][0]]]), pts[0]
+                    return r
+
+                return f
+
+            runs.append([tables, groups, None])
+            return [(slots, [(name, watch(fn)) for name, fn in idfns]) for slots, idfns in groups]
+
+        report = run_groups(law, watched, tables, *args)
+        runs[-1][2] = report
+        return report
+
+    return mock.patch.object(operators, "_run_groups", spied)
+
+
 def test_found_maps_are_rechecked_as_fresh_checks_on_one_binder():
-    check_on = operators._check_on
+    """One scan per search checks the found maps again, on one binder: each
+    group of the kind, with a leading slot over the maps in counter order,
+    so every map is evaluated at every tuple of every group of its own
+    check_operator, whose counts add up to the scan's.  The exhaustive
+    averaging search on l1-p3 has 791 maps: its group of 791 x 36 pairs is
+    above CONTRACT_MIN_TUPLES, and is scanned."""
     for a, options in rechecked_searches():
-        rechecks = []
-
-        def recorded(tables, spec, instance):
-            rep = check_on(tables, spec, instance)
-            # the candidate's applier and memo are gone: the binder holds the
-            # tensors every candidate shares, one memo each, as it did before
-            held = [t for t, *_ in tables.bound.values()]
-            assert all(t is not spec.map for t in held)
-            assert set(map(id, held)) == set(map(id, fixed_tensors(a, spec.bimodule)))
-            assert len(tables.memos) == len(held)
-            rechecks.append((tables, spec, rep))
-            return rep
-
-        with mock.patch.object(operators, "_check_on", recorded):
+        runs = []
+        fixed = fixed_tensors(a, options.get("bimodule"))
+        contract = mock.Mock(side_effect=AssertionError("a re-check group was contracted"))
+        with spied_rechecks(runs, fixed), mock.patch.object(laws, "_contract", contract):
             res = search_operators(a, **options)
         assert res.found, options
-        assert [spec.map for _, spec, _ in rechecks] == res.found
-        assert len({id(tables) for tables, _, _ in rechecks}) == 1, "one binder per search"
-        for _, spec, rep in rechecks:
-            assert rep == check_operator(spec, a), (options, spec.map)
+        ((tables, groups, report),) = runs
+        assert report.passed
+        lead = tuple((i, 0) for i in range(len(res.found)))
+        assert [slots[0] for slots, _ in groups] == [lead] * len(groups)
+        # the binder holds the tensors every map shares, and each found map, once
+        held = [t for t, *_ in tables.bound.values()]
+        assert set(map(id, held)) == set(map(id, fixed)) | set(map(id, res.found))
+        assert len(tables.memos) == len(held)
+        assert all(tables(f).cache_info().currsize == 0 for f in res.found)
+        kind = options["kind"]
+        w = a.space.field.coerce(options["weight"]) if "weight" in options else None
+        fresh = [check_operator(OperatorSpec(kind, f, weight=w, bimodule=options.get("bimodule")), a)
+                 for f in res.found]
+        assert all(rep.passed for rep in fresh), options
+        assert report.checked == sum(rep.checked for rep in fresh), options
+        if options["kind"] == "averaging":
+            assert math.prod(map(len, groups[0][0])) == 791 * 36 > laws.CONTRACT_MIN_TUPLES
 
 
 def test_every_recheck_of_a_search_reports_its_own_build_seconds(caplog, monkeypatch):
-    """The re-checks share one table binder, which keeps the instance's
-    tensors, yet each group line gives the seconds of its own check's build
-    calls: on a clock that advances by 1 at each read, the same on every
-    line, not a total that grows with each map."""
+    """A search checks its found maps again in one scan, which writes one
+    line per group, not one per map: each line gives the seconds of the
+    re-check's own build calls, on a clock that advances by 1 at each read
+    the same on every line and in every search, not a total that grows."""
     ticks = itertools.count()
     monkeypatch.setattr(laws, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
-    with caplog.at_level(logging.DEBUG, logger="superalt"):
-        res = search_operators(named("truncpoly-3", 5), "rota-baxter", weight=0, budget=2000)
-    built = [re.search(r"tables built in (\S+) s", r.getMessage()).group(1)
-             for r in caplog.records if " group " in r.getMessage()]
-    assert len(res.found) > 1 and len(built) == 2 * len(res.found)
-    assert set(built) == {"1.000000"}
+    p35 = named("truncpoly-3", 5)
+    for budget in (2000, 10000):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="superalt"):
+            res = search_operators(p35, "rota-baxter", weight=0, budget=budget)
+        lines = [r.getMessage() for r in caplog.records if " group " in r.getMessage()]
+        built = [re.search(r"tables built in (\S+) s", line).group(1) for line in lines]
+        tuples = [int(re.search(r"scan: (\d+) tuples", line).group(1)) for line in lines]
+        assert len(res.found) > 1 and len(built) == 2
+        assert set(built) == {"1.000000"}
+        assert tuples == [len(res.found) * 9, len(res.found) * 3]
+
+
+def test_a_scan_takes_its_memo_census_only_for_a_printed_line(caplog):
+    """The memo entries a scanned group's DEBUG line reports are counted
+    only while the line prints: with DEBUG off, a search's re-check never
+    reads its binder's memos; with DEBUG on, it reads them once per group."""
+
+    class Census(list):
+        reads = 0
+
+        def __iter__(self):
+            Census.reads += 1
+            return super().__iter__()
+
+    class Tables(laws._Tables):
+        def __init__(self, field):
+            super().__init__(field)
+            self.memos = Census()
+
+    p35 = named("truncpoly-3", 5)
+    with mock.patch.object(operators, "_Tables", Tables):
+        assert search_operators(p35, "rota-baxter", weight=0, budget=2000).found
+        assert Census.reads == 0
+        with caplog.at_level(logging.DEBUG, logger="superalt"):
+            search_operators(p35, "rota-baxter", weight=0, budget=2000)
+        assert Census.reads == 2
 
 
 def test_a_search_compiles_the_instance_tensors_once():
@@ -508,3 +599,39 @@ def test_a_search_checks_every_survivor_again():
             with pytest.raises(RuntimeError, match="survives the pruned search") as err:
                 search_operators(p35, budget=1000, **options)
         assert f"map {first.entries} survives" in str(err.value), options
+
+    # The re-check scans the equation group of every survivor before any
+    # twist group, so its first failure may be a later map's: the error
+    # names the first map, in counter order, that fails its own check, with
+    # that check's identity and witness.  Under a twist swapping t and t^2,
+    # the earlier survivor R(t) = t^2 is a weight-0 Rota-Baxter operator
+    # that fails only to commute with it; the later R(t^2) = t^2 fails the
+    # equation.
+    s = p35.space
+    twisted = HomAlgebra(p35.mu, EvenMap.from_entries(s, s, [(0, 0, 1), (1, 2, 1), (2, 1, 1)]))
+    earlier = EvenMap.from_entries(s, s, [(2, 1, 1)])
+    later = EvenMap.from_entries(s, s, [(2, 2, 1)])
+    w = s.field.coerce(0)
+    reports = [check_operator(OperatorSpec("rota-baxter", f, weight=w), twisted)
+               for f in (earlier, later)]
+    assert [rep.identity for rep in reports] == ["twist-commuting", "equation"]
+
+    def survivors(by_step, radices, p, limit, stats, bind=None):
+        for f in (earlier, later):
+            yield tuple(f.entries[i][j].val for i, j in _even_positions(s, s))
+
+    with mock.patch.object(operators, "_backtrack", survivors):
+        with pytest.raises(RuntimeError) as err:
+            search_operators(twisted, "rota-baxter", weight=0)
+    assert str(err.value) == (f"rota-baxter: map {earlier.entries} survives the pruned search, "
+                              f"but its check fails with twist-commuting at {reports[0].witness}")
+
+    # each found map's memo is emptied as the scan leaves the map's block,
+    # the last one included: after a search the binder holds none of their
+    # entries
+    runs = []
+    with spied_rechecks(runs, fixed_tensors(p35, None)):
+        res = search_operators(p35, "rota-baxter", weight=0, budget=1000)
+    ((tables, _, report),) = runs
+    assert report.passed and len(res.found) > 1
+    assert all(tables(f).cache_info().currsize == 0 for f in res.found)
