@@ -838,7 +838,12 @@ def _scan_parallel(slots, idfns, total, jobs):
     initializer's arguments, so its closures are never pickled; a task
     carries only its (start, stop) range.  At most one worker per chunk and
     per CPU is started, whatever jobs asks for.  Returns what _scan_range
-    returns over the whole group."""
+    returns over the whole group.
+
+    After the first hit the workers skip the chunks they have not started,
+    and the pool is closed and joined, never terminated: a worker killed
+    while it writes a result holds the result queue's lock for good, and
+    Pool.terminate then waits on that lock forever."""
     if jobs <= 1 or total < POOL_MIN_TUPLES:
         return _scan_range(slots, idfns, 0, total)
     nchunks = min(jobs * 4, max(1, total // 1024))
@@ -852,27 +857,32 @@ def _scan_parallel(slots, idfns, total, jobs):
     except ValueError:
         return _scan_range(slots, idfns, 0, total)
     bounds = [(total * c // nchunks, total * (c + 1) // nchunks) for c in range(nchunks)]
-    with ctx.Pool(workers, initializer=_adopt_group, initargs=(slots, idfns)) as pool:
-        # results come in chunk order, so the first hit is the group's first;
-        # leaving the block terminates the workers still on later chunks
-        evaluations = 0
+    found = ctx.Event()
+    with ctx.Pool(workers, initializer=_adopt_group, initargs=(slots, idfns, found)) as pool:
+        # results come in chunk order, so the first hit is the group's first
+        hit, evaluations = None, 0
         for hit, done in pool.imap(_scan_chunk, bounds):
             evaluations += done
             if hit is not None:
-                return hit, evaluations
-    return None, evaluations
+                found.set()
+                break
+        pool.close()
+        pool.join()
+    return hit, evaluations
 
 
 _group = None  # a pool worker's scan group; set only inside workers, by _adopt_group
 
 
-def _adopt_group(slots, idfns):
+def _adopt_group(slots, idfns, found):
     global _group
-    _group = slots, idfns
+    _group = slots, idfns, found
 
 
 def _scan_chunk(bounds):
-    return _scan_range(*_group, *bounds)
+    """_scan_range over one chunk, or nothing once a hit has been found."""
+    slots, idfns, found = _group
+    return (None, 0) if found.is_set() else _scan_range(slots, idfns, *bounds)
 
 
 def _check_law(instance, law, jordan_cycle, jobs, extra, tables) -> LawReport:

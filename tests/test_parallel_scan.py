@@ -13,7 +13,9 @@ check that the pool's workers really adopted their group.
 """
 
 import multiprocessing
+import multiprocessing.pool
 import os
+import threading
 
 import pytest
 
@@ -146,8 +148,14 @@ def test_pool_size_is_bounded_by_jobs_chunks_and_cpus(monkeypatch, cpus, jobs, s
                 ran.append(a)
                 yield fn(a)
 
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
     class Context:
-        pass
+        Event = threading.Event
 
     Context.Pool = Pool
     monkeypatch.setattr(laws, "_group", None)
@@ -160,3 +168,21 @@ def test_pool_size_is_bounded_by_jobs_chunks_and_cpus(monkeypatch, cpus, jobs, s
     if started:
         assert ran[0][0] == 0 and all(a[1] == b[0] for a, b in zip(ran, ran[1:]))
         assert ran[-1][0] < rep.checked <= ran[-1][1]
+
+
+def test_a_hit_lets_every_worker_exit_on_its_own(monkeypatch):
+    """The first failure is in the second of eight chunks, so both workers
+    are still busy when it comes back.  They skip the chunks left and exit
+    when the pool is closed: none is still running, to be killed, when the
+    pool is left."""
+    left, exit_pool = [], multiprocessing.pool.Pool.__exit__
+
+    def spy(self, *exc):
+        left.append([p.exitcode for p in self._pool])
+        return exit_pool(self, *exc)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__exit__", spy)
+    bad = perturb_pre(zero_pre(), "prec", (10, 3, 10), 1)
+    rep = check_pre_law(bad, "hom-prealternative", jobs=2)
+    assert rep == check_pre_law(bad, "hom-prealternative", jobs=1)
+    assert left == [[0, 0]]
