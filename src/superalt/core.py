@@ -215,9 +215,8 @@ class EvenMap:
         return Vector(self.codomain, acc)
 
     def _table_applier(self):
-        """apply on sparse table vectors, read from the sparse columns, kept as
-        tuples: a search's re-check holds one applier per found map."""
-        cols = tuple([tuple([(i, _plain(m)) for i, m in col]) for col in self._cols])
+        """apply on sparse table vectors, read from the sparse columns."""
+        cols = [[(i, _plain(m)) for i, m in col] for col in self._cols]
         return _column_applier(cols, self.codomain)
 
     def _poly_applier(self):

@@ -40,7 +40,6 @@ from .core import (
     Vector,
     _Poly,
     _sparse_vector,
-    _SparseVector,
     _TableVector,
 )
 
@@ -162,9 +161,7 @@ REFERENCE = _Reference()
 
 class _Tables:
     """The table binder: one applier per tensor or map, compiled at its first
-    binding and memoised on argument values.  A value-keyed result depends
-    only on its tensor, so one binder may serve several maps that share
-    tensors (see operators._found_groups).  Its basis points are sparse
+    binding and memoised on argument values.  Its basis points are sparse
     table vectors."""
 
     KERNEL = "_table_applier"  # the method that compiles a tensor's applier
@@ -669,27 +666,20 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
 def _evaluation(slots, tables) -> str:
     """How _run_groups evaluates the group over slots: "contract" or "scan".
 
-    A contraction needs every slot to range over basis points, as the
-    binder's basis makes them (an empty slot, of a dim-0 space, does): its
-    identities are then linear in each slot (see _contract).  It produces
-    about fill^(arity - 1) polynomial terms per tuple, fill being the most
-    nonzero constants per argument of any table bound in tables (per basis
-    pair of a product, per basis vector of a map), while a scan's cost per
-    tuple grows far slower with fill.  So a group is contracted when
-    fill^(arity - 1) is at most CONTRACT_MAX_GROWTH and it has at least
-    CONTRACT_MIN_TUPLES tuples: smaller groups are cheap either way, and a
-    scan stops at an early failure sooner than a contraction finishes its
-    slice."""
-    if math.prod(map(len, slots)) < CONTRACT_MIN_TUPLES or not all(map(_over_basis, slots)):
+    Every slot ranges over basis points, as the binder's basis makes them,
+    so the group's identities are linear in each slot (see _contract).  A
+    contraction produces about fill^(arity - 1) polynomial terms per tuple,
+    fill being the most nonzero constants per argument of any table bound
+    in tables (per basis pair of a product, per basis vector of a map),
+    while a scan's cost per tuple grows far slower with fill.  So a group is
+    contracted when fill^(arity - 1) is at most CONTRACT_MAX_GROWTH and it
+    has at least CONTRACT_MIN_TUPLES tuples: smaller groups are cheap either
+    way, and a scan stops at an early failure sooner than a contraction
+    finishes its slice."""
+    if math.prod(map(len, slots)) < CONTRACT_MIN_TUPLES:
         return "scan"
     fill = max(map(_fill, (t for t, *_ in tables.bound.values())), default=0)
     return "contract" if fill ** (len(slots) - 1) <= CONTRACT_MAX_GROWTH else "scan"
-
-
-def _over_basis(slot) -> bool:
-    """Whether every point of a slot is a basis point of the table binder:
-    (e_i, parity), e_i a sparse table vector whose one coordinate is 1."""
-    return all(isinstance(v, _SparseVector) and len(v) == 1 and v[0][1] == 1 for v, _ in slot)
 
 
 def _fill(t) -> float:

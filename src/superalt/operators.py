@@ -49,7 +49,6 @@ from .laws import (
     HomPreAlgebra,
     HypothesisError,
     LawReport,
-    REFERENCE,
     _basis_points,
     _intertwining_group,
     _morphism_groups,
@@ -370,10 +369,7 @@ def search_operators(
     first, most significant first, tests each polynomial at the step that
     decides its last entry, and skips a subtree on which one fails, its
     candidates below the budget counting as checked.  So found holds
-    exactly the maps passing check_operator, in counter order.  They are
-    checked again in one scan on one table binder, each at every tuple of
-    every group of its own check (see _found_groups); a failing map raises
-    RuntimeError, which names the first to fail in counter order.  Refused:
+    exactly the maps passing check_operator, in counter order.  Refused:
     rational instances (infinite spaces), the options _check_options
     refuses, and signed_perms for o-operators."""
     field = a.space.field
@@ -412,76 +408,13 @@ def search_operators(
                              [(i, j, d) for (i, j), d in zip(unknown.free, digits) if d])
         for digits in _backtrack(by_step, radices, p, limit, stats, bind)
     ]
-    checking = time.perf_counter()
-    if found:
-        _recheck(kind, a, found, w, bimodule)
-    recheck_s = time.perf_counter() - checking
-    search_s = time.perf_counter() - start
     _log.debug(
         "%s search: %d polynomials bound in %.6f s; %d nodes visited, %d subtrees pruned, "
-        "%d candidates disposed of by pruning, %d found in %.6f s: walk %.6f s, re-check %.6f s",
+        "%d candidates disposed of by pruning, %d found in %.6f s",
         kind, sum(map(len, by_step)), bound_s, stats.nodes, stats.pruned, stats.disposed,
-        len(found), search_s, search_s - recheck_s, recheck_s,
+        len(found), time.perf_counter() - start,
     )
     return SearchResult(kind, found, stats.disposed + len(found), limit == space_size, space_size)
-
-
-def _recheck(kind: str, a, found, w, bimodule):
-    """Check the found maps again, as check_operator checks each, in one scan
-    on one table binder (see _found_groups), which compiles the instance's
-    tensors once; raise RuntimeError naming the first map, in counter order,
-    whose own check fails."""
-    tables = _Tables(a.space.field)
-    build = functools.partial(_found_groups, kind, a, found, w, bimodule)
-    report = _run_groups(kind, build, tables)
-    tables(found[-1]).cache_clear()  # the scan empties each other map's memo as it leaves it
-    if report.passed:
-        return
-    # the scan stops in the first group some map fails, which need not be the first map's
-    for m in found:
-        rep = check_operator(OperatorSpec(kind, m, weight=w, bimodule=bimodule), a)
-        if not rep.passed:
-            raise RuntimeError(
-                f"{kind}: map {m.entries} survives the pruned search, but its "
-                f"check fails with {rep.identity} at {rep.witness}"
-            )
-    raise RuntimeError(f"{kind}: the re-check of the found maps fails with {report.identity} "
-                       f"at {report.witness}, but each map's own check passes")
-
-
-def _found_groups(kind: str, a, found, w, bimodule, bind):
-    """The groups _groups(kind, a, m, w, bimodule) lists for each map m in
-    found, as one list: each group gains a leading slot, whose point (i, 0)
-    stands for found[i], and its identities evaluate map i's own at the rest
-    of the tuple.  So a scan takes the maps in counter order, one block of
-    tuples each, and it empties a map's memo as it leaves the map's block:
-    the binder keeps every map's compiled applier, but the memo entries of
-    one map at a time."""
-    per_map = []  # per map, the functions of its groups' identities, in order
-    for m in found:
-        groups = _groups(kind, a, m, w, bimodule)(bind)
-        per_map.append(tuple(fn for _, idfns in groups for _, fn, *_ in idfns))
-    memos = None if bind is REFERENCE else [bind(m) for m in found]
-    block = 0  # the map whose memo may hold entries
-
-    def evaluated(k):
-        fns = [own[k] for own in per_map]
-
-        def fn(pts):
-            nonlocal block
-            i = pts[0][0]
-            if i != block:
-                if memos:
-                    memos[block].cache_clear()
-                block = i
-            return fns[i](pts[1:])
-
-        return fn
-
-    lead = tuple((i, 0) for i in range(len(found)))
-    k = itertools.count()
-    return [([lead, *slots], [(name, evaluated(next(k))) for name, *_ in idfns])
-            for slots, idfns in groups]
 
 
 # A search binds on the polynomial binder (laws._Polynomials) over F_p: its

@@ -493,8 +493,7 @@ def test_signed_permutation_search_reports_the_library_result(capsys, tmp_path):
             "exhausted": res.exhausted,
             "space_size": res.space_size,
         }
-    # -v logs one search line, after the group lines of each found map's
-    # check, and stdout stays as it is
+    # -v logs one search line, and stdout stays as it is
     code, verbose, err = run(capsys, *argv, "-v")
     assert code == 0 and verbose == out
     (line,) = [line for line in err.splitlines() if " search: " in line]

@@ -562,25 +562,9 @@ def test_rule_reads_group_size_arity_and_table_fill():
     assert engine._fill(doubled) == 2
     assert engine._evaluation(over(16, 16, 16, 16), bound(EvenBilinear.zero(s, s, s), doubled)) \
         == "scan"
-
-
-def test_only_groups_over_basis_points_are_contracted():
-    """A contraction needs identities linear in every slot, so the rule
-    contracts a group only when each slot ranges over basis points: some of
-    a space's, as a bimodule's axiom group takes them, but not the leading
-    slot of a search's re-check, whose points stand for the found maps, nor
-    multiples of basis vectors.  An empty slot, of a dim-0 space, ranges
-    over basis points; its group has no tuple and is scanned."""
-    s = SuperSpace(F5, 8, 8)
-    sparse = bound(EvenBilinear.zero(s, s, s), EvenMap.identity(s))
-    points = over(16)[0]
-    assert engine._evaluation([points[3:], points, points[::2]], sparse) == "contract"
-    found = tuple((i, 0) for i in range(1344))
-    assert engine._evaluation([found, points, points], sparse) == "scan"
-    doubled = tuple((v.scaled(F5.scalar(2)), par) for v, par in points)
-    assert engine._evaluation([doubled, points, points], sparse) == "scan"
-    assert engine._over_basis(over(0)[0]) and over(0)[0] == ()
-    assert engine._evaluation([*over(0), points, points], sparse) == "scan"
+    # an empty slot, of a dim-0 space, leaves its group no tuple: scanned
+    assert over(0)[0] == ()
+    assert engine._evaluation([*over(0), *over(16, 16)], sparse) == "scan"
     assert engine._evaluation([*over(16, 16), *over(0)] * 2, sparse) == "scan"
 
 
@@ -655,7 +639,7 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
     scans = [line for line in lines if " search: " not in line]
     # oct: hom-alternative is one group, hom-jordan two (the second is
     # never reached once super-commutativity fails); bent the same; the
-    # plus-algebra two; then the reference re-check of each found operator
+    # plus-algebra two
     assert len(scans) >= 6
     for line in scans:
         assert re.fullmatch(
@@ -665,14 +649,13 @@ def test_debug_log_leaves_stdout_and_reports_unchanged(tmp_path, caplog):
         assert (": scan: " in line) == line.endswith(" memo entries")
     assert [line.split(" in ")[0] for line in scans if ": contract: " in line] == [
         "hom-jordan group 2/2: contract: 65536 tuples"]
-    # one line per search: its counts, bind time, and search time split into
-    # the walk and the re-check of the found maps
+    # one line per search: its counts, bind time and walk time
     found = len(json.loads(quiet[-1][1].split("\n", 1)[1])["search"]["found"])
     assert len(searches) == 1
     assert re.fullmatch(
         r"rota-baxter search: \d+ polynomials bound in [\d.]+ s; \d+ nodes visited, "
         r"\d+ subtrees pruned, \d+ candidates disposed of by pruning, "
-        rf"{found} found in [\d.]+ s: walk [\d.]+ s, re-check [\d.]+ s",
+        rf"{found} found in [\d.]+ s",
         searches[0],
     )
     # -v writes the same log lines to stderr and leaves stdout alone

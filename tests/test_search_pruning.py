@@ -21,8 +21,6 @@ import itertools
 import logging
 import math
 import random
-import re
-import types
 from unittest import mock
 
 import pytest
@@ -48,16 +46,20 @@ from superalt import (
     search_operators,
     truncpoly,
 )
-from superalt import laws, operators
+from superalt import laws
+from superalt.core import Vector, _Poly, _TableVector
 from superalt.laws import REFERENCE
 from conftest import from_rows
 from superalt.operators import (
+    EXPONENT_BITS,
     _backtrack,
     _even_positions,
+    _file_polynomials,
     _o_operator_groups,
     _operator_groups,
     _SearchStats,
     _signed_counter,
+    _variables,
 )
 
 # every kind once, rota-baxter at weights 0 and 1
@@ -254,8 +256,76 @@ def test_backtrack_prunes_and_counts_in_counter_order():
     assert stats.disposed == 7
 
 
+def test_backtrack_counts_its_nodes_and_pruned_subtrees():
+    # x0 - 1 = 0 filed under x0 and x0 x1 - 1 = 0 under x1, over F_5: the
+    # root, five x0 nodes of which four are pruned, and under x0 = 1 five x1
+    # nodes of which four are pruned
+    polys = [[((1, (0,)), (4, ()))], [((1, (0, 1)), (4, ()))], []]
+    stats = _SearchStats()
+    assert list(_backtrack(polys, [5, 5], 5, 25, stats)) == [(1, 1)]
+    assert (stats.nodes, stats.pruned, stats.disposed) == (11, 8, 24)
+    # a limit of 7 ends the walk at counter 7, after x1 = 1 under x0 = 1
+    stats = _SearchStats()
+    assert list(_backtrack(polys, [5, 5], 5, 7, stats)) == [(1, 1)]
+    assert (stats.nodes, stats.pruned, stats.disposed) == (5, 2, 6)
+
+
+def test_filing_makes_each_polynomial_monic_once_and_files_constants_last():
+    # over F_7, since c^3 inverts c whenever c^4 = 1: for every unit of F_3
+    # and F_5, and for 6 but not 2 here; x_1 is decided at step 2, x_2 at
+    # step 1
+    x = [1 << EXPONENT_BITS * v for v in range(3)]
+    residuals = [
+        _Poly({x[0]: 2, x[1]: 4}),  # filed as x0 + 2 x1
+        _Poly({x[0]: 6, x[1]: 12}),  # 3 times the first: filed once
+        _Poly({x[0] + x[2]: 3, 0: 0}),  # 3 x0 x2, its constant cancelled
+        _Poly({0: 9}),  # the constant 2, filed last
+        _Poly({x[1]: 7}),  # zero mod 7: not filed
+    ]
+    groups = [([[None]], [("residual", lambda pts: residuals)])]
+    assert _file_polynomials(groups, [0, 2, 1], 3, 7) == [
+        [], [((1, (0, 2)),)], [((1, (0,)), (2, (1,)))], [((1, ()),)],
+    ]
+
+
+def test_the_polynomial_appliers_agree_with_apply_at_every_point():
+    # coordinates that share the monomial x0 x1, so that several terms meet
+    # in one output coordinate, evaluated at points against Vector apply
+    rng = random.Random(5)
+    p = 5
+    a = random_algebra(rng, p, (2, 2), density=0.6)
+    s = a.space
+    dense = from_rows(s, s, [[(i + j) % p + 1 if s.parity(i) == s.parity(j) else 0
+                              for j in s.indices()] for i in s.indices()])
+    x = [1 << EXPONENT_BITS * v for v in range(3)]
+
+    def coordinate():
+        if rng.random() < 0.2:
+            return rng.randrange(p)
+        terms = {rng.choice(x) + rng.choice(x): rng.randrange(1, p) for _ in range(2)}
+        return _Poly({x[0] + x[1]: rng.randrange(1, p), **terms})
+
+    u, v = (_TableVector([coordinate() for _ in s.indices()]) for _ in range(2))
+    product = a.mu._poly_applier()(u, v)
+    twisted = dense._poly_applier()(u)
+    for _ in range(20):
+        point = [rng.randrange(p) for _ in x]
+
+        def at(c):
+            return sum(k * math.prod(point[i] for i in _variables(m))
+                       for m, k in _Poly.terms(c)) % p
+
+        def vector(w):
+            return Vector(s, [s.field.scalar(at(c)) for c in w])
+
+        assert [at(c) for c in product] == [c.val for c in a.mu.apply(vector(u), vector(v)).coords]
+        assert [at(c) for c in twisted] == [c.val for c in dense.apply(vector(u)).coords]
+
+
 SIGNED = [("truncpoly-3", 5), ("l1-p3", 3)]
-SIGNED_KINDS = [("endomorphism", None), ("rota-baxter", 0), ("rota-baxter", 1), ("averaging", None)]
+# every self-map kind, rota-baxter at weights 0 and 1
+SIGNED_KINDS = [("endomorphism", None), ("rota-baxter", 0), ("rota-baxter", 1), ("averaging", None),
+                ("centroid", None), ("averaging-left", None), ("averaging-right", None)]
 
 
 def signed_brute_force(a, kind, weight):
@@ -351,34 +421,11 @@ def test_signed_permutation_endomorphisms_are_closed_under_composition(name, p):
     assert all(f.compose(g) in found for f in found for g in found)
 
 
-def rechecked(record):
-    """Patch operators._groups so that record gets every map whose groups
-    are built on a table binder: the re-check builds them there, the walk
-    on the polynomial binder."""
-    groups = operators._groups
-
-    def recording(kind, a, m, w, bimodule):
-        build = groups(kind, a, m, w, bimodule)
-
-        def on(bind):
-            if type(bind) is laws._Tables:
-                record.append(m)
-            return build(bind)
-
-        return on
-
-    return mock.patch.object(operators, "_groups", recording)
-
-
 def test_a_signed_search_checks_only_the_maps_it_finds():
     a = named("l1-p3", 3)
-    calls = []
     for kind, weight in SIGNED_KINDS:
         for budget in (None, 1000):
-            calls.clear()
-            with rechecked(calls):
-                res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
-            assert calls == res.found, (kind, budget)
+            res = search_operators(a, kind, weight=weight, budget=budget, signed_perms=True)
             w = a.space.field.coerce(weight) if weight is not None else None
             assert all(check_operator(OperatorSpec(kind, f, weight=w), a).passed
                        for f in res.found), (kind, budget)
@@ -426,99 +473,26 @@ def fixed_tensors(a, bimodule):
     return [a.mu, bimodule.lsucc, bimodule.rprec, bimodule.beta, a.alpha]
 
 
-def spied_rechecks(runs, fixed):
-    """Patch operators._run_groups so that runs gets (binder, groups,
-    report) for each re-check, and every identity of its groups asserts, as
-    the scan enters a found map's block, that no other map's memo holds an
-    entry; the maps are those bound on the binder but the fixed tensors."""
-    run_groups = operators._run_groups
-
-    def spied(law, build, tables, *args):
-        def watched(bind):
-            groups = build(bind)
-            if bind is not tables:
-                return groups
-            appliers = [t for t, _ in tables.bound.values() if all(t is not f for f in fixed)]
-            entered = [None]
-
-            def watch(fn):
-                def f(pts):
-                    r = fn(pts)
-                    if pts[0] is not entered[0]:
-                        entered[0] = pts[0]
-                        held = [m for m in appliers if tables(m).cache_info().currsize]
-                        assert held in ([], [appliers[pts[0][0]]]), pts[0]
-                    return r
-
-                return f
-
-            runs.append([tables, groups, None])
-            return [(slots, [(name, watch(fn)) for name, fn in idfns]) for slots, idfns in groups]
-
-        report = run_groups(law, watched, tables, *args)
-        runs[-1][2] = report
-        return report
-
-    return mock.patch.object(operators, "_run_groups", spied)
-
-
-def test_found_maps_are_rechecked_as_fresh_checks_on_one_binder():
-    """One scan per search checks the found maps again, on one binder: each
-    group of the kind, with a leading slot over the maps in counter order,
-    so every map is evaluated at every tuple of every group of its own
-    check_operator, whose counts add up to the scan's.  The exhaustive
-    averaging search on l1-p3 has 791 maps: its group of 791 x 36 pairs is
-    above CONTRACT_MIN_TUPLES, and is scanned."""
+def test_every_found_map_passes_a_fresh_check():
+    """Each found map passes check_operator (check_o_operator for
+    o-operators) on a fresh binder; the exhaustive averaging search on
+    l1-p3 finds 791 maps."""
     for a, options in rechecked_searches():
-        runs = []
-        fixed = fixed_tensors(a, options.get("bimodule"))
-        contract = mock.Mock(side_effect=AssertionError("a re-check group was contracted"))
-        with spied_rechecks(runs, fixed), mock.patch.object(laws, "_contract", contract):
-            res = search_operators(a, **options)
+        res = search_operators(a, **options)
         assert res.found, options
-        ((tables, groups, report),) = runs
-        assert report.passed
-        lead = tuple((i, 0) for i in range(len(res.found)))
-        assert [slots[0] for slots, _ in groups] == [lead] * len(groups)
-        # the binder holds the tensors every map shares, and each found map, once
-        held = [t for t, *_ in tables.bound.values()]
-        assert set(map(id, held)) == set(map(id, fixed)) | set(map(id, res.found))
-        assert len(tables.memos) == len(held)
-        assert all(tables(f).cache_info().currsize == 0 for f in res.found)
         kind = options["kind"]
         w = a.space.field.coerce(options["weight"]) if "weight" in options else None
-        fresh = [check_operator(OperatorSpec(kind, f, weight=w, bimodule=options.get("bimodule")), a)
-                 for f in res.found]
-        assert all(rep.passed for rep in fresh), options
-        assert report.checked == sum(rep.checked for rep in fresh), options
-        if options["kind"] == "averaging":
-            assert math.prod(map(len, groups[0][0])) == 791 * 36 > laws.CONTRACT_MIN_TUPLES
-
-
-def test_every_recheck_of_a_search_reports_its_own_build_seconds(caplog, monkeypatch):
-    """A search checks its found maps again in one scan, which writes one
-    line per group, not one per map: each line gives the seconds of the
-    re-check's own build calls, on a clock that advances by 1 at each read
-    the same on every line and in every search, not a total that grows."""
-    ticks = itertools.count()
-    monkeypatch.setattr(laws, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
-    p35 = named("truncpoly-3", 5)
-    for budget in (2000, 10000):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="superalt"):
-            res = search_operators(p35, "rota-baxter", weight=0, budget=budget)
-        lines = [r.getMessage() for r in caplog.records if " group " in r.getMessage()]
-        built = [re.search(r"tables built in (\S+) s", line).group(1) for line in lines]
-        tuples = [int(re.search(r"scan: (\d+) tuples", line).group(1)) for line in lines]
-        assert len(res.found) > 1 and len(built) == 2
-        assert set(built) == {"1.000000"}
-        assert tuples == [len(res.found) * 9, len(res.found) * 3]
+        bimodule = options.get("bimodule")
+        assert all(check_operator(OperatorSpec(kind, f, weight=w, bimodule=bimodule), a).passed
+                   for f in res.found), options
+        if kind == "averaging":
+            assert len(res.found) == 791
 
 
 def test_a_scan_takes_its_memo_census_only_for_a_printed_line(caplog):
     """The memo entries a scanned group's DEBUG line reports are counted
-    only while the line prints: with DEBUG off, a search's re-check never
-    reads its binder's memos; with DEBUG on, it reads them once per group."""
+    only while the line prints: with DEBUG off, a check never reads its
+    binder's memos; with DEBUG on, it reads them once per group."""
 
     class Census(list):
         reads = 0
@@ -532,24 +506,27 @@ def test_a_scan_takes_its_memo_census_only_for_a_printed_line(caplog):
             super().__init__(field)
             self.memos = Census()
 
+    # both groups of hom-jordan on truncpoly-3 are below CONTRACT_MIN_TUPLES
     p35 = named("truncpoly-3", 5)
-    with mock.patch.object(operators, "_Tables", Tables):
-        assert search_operators(p35, "rota-baxter", weight=0, budget=2000).found
+    with mock.patch.object(laws, "_Tables", Tables):
+        assert laws.check_product_law(p35, "hom-jordan").passed
         assert Census.reads == 0
         with caplog.at_level(logging.DEBUG, logger="superalt"):
-            search_operators(p35, "rota-baxter", weight=0, budget=2000)
+            laws.check_product_law(p35, "hom-jordan")
         assert Census.reads == 2
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line.split(": ")[1] for line in lines] == ["scan", "scan"]
 
 
 def test_a_search_compiles_the_instance_tensors_once():
-    # one compile on the polynomial binder that files the equations (its
-    # fused kernel, _poly_applier), one on the binder that checks the found
-    # maps again (_table_applier), however many they are
+    # one compile, on the polynomial binder that files the equations (its
+    # fused kernel, _poly_applier), however many maps are found; no found
+    # map is compiled
     compiled = collections.Counter()
 
-    def counting(original):
+    def counting(entry, original):
         def applier(self):
-            compiled[id(self)] += 1
+            compiled[entry, id(self)] += 1
             return original(self)
 
         return applier
@@ -560,7 +537,7 @@ def test_a_search_compiles_the_instance_tensors_once():
                for entry in ("_table_applier", "_poly_applier")]
     with contextlib.ExitStack() as stack:
         for t, entry in kernels:
-            stack.enter_context(mock.patch.object(t, entry, counting(getattr(t, entry))))
+            stack.enter_context(mock.patch.object(t, entry, counting(entry, getattr(t, entry))))
         for options in (dict(kind="rota-baxter", weight=0), dict(kind="o-operator", bimodule=reg)):
             found = set()
             for budget in (2, 12000):
@@ -568,70 +545,25 @@ def test_a_search_compiles_the_instance_tensors_once():
                 res = search_operators(p35, budget=budget, **options)
                 found.add(len(res.found))
                 tensors = fixed_tensors(p35, options.get("bimodule"))
-                assert [compiled[id(t)] for t in tensors] == [2] * len(tensors), options
-                assert all(compiled[id(f)] == 1 for f in res.found)
+                assert compiled == {("_poly_applier", id(t)): 1 for t in tensors}, options
             assert min(found) >= 1 and max(found) >= 40, options
 
 
-def test_a_search_checks_every_survivor_again():
-    # with no polynomial filed, every candidate survives the walk, so the
-    # re-check alone must refuse the first map that is not an operator
-    p35 = named("truncpoly-3", 5)
-    reg = regular_bimodule(p35)
-    searches = [
-        (dict(kind="rota-baxter", weight=0), enumerate_even_maps(p35.space)),
-        (dict(kind="o-operator", bimodule=reg), enumerate_even_maps(reg.module, p35.space)),
-        (dict(kind="endomorphism", signed_perms=True),
-         enumerate_signed_permutation_maps(p35.space)),
-    ]
-
-    def nothing(groups, steps, nsteps, p):
-        return [[] for _ in range(nsteps + 1)]
-
-    for options, candidates in searches:
-        w = p35.space.field.coerce(options["weight"]) if "weight" in options else None
-        first = next(
-            f for f in candidates
-            if not check_operator(OperatorSpec(options["kind"], f, weight=w,
-                                               bimodule=options.get("bimodule")), p35).passed
-        )
-        with mock.patch.object(operators, "_file_polynomials", nothing):
-            with pytest.raises(RuntimeError, match="survives the pruned search") as err:
-                search_operators(p35, budget=1000, **options)
-        assert f"map {first.entries} survives" in str(err.value), options
-
-    # The re-check scans the equation group of every survivor before any
-    # twist group, so its first failure may be a later map's: the error
-    # names the first map, in counter order, that fails its own check, with
-    # that check's identity and witness.  Under a twist swapping t and t^2,
-    # the earlier survivor R(t) = t^2 is a weight-0 Rota-Baxter operator
-    # that fails only to commute with it; the later R(t^2) = t^2 fails the
-    # equation.
-    s = p35.space
-    twisted = HomAlgebra(p35.mu, EvenMap.from_entries(s, s, [(0, 0, 1), (1, 2, 1), (2, 1, 1)]))
-    earlier = EvenMap.from_entries(s, s, [(2, 1, 1)])
-    later = EvenMap.from_entries(s, s, [(2, 2, 1)])
-    w = s.field.coerce(0)
-    reports = [check_operator(OperatorSpec("rota-baxter", f, weight=w), twisted)
-               for f in (earlier, later)]
-    assert [rep.identity for rep in reports] == ["twist-commuting", "equation"]
-
-    def survivors(by_step, radices, p, limit, stats, bind=None):
-        for f in (earlier, later):
-            yield tuple(f.entries[i][j].val for i, j in _even_positions(s, s))
-
-    with mock.patch.object(operators, "_backtrack", survivors):
-        with pytest.raises(RuntimeError) as err:
-            search_operators(twisted, "rota-baxter", weight=0)
-    assert str(err.value) == (f"rota-baxter: map {earlier.entries} survives the pruned search, "
-                              f"but its check fails with twist-commuting at {reports[0].witness}")
-
-    # each found map's memo is emptied as the scan leaves the map's block,
-    # the last one included: after a search the binder holds none of their
-    # entries
-    runs = []
-    with spied_rechecks(runs, fixed_tensors(p35, None)):
-        res = search_operators(p35, "rota-baxter", weight=0, budget=1000)
-    ((tables, _, report),) = runs
-    assert report.passed and len(res.found) > 1
-    assert all(tables(f).cache_info().currsize == 0 for f in res.found)
+def test_a_search_files_the_twist_group():
+    # Under a twist swapping t and t^2 on truncpoly-3, R(t) = t^2 is a
+    # weight-0 Rota-Baxter operator that fails only to commute with the
+    # twist: the search of the untwisted instance finds it, and that of the
+    # twisted one must not.  Over F_5 the brute force takes a prefix, the
+    # whole space being 5^9 maps.
+    for p, budget in ((3, None), (5, 3000)):
+        a = named("truncpoly-3", p)
+        s = a.space
+        twisted = HomAlgebra(a.mu, EvenMap.from_entries(s, s, [(0, 0, 1), (1, 2, 1), (2, 1, 1)]))
+        earlier = EvenMap.from_entries(s, s, [(2, 1, 1)])
+        spec = OperatorSpec("rota-baxter", earlier, weight=s.field.coerce(0))
+        assert check_operator(spec, a).passed
+        assert check_operator(spec, twisted).identity == "twist-commuting"
+        hits, size = brute_force(twisted, "rota-baxter", 0, budget=budget)
+        assert_prefix_agrees(twisted, "rota-baxter", 0, budget, hits, size)
+        assert earlier in search_operators(a, "rota-baxter", weight=0).found
+        assert earlier not in search_operators(twisted, "rota-baxter", weight=0).found
