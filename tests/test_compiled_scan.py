@@ -562,9 +562,20 @@ def test_rule_reads_group_size_arity_and_table_fill():
     assert engine._fill(doubled) == 2
     assert engine._evaluation(over(16, 16, 16, 16), bound(EvenBilinear.zero(s, s, s), doubled)) \
         == "scan"
-    # an empty slot, of a dim-0 space, leaves its group no tuple: scanned
+
+
+def test_only_groups_over_basis_points_are_contracted():
+    """Every slot the binders make ranges over basis points, so the rule
+    takes no slot test: a slot over some of a space's basis points, as a
+    bimodule's axiom group takes them, is contracted like a full one.  An
+    empty slot, of a dim-0 space, ranges over basis points too; its group
+    has no tuple and is scanned."""
+    s = SuperSpace(F5, 8, 8)
+    sparse = bound(EvenBilinear.zero(s, s, s), EvenMap.identity(s))
+    points = over(16)[0]
+    assert engine._evaluation([points[3:], points, points[::2]], sparse) == "contract"
     assert over(0)[0] == ()
-    assert engine._evaluation([*over(0), *over(16, 16)], sparse) == "scan"
+    assert engine._evaluation([*over(0), points, points], sparse) == "scan"
     assert engine._evaluation([*over(16, 16), *over(0)] * 2, sparse) == "scan"
 
 
