@@ -36,7 +36,6 @@ from .laws import (
     _identities,
     _require,
     _run_groups,
-    _Tables,
     check_morphism,
     check_product_law,
     check_pre_law,
@@ -260,10 +259,9 @@ def _bimodule_axioms(m, variant: PbmVariant | None = None, jobs: int = 1) -> Law
     residual's coordinates on M, the only ones that can be nonzero."""
     ext, at, vt = _null_extension(m)
     law = _DERIVATIONS[type(m)][0]
-    extra = None if variant is None else {
-        "variant": {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}}
-    report = _run_groups(law, lambda bind: [_axiom_group(m, ext, at, vt, variant, bind)],
-                         _Tables(m.module.field), jobs, extra)
+    report = _run_groups(law, lambda bind: [_axiom_group(m, ext, at, vt, variant, bind)], jobs)
+    if variant is not None:
+        report.extra["variant"] = {"pbm2_sign": variant.pbm2_sign, "pbm4_inner": variant.pbm4_inner}
     if not report.passed:
         report.residual = tuple(report.residual[j] for j in vt)
     return report

@@ -36,7 +36,7 @@ def grassmann1(field=QQ) -> HomAlgebra:
 def alpha2(field=QQ) -> EvenMap:
     """diag(1, 2) on the grassmann1 space; a strict endomorphism there."""
     space = SuperSpace(field, 1, 1)
-    return EvenMap.diagonal(space, [field.one, field.scalar(2)])
+    return EvenMap.diagonal(space, [field.one, field.coerce(2)])
 
 
 def grassmann1_twisted(field=QQ) -> HomAlgebra:
@@ -67,7 +67,7 @@ def integration(k: int, field=QQ) -> EvenMap:
     space = SuperSpace(field, k, 0)
     entries = []
     for i in range(k - 1):
-        d = field.scalar(i + 1)
+        d = field.coerce(i + 1)
         if not d:
             raise ValidationError([f"{i + 1} is not invertible in {field}"])
         entries.append((i + 1, i, field.one / d))

@@ -132,11 +132,6 @@ class RationalField:
 
     char = 0
 
-    def scalar(self, n) -> Fraction:
-        if isinstance(n, FpElement):
-            raise FieldError("residue scalar used where a rational is required")
-        return Fraction(n)
-
     @property
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -193,15 +188,6 @@ class PrimeField:
             raise FieldError(f"{self.p} is not prime")
 
     char = property(lambda self: self.p)
-
-    def scalar(self, n) -> FpElement:
-        if isinstance(n, FpElement):
-            if n.p != self.p:
-                raise FieldError(f"residue mod {n.p} used in F_{self.p}")
-            return n
-        if isinstance(n, int) and not isinstance(n, bool):
-            return FpElement(n, self.p)
-        raise FieldError(f"scalar {n!r} is not an integer for F_{self.p}")
 
     @property
     def zero(self) -> FpElement:

@@ -125,24 +125,27 @@ def _require(op: str, report: "LawReport"):
 # Binders.  Each identity closure is written once, over appliers that a
 # binder makes from the tensors and maps it reads.  A binder only compiles
 # each tensor once and memoises its applier; its points are those that
-# _basis_points builds from its basis function, and the scan engine times
-# its builds and counts its memo hits (_run_groups, _contract).  Every check
-# evaluates on table vectors (see core, "Table evaluation") with appliers
-# read from the sparse tables, each applier and associator memoised by one
-# memo (_Tables.memoised, a functools.lru_cache) on its arguments: a tuple
-# scan on the table binder, whose vectors are sparse and canonical
+# _basis_points builds from its basis function.  The scan engine makes the
+# binders a check evaluates on (_run_groups): a table binder per check, and
+# a polynomial binder once a group contracts; it times their builds and
+# counts their memo hits.  Appliers read the sparse tables (see core, "Table
+# evaluation"), each applier and associator memoised by one memo
+# (_Tables.memoised, a functools.lru_cache) on its arguments: a tuple scan
+# on the table binder, whose vectors are sparse and canonical
 # (core._SparseVector), so the memo keys on their values, for that check; a
 # contraction on the polynomial binder, whose dense vectors
 # (core._TableVector) hash by identity, so the memo keys on the argument
 # objects, within one slot-0 slice, their coordinates being polynomials in
 # the coordinates of generic points.  The reference binder evaluates on
 # Vectors through EvenBilinear.apply and EvenMap.apply; it recomputes the
-# residual at every hit.  An operator search binds on the polynomial binder
-# too, over F_p, its polynomials being in the entries of an unknown map (see
-# operators._FreeMap).  Polynomial values are held raw, residues unreduced
-# and cancelled terms kept (see core._Poly); they are normalized once, where
-# they are read: the contraction's witness and the search's filing.  A
-# sparse vector is normalized when it is made, since its hash is its value.
+# residual at every hit.  An operator search makes its own polynomial
+# binder, over F_p, its polynomials being in the entries of an unknown map
+# (see operators._FreeMap).  No binder holds a field: a sparse vector's
+# class carries its characteristic, and polynomial values are held raw,
+# residues unreduced and cancelled terms kept (see core._Poly); they are
+# normalized once, where they are read: the contraction's witness and the
+# search's filing.  A sparse vector is normalized when it is made, since
+# its hash is its value.
 
 
 class _Reference:
@@ -162,12 +165,12 @@ REFERENCE = _Reference()
 class _Tables:
     """The table binder: one applier per tensor or map, compiled at its first
     binding and memoised on argument values.  Its basis points are sparse
-    table vectors."""
+    table vectors.  _run_groups makes one per check, and check_pre_law one
+    that its census shares."""
 
     KERNEL = "_table_applier"  # the method that compiles a tensor's applier
 
-    def __init__(self, field):
-        self.field = field
+    def __init__(self):
         self.bound = {}  # id(t) -> (t, applier); t is kept so its id stays its own
         self.memos = []
 
@@ -199,17 +202,17 @@ class _Polynomials(_Tables):
     results as arguments, so a repeated subexpression over them is computed
     once; an argument built on the spot, such as a sum, is a new object and
     misses.  While the superalt logger prints DEBUG lines, terms counts the
-    raw terms of every vector a miss computed.  An operator search binds an
-    unknown map on it (see operators._FreeMap), for one pass over the basis
-    tuples; a contracted scan evaluates its group on generic points through
-    it (see _contract).  Its appliers are the fused kernels (_poly_applier),
-    which build no intermediate polynomial per structure constant."""
+    raw terms of every vector a miss computed.  search_operators makes one
+    to bind an unknown map (see operators._FreeMap), for one pass over the
+    basis tuples; _run_groups makes one for a check once a group contracts,
+    and evaluates the group on generic points through it (see _contract).
+    Its appliers are the fused kernels (_poly_applier), which build no
+    intermediate polynomial per structure constant."""
 
     KERNEL = "_poly_applier"
-    vector = _TableVector
 
-    def __init__(self, field):
-        super().__init__(field)
+    def __init__(self):
+        super().__init__()
         self.terms = 0
 
     def memoised(self, fn):
@@ -501,21 +504,17 @@ def _basis_points(space: SuperSpace, basis=Vector.basis) -> tuple[Point, ...]:
     return tuple((basis(space, i), space.parity(i)) for i in space.indices())
 
 
-def _group_identities(identities):
+def _law_groups(instance, law, jordan_cycle, bind):
+    """Scan groups of a law's identities: one per run of equal-arity
+    identities, each over the basis of the instance's space."""
+    points = _basis_points(instance.space, bind.basis)
     groups = []
-    for name, arity, fn, *perm in identities:
-        if groups and groups[-1][0] == arity:
+    for name, arity, fn, *perm in _identities(instance, law, jordan_cycle, bind):
+        if groups and len(groups[-1][0]) == arity:
             groups[-1][1].append((name, fn, *perm))
         else:
-            groups.append((arity, [(name, fn, *perm)]))
+            groups.append(([points] * arity, [(name, fn, *perm)]))
     return groups
-
-
-def _law_groups(space: SuperSpace, identities, bind):
-    """Scan groups of a law's identities: one per run of equal-arity
-    identities, each over the basis of the space."""
-    points = _basis_points(space, bind.basis)
-    return [([points] * arity, idfns) for arity, idfns in _group_identities(identities)]
 
 
 def _preserves_group(f: EvenMap, src: EvenBilinear, dst: EvenBilinear, name: str, bind):
@@ -594,16 +593,17 @@ def _scan_range(slots, idfns, start, stop):
 _log = logging.getLogger("superalt")
 
 
-def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
-    """Evaluate, in order, the groups that build(tables) lists on the table
-    binder tables, returning a LawReport.  _evaluation picks, per group,
-    the tuple scan or the contraction; both find the same first failure.
-    Each group's DEBUG line gives the seconds of this check's build calls
-    so far (the table binder's, then the polynomial binder's once a group
-    contracts), whatever tables held before.
+def _run_groups(law, build, jobs=1, tables=None) -> LawReport:
+    """Evaluate, in order, the groups that build(binder) lists, returning a
+    LawReport.  The groups are built on a new table binder, or on tables
+    when given, and once a group contracts, on a new polynomial binder
+    too.  _evaluation picks, per group, the tuple scan or the contraction;
+    both find the same first failure.  Each group's DEBUG line gives the
+    seconds of this check's build calls so far, whatever tables held before.
 
     At a hit the group build(REFERENCE) lists in the same place recomputes
     the residual at the witness, which must agree with the evaluated one."""
+    tables = _Tables() if tables is None else tables
     start = time.perf_counter()
     groups = build(tables)
     build_s = time.perf_counter() - start
@@ -617,7 +617,7 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
         if path == "contract":
             if polynomials is None:
                 building = time.perf_counter()
-                binder = _Polynomials(tables.field)
+                binder = _Polynomials()
                 polynomials = build(binder)
                 build_s += time.perf_counter() - building
             terms = binder.terms
@@ -657,10 +657,9 @@ def _run_groups(law, build, tables, jobs=1, extra=None) -> LawReport:
                 witness_parities=tuple(slot[i][1] for slot, i in zip(slots, witness)),
                 identity=name,
                 residual=residual,
-                extra=dict(extra or {}),
             )
         checked_before += total
-    return LawReport(law=law, passed=True, checked=checked_before, extra=dict(extra or {}))
+    return LawReport(law=law, passed=True, checked=checked_before)
 
 
 def _evaluation(slots, tables) -> str:
@@ -773,10 +772,11 @@ def _contract(slots, idfns, binder):
     each slice starts: within it, every block gets the same point objects,
     so the blocks share their subexpressions, and memory stays bounded by
     one slice.  The memo hits are summed over the slices, each slice's read
-    at its end."""
+    at its end.  p, the characteristic, is read off the sparse class of the
+    slots' points (core._SparseVector.p)."""
     if not all(slots):
         return None, 0, 0, 0
-    make, p = binder.vector, binder.field.char
+    p = slots[0][0][0].p
     offsets = list(itertools.accumulate(map(len, slots), initial=0))
     nvars = offsets[-1]
     width = max(1, CONTRACT_SLICE_TUPLES // math.prod(map(len, slots[1:])))
@@ -787,10 +787,10 @@ def _contract(slots, idfns, binder):
         for memo in binder.memos:
             memo.cache_clear()
         blocks = [
-            _slot_blocks(slots[s], offsets[s], nvars, make, first[0] if s in orbit else 0)
+            _slot_blocks(slots[s], offsets[s], nvars, _TableVector, first[0] if s in orbit else 0)
             for s in range(1, len(slots))
         ]
-        head = _generic_point(slots[0], first, 0, nvars, make)
+        head = _generic_point(slots[0], first, 0, nvars, _TableVector)
         lead = 1 << (nvars - 1 - first[0])
         best = None
         for block in itertools.product(*blocks):
@@ -875,19 +875,14 @@ def _scan_chunk(bounds):
     return (None, 0) if found.is_set() else _scan_range(slots, idfns, *bounds)
 
 
-def _check_law(instance, law, jordan_cycle, jobs, extra, tables) -> LawReport:
-    def build(bind):
-        return _law_groups(instance.space, _identities(instance, law, jordan_cycle, bind), bind)
-
-    return _run_groups(law, build, tables, jobs, extra)
-
-
 def check_product_law(
     a: HomAlgebra, law: str, jordan_cycle: Optional[str] = None, jobs: int = 1
 ) -> LawReport:
     """Exhaustively check one product law on basis tuples."""
-    extra = {"jordan_cycle": jordan_cycle or DEFAULT_JORDAN_CYCLE} if law == "hom-jordan" else None
-    return _check_law(a, law, jordan_cycle, jobs, extra, _Tables(a.space.field))
+    report = _run_groups(law, functools.partial(_law_groups, a, law, jordan_cycle), jobs)
+    if law == "hom-jordan":
+        report.extra["jordan_cycle"] = jordan_cycle or DEFAULT_JORDAN_CYCLE
+    return report
 
 
 def _odd_diagonal_info(p: HomPreAlgebra, bind) -> dict:
@@ -917,8 +912,8 @@ def check_pre_law(p: HomPreAlgebra, law: str, jobs: int = 1) -> LawReport:
     For hom-prealternative the report's extra carries the odd-diagonal
     residual census (informational; the polarized axioms are the verdict).
     """
-    tables = _Tables(p.space.field)
-    report = _check_law(p, law, None, jobs, None, tables)
+    tables = _Tables()  # the census reads the check's memos
+    report = _run_groups(law, functools.partial(_law_groups, p, law, None), jobs, tables)
     if law == "hom-prealternative":
         report.extra["odd_diagonal"] = _odd_diagonal_info(p, tables)
     return report
@@ -934,7 +929,6 @@ def check_morphism(f: EvenMap, src, dst, weak: bool = False) -> LawReport:
     return _run_groups(
         "weak-morphism" if weak else "morphism",
         lambda bind: _morphism_groups(f, src, dst, weak, bind),
-        _Tables(f.domain.field),
     )
 
 

@@ -55,7 +55,6 @@ from .laws import (
     _Polynomials,
     _require,
     _run_groups,
-    _Tables,
 )
 
 if TYPE_CHECKING:  # only for annotations; bimodules imports this module
@@ -144,8 +143,7 @@ def check_operator(spec: OperatorSpec, a) -> LawReport:
     if spec.kind == "o-operator":
         _check_options(spec.kind, spec.weight, spec.bimodule, a)
     w = a.space.field.coerce(spec.weight) if spec.kind == "rota-baxter" else None
-    return _run_groups(spec.kind, _groups(spec.kind, a, spec.map, w, spec.bimodule),
-                       _Tables(a.space.field))
+    return _run_groups(spec.kind, _groups(spec.kind, a, spec.map, w, spec.bimodule))
 
 
 def _groups(kind: str, a, m, w, bimodule):
@@ -398,7 +396,7 @@ def search_operators(
     unknown = _FreeMap(domain, a.space, positions)
     # the bound groups and their binder's memos are garbage once filed
     build = _groups(kind, a, unknown, w, bimodule)
-    by_step = _file_polynomials(build(_Polynomials(field)), steps, len(radices), p)
+    by_step = _file_polynomials(build(_Polynomials()), steps, len(radices), p)
     bound_s = time.perf_counter() - start
 
     start = time.perf_counter()

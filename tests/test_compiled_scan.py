@@ -38,6 +38,7 @@ from superalt import (
     HomPreAlgebra,
     HypothesisError,
     LawReport,
+    OperatorSpec,
     PbmVariant,
     PreBimodule,
     PrimeField,
@@ -45,6 +46,9 @@ from superalt import (
     SuperSpace,
     Vector,
     check_alt_bimodule,
+    check_morphism,
+    check_o_operator,
+    check_operator,
     check_pre_bimodule,
     check_pre_law,
     check_product_law,
@@ -61,12 +65,14 @@ from superalt import (
     rb_induced_bimodules,
     reduce_instance,
     regular_bimodule,
+    search_operators,
     standard_pre_instances,
     tensor_alt,
     truncpoly,
     zero,
 )
 from superalt import laws as engine
+from superalt.bimodules import _bimodule_axioms
 from superalt.cli import main
 from superalt.io import object_to_doc, save
 from bimodule_references import alt_references, pre_references
@@ -523,9 +529,46 @@ def test_a_full_memo_never_exceeds_the_limit_and_keeps_its_newest_key(monkeypatc
             assert memo.cache_info().hits == hits + 1, path
 
 
+def test_every_engine_run_makes_one_table_binder(monkeypatch):
+    """A check hands _run_groups its law and its build, and the engine makes
+    the one table binder it scans on, whichever path its groups take: each
+    law, morphism and operator check and each bimodule axiom scan makes one.
+    A search makes none: it binds on a polynomial binder of its own."""
+    made = []
+
+    class Counted(engine._Tables):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    def binders(run):
+        made.clear()
+        run()
+        return len(made)
+
+    monkeypatch.setattr(engine, "_Tables", Counted)
+    a, p35, pre = octonions(), reduce_instance(truncpoly(3), 5), standard_pre_instances()[0]
+    one = EvenMap.identity(p35.space)
+    runs = {
+        "hom-alternative": lambda: check_product_law(a, "hom-alternative"),
+        "hom-jordan": lambda: check_product_law(plus_jordan(p35), "hom-jordan"),
+        "pre law": lambda: check_pre_law(pre, "hom-prealternative"),
+        "morphism": lambda: check_morphism(EvenMap.identity(a.space), a, a),
+        "rota-baxter": lambda: check_operator(OperatorSpec("rota-baxter", one, weight=F5.zero), p35),
+        "o-operator": lambda: check_o_operator(one, regular_bimodule(p35)),
+        "alt axioms": lambda: _bimodule_axioms(regular_bimodule(a)),
+        "pre axioms": lambda: _bimodule_axioms(regular_bimodule(pre), CALIBRATED_PBM_VARIANT),
+    }
+    for path in ("scan", "contract"):
+        with forced(path):
+            assert {name: binders(run) for name, run in runs.items()} == dict.fromkeys(runs, 1)
+    assert binders(lambda: check_alt_bimodule(regular_bimodule(a))) == 2  # base law, then axioms
+    assert binders(lambda: search_operators(p35, "rota-baxter", weight=0, budget=2000)) == 0
+
+
 def bound(*tables):
     """A table binder with the given products and maps bound."""
-    binder = engine._Tables(F5)
+    binder = engine._Tables()
     for t in tables:
         binder(t)
     return binder

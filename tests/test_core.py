@@ -319,10 +319,10 @@ def test_nullspace_of_a_rank_one_map():
 def test_core_works_over_prime_fields():
     F = PrimeField(5)
     s = SuperSpace(F, 2, 0)
-    f = EvenMap.diagonal(s, (F.scalar(2), F.scalar(1)))
-    v = Vector(s, [F.scalar(3), F.scalar(4)])
-    assert f.apply(v).coords == (F.scalar(6), F.scalar(4))
-    assert f.power(4) == EvenMap.diagonal(s, (F.scalar(16), F.scalar(1)))
+    f = EvenMap.diagonal(s, (F.coerce(2), F.coerce(1)))
+    v = Vector(s, [F.coerce(3), F.coerce(4)])
+    assert f.apply(v).coords == (F.coerce(6), F.coerce(4))
+    assert f.power(4) == EvenMap.diagonal(s, (F.coerce(16), F.coerce(1)))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])

@@ -68,24 +68,24 @@ def test_primality_agrees_with_trial_division(n):
 
 def test_fp_normalization():
     F = PrimeField(5)
-    assert F.scalar(7) == 2
-    assert F.scalar(-1) == 4
-    assert F.scalar(0) == 0
+    assert F.coerce(7) == 2
+    assert F.coerce(-1) == 4
+    assert F.coerce(0) == 0
 
 
 @given(st.integers(), st.integers(), st.sampled_from([3, 5, 7, 13]))
 def test_fp_ring_homomorphism_from_integers(a, b, p):
     F = PrimeField(p)
-    assert F.scalar(a) + F.scalar(b) == F.scalar(a + b)
-    assert F.scalar(a) * F.scalar(b) == F.scalar(a * b)
-    assert F.scalar(a) - F.scalar(b) == F.scalar(a - b)
-    assert -F.scalar(a) == F.scalar(-a)
+    assert F.coerce(a) + F.coerce(b) == F.coerce(a + b)
+    assert F.coerce(a) * F.coerce(b) == F.coerce(a * b)
+    assert F.coerce(a) - F.coerce(b) == F.coerce(a - b)
+    assert -F.coerce(a) == F.coerce(-a)
 
 
 @given(st.integers(min_value=1, max_value=12))
 def test_fp_division_inverts_multiplication(n):
     F = PrimeField(13)
-    x = F.scalar(n)
+    x = F.coerce(n)
     assert (F.one / x) * x == F.one
 
 
@@ -108,7 +108,7 @@ def test_fp_and_rational_do_not_mix():
 
 
 def test_fp_int_interop():
-    x = PrimeField(7).scalar(3)
+    x = PrimeField(7).coerce(3)
     assert x + 5 == 1
     assert 2 * x == 6
     assert bool(x) and not bool(x - 3)
@@ -119,6 +119,8 @@ def test_rational_coerce_rejects_bool_and_junk():
         QQ.coerce(True)
     with pytest.raises(FieldError):
         QQ.coerce("1/2")
+    with pytest.raises(FieldError):
+        QQ.coerce(0.1)
     assert QQ.coerce(3) == Fraction(3)
 
 
@@ -136,10 +138,10 @@ def test_rational_json_rejects_non_canonical_in_strict_mode():
 
 def test_fp_json_range():
     F = PrimeField(5)
-    assert F.to_json(F.scalar(3)) == 3
-    assert F.from_json(4) == (F.scalar(4), None)
+    assert F.to_json(F.coerce(3)) == 3
+    assert F.from_json(4) == (F.coerce(4), None)
     v, warn = F.from_json(7)
-    assert v == F.scalar(2) and warn == "residue 7 outside [0, 5)"
+    assert v == F.coerce(2) and warn == "residue 7 outside [0, 5)"
 
 
 def test_fp_elements_enumeration():
@@ -186,11 +188,11 @@ def test_rational_json_bare_int_is_bent_leniently_and_refused_strictly():
     assert warn == "rational written as bare int 3 (canonical form is a string)"
 
 
-@pytest.mark.parametrize("convert", ["scalar", "coerce"])
+@pytest.mark.parametrize("convert", ["coerce"])
 def test_prime_field_refuses_other_residues_and_non_integers(convert):
     F = PrimeField(5)
     to = getattr(F, convert)
-    assert to(F.scalar(3)) == 3
+    assert to(F.coerce(3)) == 3
     with pytest.raises(FieldError, match="residue mod 7 used in F_5"):
         to(PrimeField(7).one)
     for junk in (Fraction(1, 2), 1.0, True, "1"):
@@ -201,12 +203,12 @@ def test_prime_field_refuses_other_residues_and_non_integers(convert):
 @given(st.integers(), st.integers(min_value=0, max_value=40), st.sampled_from([3, 5, 7, 13]))
 def test_fp_reflected_ops_and_powers_agree_with_ints_mod_p(a, k, p):
     F = PrimeField(p)
-    x = F.scalar(a)
-    assert 5 - x == F.scalar(5 - a)
-    assert x ** k == F.scalar(pow(a, k, p))
+    x = F.coerce(a)
+    assert 5 - x == F.coerce(5 - a)
+    assert x ** k == F.coerce(pow(a, k, p))
     if a % p:
         assert (1 / x) * a == 1
-        assert 1 / x == F.scalar(pow(a, -1, p))
+        assert 1 / x == F.coerce(pow(a, -1, p))
     else:
         with pytest.raises(ZeroDivisionError):
             1 / x

@@ -63,7 +63,7 @@ def ours(field, K, x):
     """A sympy domain element as a scalar of field."""
     if field is QQ:
         return Fraction(int(x.numerator), int(x.denominator))
-    return field.scalar(K.to_int(x))
+    return field.coerce(K.to_int(x))
 
 
 def columns_as_vectors(field, m, n, rows):

@@ -243,8 +243,8 @@ class Kept(engine._Polynomials):
 
     made = []
 
-    def __init__(self, field):
-        super().__init__(field)
+    def __init__(self):
+        super().__init__()
         self.stored = []
         Kept.made.append(self)
 
@@ -300,7 +300,7 @@ def test_the_polynomial_binder_keys_its_memos_by_identity(monkeypatch):
     m = EvenMap.from_entries(s, s, [(0, 0, QQ.coerce(2)), (0, 1, QQ.coerce(3)),
                                     (2, 2, QQ.coerce(-1))])
     monkeypatch.setattr(engine, "MEMO_LIMIT", 1)  # each miss evicts, and frees, the last key
-    binder = engine._Polynomials(QQ)
+    binder = engine._Polynomials()
     applier = binder(m)
     assert binder.memos == [applier]
 

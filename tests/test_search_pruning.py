@@ -316,7 +316,7 @@ def test_the_polynomial_appliers_agree_with_apply_at_every_point():
                        for m, k in _Poly.terms(c)) % p
 
         def vector(w):
-            return Vector(s, [s.field.scalar(at(c)) for c in w])
+            return Vector(s, [s.field.coerce(at(c)) for c in w])
 
         assert [at(c) for c in product] == [c.val for c in a.mu.apply(vector(u), vector(v)).coords]
         assert [at(c) for c in twisted] == [c.val for c in dense.apply(vector(u)).coords]
@@ -502,8 +502,8 @@ def test_a_scan_takes_its_memo_census_only_for_a_printed_line(caplog):
             return super().__iter__()
 
     class Tables(laws._Tables):
-        def __init__(self, field):
-            super().__init__(field)
+        def __init__(self):
+            super().__init__()
             self.memos = Census()
 
     # both groups of hom-jordan on truncpoly-3 are below CONTRACT_MIN_TUPLES

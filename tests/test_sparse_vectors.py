@@ -139,7 +139,7 @@ def test_a_scanned_witness_has_the_reference_residual(p):
     with forced("scan"):
         rep = check_product_law(a, "hom-alternative")
     assert not rep.passed
-    tables = laws._Tables(a.space.field)
+    tables = laws._Tables()
     points = laws._basis_points(a.space, tables.basis)
     scanned = {name: fn for name, _, fn, *_ in laws._identities(a, "hom-alternative", None, tables)}
     reference = {name: fn for name, _, fn in law_identities(a, "hom-alternative")}
