@@ -36,6 +36,7 @@ from .laws import (
     _identities,
     _require,
     _run_groups,
+    _verdict_table,
     check_morphism,
     check_product_law,
     check_pre_law,
@@ -55,13 +56,17 @@ def action_factors(key: str, a, v):
 
 
 class _Bimodule:
-    """What both kinds share.  ACTIONS names a kind's actions in document
-    key order, which puts every l... action first."""
+    """What both kinds share.  BASE is the class of a kind's base, and
+    ACTIONS names its actions in document key order, which puts every l...
+    action first."""
 
     __slots__ = ()
     ACTIONS = ()
 
     def __init__(self, base, beta: EvenMap, name: str, **actions: EvenBilinear):
+        if not isinstance(base, self.BASE):
+            kind, needs = type(self).__name__, self.BASE.__name__
+            raise ValidationError([f"the base of {kind} must be a {needs}"])
         errors = []
         v = beta.domain
         if beta.codomain != v:
@@ -89,6 +94,7 @@ class _Bimodule:
 
 class AltBimodule(_Bimodule):
     __slots__ = ("base", "beta", "lsucc", "rprec", "name")
+    BASE = HomAlgebra
     ACTIONS = ("lsucc", "rprec")
 
     def __init__(
@@ -104,6 +110,7 @@ class AltBimodule(_Bimodule):
 
 class PreBimodule(_Bimodule):
     __slots__ = ("base", "beta", "lprec", "rprec", "lsucc", "rsucc", "name")
+    BASE = HomPreAlgebra
     ACTIONS = ("lprec", "lsucc", "rprec", "rsucc")
 
     def __init__(
@@ -287,26 +294,14 @@ def check_pre_bimodule(
 
 
 def regular_bimodule(instance):
-    """The instance acting on itself: V = A, beta = alpha, actions = products."""
-    if isinstance(instance, HomAlgebra):
-        return AltBimodule(
-            instance,
-            instance.alpha,
-            instance.mu,
-            instance.mu,
-            name=f"regular({instance.name})",
-        )
-    if isinstance(instance, HomPreAlgebra):
-        return PreBimodule(
-            instance,
-            instance.alpha,
-            lprec=instance.prec,
-            rprec=instance.prec,
-            lsucc=instance.succ,
-            rsucc=instance.succ,
-            name=f"regular({instance.name})",
-        )
-    raise ValidationError([f"not an instance: {instance!r}"])
+    """The instance acting on itself: V = A, beta = alpha, and each product
+    as the actions that extend it on A x| A (_EXTENDS)."""
+    cls = next((c for c in (AltBimodule, PreBimodule) if isinstance(instance, c.BASE)), None)
+    if cls is None:
+        raise ValidationError([f"not an instance: {instance!r}"])
+    actions = {key: getattr(instance, attr) for attr, _ in instance.PRODUCTS
+               for key in _EXTENDS[attr]}
+    return cls(instance, instance.alpha, name=f"regular({instance.name})", **actions)
 
 
 def project_bimodule(m, direction: str, pre: HomPreAlgebra | None = None):
@@ -409,28 +404,21 @@ def rb_induced_bimodules(m: AltBimodule, r: EvenMap):
     return alt, pre
 
 
+def _variant_label(var: PbmVariant) -> str:
+    return f"pbm2{'+' if var.pbm2_sign == 1 else '-'}/pbm4-{var.pbm4_inner}"
+
+
 def calibrate_pre_bimodule(instances) -> dict:
     """Check the regular pre-bimodule of each instance under all four
     readings of the ambiguous axioms; report survivors."""
-    combos = [
-        PbmVariant(s, inner) for s, inner in iproduct((1, -1), ("prec", "circ"))
-    ]
     # each base is checked once, in the order check_pre_bimodule would meet it
     modules = []
     for p in instances:
         _require("check_pre_bimodule", check_pre_law(p, "hom-prealternative"))
         modules.append((p.name or repr(p), regular_bimodule(p)))
-    per_variant = {}
-    for var in combos:
-        key = f"pbm2{'+' if var.pbm2_sign == 1 else '-'}/pbm4-{var.pbm4_inner}"
-        verdicts = {}
-        for name, m in modules:
-            verdicts[name] = _bimodule_axioms(m, var).passed
-        per_variant[key] = verdicts
-    survivors = [k for k, v in per_variant.items() if all(v.values())]
-    default = CALIBRATED_PBM_VARIANT
-    return {
-        "per_variant": per_variant,
-        "survivors": survivors,
-        "default": f"pbm2{'+' if default.pbm2_sign == 1 else '-'}/pbm4-{default.pbm4_inner}",
-    }
+    variants = [PbmVariant(s, inner) for s, inner in iproduct((1, -1), ("prec", "circ"))]
+    readings = {_variant_label(var): var for var in variants}
+    return _verdict_table(
+        "per_variant", readings, modules, lambda var, m: _bimodule_axioms(m, var).passed,
+        _variant_label(CALIBRATED_PBM_VARIANT),
+    )

@@ -22,11 +22,11 @@ DOCUMENT_KINDS = ("algebra", "pre-algebra", "map", "bimodule", "report")
 _INSTANCES = {"algebra": HomAlgebra, "pre-algebra": HomPreAlgebra}
 BASE_KINDS = tuple(_INSTANCES)
 MAX_DIM = 64  # cap on n0 + n1 of every space a document declares
-# variant -> (bimodule class, base class, the refusal of another base); each
-# bimodule class declares its ACTIONS
+# variant -> (bimodule class, the refusal of another base); each bimodule
+# class declares its BASE and its ACTIONS
 _BIMODULES = {
-    "alt": (AltBimodule, HomAlgebra, "an alt bimodule needs an algebra base"),
-    "pre": (PreBimodule, HomPreAlgebra, "a pre bimodule needs a pre-algebra base"),
+    "alt": (AltBimodule, "an alt bimodule needs an algebra base"),
+    "pre": (PreBimodule, "a pre bimodule needs a pre-algebra base"),
 }
 
 
@@ -235,7 +235,7 @@ def map_to_doc(f: EvenMap, name: str | None = None, metadata: dict | None = None
 
 
 def bimodule_to_doc(m, base_path: str, name: str | None = None, metadata: dict | None = None):
-    for variant, (cls, _, _) in _BIMODULES.items():
+    for variant, (cls, _) in _BIMODULES.items():
         if isinstance(m, cls):
             body = {"variant": variant, "base": base_path, "beta": matrix_to_json(m.beta)}
             body.update((key, entries_to_json(getattr(m, key))) for key in cls.ACTIONS)
@@ -280,7 +280,7 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
     variant = doc.get("variant")
     if variant not in ("alt", "pre"):
         raise DocumentError([f"variant: expected alt or pre, got {variant!r}"])
-    cls, base_cls, needs = _BIMODULES[variant]
+    cls, needs = _BIMODULES[variant]
     field, v = _space_from_doc(doc, ("base", "variant", "beta") + cls.ACTIONS, ctx)
     if not isinstance(doc["base"], str) or os.path.isabs(doc["base"]):
         raise DocumentError([f"base: expected a relative path, got {doc['base']!r}"])
@@ -288,7 +288,7 @@ def doc_to_bimodule(doc, ctx, base_dir: str):
     _, base, warnings = _load(base_path, ctx.strict, BASE_KINDS)
     ctx.warnings += [f"{base_path}: {w}" for w in warnings]
     beta = _matrix_from_json(field, doc["beta"], v, v, ctx, "beta")
-    if not isinstance(base, base_cls):
+    if not isinstance(base, cls.BASE):
         raise DocumentError([f"base: {needs}"])
     a = base.space
     if a.field != field:

@@ -947,12 +947,19 @@ def _morphism_groups(f, src, dst, weak: bool, bind):
 def calibrate_jordan(instances: Sequence[HomAlgebra]) -> dict:
     """Run the hom-jordan check under every cyclic reading on the given
     plus-algebras.  Returns per-cycle verdicts and the list of survivors."""
-    per_cycle = {}
-    for cycle in JORDAN_CYCLES:
-        verdicts = {}
-        for a in instances:
-            rep = check_product_law(a, "hom-jordan", jordan_cycle=cycle)
-            verdicts[a.name or repr(a)] = rep.passed
-        per_cycle[cycle] = verdicts
-    survivors = [c for c, v in per_cycle.items() if all(v.values())]
-    return {"per_cycle": per_cycle, "survivors": survivors, "default": DEFAULT_JORDAN_CYCLE}
+    return _verdict_table(
+        "per_cycle", {cycle: cycle for cycle in JORDAN_CYCLES},
+        [(a.name or repr(a), a) for a in instances],
+        lambda cycle, a: check_product_law(a, "hom-jordan", jordan_cycle=cycle).passed,
+        DEFAULT_JORDAN_CYCLE,
+    )
+
+
+def _verdict_table(key: str, readings: dict, named, passes, default: str) -> dict:
+    """A calibration's report: under key, per reading label, the verdict
+    passes(reading, x) per (name, x) of named, readings outer and in the
+    given order; the labels passing on every instance; and the default."""
+    table = {label: {name: passes(reading, x) for name, x in named}
+             for label, reading in readings.items()}
+    survivors = [label for label, verdicts in table.items() if all(verdicts.values())]
+    return {key: table, "survivors": survivors, "default": default}

@@ -32,22 +32,11 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-from .core import (
-    EvenBilinear,
-    EvenMap,
-    SuperSpace,
-    ValidationError,
-    Vector,
-    _Poly,
-    _poly_column_applier,
-    independent_columns,
-    solve_in_span,
-)
+from .core import EvenMap, SuperSpace, ValidationError, _Poly, _poly_column_applier, _rref
 from .fields import PrimeField
 from .laws import (
     HomAlgebra,
     HomPreAlgebra,
-    HypothesisError,
     LawReport,
     _basis_points,
     _intertwining_group,
@@ -87,12 +76,15 @@ class OperatorSpec:
 
 
 def _check_options(kind: str, weight, bimodule, a=None):
-    """Refuse a weight or a bimodule that the kind does not take, and a
-    bimodule whose base is not the instance a (when a is given)."""
+    """Refuse a weight or a bimodule that the kind does not take, a bimodule
+    over a pre-structure (an o-operator's bimodule is an alt-bimodule), and
+    a bimodule whose base is not the instance a (when a is given)."""
     if (weight is not None) != (kind == "rota-baxter"):
         raise ValidationError(["weight is given exactly for rota-baxter operators"])
     if (bimodule is not None) != (kind == "o-operator"):
         raise ValidationError(["bimodule is given exactly for o-operators"])
+    if bimodule is not None and not isinstance(bimodule.base, HomAlgebra):
+        raise ValidationError(["an o-operator's bimodule must be an alt-bimodule"])
     if bimodule is not None and a is not None and bimodule.base != a:
         raise ValidationError(["the bimodule's base is not the instance"])
 
@@ -225,66 +217,43 @@ def o_induced(t: EvenMap, m: "AltBimodule") -> OInduced:
     """Induced pre-structure u prec v = R(T v) u, u succ v = L(T u) v on V,
     and its transport onto the image basis of T inside A.
 
-    Raises if the o-operator check fails, if the transported products cannot
-    be expressed over the image basis, or if the image is not closed under
-    the restricted twist."""
+    Raises only if the o-operator check fails.  One row reduction of T
+    gives the image basis, the earliest independent images T u_c (c the
+    pivot columns), and S: V -> T(V), T written in that basis (the first
+    rows of the reduced matrix); E sends image basis k to u_(c_k).  The
+    image products are S(E x * E y), and the image twist, alpha on T(V), is
+    S beta E, since alpha T = T beta passed as the twist-intertwining group.
+    So no transported product or twist can leave the image."""
     o_report = check_o_operator(t, m)
     _require("o_induced", o_report)
-    a = m.base
     V = m.module
-    field = V.field
 
     # induced products on V: u prec v = R(T v) u, u succ v = L(T u) v
     pre = HomPreAlgebra(
         m.rprec.pre_compose_right(t), m.lsucc.pre_compose_left(t), m.beta, name="o-induced"
     )
-
-    # image basis: earliest independent T-images; V is even-first, so the
-    # selected columns are automatically even-first too
-    basis_images = [t.image_of_basis(j) for j in V.indices()]
-    cols = independent_columns(basis_images)
-    img_basis = [basis_images[j] for j in cols]
-    n0 = sum(1 for j in cols if V.parity(j) == 0)
-    img_space = SuperSpace(field, n0, len(cols) - n0)
-
-    def express(vec: Vector):
-        sol = solve_in_span(img_basis, vec)
-        if sol is None:
-            raise HypothesisError(
-                "o_induced",
-                LawReport(
-                    law="image-closure",
-                    passed=False,
-                    checked=0,
-                    identity="not-in-image",
-                    residual=vec.coords,
-                ),
-            )
-        return sol
-
-    img_prec, img_succ = [], []
-    for ai, ci in enumerate(cols):
-        for bj, cj in enumerate(cols):
-            for entries, product in ((img_prec, pre.prec), (img_succ, pre.succ)):
-                sol = express(t.apply(product.pair_of_basis(ci, cj)))
-                entries += [(ai, bj, k, v) for k, v in enumerate(sol)]
-    img_alpha = [
-        (ai, bj, v)
-        for bj, vec in enumerate(img_basis)
-        for ai, v in enumerate(express(a.alpha.apply(vec)))
-        if v
-    ]
+    rows = [list(row) for row in t.entries]
+    cols = _rref(rows, V.dim)
     r = len(cols)
+    # V is even-first, so the pivot columns are even-first too
+    n0 = sum(1 for j in cols if V.parity(j) == 0)
+    img = SuperSpace(V.field, n0, r - n0)
+    S = EvenMap.from_entries(V, img, [(k, j, v) for k in range(r) for j, v in enumerate(rows[k])])
+    E = EvenMap.from_entries(img, V, [(c, k, V.field.one) for k, c in enumerate(cols)])
+
+    def transported(product):
+        return product.post_compose(S).pre_compose_left(E).pre_compose_right(E)
+
     image = HomPreAlgebra(
-        EvenBilinear.from_entries(img_space, img_space, img_space, img_prec),
-        EvenBilinear.from_entries(img_space, img_space, img_space, img_succ),
-        EvenMap.from_entries(img_space, img_space, img_alpha),
+        transported(pre.prec),
+        transported(pre.succ),
+        S.compose(m.beta).compose(E),
         name="o-induced-image",
     )
     return OInduced(
         pre=pre,
         image=image,
-        image_columns=list(cols),
+        image_columns=cols,
         independence=LawReport("representation-independence", True, 2 * (V.dim - r) * V.dim),
         morphism=replace(o_report, law="morphism"),
     )

@@ -66,6 +66,32 @@ def test_alt_bimodule_shape_validation(p3):
         AltBimodule(p3, EvenMap.identity(p3.space), good_l, good_r)  # beta off-module
 
 
+def test_a_bimodule_refuses_a_base_of_the_other_kind(p3, pre3):
+    alt, pre = regular_bimodule(p3), regular_bimodule(pre3)
+    with pytest.raises(ValidationError) as exc:
+        AltBimodule(pre3, pre.beta, pre.lsucc, pre.rprec)
+    assert exc.value.errors == ["the base of AltBimodule must be a HomAlgebra"]
+    with pytest.raises(ValidationError) as exc:
+        PreBimodule(p3, alt.beta, alt.rprec, alt.rprec, alt.lsucc, alt.lsucc)
+    assert exc.value.errors == ["the base of PreBimodule must be a HomPreAlgebra"]
+
+
+def test_the_regular_bimodule_acts_by_the_products(p3, pre3):
+    cases = [
+        (p3, AltBimodule, {"lsucc": p3.mu, "rprec": p3.mu}),
+        (pre3, PreBimodule,
+         {"lprec": pre3.prec, "lsucc": pre3.succ, "rprec": pre3.prec, "rsucc": pre3.succ}),
+    ]
+    for a, cls, actions in cases:
+        m = regular_bimodule(a)
+        assert type(m) is cls
+        assert (m.base, m.beta, m.name) == (a, a.alpha, f"regular({a.name})")
+        assert {key: getattr(m, key) for key in cls.ACTIONS} == actions
+    with pytest.raises(ValidationError) as exc:
+        regular_bimodule(p3.space)
+    assert exc.value.errors == [f"not an instance: {p3.space!r}"]
+
+
 def test_alt_bimodule_check_refuses_broken_base(p3):
     broken = perturb_product(p3, (1, 1, 0), Fraction(1))
     m = regular_bimodule(broken)

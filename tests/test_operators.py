@@ -10,6 +10,7 @@ from superalt import (
     PrimeField,
     SuperSpace,
     ValidationError,
+    alt_of,
     build_named,
     check_o_operator,
     check_operator,
@@ -280,3 +281,23 @@ def test_search_refuses_options_its_kind_does_not_take(kind, weight, with_bimodu
     m = regular_bimodule(a) if with_bimodule else None
     with pytest.raises(ValidationError):
         search_operators(a, kind, weight=weight, budget=10, bimodule=m)
+
+
+def test_o_operators_refuse_a_bimodule_over_a_pre_structure(pre3):
+    """An o-operator's bimodule is an alt-bimodule: a pre-bimodule is refused
+    by OperatorSpec, so by every check and search that takes one."""
+    refusal = ["an o-operator's bimodule must be an alt-bimodule"]
+    p5 = reduce_instance(pre3, 5)
+    m, m5 = regular_bimodule(pre3), regular_bimodule(p5)
+    t = EvenMap.identity(pre3.space)
+    spec = OperatorSpec("o-operator", t, bimodule=regular_bimodule(alt_of(pre3)))
+    spec.bimodule = m  # past the spec's own refusal, to check_operator's
+    for refused in (
+        lambda: OperatorSpec("o-operator", t, bimodule=m),
+        lambda: check_o_operator(t, m),
+        lambda: check_operator(spec, pre3),
+        lambda: search_operators(p5, "o-operator", bimodule=m5, budget=10),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            refused()
+        assert exc.value.errors == refusal

@@ -12,15 +12,21 @@ import pytest
 import superalt
 import superalt.io
 from superalt.bimodules import _DERIVATIONS
-from superalt.cli import build_parser
+from superalt.cli import build_parser, main
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
-def cli_lines():
+def cli_block():
+    """The lines of the README's CLI block, comments cut, each with the exit
+    code it is to end with: 1 where the line says `# exit 1`, else 0."""
     block = README.split("## CLI", 1)[1].split("```", 2)[1]
-    return [line.split("#", 1)[0].strip() for line in block.splitlines()
-            if line.startswith("superalt ")]
+    return [(line.split("#", 1)[0].strip(), 1 if "# exit 1" in line else 0)
+            for line in block.splitlines() if line.strip()]
+
+
+def cli_lines():
+    return [line for line, _ in cli_block() if line.startswith("superalt ")]
 
 
 def api_names():
@@ -58,6 +64,20 @@ def test_every_cli_line_of_the_readme_parses(line):
     argv = shlex.split(line)[1:]
     args = build_parser().parse_args(argv)
     assert args.verb == argv[0]
+
+
+def test_the_readme_cli_block_runs_in_order(tmp_path, monkeypatch):
+    """Every line of the block, run in order in an empty directory, ends
+    with its exit code; the python3 line runs the code it quotes."""
+    monkeypatch.chdir(tmp_path)
+    for line, code in cli_block():
+        program, *argv = shlex.split(line)
+        if program == "python3":
+            assert argv[0] == "-c", line
+            exec(argv[1], {})
+        else:
+            assert program == "superalt", line
+            assert main(argv) == code, line
 
 
 @pytest.mark.parametrize("name", api_names())
